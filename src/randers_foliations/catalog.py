@@ -34,7 +34,18 @@ import numpy as np
 from .grid import PeriodicGrid
 from .manifold import FoliatedRandersManifold
 
-__all__ = ["ExampleSpec", "build_example", "example_names", "example_info", "default_resolutions"]
+__all__ = [
+    "ExampleError",
+    "ExampleSpec",
+    "build_example",
+    "example_names",
+    "example_info",
+    "default_resolutions",
+]
+
+
+class ExampleError(ValueError):
+    """An example cannot be built from the given name or parameters."""
 
 
 @dataclass(frozen=True)
@@ -288,11 +299,14 @@ def default_resolutions(name: str) -> tuple[int, ...]:
 
 
 def build_example(spec: ExampleSpec) -> FoliatedRandersManifold:
-    """Construct a catalog manifold; raises ValueError on unknown names/params."""
+    """Construct a catalog manifold; raises ExampleError on unknown names/params."""
     try:
         builder = _BUILDERS[spec.name]
     except KeyError:
-        raise ValueError(
+        raise ExampleError(
             f"unknown example {spec.name!r}; available: {', '.join(example_names())}"
         ) from None
-    return builder(dict(spec.params))
+    try:
+        return builder(dict(spec.params))
+    except ValueError as exc:
+        raise ExampleError(f"{spec.name}: {exc}") from exc

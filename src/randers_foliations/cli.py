@@ -23,6 +23,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .catalog import (
+    ExampleError,
     ExampleSpec,
     default_resolutions,
     example_info,
@@ -32,17 +33,6 @@ from .catalog import (
 from .matinv import verify_appendix_identities
 from .report import ResidualReport, reports_to_csv, reports_to_json
 from .verify import FORMULAS, formula_ids, run_formulas
-
-# checks transcribed verbatim from published displays that the convergence
-# tables refute; selected only by --formulas full (or by name)
-ERRATA_IDS = (
-    "shape-comparison-printed",
-    "csharp-comparison-printed",
-    "parallel-second-order-printed",
-    "parallel-second-order-const-printed",
-    "parallel-second-order-b-printed",
-    "tilt-balance-printed",
-)
 
 
 class ConfigError(Exception):
@@ -74,13 +64,21 @@ class RunConfig:
         }
 
 
-def _parse_value(text: str):
+def _parse_scalar(text: str):
     for cast in (int, float):
         try:
             return cast(text)
         except ValueError:
             pass
     return text
+
+
+def _parse_value(text: str):
+    """A number, a tuple of numbers (comma-separated), or the text itself."""
+    if "," not in text:
+        return _parse_scalar(text)
+    items = tuple(_parse_scalar(tok.strip()) for tok in text.split(","))
+    return items if all(isinstance(v, (int, float)) for v in items) else text
 
 
 def _parse_param(item: str) -> tuple[str, object]:
@@ -115,7 +113,7 @@ def _resolve_formulas(selector: str) -> list[str]:
     if selector == "full":
         return known
     if selector in ("all", "sound"):
-        return [f for f in known if f not in ERRATA_IDS]
+        return [f for f in known if not FORMULAS[f].refuted]
     chosen = [tok.strip() for tok in selector.split(",") if tok.strip()]
     unknown = [tok for tok in chosen if tok not in known]
     if unknown:
@@ -224,7 +222,7 @@ def _print_catalog():
         f = FORMULAS[fid]
         gates = ",".join(f.requires) if f.requires else "-"
         extra = f" any-of[{','.join(f.any_of)}]" if f.any_of else ""
-        note = "  [published display under test]" if fid in ERRATA_IDS else ""
+        note = "  [published display under test]" if f.refuted else ""
         print(f"  {fid:<36s} gates: {gates}{extra}{note}")
         print(f"  {'':<36s} {f.description}")
 
@@ -262,12 +260,12 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         config = build_config(argv)
-    except ConfigError as exc:
+        if config is None:
+            return 0
+        code, reports = run(config)
+    except (ConfigError, ExampleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config is None:
-        return 0
-    code, reports = run(config)
     for r in reports:
         print(r.summary_line())
     counts = {

@@ -13,7 +13,8 @@ nu-curves and to the torsion operator C^sharp_nu (the g-dual of
 C_nu(., ., Z)).  Everything needed by the integral verifier (delta, the
 rank-one pieces U1, U2, a3 of the parallel-beta decomposition, the full shape
 operator A = A^g + C^sharp_nu, eigenvalues, volume densities) is cached on
-one bundle object.
+one bundle object, the only memo of the pipeline: each field is computed at
+most once per bundle, and a fresh bundle is built for every sweep point.
 
 Operators on the leaf tangent bundle are stored two ways: as coordinate
 (d x d) matrix fields that kill N and map into the tangent distribution, and
@@ -29,12 +30,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import derivative_values
 from .manifold import (
     FoliatedRandersManifold,
+    _masked_to_identity,
     covariant_vector_derivative,
+    curvature_bar,
     deformation_tensor,
     extrinsic_bar,
+    gradient,
     levi_civita,
 )
 
@@ -60,11 +63,6 @@ def g_metric_field(M: FoliatedRandersManifold) -> np.ndarray:
         + np.einsum("...i,...j->...ij", n_flat, beta)
     )
     return g
-
-
-def _scalar_gradient(M, f, scheme):
-    df = np.stack([derivative_values(f, M.grid, ax, scheme) for ax in range(M.dim)], axis=-1)
-    return df  # covector field
 
 
 class ExtrinsicBundle:
@@ -120,11 +118,30 @@ class ExtrinsicBundle:
     def gamma_g(self):
         return levi_civita(self.M, self.scheme, metric=self.g)
 
+    @cached_property
+    def nabla_beta_sharp(self):
+        """Covariant derivative of beta_sharp for the base metric."""
+        return covariant_vector_derivative(self.M, self.M.beta_sharp, self.gamma_a, self.scheme)
+
+    @cached_property
+    def nabla_nu(self):
+        """Covariant derivative of nu for the normal metric g."""
+        return covariant_vector_derivative(self.M, self.nu, self.gamma_g, self.scheme)
+
+    @cached_property
+    def d_chat(self):
+        """Coordinate differential of chat."""
+        return gradient(self.M, self.chat, self.scheme)
+
     # -- base-metric extrinsic quantities ---------------------------------------
 
     @cached_property
     def bars(self):
-        return extrinsic_bar(self.M, self.scheme)
+        return extrinsic_bar(self.M, self.gamma_a, self.scheme)
+
+    @cached_property
+    def curvature(self):
+        return curvature_bar(self.M, self.gamma_a, self.scheme)
 
     @cached_property
     def Abar(self):
@@ -164,8 +181,8 @@ class ExtrinsicBundle:
             v = v - np.einsum("...i,...i->...", Nf, v)[..., None] * N
             for b_idx in range(a_idx):
                 u = E[..., b_idx]
-                v = v - np.einsum("...i,...ij,...j->...", u, M.a, v)[..., None] * u
-            nrm = np.sqrt(np.einsum("...i,...ij,...j->...", v, M.a, v))
+                v = v - M.inner(u, v)[..., None] * u
+            nrm = np.sqrt(M.inner(v, v))
             E[..., a_idx] = v / np.where(nrm > 1e-14, nrm, 1.0)[..., None]
         return E
 
@@ -173,16 +190,16 @@ class ExtrinsicBundle:
         """Components of a tangent vector field in the frame."""
         return np.einsum("...ia,...ij,...j->...a", self.frame, self.M.a, v)
 
-    def cov_to_frame(self, w):
-        """Frame components of a covector field (evaluation on frame vectors)."""
-        return np.einsum("...i,...ia->...a", w, self.frame)
-
     def op_to_frame(self, L):
         """m x m frame representation of an operator mapping T(leaf) to itself."""
         return np.einsum("...ia,...ij,...jk,...kb->...ab", self.frame, self.M.a, L, self.frame)
 
     def frame_to_vec(self, vf):
         return np.einsum("...ia,...a->...i", self.frame, vf)
+
+    @cached_property
+    def Abar_frame(self):
+        return self.op_to_frame(self.Abar)
 
     @cached_property
     def b_frame(self):
@@ -211,10 +228,7 @@ class ExtrinsicBundle:
     @cached_property
     def Ag_direct(self):
         """A^g(u) = -nabla_u nu from the numeric Levi-Civita connection of g."""
-        M = self.M
-        nab_nu = covariant_vector_derivative(M, self.nu, self.gamma_g, self.scheme)
-        P = M.tangent_projector
-        op = -np.einsum("...im,...mj->...ij", nab_nu, P)
+        op = -np.einsum("...im,...mj->...ij", self.nabla_nu, self.M.tangent_projector)
         # remove the g-normal component of the output: out -= nu g(nu, out)
         g_nu = np.einsum("...ij,...j->...i", self.g, self.nu)
         return op - np.einsum("...i,...k,...kj->...ij", self.nu, g_nu, op)
@@ -222,15 +236,12 @@ class ExtrinsicBundle:
     @cached_property
     def U_general(self):
         """U = chat^-1 (nabla_n beta_sharp_top)^T - c Zbar."""
-        M = self.M
-        nab_bst = covariant_vector_derivative(M, self.bst, self.gamma_a, self.scheme)
-        dn = np.einsum("...ik,...k->...i", nab_bst, self.n)
-        return M.project_tangent(dn) / self.chat[..., None] - self.c[..., None] * self.Zbar
+        return self.W_n / self.chat[..., None] - self.c[..., None] * self.Zbar
 
     @cached_property
     def delta(self):
         """delta = -(1/2) c^-1 chat^-2 n(c chat)."""
-        dcc = _scalar_gradient(self.M, self.cc, self.scheme)
+        dcc = gradient(self.M, self.cc, self.scheme)
         n_cc = np.einsum("...i,...i->...", self.n, dcc)
         return -0.5 * n_cc / (self.c * self.chat**2)
 
@@ -240,10 +251,9 @@ class ExtrinsicBundle:
 
     @cached_property
     def W_n(self):
-        """(nabla_n beta_sharp_top)^T, the tangential n-derivative of bst."""
-        M = self.M
-        nab_bst = covariant_vector_derivative(M, self.bst, self.gamma_a, self.scheme)
-        return M.project_tangent(np.einsum("...ik,...k->...i", nab_bst, self.n))
+        """(nabla_n beta_sharp_top)^T, the tangential n-derivative of bst (U reuses it)."""
+        nab_bst = covariant_vector_derivative(self.M, self.bst, self.gamma_a, self.scheme)
+        return self.M.project_tangent(np.einsum("...ik,...k->...i", nab_bst, self.n))
 
     @cached_property
     def Q_vec(self):
@@ -279,8 +289,8 @@ class ExtrinsicBundle:
         beta_tan = np.einsum("...ij,...j->...i", a, self.bst)
         def_t = np.einsum("...il,...lm,...mj->...ij", P, self.def_beta_sharp, P)
         def_bst = M.project_tangent(np.einsum("...ij,...j->...i", self.def_beta_sharp, self.bst))
-        Wb = np.einsum("...i,...ij,...j->...", W_n, a, self.bst)
-        Qb = np.einsum("...i,...ij,...j->...", Q, a, self.bst)
+        Wb = M.inner(W_n, self.bst)
+        Qb = M.inner(Q, self.bst)
         T = (
             0.5 / chat[..., None] * W_n
             - (0.5 * c / chat)[..., None] * Q
@@ -322,10 +332,10 @@ class ExtrinsicBundle:
         beta_tan = np.einsum("...ij,...j->...i", a, self.bst)
         def_t = np.einsum("...il,...lm,...mj->...ij", P, self.def_beta_sharp, P)
         def_bst = M.project_tangent(np.einsum("...ij,...j->...i", self.def_beta_sharp, self.bst))
-        beta_U = np.einsum("...i,...ij,...j->...", self.bst, a, U)
+        beta_U = M.inner(self.bst, U)
         V = (
             Abst
-            - np.einsum("...i,...ij,...j->...", Abst, a, self.bst)[..., None] * self.bst
+            - M.inner(Abst, self.bst)[..., None] * self.bst
             + 2.0 / self.chat[..., None] * def_bst
             + U
             + beta_U[..., None] * self.bst
@@ -349,16 +359,12 @@ class ExtrinsicBundle:
     @cached_property
     def Z_direct(self):
         """Z = nabla_nu nu from the numeric Levi-Civita connection of g."""
-        M = self.M
-        nab_nu = covariant_vector_derivative(M, self.nu, self.gamma_g, self.scheme)
-        Z = np.einsum("...ik,...k->...i", nab_nu, self.nu)
-        return M.project_tangent(Z)
+        return self.M.project_tangent(np.einsum("...ik,...k->...i", self.nabla_nu, self.nu))
 
     @cached_property
     def grad_chat(self):
         """Full a-gradient vector of chat."""
-        dchat = _scalar_gradient(self.M, self.chat, self.scheme)
-        return np.einsum("...ij,...j->...i", self.M.a_inv, dchat)
+        return np.einsum("...ij,...j->...i", self.M.a_inv, self.d_chat)
 
     @cached_property
     def grad_chat_tan(self):
@@ -368,9 +374,8 @@ class ExtrinsicBundle:
     def Z_formula(self):
         """Z = (c chat)^-1 Zbar - c^-1 chat^-2 grad^T chat
                + c^-3 chat^-1 beta(Zbar - chat^-1 grad^T chat) bst."""
-        M = self.M
         w = self.Zbar - self.grad_chat_tan / self.chat[..., None]
-        beta_w = np.einsum("...i,...ij,...j->...", self.bst, M.a, w)
+        beta_w = self.M.inner(self.bst, w)
         c, chat = self.c, self.chat
         Z = (
             self.Zbar / (c * chat)[..., None]
@@ -450,8 +455,8 @@ class ExtrinsicBundle:
         Zbf = self.vec_to_frame(self.Zbar)
         c, chat, cc = self.c, self.chat, self.cc
         # full directional derivatives
-        dc = _scalar_gradient(self.M, c, self.scheme)
-        dchat = _scalar_gradient(self.M, chat, self.scheme)
+        dc = gradient(self.M, c, self.scheme)
+        dchat = self.d_chat
         grad_c_tan_f = self.vec_to_frame(
             self.M.project_tangent(np.einsum("...ij,...j->...i", self.M.a_inv, dc))
         )
@@ -499,7 +504,7 @@ class ExtrinsicBundle:
         # I_n(e_a) = (d+1)/2 beta(e_a); I_n(w) = (d+1)/(2 cc)(beta(w) - beta(n) <n, w>)
         d = M.dim
         beta_w = np.einsum("...i,...i->...", M.beta, w)
-        n_w = np.einsum("...i,...ij,...j->...", self.n, M.a, w)
+        n_w = M.inner(self.n, w)
         beta_n = self.cc - 1.0
         I_w = (d + 1) / (2.0 * self.cc) * (beta_w - beta_n * n_w)
         I_a = (d + 1) / 2.0 * b
@@ -516,11 +521,6 @@ class ExtrinsicBundle:
         return np.einsum("...ab,...bc->...ac", self.G_frame_inv, C_form)
 
     # -- full shape operator and friends -----------------------------------------
-
-    def frame_to_op(self, Lf):
-        """Coordinate (d x d) representation of an m x m frame operator."""
-        flat = np.einsum("...ij,...ja->...ia", self.M.a, self.frame)
-        return np.einsum("...ia,...ab,...jb->...ij", self.frame, Lf, flat)
 
     @cached_property
     def A_frame(self):
@@ -539,7 +539,7 @@ class ExtrinsicBundle:
     def principal_curvatures(self):
         """Eigenvalues of A per node, real by g-symmetrisation, ascending."""
         G = self.G_frame
-        L = np.linalg.cholesky(_safe_spd(G, self.M))
+        L = np.linalg.cholesky(_masked_to_identity(G, self.M))
         Li = np.linalg.inv(L)
         # for G = L L^T and g-self-adjoint A, L^T A L^-T is symmetric
         sym = np.einsum("...ba,...bc,...dc->...ad", L, self.A_frame_gsym, Li)
@@ -568,7 +568,7 @@ class ExtrinsicBundle:
         """a-orthogonal projection off bst (identity where bst degenerates)."""
         b2 = 1.0 - self.c**2
         safe = np.where(b2 > 1e-12, b2, 1.0)
-        coef = np.einsum("...i,...ij,...j->...", X, self.M.a, self.bst) / safe
+        coef = self.M.inner(X, self.bst) / safe
         out = X - coef[..., None] * self.bst
         return np.where((b2 > 1e-12)[..., None], out, X)
 
@@ -578,12 +578,12 @@ class ExtrinsicBundle:
 
     @cached_property
     def beta_Zbar(self):
-        return np.einsum("...i,...ij,...j->...", self.bst, self.M.a, self.Zbar)
+        return self.M.inner(self.bst, self.Zbar)
 
     @cached_property
     def Abst_beta(self):
         """<Abar(bst), beta_sharp> = <Abar(bst), bst> (the output is tangent)."""
-        return np.einsum("...i,...ij,...j->...", self.Abar_bst, self.M.a, self.bst)
+        return self.M.inner(self.Abar_bst, self.bst)
 
     @cached_property
     def U1(self):
@@ -661,16 +661,6 @@ class ExtrinsicBundle:
         dump_fields(self.M.grid, fields, path, fmt)
 
 
-def _safe_spd(G, M):
-    if M.mask is None:
-        return G
-    out = G.copy()
-    out[~M.active] = np.eye(G.shape[-1])
-    return out
-
-
 def build_extrinsic(M: FoliatedRandersManifold, scheme: str = "spectral") -> ExtrinsicBundle:
-    key = ("bundle", scheme)
-    if key not in M._cache:
-        M._cache[key] = ExtrinsicBundle(M, scheme)
-    return M._cache[key]
+    """A fresh bundle; its fields are computed on first access and kept with it."""
+    return ExtrinsicBundle(M, scheme)

@@ -1,4 +1,4 @@
-"""Periodic structured grids, tensor fields, derivatives, and quadrature.
+"""Periodic structured grids, derivatives, and quadrature.
 
 Fields are numpy arrays whose leading axes run over grid nodes and whose
 trailing axes are tensor components.  Two derivative schemes are supported:
@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "PeriodicGrid",
-    "TensorField",
     "derivative_values",
     "trapezoid_integral",
     "SCHEMES",
@@ -100,55 +99,6 @@ def derivative_values(values: np.ndarray, grid: PeriodicGrid, axis: int, scheme:
     if scheme == "central4":
         return _central4_derivative(values, axis, grid.spacings[axis])
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-
-
-def gradient_values(values: np.ndarray, grid: PeriodicGrid, scheme: str) -> np.ndarray:
-    """Stack of partial derivatives; new axis placed after the grid axes.
-
-    For input shape (*sizes, *comp) the result has shape (*sizes, dim, *comp).
-    """
-    parts = [derivative_values(values, grid, ax, scheme) for ax in range(grid.dim)]
-    return np.stack(parts, axis=grid.dim)
-
-
-@dataclass(frozen=True)
-class TensorField:
-    """Tensor-valued function sampled on a periodic grid.
-
-    ``valence = (p, q)`` declares p contravariant and q covariant slots; the
-    component axes of ``values`` follow the grid axes, contravariant first.
-    """
-
-    grid: PeriodicGrid
-    valence: tuple[int, int]
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        p, q = self.valence
-        expected = self.grid.sizes + (self.grid.dim,) * (p + q)
-        if values.shape != expected:
-            raise ValueError(f"values shape {values.shape} does not match valence {self.valence}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("tensor field contains non-finite entries")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def rank(self) -> int:
-        return self.valence[0] + self.valence[1]
-
-    def derivative(self, axis: int, scheme: str = "spectral") -> "TensorField":
-        """Componentwise partial derivative along one grid axis."""
-        dv = derivative_values(self.values, self.grid, axis, scheme)
-        return TensorField(self.grid, self.valence, dv)
-
-    def gradient(self, scheme: str = "spectral") -> "TensorField":
-        """All partial derivatives; the new covariant slot is the last axis."""
-        parts = [derivative_values(self.values, self.grid, ax, scheme) for ax in range(self.grid.dim)]
-        out = np.stack(parts, axis=-1)
-        return TensorField(self.grid, (self.valence[0], self.valence[1] + 1), out)
 
 
 def dump_fields(

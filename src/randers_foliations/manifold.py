@@ -20,7 +20,7 @@ closed foliated manifold vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,6 +29,7 @@ from .grid import PeriodicGrid, derivative_values, trapezoid_integral
 
 __all__ = [
     "FoliatedRandersManifold",
+    "gradient",
     "levi_civita",
     "covariant_vector_derivative",
     "covariant_operator_derivative",
@@ -62,7 +63,6 @@ class FoliatedRandersManifold:
     # True when beta itself is singular on the excised set, so pointwise
     # derivative-route fields are not resolvable near the excision boundary
     beta_singular: bool = False
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         d = self.grid.dim
@@ -121,7 +121,7 @@ class FoliatedRandersManifold:
     @cached_property
     def a_inv(self) -> np.ndarray:
         """Pointwise inverse metric; masked nodes fall back to the identity."""
-        return np.linalg.inv(_make_safe_spd(self.a, self))
+        return np.linalg.inv(_masked_to_identity(self.a, self))
 
     @cached_property
     def sqrt_det_a(self) -> np.ndarray:
@@ -205,18 +205,23 @@ class FoliatedRandersManifold:
 # -- connection-level operators ----------------------------------------------
 
 
+def gradient(M: FoliatedRandersManifold, field: np.ndarray, scheme: str) -> np.ndarray:
+    """All partial derivatives of a field, stacked on a new axis after the grid axes.
+
+    For input shape (*sizes, *comp) the result has shape (*sizes, dim, *comp).
+    """
+    parts = [derivative_values(field, M.grid, ax, scheme) for ax in range(M.dim)]
+    return np.stack(parts, axis=M.dim)
+
+
 def levi_civita(
     M: FoliatedRandersManifold, scheme: str, metric: np.ndarray | None = None
 ) -> np.ndarray:
     """Christoffel symbols Gamma[..., i, j, k] = Gamma^i_{jk} of a metric field.
 
     Defaults to the base metric ``a``; pass ``metric`` for any other SPD
-    field (the normal-metric g, for instance).  Results are cached per
-    (scheme, id(metric)).
+    field (the normal-metric g, for instance).
     """
-    key = ("christoffel", scheme, id(M.a) if metric is None else id(metric))
-    if key in M._cache:
-        return M._cache[key]
     g = M.a if metric is None else metric
     if metric is not None:
         lowest = np.linalg.eigvalsh(g).min(axis=-1)
@@ -224,22 +229,18 @@ def levi_civita(
         if lowest.min() <= 0:
             bad = tuple(int(i) for i in np.unravel_index(int(np.argmin(lowest)), M.grid.sizes))
             raise FloatingPointError(f"metric field not SPD at node {bad}")
-    g_inv = M.a_inv if metric is None else np.linalg.inv(_make_safe_spd(g, M))
-    dg = np.stack(
-        [derivative_values(g, M.grid, ax, scheme) for ax in range(M.dim)], axis=-3
-    )  # dg[..., k, i, j] = d_k g_ij
+    g_inv = M.a_inv if metric is None else np.linalg.inv(_masked_to_identity(g, M))
+    dg = gradient(M, g, scheme)  # dg[..., k, i, j] = d_k g_ij
     X = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
-    gamma = 0.5 * np.einsum("...il,...jkl->...ijk", g_inv, X)
-    M._cache[key] = gamma
-    return gamma
+    return 0.5 * np.einsum("...il,...jkl->...ijk", g_inv, X)
 
 
-def _make_safe_spd(g: np.ndarray, M: FoliatedRandersManifold) -> np.ndarray:
+def _masked_to_identity(g: np.ndarray, M: FoliatedRandersManifold) -> np.ndarray:
     """Replace masked-node matrices by the identity so inversion is defined."""
     if M.mask is None:
         return g
     out = g.copy()
-    out[~M.active] = np.eye(M.dim)
+    out[~M.active] = np.eye(g.shape[-1])
     return out
 
 
@@ -247,20 +248,15 @@ def covariant_vector_derivative(
     M: FoliatedRandersManifold, v: np.ndarray, gamma: np.ndarray, scheme: str
 ) -> np.ndarray:
     """(nabla v)[..., i, k] = d_k v^i + Gamma^i_{km} v^m."""
-    dv = np.stack(
-        [derivative_values(v, M.grid, ax, scheme) for ax in range(M.dim)], axis=-2
-    )  # dv[..., k, i]
-    nab = np.swapaxes(dv, -1, -2) + np.einsum("...ikm,...m->...ik", gamma, v)
-    return nab
+    dv = gradient(M, v, scheme)  # dv[..., k, i]
+    return np.swapaxes(dv, -1, -2) + np.einsum("...ikm,...m->...ik", gamma, v)
 
 
 def covariant_operator_derivative(
     M: FoliatedRandersManifold, T: np.ndarray, direction: np.ndarray, gamma: np.ndarray, scheme: str
 ) -> np.ndarray:
     """Covariant derivative of a (1,1)-tensor field along a vector field."""
-    dT = np.stack(
-        [derivative_values(T, M.grid, ax, scheme) for ax in range(M.dim)], axis=-3
-    )  # dT[..., k, i, j]
+    dT = gradient(M, T, scheme)  # dT[..., k, i, j]
     term = np.einsum("...k,...kij->...ij", direction, dT)
     term += np.einsum("...k,...ikm,...mj->...ij", direction, gamma, T)
     term -= np.einsum("...k,...mkj,...im->...ij", direction, gamma, T)
@@ -285,19 +281,13 @@ class BarData:
     nabla_N: np.ndarray     # (.., d, d) full covariant derivative of N
 
 
-def extrinsic_bar(M: FoliatedRandersManifold, scheme: str) -> BarData:
+def extrinsic_bar(M: FoliatedRandersManifold, gamma: np.ndarray, scheme: str) -> BarData:
     """Shape operator Abar(u) = -(nabla_u N)^T and curvature vector Zbar."""
-    key = ("bar", scheme)
-    if key in M._cache:
-        return M._cache[key]
-    gamma = levi_civita(M, scheme)
     nabN = covariant_vector_derivative(M, M.N, gamma, scheme)
     Zbar = M.project_tangent(np.einsum("...ik,...k->...i", nabN, M.N))
     P = M.tangent_projector
     Abar = -np.einsum("...il,...lm,...mj->...ij", P, nabN, P)
-    out = BarData(Abar=Abar, Zbar=Zbar, nabla_N=nabN)
-    M._cache[key] = out
-    return out
+    return BarData(Abar=Abar, Zbar=Zbar, nabla_N=nabN)
 
 
 @dataclass(frozen=True)
@@ -307,15 +297,9 @@ class CurvatureData:
     ricci_N: np.ndarray     # scalar field, trace of R_N over the leaf tangent
 
 
-def curvature_bar(M: FoliatedRandersManifold, scheme: str) -> CurvatureData:
+def curvature_bar(M: FoliatedRandersManifold, gamma: np.ndarray, scheme: str) -> CurvatureData:
     """Riemann tensor of the base metric and its normal-direction operator."""
-    key = ("curvature", scheme)
-    if key in M._cache:
-        return M._cache[key]
-    gamma = levi_civita(M, scheme)
-    dgam = np.stack(
-        [derivative_values(gamma, M.grid, ax, scheme) for ax in range(M.dim)], axis=-4
-    )  # dgam[..., p, i, j, k]
+    dgam = gradient(M, gamma, scheme)  # dgam[..., p, i, j, k]
     R = (
         np.einsum("...kilj->...ijkl", dgam)
         - np.einsum("...likj->...ijkl", dgam)
@@ -326,9 +310,7 @@ def curvature_bar(M: FoliatedRandersManifold, scheme: str) -> CurvatureData:
     P = M.tangent_projector
     RN_tan = np.einsum("...il,...lm,...mj->...ij", P, RN, P)
     ric = np.einsum("...ii->...", RN_tan)
-    out = CurvatureData(riemann=R, R_N=RN_tan, ricci_N=ric)
-    M._cache[key] = out
-    return out
+    return CurvatureData(riemann=R, R_N=RN_tan, ricci_N=ric)
 
 
 def integrate(M: FoliatedRandersManifold, f: np.ndarray, volume: str = "a") -> float:

@@ -57,6 +57,16 @@ def test_exit_two_on_config_errors(capsys):
     assert main(["--example", "flat-graph", "--formulas", "bogus-formula"]) == 2
     assert main(["--example", "flat-graph", "--res", "abc"]) == 2
     assert main([]) == 2
+    # inputs the example builders reject
+    assert main(["--example", "flat-graph", "--res", "4"]) == 2
+    assert main(["--example", "conformal-torus", "--param", "beta_mode=bogus"]) == 2
+    assert main(["--example", "flat-graph", "--param", "beta_sharp=0.9,0.6"]) == 2
+    assert main(["--example", "flat-parallel", "--param", "beta_sharp=0.6,0,0.9"]) == 2
+    assert main(["--example", "sphere-latitudes", "--res", "128", "--param", "r0_sweep=0.2,0.01"]) == 2
+    err = capsys.readouterr().err
+    assert "|beta| must be < 1" in err  # the tuple reached the builder
+    assert "Traceback" not in err
+    assert all(line.startswith("error: ") for line in err.splitlines())
 
 
 def test_list_catalog(capsys):
@@ -90,6 +100,20 @@ def test_param_parsing_and_config_file(tmp_path):
     config = build_config(["--config", str(cfg), "--res", "16,32", "--param", "eps1=0.2"])
     assert config.resolutions == [16, 32]
     assert config.params["eps1"] == 0.2
+    # comma-separated numbers are tuples; other text stays a string
+    config = build_config(
+        ["--example", "flat-graph", "--param", "beta_sharp=0.3,0.15", "--param", "beta_mode=a,b"]
+    )
+    assert config.params == {"beta_sharp": (0.3, 0.15), "beta_mode": "a,b"}
+    config = build_config(["--example", "sphere-latitudes", "--param", "r0_sweep=0.2,0.1"])
+    assert config.params["r0_sweep"] == (0.2, 0.1)
+    # the excised sphere sweeps r0 in descending order; one value is a one-point sweep
+    base = ["--example", "sphere-latitudes", "--res", "128", "--formulas", "reeb-riemannian"]
+    out = tmp_path / "sweep.json"
+    for sweep, radii in (("0.2,0.3", [0.3, 0.2]), ("0.3", [0.3])):
+        assert main(base + ["--param", f"r0_sweep={sweep}", "--out", str(out)]) == 0
+        conv = json.loads(out.read_text())["reports"][0]["convergence"]
+        assert [h for h, _ in conv] == radii
 
 
 def test_bad_param_reports_config_error():

@@ -3,7 +3,6 @@ import pytest
 
 from randers_foliations.grid import (
     PeriodicGrid,
-    TensorField,
     derivative_values,
     dump_fields,
     trapezoid_integral,
@@ -67,34 +66,6 @@ def test_spectral_superalgebraic_convergence():
     f = np.exp(np.sin(x))
     df = derivative_values(f, g, 0, "spectral")
     assert np.max(np.abs(df - np.cos(x) * f)) < 1e-10
-
-
-def test_tensor_field_shape_contract(grid2d):
-    vals = np.zeros(grid2d.sizes + (2,))
-    tf = TensorField(grid2d, (1, 0), vals)
-    assert tf.rank == 1
-    with pytest.raises(ValueError):
-        TensorField(grid2d, (0, 1), np.zeros(grid2d.sizes + (3,)))
-    with pytest.raises(ValueError):
-        TensorField(grid2d, (0, 0), np.full(grid2d.sizes, np.nan))
-
-
-def test_tensor_field_derivative_and_gradient(grid2d):
-    x, _ = grid2d.meshgrid()
-    tf = TensorField(grid2d, (0, 0), np.sin(2 * np.pi * x))
-    d = tf.derivative(0)
-    assert d.valence == (0, 0)
-    np.testing.assert_allclose(d.values, 2 * np.pi * np.cos(2 * np.pi * x), atol=1e-11)
-    grad = tf.gradient()
-    assert grad.valence == (0, 1)
-    np.testing.assert_allclose(grad.values[..., 0], d.values, atol=1e-12)
-    np.testing.assert_allclose(grad.values[..., 1], 0.0, atol=1e-12)
-
-
-def test_tensor_field_immutable(grid2d):
-    tf = TensorField(grid2d, (0, 0), np.zeros(grid2d.sizes))
-    with pytest.raises(ValueError):
-        tf.values[0, 0] = 1.0
 
 
 def test_trapezoid_unit_volume(grid2d):

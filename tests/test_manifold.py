@@ -9,6 +9,7 @@ from randers_foliations.manifold import (
     curvature_bar,
     deformation_tensor,
     extrinsic_bar,
+    gradient,
     integrate,
     levi_civita,
 )
@@ -92,6 +93,33 @@ def test_christoffel_symmetry_lower_indices():
     assert np.max(np.abs(gam - np.swapaxes(gam, -1, -2))) < 1e-13
 
 
+def test_christoffel_of_temporary_metrics_are_not_stale():
+    # temporaries freed between calls may reuse one another's identity; each
+    # call must still return the symbols of the metric it was given.  The
+    # conformal factor varies with k, so the five symbol fields all differ.
+    M = conformal(n=16)
+    bump = np.sin(2 * np.pi * M.grid.meshgrid()[0])
+    for k in range(5):
+        g = np.exp(0.2 * (k + 1) * bump)[..., None, None] * M.a
+        got = levi_civita(M, "spectral", metric=g)
+        want = levi_civita(conformal(n=16), "spectral", metric=g)
+        assert np.array_equal(got, want), f"metric {k}"
+        del g
+
+
+def test_gradient_stacks_partials_after_grid_axes():
+    M = flat_manifold(n=64)
+    x, _ = M.grid.meshgrid()
+    f = np.sin(2 * np.pi * x)
+    grad = gradient(M, f, "spectral")
+    assert grad.shape == M.grid.sizes + (2,)
+    assert np.array_equal(grad[..., 0], derivative_values(f, M.grid, 0, "spectral"))
+    np.testing.assert_allclose(grad[..., 0], 2 * np.pi * np.cos(2 * np.pi * x), atol=1e-11)
+    np.testing.assert_allclose(grad[..., 1], 0.0, atol=1e-12)
+    # tensor components stay behind the new derivative axis
+    assert gradient(M, M.a, "central4").shape == M.grid.sizes + (2, 2, 2)
+
+
 def test_non_spd_metric_reports_node():
     M = conformal(n=16)
     g = np.broadcast_to(np.eye(2), M.grid.sizes + (2, 2)).copy()
@@ -102,7 +130,7 @@ def test_non_spd_metric_reports_node():
 
 def test_extrinsic_bar_flat_parallel():
     M = build_example(ExampleSpec("flat-parallel", {"n": 12}))
-    bar = extrinsic_bar(M, "spectral")
+    bar = extrinsic_bar(M, levi_civita(M, "spectral"), "spectral")
     assert np.max(np.abs(bar.Abar)) == 0.0
     assert np.max(np.abs(bar.Zbar)) == 0.0
 
@@ -110,7 +138,7 @@ def test_extrinsic_bar_flat_parallel():
 def test_extrinsic_bar_graph_curvature():
     # leaves y = phi(x) + const: sigma_1(Abar) equals the signed curve curvature
     M = build_example(ExampleSpec("flat-graph", {"n": 128, "amplitude": 0.05}))
-    bar = extrinsic_bar(M, "spectral")
+    bar = extrinsic_bar(M, levi_civita(M, "spectral"), "spectral")
     x = M.grid.meshgrid()[0]
     w = 2 * np.pi
     amp = 0.05
@@ -124,15 +152,15 @@ def test_extrinsic_bar_graph_curvature():
 def test_abar_self_adjoint():
     # <Abar u, v> is a symmetric bilinear form on the leaf tangent bundle
     M = conformal()
-    bar = extrinsic_bar(M, "spectral")
+    bar = extrinsic_bar(M, levi_civita(M, "spectral"), "spectral")
     sym = np.einsum("...ki,...kj->...ij", bar.Abar, M.a)
     assert np.max(np.abs(sym - np.swapaxes(sym, -1, -2))) < 1e-10
 
 
 def test_codazzi_symmetry_for_zbar():
     M = conformal()
-    bar = extrinsic_bar(M, "spectral")
     gam = levi_civita(M, "spectral")
+    bar = extrinsic_bar(M, gam, "spectral")
     nabZ = covariant_vector_derivative(M, bar.Zbar, gam, "spectral")
     form = np.einsum("...lu,...lv->...uv", nabZ, M.a)
     P = M.tangent_projector
@@ -142,13 +170,13 @@ def test_codazzi_symmetry_for_zbar():
 
 def test_curvature_flat_zero():
     M = build_example(ExampleSpec("flat-graph", {"n": 32}))
-    cur = curvature_bar(M, "spectral")
+    cur = curvature_bar(M, levi_civita(M, "spectral"), "spectral")
     assert np.max(np.abs(cur.riemann)) == 0.0
 
 
 def test_curvature_first_bianchi():
     M = conformal()
-    R = curvature_bar(M, "spectral").riemann
+    R = curvature_bar(M, levi_civita(M, "spectral"), "spectral").riemann
     cyc = (
         R
         + np.moveaxis(R, (-3, -2, -1), (-1, -3, -2))
@@ -160,16 +188,16 @@ def test_curvature_first_bianchi():
 def test_gauss_bonnet_on_conformal_torus():
     # total Gauss curvature of any metric on T^2 vanishes
     M = conformal()
-    cur = curvature_bar(M, "spectral")
+    cur = curvature_bar(M, levi_civita(M, "spectral"), "spectral")
     assert abs(integrate(M, cur.ricci_N, "a")) < 1e-10
 
 
 def riccati_residual(M, scheme):
     from randers_foliations.manifold import covariant_operator_derivative
 
-    bar = extrinsic_bar(M, scheme)
-    cur = curvature_bar(M, scheme)
     gam = levi_civita(M, scheme)
+    bar = extrinsic_bar(M, gam, scheme)
+    cur = curvature_bar(M, gam, scheme)
     P = M.tangent_projector
     defz = deformation_tensor(M, bar.Zbar, gam, scheme)
     defz_t = np.einsum("...il,...lm,...mj->...ij", P, defz, P)
@@ -250,7 +278,7 @@ def test_flat_parallel_beta_is_parallel():
 
 def test_sphere_latitude_mean_curvature():
     M = build_example(ExampleSpec("sphere-latitudes", {"n": 128, "r0": 0.2}))
-    bar = extrinsic_bar(M, "spectral")
+    bar = extrinsic_bar(M, levi_civita(M, "spectral"), "spectral")
     th = M.grid.meshgrid()[0]
     sigma1 = np.einsum("...ii->...", bar.Abar)
     cot = np.cos(th) / np.where(M.active, np.sin(th), 1.0)
@@ -268,5 +296,5 @@ def test_sphere_rejects_tiny_excision():
 
 def test_sphere_eigen_normal_curves_are_geodesics():
     M = build_example(ExampleSpec("sphere-latitudes", {"n": 128, "r0": 0.2, "beta_mode": "eigen"}))
-    bar = extrinsic_bar(M, "central4")
+    bar = extrinsic_bar(M, levi_civita(M, "central4"), "central4")
     assert np.max(np.abs(np.where(M.active[..., None], bar.Zbar, 0.0))) < 1e-12

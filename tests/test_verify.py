@@ -221,10 +221,16 @@ def test_report_rejects_bad_verdict():
 
 
 def test_formula_registry_descriptions():
+    from randers_foliations.cli import _resolve_formulas
+    from randers_foliations.verify import PREDICATES
+
     for fid in formula_ids():
         f = FORMULAS[fid]
         assert f.description
         assert f.kind in ("zero", "sup", "bound")
+        assert set(f.requires) | set(f.any_of) <= set(PREDICATES), fid
+    assert _resolve_formulas("all") == [f for f in formula_ids() if not FORMULAS[f].refuted]
+    assert _resolve_formulas("full") == formula_ids()
 
 
 def test_first_order_expansion_matches_closed_display_pointwise():
