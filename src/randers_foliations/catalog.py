@@ -41,6 +41,8 @@ __all__ = [
     "example_names",
     "example_info",
     "default_resolutions",
+    "r0_sweep",
+    "DEFAULT_R0_SWEEP",
 ]
 
 
@@ -266,6 +268,10 @@ _DEFAULT_RES = {
     "sphere-latitudes": (256,),
 }
 
+# examples whose mask excises singular points; they sweep the excision radius
+_EXCISED = ("sphere-latitudes",)
+DEFAULT_R0_SWEEP = (0.2, 0.1, 0.05)
+
 _PARAMS = {
     "flat-parallel": "n=16, period=1.0, beta_sharp=(0.3,0,0.4)",
     "flat-graph": "n=64, period=1.0, amplitude=0.05, beta_sharp=(0.3,0.15)",
@@ -296,6 +302,19 @@ def example_params(name: str) -> str:
 
 def default_resolutions(name: str) -> tuple[int, ...]:
     return _DEFAULT_RES[name]
+
+
+def r0_sweep(spec: ExampleSpec) -> tuple[float, ...] | None:
+    """Excision radii an excised example sweeps, largest first; None for the tori.
+
+    Only ``sphere-latitudes`` excises (its poles): its residuals are limited by
+    the cap truncation, so it sweeps ``r0`` at the finest grid, taken from the
+    ``r0_sweep`` parameter (one value is a one-point sweep).
+    """
+    if spec.name not in _EXCISED:
+        return None
+    r0s = spec.params.get("r0_sweep", DEFAULT_R0_SWEEP)
+    return tuple(sorted(r0s if isinstance(r0s, (tuple, list)) else (r0s,), reverse=True))
 
 
 def build_example(spec: ExampleSpec) -> FoliatedRandersManifold:

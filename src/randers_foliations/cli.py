@@ -81,6 +81,20 @@ def _parse_value(text: str):
     return items if all(isinstance(v, (int, float)) for v in items) else text
 
 
+def _parse_int(value, name: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _parse_bool(value, name: str) -> bool:
+    text = str(value).strip().lower()
+    if text not in ("true", "false", "1", "0"):
+        raise ConfigError(f"{name} must be true, false, 1 or 0, got {value!r}")
+    return text in ("true", "1")
+
+
 def _parse_param(item: str) -> tuple[str, object]:
     if "=" not in item:
         raise ConfigError(f"parameter {item!r} is not of the form key=value")
@@ -189,14 +203,16 @@ def build_config(argv: list[str]) -> RunConfig | None:
     scheme = str(pick(args.scheme, "scheme", "spectral"))
     if scheme not in ("spectral", "central4"):
         raise ConfigError(f"unknown scheme {scheme!r}")
-    seed = int(pick(args.seed, "seed", 0))
+    seed = _parse_int(pick(args.seed, "seed", 0), "seed")
     jobs_env = os.environ.get("RANDERS_FOLIATE_JOBS")
-    jobs = int(pick(args.jobs, "jobs", jobs_env if jobs_env is not None else 1))
+    jobs = _parse_int(pick(args.jobs, "jobs", jobs_env if jobs_env is not None else 1), "jobs")
     fmt = str(pick(args.fmt, "format", "json"))
     if fmt not in ("json", "csv"):
         raise ConfigError(f"unknown format {fmt!r}")
     out = pick(args.out, "out", None)
-    matrix_identities = bool(args.matrix_identities or file_vals.get("matrix_identities"))
+    matrix_identities = args.matrix_identities or _parse_bool(
+        file_vals.get("matrix_identities", "false"), "matrix_identities"
+    )
     return RunConfig(
         example=example,
         params=params,

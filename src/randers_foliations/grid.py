@@ -101,45 +101,6 @@ def derivative_values(values: np.ndarray, grid: PeriodicGrid, axis: int, scheme:
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
-def dump_fields(
-    grid: PeriodicGrid, fields: dict[str, np.ndarray], path: str, fmt: str = "npz"
-) -> None:
-    """Write node coordinates and named component arrays for external plotting.
-
-    ``npz`` stores the coordinate meshes as ``coord0``, ``coord1``, ... plus
-    one array per field; ``csv`` emits a flat table with one row per node and
-    one column per tensor component (multi-component fields are suffixed with
-    the flattened component index).
-    """
-    coords = grid.meshgrid()
-    if fmt == "npz":
-        payload = {f"coord{i}": c for i, c in enumerate(coords)}
-        for name, values in fields.items():
-            payload[name] = np.asarray(values)
-        np.savez(path, **payload)
-        return
-    if fmt == "csv":
-        columns: list[tuple[str, np.ndarray]] = [
-            (f"coord{i}", c.ravel()) for i, c in enumerate(coords)
-        ]
-        n_nodes = grid.node_count
-        for name, values in fields.items():
-            values = np.asarray(values)
-            flat = values.reshape(n_nodes, -1)
-            if flat.shape[1] == 1:
-                columns.append((name, flat[:, 0]))
-            else:
-                for j in range(flat.shape[1]):
-                    columns.append((f"{name}_{j}", flat[:, j]))
-        with open(path, "w") as fh:
-            fh.write(",".join(name for name, _ in columns) + "\n")
-            data = np.column_stack([col for _, col in columns])
-            for row in data:
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
-        return
-    raise ValueError(f"unknown dump format {fmt!r}")
-
-
 def trapezoid_integral(
     grid: PeriodicGrid,
     values: np.ndarray,

@@ -1,7 +1,8 @@
 """Batched matrix invariants for operator fields.
 
-Frame representations of leaf operators are arrays of shape (..., m, m);
-these helpers evaluate sigma_k, multi-matrix sigma_lambda and Newton
+Frame representations of leaf operators are arrays of shape (..., m, m) and
+those of leaf vectors arrays of shape (..., m); these helpers evaluate dot
+and outer products, sigma_k, multi-matrix sigma_lambda and Newton
 transformations nodewise.  Semantics match :mod:`randers_foliations.matinv`,
 which owns the scalar reference implementations and the oracle.
 """
@@ -11,11 +12,23 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "dot",
+    "outer",
     "trace",
     "sigma_k",
     "sigma_multi_batched",
     "newton_transform_batched",
 ]
+
+
+def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Nodewise dot product of frame vectors: the a-inner product of tangent vectors."""
+    return np.einsum("...a,...a->...", u, v)
+
+
+def outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Nodewise outer product u v^T of frame vectors."""
+    return u[..., :, None] * v[..., None, :]
 
 
 def trace(A: np.ndarray) -> np.ndarray:

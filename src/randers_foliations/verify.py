@@ -17,15 +17,14 @@ catalog of checks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .catalog import ExampleSpec, build_example
+from .catalog import ExampleSpec, build_example, r0_sweep
 from .extrinsic import ExtrinsicBundle, build_extrinsic
-from .invariants import newton_transform_batched, sigma_k, sigma_multi_batched, trace
+from .invariants import dot, newton_transform_batched, outer, sigma_k, sigma_multi_batched, trace
 from .manifold import (
     covariant_operator_derivative,
     covariant_vector_derivative,
@@ -47,7 +46,6 @@ SMOOTH_POLICY = (1e-6, 4.0, 1e-2)
 # excised (singular) runs converge in the excision radius, not in h; the
 # truncation left by the excised caps dominates every integral residual
 SINGULAR_POLICY = (1e-2, 2.5, 0.1)
-DEFAULT_R0_SWEEP = (0.2, 0.1, 0.05)
 
 
 # --------------------------------------------------------------------------
@@ -180,7 +178,7 @@ def _ev_reeb_weighted(E, hyp):
 
 
 def _ev_reeb_normal_metric(E, hyp):
-    return integrate(E.M, trace(E.op_to_frame(E.Ag_direct)), "g"), 0.0, {}
+    return integrate(E.M, trace(E.Ag_direct), "g"), 0.0, {}
 
 
 def _ev_reeb_finsler(E, hyp):
@@ -200,32 +198,12 @@ def _ev_second_order_finsler(E, hyp):
     return integrate(E.M, integrand, "F"), 0.0, {}
 
 
-# -- flat total curvatures and the series -------------------------------------
+# -- flat total curvatures -----------------------------------------------------
 
 
 def _ev_sigma_flat(k):
     def ev(E, hyp):
         return integrate(E.M, sigma_k(E.A_frame, k), "F"), 0.0, {}
-
-    return ev
-
-
-def _ev_curvature_series(k):
-    def ev(E, hyp):
-        m = E.M.m
-        shape = E.A_frame.shape
-        # B_1 = A; every higher coefficient matrix carries a power of the
-        # normal Riemann operator, which vanishes on the flat Berwald gate
-        mats = [E.A_frame] + [np.zeros(shape)] * (k - 1)
-        total = np.zeros(shape[:-2])
-        for lam in itertools.product(range(k + 1), repeat=k):
-            if sum(lam) != k or sum(lam) > m:
-                continue
-            if any(lam[i] > 0 for i in range(1, k)):
-                # B_i = 0 for i >= 2 under the flat gate, so those terms vanish
-                continue
-            total = total + sigma_multi_batched(mats, lam)
-        return integrate(E.M, total, "F"), 0.0, {}
 
     return ev
 
@@ -242,15 +220,11 @@ def _ev_berwald_sigma(k, printed=False):
         cC = E.c[..., None, None] * Csh
         b = E.b_frame
         if printed:
-            U1 = E.vec_to_frame(E.U1_printed)
-            U2 = E.vec_to_frame(E.U2_printed)
-            a3 = E.a3_printed
+            U1, U2, a3 = E.U1_printed, E.U2_printed, E.a3_printed
         else:
-            U1 = E.vec_to_frame(E.U1)
-            U2 = E.vec_to_frame(E.U2)
-            a3 = E.a3
-        A1 = np.einsum("...a,...b->...ab", b, U1)
-        A2 = np.einsum("...a,...b->...ab", U2, b)
+            U1, U2, a3 = E.U1, E.U2, E.a3
+        A1 = outer(b, U1)
+        A2 = outer(U2, b)
         X = Ab + E.delta[..., None, None] * eye
         core = X + cC
         # rank-one update chain through Newton transformations
@@ -280,18 +254,18 @@ def _ev_sigma_tg(k):
         eye = np.eye(m)
         Csh = E.Csharp_formula
         b = E.b_frame
-        Zp = E.vec_to_frame(E.perp_beta(E.Zbar))
+        Zp = E.perp_beta(E.Zbar_frame)
         bZ = E.beta_Zbar
         b2 = np.where(1.0 - c**2 > 1e-12, 1.0 - c**2, 1.0)
         t1 = c**k * sigma_k(Csh, k)
         T0 = newton_transform_batched(Csh + E.delta[..., None, None] * eye, k - 1)
         t2 = (c - 2 * ch) / (2 * cc) * np.einsum("...ab,...b,...a->...", T0, b, Zp)
         # (Zbar^perp)^flat (x) bst: eats <Zbar^perp, .>, outputs bst
-        R1 = np.einsum("...a,...b->...ab", b, Zp) * ((c - 2 * ch) / (2 * cc))[..., None, None]
+        R1 = outer(b, Zp) * ((c - 2 * ch) / (2 * cc))[..., None, None]
         base = E.c[..., None, None] * Csh + E.delta[..., None, None] * eye
         T1 = newton_transform_batched(base + R1, k - 1)
         t3 = (c * (c - 2 * ch) / (2 * ch)) * np.einsum("...a,...ab,...b->...", b, T1, Zp)
-        R2 = np.einsum("...a,...b->...ab", Zp, b) * ((c * (c - 2 * ch)) / (2 * ch))[..., None, None]
+        R2 = outer(Zp, b) * ((c * (c - 2 * ch)) / (2 * ch))[..., None, None]
         T2 = newton_transform_batched(base + R1 + R2, k - 1)
         t4 = (c - 2 * ch) / (cc * b2) * bZ * np.einsum("...a,...ab,...b->...", b, T2, b)
         return integrate(E.M, t1 + t2 + t3 + t4, "a"), 0.0, {}
@@ -303,8 +277,8 @@ def _ev_sigma_tg(k):
 
 
 def _csharp_bst(E, Csh):
-    """C^sharp_nu(beta_sharp_top) as a coordinate vector field."""
-    return E.frame_to_vec(np.einsum("...ab,...b->...a", Csh, E.b_frame))
+    """C^sharp_nu(beta_sharp_top) in the frame."""
+    return np.einsum("...ab,...b->...a", Csh, E.b_frame)
 
 
 def _ev_parallel_second_order_printed(E, hyp):
@@ -316,20 +290,20 @@ def _ev_parallel_second_order_printed(E, hyp):
     Xb_b = np.einsum("...a,...ab,...b->...", bf, X, bf)
     Ab_b = E.Abst_beta
     bZ = E.beta_Zbar
-    perpZ = E.perp_beta(E.Zbar)
-    perpA = E.perp_beta(E.Abar_bst)
+    perpZ = E.perp_beta(E.Zbar_frame)
+    perpA = E.perp_beta(E.Abst_frame)
     perpC = E.perp_beta(_csharp_bst(E, Csh))
     b2 = np.where(1.0 - c**2 > 1e-12, 1.0 - c**2, 1.0)
     integrand = (1.0 / c**2) * (
         sigma_k(X, 2)
         + ((c - 2 * ch) / cc * Ab_b - (ch - c) / (c**2 * ch) * bZ) * trace(X)
         + (ch - c) / (cc * b2) * Xb_b * Ab_b
-        - (c - 2 * ch) ** 2 * (1 - c**2) / (4 * ch**2) * M.inner(perpZ, perpZ)
+        - (c - 2 * ch) ** 2 * (1 - c**2) / (4 * ch**2) * dot(perpZ, perpZ)
         + (c - 2 * ch) / (cc * b2) * bZ * Xb_b
-        - (1 - (c - 2 * ch) ** 2) / (4 * ch**2) * M.inner(perpA, perpA)
-        - (c - 2 * ch) * (1 - c**2 + 2 * cc) / (2 * ch**2) * M.inner(perpA, perpZ)
-        - (1 + c**2 - 2 * cc) / (2 * ch) * M.inner(perpA, perpC)
-        - (c - 2 * ch) * (1 + c**2) / (2 * ch) * M.inner(perpC, perpZ)
+        - (1 - (c - 2 * ch) ** 2) / (4 * ch**2) * dot(perpA, perpA)
+        - (c - 2 * ch) * (1 - c**2 + 2 * cc) / (2 * ch**2) * dot(perpA, perpZ)
+        - (1 + c**2 - 2 * cc) / (2 * ch) * dot(perpA, perpC)
+        - (c - 2 * ch) * (1 + c**2) / (2 * ch) * dot(perpC, perpZ)
         - 0.5 * E.curvature.ricci_N
     )
     return integrate(M, integrand, "a"), 0.0, {}
@@ -340,16 +314,16 @@ def _ev_parallel_const_printed(E, hyp):
     c, ch, cc = E.c, E.chat, E.cc
     Csh = E.Csharp_formula
     Abf = E.Abar_frame
-    Ab = E.Abar_bst
+    Ab, Zb = E.Abst_frame, E.Zbar_frame
     Cb = _csharp_bst(E, Csh)
     integrand = (
         c * trace(Csh) * trace(Abf)
         - c * trace(Abf @ Csh)
-        - (1 - (c - 2 * ch) ** 2) / (4 * ch**2) * M.inner(Ab, Ab)
-        - (c - 2 * ch) * (1 - c**2 + 2 * cc) / (2 * ch**2) * M.inner(Ab, E.Zbar)
-        - (1 + c**2 - 2 * cc) / (2 * ch) * M.inner(Ab, Cb)
-        - (c - 2 * ch) ** 2 * (1 - c**2) / (4 * ch**2) * M.inner(E.Zbar, E.Zbar)
-        - (c - 2 * ch) * (1 + c**2) / (2 * ch) * M.inner(Cb, E.Zbar)
+        - (1 - (c - 2 * ch) ** 2) / (4 * ch**2) * dot(Ab, Ab)
+        - (c - 2 * ch) * (1 - c**2 + 2 * cc) / (2 * ch**2) * dot(Ab, Zb)
+        - (1 + c**2 - 2 * cc) / (2 * ch) * dot(Ab, Cb)
+        - (c - 2 * ch) ** 2 * (1 - c**2) / (4 * ch**2) * dot(Zb, Zb)
+        - (c - 2 * ch) * (1 + c**2) / (2 * ch) * dot(Cb, Zb)
     )
     return integrate(M, integrand, "a"), 0.0, {}
 
@@ -359,16 +333,16 @@ def _ev_parallel_tangent_printed(E, hyp):
     c = E.c
     Csh = E.Csharp_formula
     Abf = E.Abar_frame
-    Ab = E.Abar_bst
+    Ab, Zb = E.Abst_frame, E.Zbar_frame
     Cb = _csharp_bst(E, Csh)
     integrand = (
         c * trace(Csh) * trace(Abf)
         - c * trace(Abf @ Csh)
-        - (1 - c**2) / (4 * c**2) * M.inner(Ab, Ab)
-        + (1 + c**2) / (2 * c) * M.inner(Ab, E.Zbar)
-        - (1 - c**2) / 4.0 * M.inner(E.Zbar, E.Zbar)
-        - (1 - c**2) / (2 * c) * M.inner(Ab, Cb)
-        + (1 + c**2) / 2.0 * M.inner(Cb, E.Zbar)
+        - (1 - c**2) / (4 * c**2) * dot(Ab, Ab)
+        + (1 + c**2) / (2 * c) * dot(Ab, Zb)
+        - (1 - c**2) / 4.0 * dot(Zb, Zb)
+        - (1 - c**2) / (2 * c) * dot(Ab, Cb)
+        + (1 + c**2) / 2.0 * dot(Cb, Zb)
     )
     return integrate(M, integrand, "a"), 0.0, {}
 
@@ -406,18 +380,15 @@ def _ev_eigen_balance(E, hyp):
 
 
 def _ev_shape_comparison(E, hyp):
-    d = E.op_to_frame(E.Ag_formula) - E.op_to_frame(E.Ag_direct)
-    return _sup_active(E, d), 0.0, {}
+    return _sup_active(E, E.Ag_formula - E.Ag_direct), 0.0, {}
 
 
 def _ev_shape_comparison_printed(E, hyp):
-    d = E.op_to_frame(E.Ag_printed) - E.op_to_frame(E.Ag_direct)
-    return _sup_active(E, d), 0.0, {}
+    return _sup_active(E, E.Ag_printed - E.Ag_direct), 0.0, {}
 
 
 def _ev_z_comparison(E, hyp):
-    d = E.vec_to_frame(E.Z_formula) - E.vec_to_frame(E.Z_direct)
-    return _sup_active(E, d), 0.0, {}
+    return _sup_active(E, E.Z_formula - E.Z_direct_frame), 0.0, {}
 
 
 def _ev_csharp_comparison(E, hyp):
@@ -457,7 +428,7 @@ def _ev_trace_comparison(E, hyp):
         + div_bs / E.chat
         - Nchat / E.chat
     )
-    lhs = E.c * trace(E.op_to_frame(E.Ag_direct))
+    lhs = E.c * trace(E.Ag_direct)
     return _sup_active(E, lhs - rhs), 0.0, {}
 
 
@@ -595,7 +566,7 @@ FORMULAS: dict[str, Formula] = {f.fid: f for f in (
     Formula("sigma-flat-k1", "total sigma_1 of the full shape operator on flat Berwald examples",
             _ev_sigma_flat(1), requires=_FLAT, any_of=_FLAT_ANY),
     Formula("curvature-series-k1", "order-1 term of the curvature series (flat reduction)",
-            _ev_curvature_series(1), requires=_FLAT, any_of=_FLAT_ANY),
+            _ev_sigma_flat(1), requires=_FLAT, any_of=_FLAT_ANY),
     Formula("berwald-sigma-k1", "parallel-beta sigma_1 expansion through Newton transformations",
             _ev_berwald_sigma(1), requires=_PARALLEL_FLAT),
     Formula("berwald-sigma-k1-printed", "published sigma_1 display (verbatim transcription)",
@@ -605,7 +576,7 @@ FORMULAS: dict[str, Formula] = {f.fid: f for f in (
     Formula("sigma-flat-k2", "total sigma_2 of the full shape operator on flat Berwald examples",
             _ev_sigma_flat(2), requires=_FLAT, any_of=_FLAT_ANY, min_m=2),
     Formula("curvature-series-k2", "order-2 term of the curvature series (flat reduction)",
-            _ev_curvature_series(2), requires=_FLAT, any_of=_FLAT_ANY, min_m=2),
+            _ev_sigma_flat(2), requires=_FLAT, any_of=_FLAT_ANY, min_m=2),
     Formula("berwald-sigma-k2", "parallel-beta sigma_2 expansion through Newton transformations",
             _ev_berwald_sigma(2), requires=_PARALLEL_FLAT, min_m=2),
     Formula("berwald-sigma-k2-printed", "published sigma_2 display (verbatim transcription)",
@@ -735,27 +706,23 @@ def run_formulas(
     """Evaluate the requested formulas on a sweep; verdicts at the finest level.
 
     Torus examples sweep the grid resolution.  Excised examples run at the
-    finest requested grid and sweep the excision radius instead (taken from
-    the ``r0_sweep`` parameter, default 0.2/0.1/0.05), since the cap
-    truncation, not the grid, limits their residuals.  ``jobs`` bounds the
-    worker threads; every sweep point is independent and reports are merged
-    in sweep order, so results do not depend on the worker count.
+    finest requested grid and sweep the excision radius instead
+    (``catalog.r0_sweep``), since the cap truncation, not the grid, limits
+    their residuals.  Each sweep point builds its manifold once.  ``jobs``
+    bounds the worker threads; every sweep point is independent and reports
+    are merged in sweep order, so results do not depend on the worker count.
     """
     unknown = [f for f in fids if f not in FORMULAS]
     if unknown:
         raise ValueError(f"unknown formula ids: {', '.join(unknown)}")
     if not resolutions:
         raise ValueError("need at least one resolution")
-    probe = build_example(spec.with_resolution(max(resolutions)))
-    singular = probe.mask is not None
+    radii = r0_sweep(spec)
+    singular = radii is not None
     if singular:
-        r0s = spec.params.get("r0_sweep", DEFAULT_R0_SWEEP)
-        r0s = sorted(r0s if isinstance(r0s, (tuple, list)) else (r0s,), reverse=True)
-        sweep = []
-        for r0 in r0s:
-            params = dict(spec.params)
-            params["r0"] = r0
-            sweep.append((ExampleSpec(spec.name, params).with_resolution(max(resolutions)), r0))
+        finest = max(resolutions)
+        sweep = [(ExampleSpec(spec.name, {**spec.params, "r0": r0}).with_resolution(finest), r0)
+                 for r0 in radii]
     else:
         sweep = [(spec.with_resolution(n), float(n)) for n in sorted(set(resolutions))]
     if jobs > 1 and len(sweep) > 1:

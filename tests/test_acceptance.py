@@ -114,15 +114,17 @@ def test_criterion_3_normal_construction():
 # -- 4 and 5: comparison formulas ---------------------------------------------------
 
 
+def _to_frame(E, field):
+    if field.shape[-1] == E.M.m:  # already a frame array
+        return field
+    return E.op_to_frame(field) if field.ndim == E.M.dim + 2 else E.vec_to_frame(field)
+
+
 def _sup_errors(name, attr_pair, ns, params=None, scheme="spectral"):
     errs = []
     for n in ns:
         E = build_extrinsic(build_example(ExampleSpec(name, {**(params or {}), "n": n})), scheme)
-        x = getattr(E, attr_pair[0])
-        y = getattr(E, attr_pair[1])
-        if x.shape[-1] != E.M.m:  # coordinate operators / vectors -> frame
-            x = E.op_to_frame(x) if x.ndim == E.M.dim + 2 else E.vec_to_frame(x)
-            y = E.op_to_frame(y) if y.ndim == E.M.dim + 2 else E.vec_to_frame(y)
+        x, y = (_to_frame(E, getattr(E, attr)) for attr in attr_pair)
         errs.append(float(np.max(np.abs(x - y))))
     return errs
 

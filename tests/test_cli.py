@@ -52,7 +52,7 @@ def test_full_selection_includes_refuted_displays():
     assert code == 1
 
 
-def test_exit_two_on_config_errors(capsys):
+def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
     assert main(["--example", "nosuch"]) == 2
     assert main(["--example", "flat-graph", "--formulas", "bogus-formula"]) == 2
     assert main(["--example", "flat-graph", "--res", "abc"]) == 2
@@ -63,6 +63,13 @@ def test_exit_two_on_config_errors(capsys):
     assert main(["--example", "flat-graph", "--param", "beta_sharp=0.9,0.6"]) == 2
     assert main(["--example", "flat-parallel", "--param", "beta_sharp=0.6,0,0.9"]) == 2
     assert main(["--example", "sphere-latitudes", "--res", "128", "--param", "r0_sweep=0.2,0.01"]) == 2
+    # non-integer or non-boolean values from a config file or the environment
+    for line in ("seed = x", "jobs = 1.5", "matrix_identities = maybe"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"example = flat-parallel\n{line}\n")
+        assert main(["--config", str(cfg)]) == 2, line
+    monkeypatch.setenv("RANDERS_FOLIATE_JOBS", "two")
+    assert main(["--example", "flat-parallel"]) == 2
     err = capsys.readouterr().err
     assert "|beta| must be < 1" in err  # the tuple reached the builder
     assert "Traceback" not in err
@@ -94,12 +101,17 @@ def test_param_parsing_and_config_file(tmp_path):
     )
     config = build_config(["--config", str(cfg)])
     assert config.example == "conformal-torus"
+    assert config.matrix_identities is False
     assert config.params == {"beta_mode": "riemannian"}
     assert config.resolutions == [32, 48]
     # flags override the file
     config = build_config(["--config", str(cfg), "--res", "16,32", "--param", "eps1=0.2"])
     assert config.resolutions == [16, 32]
     assert config.params["eps1"] == 0.2
+    # matrix_identities reads true/false/1/0; "false" must not run the suite
+    for text, want in (("false", False), ("0", False), ("true", True), ("1", True)):
+        cfg.write_text(f"example = conformal-torus\nmatrix_identities = {text}\n")
+        assert build_config(["--config", str(cfg)]).matrix_identities is want, text
     # comma-separated numbers are tuples; other text stays a string
     config = build_config(
         ["--example", "flat-graph", "--param", "beta_sharp=0.3,0.15", "--param", "beta_mode=a,b"]

@@ -90,12 +90,34 @@ def test_frames_are_orthonormal_and_tangent():
 
 
 def test_frame_roundtrip():
+    # vec_to_frame is an isometry on tangent fields: the a-inner product
+    # becomes the dot product of frame components
     E = bundle("conformal-torus", n=16)
     rng = np.random.default_rng(1)
-    v = rng.standard_normal(E.M.grid.sizes + (2,))
-    v = E.M.project_tangent(v)
-    back = E.frame_to_vec(E.vec_to_frame(v))
-    assert np.max(np.abs(back - v)) < 1e-12
+    u, v = (E.M.project_tangent(rng.standard_normal(E.M.grid.sizes + (2,))) for _ in range(2))
+    ip = np.einsum("...a,...a->...", E.vec_to_frame(u), E.vec_to_frame(v))
+    assert np.max(np.abs(ip - E.M.inner(u, v))) < 1e-12
+
+
+def test_frame_maps_ignore_tangent_projection():
+    # F is tangent and a-orthonormal, so F^T a P = F^T a and P F = F: a
+    # projection before a frame map changes nothing but roundoff
+    cases = (
+        ("flat-graph-tangent", {"n": 12}),
+        ("conformal-torus", {"n": 16}),
+        ("sphere-latitudes", {"n": 64, "r0": 0.2}),
+    )
+    rng = np.random.default_rng(2)
+    for name, params in cases:
+        E = bundle(name, **params)
+        M = E.M
+        d = M.dim
+        L = rng.standard_normal(M.grid.sizes + (d, d))
+        v = rng.standard_normal(M.grid.sizes + (d,))
+        P = M.tangent_projector
+        PLP = P @ L @ P
+        assert np.max(np.abs(E.op_to_frame(PLP) - E.op_to_frame(L))) < 1e-12, name
+        assert np.max(np.abs(E.vec_to_frame(M.project_tangent(v)) - E.vec_to_frame(v))) < 1e-12, name
 
 
 # -- dual-route comparisons ----------------------------------------------------
@@ -110,7 +132,7 @@ def test_shape_operator_routes_agree_flat_parallel():
 
 def test_shape_operator_riemannian_reduction():
     E = bundle("conformal-torus", beta_mode="riemannian")
-    assert np.max(np.abs(E.Ag_direct - E.Abar)) < 1e-12
+    assert np.max(np.abs(E.Ag_direct - E.Abar_frame)) < 1e-12
     assert np.max(np.abs(E.Z_direct - E.Zbar)) < 1e-12
 
 
@@ -118,7 +140,7 @@ def test_shape_formula_convergence_flat_graph():
     errs = []
     for n in (32, 64, 128):
         E = bundle("flat-graph", n=n)
-        errs.append(np.max(np.abs(E.op_to_frame(E.Ag_formula) - E.op_to_frame(E.Ag_direct))))
+        errs.append(np.max(np.abs(E.Ag_formula - E.Ag_direct)))
     assert errs[2] < 1e-8
     assert errs[0] / errs[1] > 100.0 or errs[1] < 1e-11
 
@@ -129,7 +151,7 @@ def test_shape_printed_display_plateaus_for_tilted_beta():
     errs = []
     for n in (64, 128):
         E = bundle("flat-graph", n=n)
-        errs.append(np.max(np.abs(E.op_to_frame(E.Ag_printed) - E.op_to_frame(E.Ag_direct))))
+        errs.append(np.max(np.abs(E.Ag_printed - E.Ag_direct)))
     assert errs[1] > 1e-2
     assert errs[1] / errs[0] > 0.8
 
@@ -143,7 +165,7 @@ def test_z_formula_convergence():
     errs = []
     for n in (32, 64):
         E = bundle("conformal-torus", n=n)
-        errs.append(np.max(np.abs(E.vec_to_frame(E.Z_formula) - E.vec_to_frame(E.Z_direct))))
+        errs.append(np.max(np.abs(E.Z_formula - E.vec_to_frame(E.Z_direct))))
     assert errs[1] < 1e-11
 
 
@@ -171,7 +193,7 @@ def test_z_formula_normal_beta_specialisation():
     grad_f_tan = M.project_tangent(np.einsum("...ij,...j->...i", M.a_inv, df))
     expected = E.Zbar / E.chat[..., None] - grad_f_tan / E.chat[..., None] ** 2
     assert np.max(np.abs(E.Z_direct - expected)) < 1e-9
-    assert np.max(np.abs(E.Z_formula - expected)) < 1e-11
+    assert np.max(np.abs(E.Z_formula - E.vec_to_frame(expected))) < 1e-11
 
 
 def test_csharp_routes_and_scale():
@@ -200,7 +222,7 @@ def test_csharp_vanishes_for_rigid_parallel_beta():
 def test_full_shape_operator_berwald():
     # Berwald with Zbar = 0 and constant beta(N): A = A^g exactly
     E = bundle("flat-parallel", n=12)
-    assert np.max(np.abs(E.A_frame - E.op_to_frame(E.Ag_direct))) < 1e-13
+    assert np.max(np.abs(E.A_frame - E.Ag_direct)) < 1e-13
 
 
 def test_distortion_volume_identity():
@@ -215,7 +237,7 @@ def test_distortion_volume_identity():
 def test_self_adjointness_of_shape_operators():
     E = bundle("conformal-torus", n=64)
     G = E.G_frame
-    for op in (E.op_to_frame(E.Ag_direct), E.A_frame):
+    for op in (E.Ag_direct, E.A_frame):
         form = np.einsum("...ab,...bc->...ac", G, op)
         assert np.max(np.abs(form - np.swapaxes(form, -1, -2))) < 1e-10
 
@@ -247,14 +269,13 @@ def test_berwald_rank_one_decomposition():
     for name in ("flat-graph", "flat-graph-tangent"):
         E = bundle(name)
         M = E.M
-        a = M.a
-        bt = np.einsum("...ij,...j->...i", a, E.bst)
-        A1 = np.einsum("...i,...j->...ij", E.bst, np.einsum("...ij,...j->...i", a, E.U1))
-        A2 = np.einsum("...i,...j->...ij", E.U2, bt)
-        A3 = E.a3[..., None, None] * np.einsum("...i,...j->...ij", E.bst, bt)
-        lhs = E.op_to_frame(E.Abar + A1 + A2 + A3) + E.delta[..., None, None] * np.eye(M.m)
-        formula = E.op_to_frame(E.c[..., None, None] * E.Ag_formula)
-        direct = E.op_to_frame(E.c[..., None, None] * E.Ag_direct)
+        b = E.b_frame
+        A1 = np.einsum("...a,...b->...ab", b, E.U1)
+        A2 = np.einsum("...a,...b->...ab", E.U2, b)
+        A3 = E.a3[..., None, None] * np.einsum("...a,...b->...ab", b, b)
+        lhs = E.Abar_frame + A1 + A2 + A3 + E.delta[..., None, None] * np.eye(M.m)
+        formula = E.c[..., None, None] * E.Ag_formula
+        direct = E.c[..., None, None] * E.Ag_direct
         # vs the comparison formula only the discretised derivative of the
         # (analytically parallel) beta field separates the two routes
         assert np.max(np.abs(lhs - formula)) < 1e-9
@@ -271,30 +292,24 @@ def test_parallel_tangent_specialisation_display():
 
     E = bundle("flat-graph-tangent", n=24)
     M = E.M
-    a = M.a
     c = E.c
-    bs = E.bst
-    bt = np.einsum("...ij,...j->...i", a, bs)
+    bs = E.b_frame
     dc = np.stack([derivative_values(c, M.grid, ax, "spectral") for ax in range(M.dim)], -1)
     n_c = np.einsum("...i,...i->...", E.n, dc)
-    Abs = E.Abar_bst
-    P = M.tangent_projector
+    Abs = E.Abst_frame
+    Zb = E.Zbar_frame
     disp = (
-        E.Abar
-        - (n_c / c**2)[..., None, None] * P
-        - 0.5 * np.einsum("...i,...j->...ij", E.perp_beta(Abs + c[..., None] * E.Zbar), bt)
+        E.Abar_frame
+        - (n_c / c**2)[..., None, None] * np.eye(M.m)
+        - 0.5 * np.einsum("...a,...b->...ab", E.perp_beta(Abs + c[..., None] * Zb), bs)
         + 0.5
         / c[..., None, None] ** 2
-        * np.einsum(
-            "...i,...j->...ij",
-            bs,
-            np.einsum("...ij,...j->...i", a, E.perp_beta(Abs - c[..., None] * E.Zbar)),
-        )
+        * np.einsum("...a,...b->...ab", bs, E.perp_beta(Abs - c[..., None] * Zb))
         - (E.beta_Zbar / (c * (1 - c**2)))[..., None, None]
-        * np.einsum("...i,...j->...ij", bs, bt)
+        * np.einsum("...a,...b->...ab", bs, bs)
     )
     corrected = E.c[..., None, None] * E.Ag_formula
-    assert np.max(np.abs(E.op_to_frame(disp) - E.op_to_frame(corrected))) < 1e-10
+    assert np.max(np.abs(disp - corrected)) < 1e-10
 
 
 def test_delta_identity_under_parallel_beta():
@@ -305,10 +320,10 @@ def test_delta_identity_under_parallel_beta():
 
 def test_perp_beta_projection_field():
     E = bundle("flat-graph", n=32)
-    out = E.perp_beta(E.Zbar)
-    ip = np.einsum("...i,...ij,...j->...", out, E.M.a, E.bst)
+    out = E.perp_beta(E.vec_to_frame(E.Zbar))
+    ip = np.einsum("...a,...a->...", out, E.b_frame)
     assert np.max(np.abs(ip)) < 1e-12
-    samebst = E.perp_beta(E.bst)
+    samebst = E.perp_beta(E.b_frame)
     assert np.max(np.abs(samebst)) < 1e-12
 
 
@@ -335,7 +350,7 @@ def test_corrected_trace_identity_field():
         + div_bs / E.chat
         - Nchat / E.chat
     )
-    lhs = E.c * np.einsum("...aa->...", E.op_to_frame(E.Ag_direct))
+    lhs = E.c * np.einsum("...aa->...", E.Ag_direct)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -343,7 +358,7 @@ def test_normal_metric_reeb():
     # the leaves' total mean curvature vanishes for the normal metric too
     for name, params in (("conformal-torus", {}), ("flat-graph", {})):
         E = bundle(name, **params)
-        val = integrate(E.M, np.einsum("...aa->...", E.op_to_frame(E.Ag_direct)), "g")
+        val = integrate(E.M, np.einsum("...aa->...", E.Ag_direct), "g")
         assert abs(val) < 1e-9
 
 
@@ -361,18 +376,10 @@ def test_formula_routes_agree_across_parameter_variations():
             E = bundle(name, n=n, **params)
             errs.append(
                 max(
-                    np.max(np.abs(E.op_to_frame(E.Ag_formula) - E.op_to_frame(E.Ag_direct))),
-                    np.max(np.abs(E.vec_to_frame(E.Z_formula) - E.vec_to_frame(E.Z_direct))),
+                    np.max(np.abs(E.Ag_formula - E.Ag_direct)),
+                    np.max(np.abs(E.Z_formula - E.vec_to_frame(E.Z_direct))),
                     np.max(np.abs(E.Csharp_formula - E.Csharp_direct)),
                 )
             )
         assert errs[1] < 1e-7 or errs[0] / errs[1] > 50.0, (name, params, errs)
 
-
-def test_bundle_dump(tmp_path):
-    E = bundle("flat-graph", n=16)
-    path = tmp_path / "bundle.npz"
-    E.dump(str(path))
-    data = np.load(path)
-    assert "shape_g_direct" in data and "csharp_formula" in data
-    np.testing.assert_allclose(data["c"], E.c)

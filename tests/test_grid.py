@@ -4,7 +4,6 @@ import pytest
 from randers_foliations.grid import (
     PeriodicGrid,
     derivative_values,
-    dump_fields,
     trapezoid_integral,
 )
 
@@ -96,16 +95,3 @@ def test_trapezoid_mask_and_nan_policy(grid2d):
     with pytest.raises(FloatingPointError):
         trapezoid_integral(grid2d, f, mask=mask)
 
-
-def test_dump_fields_roundtrip(tmp_path, grid2d):
-    x, y = grid2d.meshgrid()
-    fields = {"scalar": np.sin(x), "vector": np.stack([x, y], axis=-1)}
-    npz_path = tmp_path / "fields.npz"
-    dump_fields(grid2d, fields, str(npz_path), "npz")
-    data = np.load(npz_path)
-    np.testing.assert_allclose(data["scalar"], np.sin(x))
-    np.testing.assert_allclose(data["coord0"], x)
-    csv_path = tmp_path / "fields.csv"
-    dump_fields(grid2d, fields, str(csv_path), "csv")
-    header = csv_path.read_text().splitlines()[0]
-    assert header == "coord0,coord1,scalar,vector_0,vector_1"

@@ -153,6 +153,24 @@ def test_singular_sweep_uses_r0_ladder():
     assert r.convergence[0][1] > r.convergence[1][1]
 
 
+def test_each_sweep_point_is_built_once(monkeypatch):
+    from randers_foliations import verify
+
+    built = []
+
+    def counting_build(spec):
+        built.append(spec)
+        return build_example(spec)
+
+    build_example = verify.build_example
+    monkeypatch.setattr(verify, "build_example", counting_build)
+    run_formulas(ExampleSpec("flat-graph"), ["reeb-riemannian"], [16, 24], "spectral")
+    assert [s.params["n"] for s in built] == [16, 24]
+    built.clear()
+    run_formulas(ExampleSpec("sphere-latitudes", {"r0_sweep": (0.3, 0.2)}), ["reeb-riemannian"], [64])
+    assert [(s.params["r0"], s.params["n"]) for s in built] == [(0.3, 64), (0.2, 64)]
+
+
 def test_eigen_sphere_balance_checks():
     reports = run_formulas(
         ExampleSpec("sphere-latitudes", {"beta_mode": "eigen", "r0_sweep": [0.2, 0.1]}),
@@ -251,8 +269,8 @@ def test_first_order_expansion_matches_closed_display_pointwise():
     )
     # reassemble the same integrand the printed k = 1 evaluator integrates
     b = E.b_frame
-    U1 = E.vec_to_frame(E.U1_printed)
-    U2 = E.vec_to_frame(E.U2_printed)
+    U1 = E.U1_printed
+    U2 = E.U2_printed
     pieces = (
         m * E.delta
         + E.c * trace(E.Csharp_formula)
