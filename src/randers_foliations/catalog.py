@@ -272,18 +272,21 @@ _DEFAULT_RES = {
 _EXCISED = ("sphere-latitudes",)
 DEFAULT_R0_SWEEP = (0.2, 0.1, 0.05)
 
+# the parameters each example accepts, with the default shown by --list (None:
+# the default depends on beta_mode); n is also set by the resolution sweep and
+# r0 by the excision sweep
 _PARAMS = {
-    "flat-parallel": "n=16, period=1.0, beta_sharp=(0.3,0,0.4)",
-    "flat-graph": "n=64, period=1.0, amplitude=0.05, beta_sharp=(0.3,0.15)",
-    "flat-graph-tangent": "n=32, period=1.0, amplitude=0.04, b=0.4",
-    "conformal-torus": (
-        "n=64, period=1.0, phi_amplitude=0.15, "
-        "beta_mode=generic|constant-angle|riemannian, eps1, eps2"
-    ),
-    "sphere-latitudes": (
-        "n=256, r0=0.1, r0_sweep=0.2,0.1,0.05, "
-        "beta_mode=rotational|eigen, eps, asym, eps_prime"
-    ),
+    "flat-parallel": {"n": "16", "period": "1.0", "beta_sharp": "(0.3,0,0.4)"},
+    "flat-graph": {"n": "64", "period": "1.0", "amplitude": "0.05", "beta_sharp": "(0.3,0.15)"},
+    "flat-graph-tangent": {"n": "32", "period": "1.0", "amplitude": "0.04", "b": "0.4"},
+    "conformal-torus": {
+        "n": "64", "period": "1.0", "phi_amplitude": "0.15",
+        "beta_mode": "generic|constant-angle|riemannian", "eps1": None, "eps2": None,
+    },
+    "sphere-latitudes": {
+        "n": "256", "r0": "0.1", "r0_sweep": "0.2,0.1,0.05",
+        "beta_mode": "rotational|eigen", "eps": None, "asym": None, "eps_prime": None,
+    },
 }
 
 
@@ -295,9 +298,9 @@ def example_info(name: str) -> str:
     return _INFO[name]
 
 
-def example_params(name: str) -> str:
-    """Parameter schema of one example (names and defaults)."""
-    return _PARAMS[name]
+def example_params(name: str) -> dict[str, str | None]:
+    """Parameters one example accepts, each with its default (None: mode-dependent)."""
+    return dict(_PARAMS[name])
 
 
 def default_resolutions(name: str) -> tuple[int, ...]:
@@ -309,11 +312,12 @@ def r0_sweep(spec: ExampleSpec) -> tuple[float, ...] | None:
 
     Only ``sphere-latitudes`` excises (its poles): its residuals are limited by
     the cap truncation, so it sweeps ``r0`` at the finest grid, taken from the
-    ``r0_sweep`` parameter (one value is a one-point sweep).
+    ``r0_sweep`` parameter (one value is a one-point sweep).  An explicit
+    ``r0`` without ``r0_sweep`` is a one-point sweep at that radius.
     """
     if spec.name not in _EXCISED:
         return None
-    r0s = spec.params.get("r0_sweep", DEFAULT_R0_SWEEP)
+    r0s = spec.params.get("r0_sweep", spec.params.get("r0", DEFAULT_R0_SWEEP))
     return tuple(sorted(r0s if isinstance(r0s, (tuple, list)) else (r0s,), reverse=True))
 
 

@@ -5,7 +5,12 @@ Examples::
     randers-foliate --list
     randers-foliate --example flat-graph --res 32,64,128 --formulas all --out report.json
     randers-foliate --example sphere-latitudes --param r0=0.05 --formulas reeb-finsler
+    randers-foliate --example sphere-latitudes --param r0_sweep=0.2,0.1 --formulas reeb-finsler
     randers-foliate --example conformal-torus --param beta_mode=riemannian --formulas sound
+
+An explicit ``r0`` is a one-point excision sweep at that radius; ``r0_sweep``
+sweeps several, and giving both is a configuration error, as is a parameter
+name the example does not accept (``--list`` shows them).
 
 Exit status: 0 when every applicable check passes, 1 when any check fails,
 2 on configuration errors.  ``--formulas all`` selects every check expected
@@ -187,6 +192,15 @@ def build_config(argv: list[str]) -> RunConfig | None:
     for item in list(file_vals["param"]) + list(args.param):
         key, value = _parse_param(item)
         params[key] = value
+    accepted = example_params(example)
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ConfigError(
+            f"unknown parameter(s) {', '.join(unknown)} for {example}; "
+            f"accepted: {', '.join(accepted)}"
+        )
+    if "r0" in params and "r0_sweep" in params:
+        raise ConfigError("give r0 (a one-point sweep) or r0_sweep, not both")
 
     res_text = pick(args.res, "res", None)
     if res_text is None:
@@ -231,7 +245,11 @@ def _print_catalog():
     print("examples:")
     for name in example_names():
         print(f"  {name:<22s} {example_info(name)}")
-        print(f"  {'':<22s} parameters: {example_params(name)}")
+        params = ", ".join(
+            key if default is None else f"{key}={default}"
+            for key, default in example_params(name).items()
+        )
+        print(f"  {'':<22s} parameters: {params}")
         print(f"  {'':<22s} default resolutions: {', '.join(str(n) for n in default_resolutions(name))}")
     print("\nformulas:")
     for fid in formula_ids():

@@ -3,8 +3,8 @@
 Fields are numpy arrays whose leading axes run over grid nodes and whose
 trailing axes are tensor components.  Two derivative schemes are supported:
 
-* ``spectral``: term-by-term FFT differentiation, exact for band-limited
-  fields and superalgebraically convergent for analytic ones;
+* ``spectral``: term-by-term real-FFT differentiation, exact for
+  band-limited fields and superalgebraically convergent for analytic ones;
 * ``central4``: fourth-order central differences on the periodic stencil.
 
 Quadrature is the periodic trapezoid rule (node average times volume), which
@@ -76,16 +76,28 @@ class PeriodicGrid:
 
 
 def _spectral_derivative(values: np.ndarray, axis: int, period: float, n: int) -> np.ndarray:
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=period / n)
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
+    if n % 2 == 0:
+        k[-1] = 0.0  # the Nyquist mode of a real field has no real derivative
     shape = [1] * values.ndim
-    shape[axis] = n
-    ik = (1j * k).reshape(shape)
-    return np.real(np.fft.ifft(ik * np.fft.fft(values, axis=axis), axis=axis))
+    shape[axis] = k.size
+    spectrum = np.fft.rfft(values, axis=axis)
+    spectrum *= (1j * k).reshape(shape)
+    return np.fft.irfft(spectrum, n=n, axis=axis)
 
 
 def _central4_derivative(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    f1 = np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)
-    f2 = np.roll(values, -2, axis=axis) - np.roll(values, 2, axis=axis)
+    n = values.shape[axis]
+    # two wrapped ghost layers on each side; the shifts are views into them
+    padded = np.take(values, np.arange(-2, n + 2) % n, axis=axis)
+
+    def shifted(s: int) -> np.ndarray:
+        index = [slice(None)] * values.ndim
+        index[axis] = slice(2 + s, 2 + s + n)
+        return padded[tuple(index)]
+
+    f1 = shifted(1) - shifted(-1)
+    f2 = shifted(2) - shifted(-2)
     return (8.0 * f1 - f2) / (12.0 * h)
 
 

@@ -231,8 +231,13 @@ def levi_civita(
             raise FloatingPointError(f"metric field not SPD at node {bad}")
     g_inv = M.a_inv if metric is None else np.linalg.inv(_masked_to_identity(g, M))
     dg = gradient(M, g, scheme)  # dg[..., k, i, j] = d_k g_ij
-    X = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
-    return 0.5 * np.einsum("...il,...jkl->...ijk", g_inv, X)
+    X = dg + np.swapaxes(dg, -3, -2)
+    X -= np.moveaxis(dg, -3, -1)  # X[..., j, k, l] = d_j g_kl + d_k g_jl - d_l g_jk
+    d = M.dim
+    X_lT = np.swapaxes(X.reshape(X.shape[:-3] + (d * d, d)), -1, -2)  # (l, jk)
+    gam = g_inv @ X_lT
+    gam *= 0.5
+    return gam.reshape(X.shape)
 
 
 def _masked_to_identity(g: np.ndarray, M: FoliatedRandersManifold) -> np.ndarray:
@@ -244,31 +249,49 @@ def _masked_to_identity(g: np.ndarray, M: FoliatedRandersManifold) -> np.ndarray
     return out
 
 
+def _contract_last(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """out[..., i, k] = Gamma^i_{km} v^m, one (d^2, d) @ (d,) product per node."""
+    d = v.shape[-1]
+    return (gamma.reshape(gamma.shape[:-3] + (d * d, d)) @ v[..., None]).reshape(gamma.shape[:-1])
+
+
 def covariant_vector_derivative(
     M: FoliatedRandersManifold, v: np.ndarray, gamma: np.ndarray, scheme: str
 ) -> np.ndarray:
     """(nabla v)[..., i, k] = d_k v^i + Gamma^i_{km} v^m."""
     dv = gradient(M, v, scheme)  # dv[..., k, i]
-    return np.swapaxes(dv, -1, -2) + np.einsum("...ikm,...m->...ik", gamma, v)
+    return np.swapaxes(dv, -1, -2) + _contract_last(gamma, v)
 
 
 def covariant_operator_derivative(
     M: FoliatedRandersManifold, T: np.ndarray, direction: np.ndarray, gamma: np.ndarray, scheme: str
 ) -> np.ndarray:
-    """Covariant derivative of a (1,1)-tensor field along a vector field."""
+    """Covariant derivative of a (1,1)-tensor field along a vector field.
+
+    (nabla_X T)^i_j = X^k d_k T^i_j + X^k Gamma^i_{km} T^m_j - X^k Gamma^m_{kj} T^i_m,
+    assembled as X.dT + G T - T G with G^i_m = Gamma^i_{mk} X^k = Gamma^i_{km} X^k
+    (the Levi-Civita symbols are symmetric in their lower indices).
+    """
+    d = M.dim
     dT = gradient(M, T, scheme)  # dT[..., k, i, j]
-    term = np.einsum("...k,...kij->...ij", direction, dT)
-    term += np.einsum("...k,...ikm,...mj->...ij", direction, gamma, T)
-    term -= np.einsum("...k,...mkj,...im->...ij", direction, gamma, T)
+    flat = dT.reshape(dT.shape[:-3] + (d, d * d))
+    term = (direction[..., None, :] @ flat).reshape(T.shape)
+    G = _contract_last(gamma, direction)
+    term += G @ T
+    term -= T @ G
     return term
 
 
 def deformation_tensor(
     M: FoliatedRandersManifold, u: np.ndarray, gamma: np.ndarray, scheme: str
 ) -> np.ndarray:
-    """(1,1) deformation tensor: half the a-symmetrised covariant derivative."""
+    """(1,1) deformation tensor: half the a-symmetrised covariant derivative.
+
+    With nab = nabla u:  Def^i_j = (nab^i_j + a^{ik} nab^l_k a_{lj}) / 2,
+    i.e. (nab + a^-1 nab^T a) / 2.
+    """
     nab = covariant_vector_derivative(M, u, gamma, scheme)
-    nab_t = np.einsum("...ik,...lk,...lj->...ij", M.a_inv, nab, M.a)
+    nab_t = M.a_inv @ (np.swapaxes(nab, -1, -2) @ M.a)
     return 0.5 * (nab + nab_t)
 
 
@@ -284,9 +307,9 @@ class BarData:
 def extrinsic_bar(M: FoliatedRandersManifold, gamma: np.ndarray, scheme: str) -> BarData:
     """Shape operator Abar(u) = -(nabla_u N)^T and curvature vector Zbar."""
     nabN = covariant_vector_derivative(M, M.N, gamma, scheme)
-    Zbar = M.project_tangent(np.einsum("...ik,...k->...i", nabN, M.N))
+    Zbar = M.project_tangent((nabN @ M.N[..., None])[..., 0])
     P = M.tangent_projector
-    Abar = -np.einsum("...il,...lm,...mj->...ij", P, nabN, P)
+    Abar = -(P @ nabN @ P)
     return BarData(Abar=Abar, Zbar=Zbar, nabla_N=nabN)
 
 
@@ -298,19 +321,28 @@ class CurvatureData:
 
 
 def curvature_bar(M: FoliatedRandersManifold, gamma: np.ndarray, scheme: str) -> CurvatureData:
-    """Riemann tensor of the base metric and its normal-direction operator."""
+    """Riemann tensor of the base metric and its normal-direction operator.
+
+    R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma^i_{km} Gamma^m_{lj}
+    - Gamma^i_{lm} Gamma^m_{kj}, assembled as T[i, k, l, j] - T[i, l, k, j] with
+    T[i, k, l, j] = d_k Gamma^i_{lj} + Gamma^i_{km} Gamma^m_{lj}, and
+    R_N^i_k = R^i_{jkl} N^j N^l.
+    """
+    d = M.dim
+    batch = gamma.shape[:-3]
     dgam = gradient(M, gamma, scheme)  # dgam[..., p, i, j, k]
-    R = (
-        np.einsum("...kilj->...ijkl", dgam)
-        - np.einsum("...likj->...ijkl", dgam)
-        + np.einsum("...ikm,...mlj->...ijkl", gamma, gamma)
-        - np.einsum("...ilm,...mkj->...ijkl", gamma, gamma)
-    )
-    RN = np.einsum("...ijkl,...j,...l->...ik", R, M.N, M.N)
+    T = gamma.reshape(batch + (d * d, d)) @ gamma.reshape(batch + (d, d * d))
+    T = T.reshape(batch + (d,) * 4)  # (i, k, l, j), so far Gamma^i_{km} Gamma^m_{lj}
+    T += np.swapaxes(dgam, -4, -3)
+    del dgam  # at most two d^4-sized arrays are alive at once
+    R = T - np.swapaxes(T, -3, -2)  # R[..., i, k, l, j]
+    del T
+    NN = (M.N[..., :, None] * M.N[..., None, :]).reshape(batch + (d * d, 1))  # (l, j)
+    RN = (R.reshape(batch + (d * d, d * d)) @ NN).reshape(batch + (d, d))
     P = M.tangent_projector
-    RN_tan = np.einsum("...il,...lm,...mj->...ij", P, RN, P)
-    ric = np.einsum("...ii->...", RN_tan)
-    return CurvatureData(riemann=R, R_N=RN_tan, ricci_N=ric)
+    RN_tan = P @ RN @ P
+    ric = np.trace(RN_tan, axis1=-2, axis2=-1)
+    return CurvatureData(riemann=np.moveaxis(R, -1, -3), R_N=RN_tan, ricci_N=ric)
 
 
 def integrate(M: FoliatedRandersManifold, f: np.ndarray, volume: str = "a") -> float:

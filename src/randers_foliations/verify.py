@@ -432,35 +432,33 @@ def _ev_trace_comparison(E, hyp):
     return _sup_active(E, lhs - rhs), 0.0, {}
 
 
+def _codazzi_asymmetry(E, nabZ, metric):
+    """Antisymmetric part of the tangential form <nabla_u Z, v> = P^T (nabZ^T metric) P."""
+    P = E.M.tangent_projector
+    form = np.swapaxes(nabZ, -1, -2) @ metric  # u = the derivative slot of nabZ
+    formt = np.swapaxes(P, -1, -2) @ form @ P
+    return _sup_active(E, formt - np.swapaxes(formt, -1, -2))
+
+
 def _ev_codazzi(E, hyp):
-    M = E.M
-    nabZ = covariant_vector_derivative(M, E.Zbar, E.gamma_a, E.scheme)
-    form = np.einsum("...lu,...lv->...uv", nabZ, M.a)  # <nabla_u Z, v> with u = 2nd slot
-    P = M.tangent_projector
-    formt = np.einsum("...ua,...uv,...vb->...ab", P, form, P)
-    return _sup_active(E, formt - np.swapaxes(formt, -1, -2)), 0.0, {}
+    nabZ = covariant_vector_derivative(E.M, E.Zbar, E.gamma_a, E.scheme)
+    return _codazzi_asymmetry(E, nabZ, E.M.a), 0.0, {}
 
 
 def _ev_codazzi_g(E, hyp):
-    M = E.M
-    nabZ = covariant_vector_derivative(M, E.Z_direct, E.gamma_g, E.scheme)
-    form = np.einsum("...lu,...lv->...uv", nabZ, E.g)
-    P = M.tangent_projector
-    formt = np.einsum("...ua,...uv,...vb->...ab", P, form, P)
-    return _sup_active(E, formt - np.swapaxes(formt, -1, -2)), 0.0, {}
+    nabZ = covariant_vector_derivative(E.M, E.Z_direct, E.gamma_g, E.scheme)
+    return _codazzi_asymmetry(E, nabZ, E.g), 0.0, {}
 
 
 def _ev_riccati(E, hyp):
     M = E.M
     gam = E.gamma_a
     P = M.tangent_projector
-    defz = deformation_tensor(M, E.Zbar, gam, E.scheme)
-    defz_t = np.einsum("...il,...lm,...mj->...ij", P, defz, P)
-    dNA = covariant_operator_derivative(M, E.Abar, M.N, gam, E.scheme)
-    dNA = np.einsum("...il,...lm,...mj->...ij", P, dNA, P)
+    defz_t = P @ deformation_tensor(M, E.Zbar, gam, E.scheme) @ P
+    dNA = P @ covariant_operator_derivative(M, E.Abar, M.N, gam, E.scheme) @ P
     A2 = E.Abar @ E.Abar
-    zf = np.einsum("...ij,...j->...i", M.a, E.Zbar)
-    zz = np.einsum("...i,...j->...ij", E.Zbar, zf)
+    zf = (M.a @ E.Zbar[..., None])[..., 0]
+    zz = E.Zbar[..., :, None] * zf[..., None, :]
     resid = E.curvature.R_N - (defz_t + dNA - A2 - zz)
     return _sup_active(E, resid), 0.0, {}
 
@@ -685,6 +683,11 @@ def _judge(
 
 
 def _sweep_point(subspec: ExampleSpec, fids: list[str], scheme: str):
+    """Hypotheses and formula values of one sweep point.
+
+    Returns the example's name and grid, not the manifold, so no point's
+    fields stay alive while the next point is built.
+    """
     M = build_example(subspec)
     E = build_extrinsic(M, scheme)
     hyp = hypothesis_profile(E)
@@ -693,7 +696,7 @@ def _sweep_point(subspec: ExampleSpec, fids: list[str], scheme: str):
         formula = FORMULAS[fid]
         if formula.applicable(hyp, M.m):
             values[fid] = formula.evaluate(E, hyp)
-    return M, hyp, values
+    return M.name, M.grid, hyp, values
 
 
 def run_formulas(
@@ -733,11 +736,10 @@ def run_formulas(
     else:
         results = [_sweep_point(subspec, fids, scheme) for subspec, _ in sweep]
     per_res: list[tuple[float, dict, dict]] = []
-    for (subspec, label), (M, hyp, values) in zip(sweep, results):
-        h = label if singular else max(M.grid.spacings)
+    for (_, label), (example_name, grid, hyp, values) in zip(sweep, results):
+        h = label if singular else max(grid.spacings)
         per_res.append((h, hyp, values))
-        example_name = M.name
-        finest_res = M.grid.sizes
+    finest_res = grid.sizes
     reports = []
     _, hyp_fine, values_fine = per_res[-1]
     for fid in fids:

@@ -74,6 +74,14 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
     assert "|beta| must be < 1" in err  # the tuple reached the builder
     assert "Traceback" not in err
     assert all(line.startswith("error: ") for line in err.splitlines())
+    # parameter names the example does not accept, and r0 together with r0_sweep
+    monkeypatch.delenv("RANDERS_FOLIATE_JOBS")
+    assert main(["--example", "flat-graph", "--param", "amplitdue=0.5", "--formulas", "reeb-riemannian"]) == 2
+    assert main(["--example", "flat-parallel", "--param", "r0=0.2"]) == 2
+    assert main(["--example", "sphere-latitudes", "--param", "r0=0.2", "--param", "r0_sweep=0.2,0.1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(line.startswith("error: ") for line in err)
+    assert err[0].endswith("amplitdue for flat-graph; accepted: n, period, amplitude, beta_sharp")
 
 
 def test_list_catalog(capsys):
@@ -113,10 +121,10 @@ def test_param_parsing_and_config_file(tmp_path):
         cfg.write_text(f"example = conformal-torus\nmatrix_identities = {text}\n")
         assert build_config(["--config", str(cfg)]).matrix_identities is want, text
     # comma-separated numbers are tuples; other text stays a string
-    config = build_config(
-        ["--example", "flat-graph", "--param", "beta_sharp=0.3,0.15", "--param", "beta_mode=a,b"]
-    )
-    assert config.params == {"beta_sharp": (0.3, 0.15), "beta_mode": "a,b"}
+    config = build_config(["--example", "flat-graph", "--param", "beta_sharp=0.3,0.15"])
+    assert config.params == {"beta_sharp": (0.3, 0.15)}
+    config = build_config(["--example", "conformal-torus", "--param", "beta_mode=a,b"])
+    assert config.params == {"beta_mode": "a,b"}
     config = build_config(["--example", "sphere-latitudes", "--param", "r0_sweep=0.2,0.1"])
     assert config.params["r0_sweep"] == (0.2, 0.1)
     # the excised sphere sweeps r0 in descending order; one value is a one-point sweep
@@ -126,6 +134,14 @@ def test_param_parsing_and_config_file(tmp_path):
         assert main(base + ["--param", f"r0_sweep={sweep}", "--out", str(out)]) == 0
         conv = json.loads(out.read_text())["reports"][0]["convergence"]
         assert [h for h, _ in conv] == radii
+
+
+def test_explicit_r0_is_a_one_point_sweep(tmp_path):
+    out = tmp_path / "r0.json"
+    argv = ["--example", "sphere-latitudes", "--res", "128", "--param", "r0=0.3", "--out", str(out)]
+    assert main(argv + ["--formulas", "reeb-riemannian"]) == 0
+    [report] = json.loads(out.read_text())["reports"]
+    assert [h for h, _ in report["convergence"]] == [0.3]
 
 
 def test_bad_param_reports_config_error():

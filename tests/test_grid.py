@@ -7,6 +7,9 @@ from randers_foliations.grid import (
     trapezoid_integral,
 )
 
+# even and odd sizes, 2D and 3D, with trailing tensor components
+SHAPES = [((16, 11), (2,)), ((10, 9, 12), (3, 3))]
+
 
 @pytest.fixture
 def grid2d():
@@ -95,3 +98,28 @@ def test_trapezoid_mask_and_nan_policy(grid2d):
     with pytest.raises(FloatingPointError):
         trapezoid_integral(grid2d, f, mask=mask)
 
+
+
+@pytest.mark.parametrize("sizes, comp", SHAPES)
+def test_spectral_derivative_matches_complex_fft(sizes, comp):
+    # the real-FFT route against the complex-FFT definition, on noise
+    grid = PeriodicGrid(sizes, tuple(1.0 + 0.5 * i for i in range(len(sizes))))
+    f = np.random.default_rng(5).standard_normal(sizes + comp)
+    for axis, (n, L) in enumerate(zip(grid.sizes, grid.periods)):
+        shape = [1] * f.ndim
+        shape[axis] = n
+        ik = (2j * np.pi * np.fft.fftfreq(n, d=L / n)).reshape(shape)
+        ref = np.real(np.fft.ifft(ik * np.fft.fft(f, axis=axis), axis=axis))
+        got = derivative_values(f, grid, axis, "spectral")
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), axis
+
+
+@pytest.mark.parametrize("sizes, comp", SHAPES)
+def test_central4_matches_roll_stencil_bitwise(sizes, comp):
+    grid = PeriodicGrid(sizes, (1.0,) * len(sizes))
+    f = np.random.default_rng(6).standard_normal(sizes + comp)
+    for axis, h in enumerate(grid.spacings):
+        f1 = np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)
+        f2 = np.roll(f, -2, axis=axis) - np.roll(f, 2, axis=axis)
+        ref = (8.0 * f1 - f2) / (12.0 * h)
+        assert np.array_equal(derivative_values(f, grid, axis, "central4"), ref), axis

@@ -5,6 +5,7 @@ from randers_foliations.catalog import ExampleSpec, build_example, example_names
 from randers_foliations.grid import PeriodicGrid, derivative_values
 from randers_foliations.manifold import (
     FoliatedRandersManifold,
+    covariant_operator_derivative,
     covariant_vector_derivative,
     curvature_bar,
     deformation_tensor,
@@ -298,3 +299,102 @@ def test_sphere_eigen_normal_curves_are_geodesics():
     M = build_example(ExampleSpec("sphere-latitudes", {"n": 128, "r0": 0.2, "beta_mode": "eigen"}))
     bar = extrinsic_bar(M, levi_civita(M, "central4"), "central4")
     assert np.max(np.abs(np.where(M.active[..., None], bar.Zbar, 0.0))) < 1e-12
+
+
+# -- kernels against their index definitions -----------------------------------
+
+
+def _smooth_fields(grid, count, rng):
+    """Random trigonometric polynomials of degree <= 2, one per trailing slot."""
+    X = grid.meshgrid()
+    out = np.zeros(grid.sizes + (count,))
+    for c in range(count):
+        for _ in range(4):
+            k = rng.integers(-2, 3, size=grid.dim)
+            phase = sum(2 * np.pi * kk * x / L for kk, x, L in zip(k, X, grid.periods))
+            out[..., c] += rng.uniform(-1, 1) * np.cos(phase + rng.uniform(0, 2 * np.pi))
+    return out
+
+
+@pytest.fixture(scope="module")
+def random_3d():
+    """Smooth random SPD metric, a-unit normal and small beta on a 12^3 grid."""
+    rng = np.random.default_rng(11)
+    grid = PeriodicGrid((12, 12, 12), (1.0, 1.0, 1.0))
+    B = 0.3 * _smooth_fields(grid, 9, rng).reshape(grid.sizes + (3, 3))
+    a = np.eye(3) + B @ np.swapaxes(B, -1, -2)
+    w = np.array([0.0, 0.0, 1.0]) + 0.2 * _smooth_fields(grid, 3, rng)
+    Nv = np.einsum("...ij,...j->...i", np.linalg.inv(a), w)
+    N = Nv / np.sqrt(np.einsum("...i,...i->...", w, Nv))[..., None]
+    beta = 0.1 * _smooth_fields(grid, 3, rng)
+    M = FoliatedRandersManifold(grid, a, beta, N, name="random")
+    gam = levi_civita(M, "spectral")
+    return M, gam, rng
+
+
+def _close(got, ref):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_levi_civita_matches_index_formula(random_3d):
+    # Gamma^i_{jk} = a^{il} (d_j a_kl + d_k a_jl - d_l a_jk) / 2
+    M, gam, _ = random_3d
+    da = gradient(M, M.a, "spectral")  # da[..., p, i, j] = d_p a_ij
+    X = da + np.einsum("...kjl->...jkl", da) - np.einsum("...ljk->...jkl", da)
+    _close(gam, 0.5 * np.einsum("...il,...jkl->...ijk", M.a_inv, X))
+
+
+def test_covariant_derivatives_match_index_formulas(random_3d):
+    M, gam, rng = random_3d
+    v = _smooth_fields(M.grid, 3, rng)
+    T = _smooth_fields(M.grid, 9, rng).reshape(M.grid.sizes + (3, 3))
+    X = _smooth_fields(M.grid, 3, rng)
+    # (nabla v)^i_k = d_k v^i + Gamma^i_{km} v^m
+    dv = gradient(M, v, "spectral")
+    nab_ref = np.einsum("...ki->...ik", dv) + np.einsum("...ikm,...m->...ik", gam, v)
+    nab = covariant_vector_derivative(M, v, gam, "spectral")
+    _close(nab, nab_ref)
+    # (nabla_X T)^i_j = X^k d_k T^i_j + X^k Gamma^i_{km} T^m_j - X^k Gamma^m_{kj} T^i_m
+    dT = gradient(M, T, "spectral")
+    ref = (
+        np.einsum("...k,...kij->...ij", X, dT)
+        + np.einsum("...k,...ikm,...mj->...ij", X, gam, T)
+        - np.einsum("...k,...mkj,...im->...ij", X, gam, T)
+    )
+    _close(covariant_operator_derivative(M, T, X, gam, "spectral"), ref)
+    # Def^i_j = (nabla v^i_j + a^{ik} nabla v^l_k a_lj) / 2
+    ref = 0.5 * (nab_ref + np.einsum("...ik,...lk,...lj->...ij", M.a_inv, nab_ref, M.a))
+    _close(deformation_tensor(M, v, gam, "spectral"), ref)
+
+
+def test_extrinsic_bar_matches_index_formula(random_3d):
+    M, gam, _ = random_3d
+    bar = extrinsic_bar(M, gam, "spectral")
+    nabN = np.einsum("...ki->...ik", gradient(M, M.N, "spectral")) + np.einsum(
+        "...ikm,...m->...ik", gam, M.N
+    )
+    P = M.tangent_projector
+    _close(bar.nabla_N, nabN)
+    _close(bar.Abar, -np.einsum("...il,...lm,...mj->...ij", P, nabN, P))
+    _close(bar.Zbar, M.project_tangent(np.einsum("...ik,...k->...i", nabN, M.N)))
+
+
+def test_curvature_bar_matches_index_formula(random_3d):
+    # R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
+    #             + Gamma^i_{km} Gamma^m_{lj} - Gamma^i_{lm} Gamma^m_{kj}
+    M, gam, _ = random_3d
+    cur = curvature_bar(M, gam, "spectral")
+    dgam = gradient(M, gam, "spectral")  # dgam[..., p, i, j, k] = d_p Gamma^i_{jk}
+    R = (
+        np.einsum("...kilj->...ijkl", dgam)
+        - np.einsum("...likj->...ijkl", dgam)
+        + np.einsum("...ikm,...mlj->...ijkl", gam, gam)
+        - np.einsum("...ilm,...mkj->...ijkl", gam, gam)
+    )
+    _close(cur.riemann, R)
+    P = M.tangent_projector
+    RN = np.einsum("...ijkl,...j,...l->...ik", R, M.N, M.N)
+    RN_tan = np.einsum("...il,...lm,...mj->...ij", P, RN, P)
+    _close(cur.R_N, RN_tan)
+    _close(cur.ricci_N, np.einsum("...ii->...", RN_tan))

@@ -171,6 +171,28 @@ def test_each_sweep_point_is_built_once(monkeypatch):
     assert [(s.params["r0"], s.params["n"]) for s in built] == [(0.3, 64), (0.2, 64)]
 
 
+def test_sweep_points_do_not_outlive_their_evaluation(monkeypatch):
+    import gc
+    import weakref
+
+    from randers_foliations import verify
+
+    built = []
+
+    def tracking_build(spec):
+        gc.collect()
+        alive = [ref() is not None for ref in built]
+        M = build_example(spec)
+        built.append(weakref.ref(M))
+        assert not any(alive), "an earlier sweep point's manifold is still referenced"
+        return M
+
+    build_example = verify.build_example
+    monkeypatch.setattr(verify, "build_example", tracking_build)
+    run_formulas(ExampleSpec("flat-graph"), ["reeb-riemannian"], [16, 24, 32], "spectral")
+    assert len(built) == 3
+
+
 def test_eigen_sphere_balance_checks():
     reports = run_formulas(
         ExampleSpec("sphere-latitudes", {"beta_mode": "eigen", "r0_sweep": [0.2, 0.1]}),
