@@ -289,6 +289,9 @@ _PARAMS = {
     },
 }
 
+# the only parameters that take a tuple of numbers
+_TUPLE_PARAMS = ("beta_sharp", "r0_sweep")
+
 
 def example_names() -> list[str]:
     return sorted(_BUILDERS)
@@ -329,6 +332,9 @@ def build_example(spec: ExampleSpec) -> FoliatedRandersManifold:
         raise ExampleError(
             f"unknown example {spec.name!r}; available: {', '.join(example_names())}"
         ) from None
+    for key, value in spec.params.items():
+        if isinstance(value, tuple) and key not in _TUPLE_PARAMS:
+            raise ExampleError(f"{spec.name}: parameter {key} takes one value, got {value}")
     try:
         return builder(dict(spec.params))
     except ValueError as exc:

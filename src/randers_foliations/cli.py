@@ -23,6 +23,7 @@ the README).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -79,10 +80,12 @@ def _parse_scalar(text: str):
 
 
 def _parse_value(text: str):
-    """A number, a tuple of numbers (comma-separated), or the text itself."""
-    if "," not in text:
-        return _parse_scalar(text)
+    """A finite number, a tuple of finite numbers (comma-separated), or the text itself."""
     items = tuple(_parse_scalar(tok.strip()) for tok in text.split(","))
+    if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+        raise ConfigError(f"parameter value {text!r} is not finite")
+    if len(items) == 1:
+        return items[0]
     return items if all(isinstance(v, (int, float)) for v in items) else text
 
 

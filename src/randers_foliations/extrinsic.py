@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .invariants import dot, outer
+from .invariants import det, dot, outer
 from .manifold import (
     FoliatedRandersManifold,
     _masked_to_identity,
@@ -523,7 +523,7 @@ class ExtrinsicBundle:
         sigma_f = (1.0 - self.M.beta_norm**2) ** ((d + 1) / 2.0) * self.M.sqrt_det_a
         act = self.M.active
         out = np.zeros(self.M.grid.sizes)
-        out[act] = 0.5 * np.log(np.linalg.det(self.g)[act]) - np.log(sigma_f[act])
+        out[act] = 0.5 * np.log(det(self.g)[act]) - np.log(sigma_f[act])
         return out
 
     # -- rank-one pieces of the parallel-beta decomposition -----------------------

@@ -5,6 +5,11 @@ those of leaf vectors arrays of shape (..., m); these helpers evaluate dot
 and outer products, sigma_k, multi-matrix sigma_lambda and Newton
 transformations nodewise.  Semantics match :mod:`randers_foliations.matinv`,
 which owns the scalar reference implementations and the oracle.
+
+Grids are 2- or 3-dimensional, so every metric field is a stack of d x d
+matrices with d <= 3.  ``det``, ``inv`` and ``is_spd`` evaluate such stacks
+elementwise from their cofactors: a few whole-array products, where a batched
+LAPACK routine would pay its per-matrix overhead at every node.
 """
 
 from __future__ import annotations
@@ -12,6 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "det",
+    "inv",
+    "is_spd",
     "dot",
     "outer",
     "trace",
@@ -19,6 +27,63 @@ __all__ = [
     "sigma_multi_batched",
     "newton_transform_batched",
 ]
+
+
+def _order(A: np.ndarray) -> int:
+    d = A.shape[-1]
+    if A.ndim < 2 or A.shape[-2] != d or not 1 <= d <= 3:
+        raise ValueError(f"expected a stack of d x d matrices with d <= 3, got shape {A.shape}")
+    return d
+
+
+def _cofactor(A: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Cofactor C_ij of each d x d matrix, d <= 3."""
+    d = A.shape[-1]
+    if d == 1:
+        return np.ones(A.shape[:-2])
+    if d == 2:
+        c = A[..., 1 - i, 1 - j]
+        return c if i == j else -c
+    # the cyclic successors of i and j carry the sign (-1)^(i+j)
+    i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+    return A[..., i1, j1] * A[..., i2, j2] - A[..., i1, j2] * A[..., i2, j1]
+
+
+def det(A: np.ndarray) -> np.ndarray:
+    """Nodewise determinant of a stack of d x d matrices, d <= 3: first-row cofactor expansion."""
+    d = _order(A)
+    out = A[..., 0, 0] * _cofactor(A, 0, 0)
+    for j in range(1, d):
+        out += A[..., 0, j] * _cofactor(A, 0, j)
+    return out
+
+
+def inv(A: np.ndarray, D: np.ndarray | None = None) -> np.ndarray:
+    """Nodewise inverse of a stack of d x d matrices, d <= 3: adjugate over determinant.
+
+    ``D`` is ``det(A)`` when the caller already has it.
+    """
+    d = _order(A)
+    adj = np.empty(A.shape)
+    for i in range(d):
+        for j in range(d):
+            adj[..., j, i] = _cofactor(A, i, j)
+    adj /= (det(A) if D is None else D)[..., None, None]
+    return adj
+
+
+def is_spd(A: np.ndarray, D: np.ndarray | None = None) -> np.ndarray:
+    """Nodewise positive definiteness of symmetric d x d matrices, d <= 3.
+
+    Sylvester's criterion: every leading principal minor is positive.  The
+    minors are A_00, the cofactor C_22 (d = 3) and the determinant, which is
+    ``D`` when the caller already has it.
+    """
+    d = _order(A)
+    ok = ((det(A) if D is None else D) > 0) & (A[..., 0, 0] > 0)
+    if d == 3:
+        ok &= _cofactor(A, 2, 2) > 0
+    return ok
 
 
 def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -48,12 +113,12 @@ def sigma_k(A: np.ndarray, k: int) -> np.ndarray:
         return np.zeros(A.shape[:-2])
     if k == 0:
         return np.ones(A.shape[:-2])
-    # Newton's identities from batched power sums
-    p = [None]
+    # Newton's identities from batched power sums p_i = tr(A^i)
+    p = [None, trace(A)]
     P = A
-    for _ in range(k):
-        p.append(trace(P))
+    for _ in range(k - 1):
         P = P @ A
+        p.append(trace(P))
     e = [np.ones(A.shape[:-2])]
     for r in range(1, k + 1):
         s = np.zeros(A.shape[:-2])
@@ -64,7 +129,14 @@ def sigma_k(A: np.ndarray, k: int) -> np.ndarray:
 
 
 def sigma_multi_batched(mats: list[np.ndarray], lam: tuple[int, ...]) -> np.ndarray:
-    """Nodewise sigma_lambda via determinant interpolation on {0..m}^k."""
+    """Nodewise sigma_lambda(A_1, ..., A_k), without determinants.
+
+    With zero entries dropped and n = |lambda|, sigma_lambda is the coefficient
+    of prod_{i>=2} t_i^lambda_i in sigma_n(A_1 + sum_{i>=2} t_i A_i), a
+    polynomial of degree <= n in each t_i.  The coefficient is interpolated
+    from the power-sum sigma_n on the nodes {0..n}^(k-1): each axis weighs its
+    node values with row lambda_i of the inverse Vandermonde matrix.
+    """
     if len(mats) != len(lam):
         raise ValueError("multi-index length must match the number of matrices")
     active = [(A, l) for A, l in zip(mats, lam) if l > 0]
@@ -75,25 +147,18 @@ def sigma_multi_batched(mats: list[np.ndarray], lam: tuple[int, ...]) -> np.ndar
     m = mats[0].shape[-1]
     if sum(lam) > m:
         raise ValueError("|lambda| exceeds the matrix dimension")
-    k = len(active)
-    base = mats[0].shape[:-2]
-    eye = np.broadcast_to(np.eye(m), base + (m, m))
-    vals = np.empty(base + ((m + 1),) * k)
-    for idx in np.ndindex(*(((m + 1),) * k)):
-        M = eye.copy()
-        for t, (A, _) in zip(idx, active):
+    (A1, _), rest = active[0], active[1:]
+    n = sum(l for _, l in active)
+    V = np.vander(np.arange(n + 1, dtype=float), increasing=True)
+    rows = np.linalg.inv(V)[[l for _, l in rest]]
+    out = np.zeros(A1.shape[:-2])
+    for idx in np.ndindex(*((n + 1,) * len(rest))):
+        M = A1
+        for t, (A, _) in zip(idx, rest):
             if t:
                 M = M + t * A
-        vals[(Ellipsis,) + idx] = np.linalg.det(M)
-    V = np.vander(np.arange(m + 1, dtype=float), increasing=True)
-    Vinv = np.linalg.inv(V)
-    coeff = vals
-    for axis in range(k):
-        coeff = np.moveaxis(
-            np.einsum("pq,...q->...p", Vinv, np.moveaxis(coeff, -k + axis, -1)), -1, -k + axis
-        )
-    sel = (Ellipsis,) + tuple(l for _, l in active)
-    return coeff[sel]
+        out += np.prod(rows[np.arange(len(rest)), idx]) * sigma_k(M, n)
+    return out
 
 
 def newton_transform_batched(A: np.ndarray, r: int) -> np.ndarray:

@@ -26,6 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import PeriodicGrid, derivative_values, trapezoid_integral
+from .invariants import det, inv, is_spd
 
 __all__ = [
     "FoliatedRandersManifold",
@@ -86,8 +87,7 @@ class FoliatedRandersManifold:
         sym_err = np.max(np.abs(a - np.swapaxes(a, -1, -2)))
         if sym_err > 1e-12:
             raise ValueError(f"metric field not symmetric (max asymmetry {sym_err:.2e})")
-        evals = np.linalg.eigvalsh(a[act])
-        if evals.min() <= 0:
+        if not np.all(is_spd(a[act])):
             raise ValueError("metric field not positive definite on active nodes")
         a, beta, N = a.copy(), beta.copy(), N.copy()
         for arr in (a, beta, N):
@@ -121,11 +121,11 @@ class FoliatedRandersManifold:
     @cached_property
     def a_inv(self) -> np.ndarray:
         """Pointwise inverse metric; masked nodes fall back to the identity."""
-        return np.linalg.inv(_masked_to_identity(self.a, self))
+        return inv(_masked_to_identity(self.a, self))
 
     @cached_property
     def sqrt_det_a(self) -> np.ndarray:
-        return np.sqrt(np.clip(np.linalg.det(self.a), 0.0, None))
+        return np.sqrt(np.clip(det(self.a), 0.0, None))
 
     @cached_property
     def beta_sharp(self) -> np.ndarray:
@@ -220,16 +220,20 @@ def levi_civita(
     """Christoffel symbols Gamma[..., i, j, k] = Gamma^i_{jk} of a metric field.
 
     Defaults to the base metric ``a``; pass ``metric`` for any other SPD
-    field (the normal-metric g, for instance).
+    field (the normal-metric g, for instance); a ``metric`` that is not SPD
+    raises FloatingPointError naming the first such active node in C order.
     """
     g = M.a if metric is None else metric
-    if metric is not None:
-        lowest = np.linalg.eigvalsh(g).min(axis=-1)
-        lowest = np.where(M.active, lowest, np.inf)
-        if lowest.min() <= 0:
-            bad = tuple(int(i) for i in np.unravel_index(int(np.argmin(lowest)), M.grid.sizes))
-            raise FloatingPointError(f"metric field not SPD at node {bad}")
-    g_inv = M.a_inv if metric is None else np.linalg.inv(_masked_to_identity(g, M))
+    if metric is None:
+        g_inv = M.a_inv
+    else:
+        g_act = _masked_to_identity(g, M)
+        D = det(g_act)
+        bad = np.flatnonzero(~is_spd(g_act, D))
+        if bad.size:
+            node = tuple(int(i) for i in np.unravel_index(int(bad[0]), M.grid.sizes))
+            raise FloatingPointError(f"metric field not SPD at node {node}")
+        g_inv = inv(g_act, D)
     dg = gradient(M, g, scheme)  # dg[..., k, i, j] = d_k g_ij
     X = dg + np.swapaxes(dg, -3, -2)
     X -= np.moveaxis(dg, -3, -1)  # X[..., j, k, l] = d_j g_kl + d_k g_jl - d_l g_jk

@@ -82,6 +82,13 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 3 and all(line.startswith("error: ") for line in err)
     assert err[0].endswith("amplitdue for flat-graph; accepted: n, period, amplitude, beta_sharp")
+    # a tuple for a scalar parameter, and non-finite numbers
+    for value in ("0.1,0.2", "nan", "inf", "-inf", "0.1,nan"):
+        assert main(["--example", "flat-graph", "--param", f"amplitude={value}"]) == 2, value
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 5 and all(line.startswith("error: ") for line in err)
+    assert err[0] == "error: flat-graph: parameter amplitude takes one value, got (0.1, 0.2)"
+    assert all(line.endswith("is not finite") for line in err[1:])
 
 
 def test_list_catalog(capsys):

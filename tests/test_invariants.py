@@ -1,0 +1,63 @@
+import numpy as np
+import pytest
+
+from randers_foliations.invariants import det, inv, is_spd, sigma_multi_batched
+
+
+def _stacks(d, seed):
+    """A general and an SPD (4, 5, d, d) stack, both well conditioned."""
+    rng = np.random.default_rng(seed)
+    general = rng.uniform(-1, 1, (4, 5, d, d)) + 2.0 * np.eye(d)
+    B = rng.uniform(-1, 1, (4, 5, d, d))
+    spd = B @ np.swapaxes(B, -1, -2) + 0.5 * np.eye(d)
+    return general, spd
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cofactor_det_and_inv_match_lapack(d):
+    for A in _stacks(d, seed=d):
+        ref_det = np.linalg.det(A)
+        np.testing.assert_allclose(det(A), ref_det, rtol=1e-12, atol=0)
+        ref_inv = np.linalg.inv(A)
+        scale = np.max(np.abs(ref_inv), axis=(-2, -1), keepdims=True)
+        assert np.max(np.abs(inv(A) - ref_inv) / scale) < 1e-12
+        # a determinant passed in is the one they would compute
+        D = det(A)
+        assert np.array_equal(inv(A, D), inv(A))
+        assert np.array_equal(is_spd(A, D), is_spd(A))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sylvester_test_matches_eigenvalues(d):
+    general, spd = _stacks(d, seed=10 + d)
+    assert is_spd(spd).all()
+    sym = 0.5 * (general + np.swapaxes(general, -1, -2)) - 1.5 * np.eye(d)
+    np.testing.assert_array_equal(is_spd(sym), np.linalg.eigvalsh(sym).min(axis=-1) > 0)
+
+
+def test_sylvester_test_rejects_indefinite_matrices_with_positive_diagonal():
+    assert not is_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    # leading minors 1, 1, -3: only the determinant fails
+    A = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
+    assert A[0, 0] > 0 and np.linalg.det(A[:2, :2]) > 0 and det(A) < 0
+    assert not is_spd(A)
+    # eigenvalues 5, -1, -1: leading minors 1, -3, 5, so only the second fails
+    B = np.array([[1.0, 2.0, 2.0], [2.0, 1.0, 2.0], [2.0, 2.0, 1.0]])
+    assert det(B) > 0 and not is_spd(B)
+    assert is_spd(np.stack([np.eye(3), A, B, 2.0 * np.eye(3)])).tolist() == [True, False, False, True]
+
+
+def test_kernels_reject_unsupported_shapes():
+    for bad in (np.eye(4), np.ones((3, 2)), np.ones(3)):
+        for kernel in (det, inv, is_spd):
+            with pytest.raises(ValueError):
+                kernel(bad)
+
+
+def test_batched_sigma_multi_error_checks():
+    A = np.zeros((4, 2, 2))
+    with pytest.raises(ValueError):
+        sigma_multi_batched([A, A], (1,))
+    with pytest.raises(ValueError):
+        sigma_multi_batched([A, A], (2, 1))
+    np.testing.assert_array_equal(sigma_multi_batched([A, A], (0, 0)), np.ones(4))

@@ -120,12 +120,19 @@ def test_gradient_stacks_partials_after_grid_axes():
     # tensor components stay behind the new derivative axis
     assert gradient(M, M.a, "central4").shape == M.grid.sizes + (2, 2, 2)
 
-
 def test_non_spd_metric_reports_node():
     M = conformal(n=16)
     g = np.broadcast_to(np.eye(2), M.grid.sizes + (2, 2)).copy()
     g[3, 4] = -np.eye(2)
     with pytest.raises(FloatingPointError, match=r"\(3,\s*4\)"):
+        levi_civita(M, "spectral", metric=g)
+    # with several bad nodes the first in C order is named
+    g[5, 1] = -np.eye(2)
+    g[3, 9] = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(FloatingPointError, match=r"\(3,\s*4\)"):
+        levi_civita(M, "spectral", metric=g)
+    g[3, 4] = np.eye(2)
+    with pytest.raises(FloatingPointError, match=r"\(3,\s*9\)"):
         levi_civita(M, "spectral", metric=g)
 
 

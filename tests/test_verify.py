@@ -38,11 +38,13 @@ def test_batched_sigma_above_order_is_zero():
 
 def test_batched_sigma_multi_matches_scalar():
     rng = np.random.default_rng(1)
-    A = rng.uniform(-1, 1, (3, 2, 2))
-    B = rng.uniform(-1, 1, (3, 2, 2))
-    vals = sigma_multi_batched([A, B], (1, 1))
-    for i in range(3):
-        assert vals[i] == pytest.approx(sigma_multi([A[i], B[i]], (1, 1)), rel=1e-10, abs=1e-12)
+    cases = [(2, (1, 1)), (3, (1, 1)), (3, (2, 1)), (3, (1, 2)), (3, (1, 1, 1)), (3, (1, 0, 2)), (3, (0, 1, 1))]
+    for m, lam in cases:
+        mats = [rng.uniform(-1, 1, (3, m, m)) for _ in lam]
+        vals = sigma_multi_batched(mats, lam)
+        for i in range(3):
+            ref = sigma_multi([A[i] for A in mats], lam)
+            assert vals[i] == pytest.approx(ref, rel=1e-10, abs=1e-12), (m, lam)
 
 
 def test_batched_newton_matches_scalar():
