@@ -13,11 +13,11 @@ sweeps several, and giving both is a configuration error, as is a parameter
 name the example does not accept (``--list`` shows them).
 
 Exit status: 0 when every applicable check passes, 1 when any check fails,
-2 on configuration errors.  ``--formulas all`` selects every check expected
-to hold; ``--formulas full`` additionally includes the verbatim
-transcriptions of published displays that the convergence tables refute
-(those runs exit 1 by design; the failures are the finding, documented in
-the README).
+2 on configuration errors and when the report cannot be written.
+``--formulas all`` selects every check expected to hold; ``--formulas full``
+additionally includes the verbatim transcriptions of published displays
+that the convergence tables refute (those runs exit 1 by design; the
+failures are the finding, documented in the README).
 """
 
 from __future__ import annotations
@@ -142,6 +142,8 @@ def _resolve_formulas(selector: str) -> list[str]:
         raise ConfigError(
             f"unknown formula id(s): {', '.join(unknown)}; run --list to see the catalog"
         )
+    if not chosen:
+        raise ConfigError("--formulas selects no formula; give 'all', 'full' or formula ids")
     return chosen
 
 
@@ -221,6 +223,8 @@ def build_config(argv: list[str]) -> RunConfig | None:
     if scheme not in ("spectral", "central4"):
         raise ConfigError(f"unknown scheme {scheme!r}")
     seed = _parse_int(pick(args.seed, "seed", 0), "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     jobs_env = os.environ.get("RANDERS_FOLIATE_JOBS")
     jobs = _parse_int(pick(args.jobs, "jobs", jobs_env if jobs_env is not None else 1), "jobs")
     fmt = str(pick(args.fmt, "format", "json"))
@@ -320,8 +324,12 @@ def main(argv: list[str] | None = None) -> int:
             if config.fmt == "json"
             else reports_to_csv(reports)
         )
-        with open(config.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write report {config.out}: {exc.strerror}", file=sys.stderr)
+            return 2
         print(f"report written to {config.out}")
     return code
 

@@ -14,14 +14,16 @@ C_nu(., ., Z)).  Everything needed by the integral verifier (delta, the
 rank-one pieces U1, U2, a3 of the parallel-beta decomposition, the full shape
 operator A = A^g + C^sharp_nu, eigenvalues, volume densities) is cached on
 one bundle object, the only memo of the pipeline: each field is computed at
-most once per bundle, and a fresh bundle is built for every sweep point.
+most once per bundle, and a fresh bundle is built for every sweep point.  The
+bundle holds only derived fields; the pointwise scalars and normals (c, chat,
+beta(N), n, nu and bst = beta_sharp_top) are read from the manifold.
 
 Leaf operators and leaf vectors are frame arrays: (m x m) matrices and
 m-vectors in a per-node a-orthonormal tangent frame F.  The frame is built by
 Gram-Schmidt from the coordinate directions, dropping the one most parallel
 to N, so it is deterministic; frames are never differentiated.  Coordinate
 arrays remain only where a field is differentiated or comes out of a
-derivative (Abar, Zbar, Z_direct, W_n, the nabla fields) and where a
+derivative (Abar, Zbar, Z_direct, the nabla fields) and where a
 coordinate sup-norm residual reads it.  ``op_to_frame`` and ``vec_to_frame``
 are the only maps between the two.  Since F is tangent and a-orthonormal,
 F^T a P = F^T a and P F = F for the tangent projector P, so no argument needs
@@ -81,39 +83,12 @@ class ExtrinsicBundle:
         self.M = M
         self.scheme = scheme
 
-    # -- scalars and normals --------------------------------------------------
-
-    @cached_property
-    def c(self):
-        return self.M.c
-
-    @cached_property
-    def chat(self):
-        return self.M.chat
+    # -- metric level ----------------------------------------------------------
 
     @cached_property
     def cc(self):
         """F(n) = c chat."""
         return self.M.c * self.M.chat
-
-    @cached_property
-    def n(self):
-        return self.M.n_field
-
-    @cached_property
-    def nu(self):
-        return self.M.nu_field
-
-    @cached_property
-    def bst(self):
-        """Tangential part of the dual vector of beta."""
-        return self.M.beta_sharp_top
-
-    @cached_property
-    def beta_N(self):
-        return self.M.beta_N
-
-    # -- metric level ----------------------------------------------------------
 
     @cached_property
     def g(self):
@@ -133,14 +108,19 @@ class ExtrinsicBundle:
         return covariant_vector_derivative(self.M, self.M.beta_sharp, self.gamma_a, self.scheme)
 
     @cached_property
+    def nabla_Zbar(self):
+        """Covariant derivative of Zbar for the base metric."""
+        return covariant_vector_derivative(self.M, self.Zbar, self.gamma_a, self.scheme)
+
+    @cached_property
     def nabla_nu(self):
         """Covariant derivative of nu for the normal metric g."""
-        return covariant_vector_derivative(self.M, self.nu, self.gamma_g, self.scheme)
+        return covariant_vector_derivative(self.M, self.M.nu_field, self.gamma_g, self.scheme)
 
     @cached_property
     def d_chat(self):
         """Coordinate differential of chat."""
-        return gradient(self.M, self.chat, self.scheme)
+        return gradient(self.M, self.M.chat, self.scheme)
 
     # -- base-metric extrinsic quantities ---------------------------------------
 
@@ -214,7 +194,7 @@ class ExtrinsicBundle:
 
     @cached_property
     def b_frame(self):
-        return self.vec_to_frame(self.bst)
+        return self.vec_to_frame(self.M.beta_sharp_top)
 
     @cached_property
     def Zbar_frame(self):
@@ -228,7 +208,7 @@ class ExtrinsicBundle:
     @cached_property
     def Q_frame(self):
         """Q = Abar(bst) + c Zbar, the tangential part of -nabla_n N, in the frame."""
-        return self.Abst_frame + self.c[..., None] * self.Zbar_frame
+        return self.Abst_frame + self.M.c[..., None] * self.Zbar_frame
 
     @cached_property
     def h_frame(self):
@@ -245,7 +225,7 @@ class ExtrinsicBundle:
         """(c chat)^-1 (I + b b^T / c^2); Sherman-Morrison closed inverse."""
         bb = outer(self.b_frame, self.b_frame)
         cc = np.where(self.cc > 1e-12, self.cc, 1.0)
-        c2 = np.where(self.c > 1e-12, self.c**2, 1.0)
+        c2 = np.where(self.M.c > 1e-12, self.M.c**2, 1.0)
         return (np.eye(self.M.m) + bb / c2[..., None, None]) / cc[..., None, None]
 
     # -- shape operator of g: two routes ---------------------------------------
@@ -257,36 +237,28 @@ class ExtrinsicBundle:
         The g-normal component of the output is removed, out -= nu g(nu, out),
         before the frame map.
         """
-        g_nu = np.einsum("...ij,...j->...i", self.g, self.nu)
-        Dnu = self.nabla_nu
-        return -self.op_to_frame(Dnu - outer(self.nu, (g_nu[..., None, :] @ Dnu)[..., 0, :]))
+        nu, Dnu = self.M.nu_field, self.nabla_nu
+        g_nu = np.einsum("...ij,...j->...i", self.g, nu)
+        return -self.op_to_frame(Dnu - outer(nu, (g_nu[..., None, :] @ Dnu)[..., 0, :]))
 
     @cached_property
     def delta(self):
         """delta = -(1/2) c^-1 chat^-2 n(c chat)."""
         dcc = gradient(self.M, self.cc, self.scheme)
-        n_cc = np.einsum("...i,...i->...", self.n, dcc)
-        return -0.5 * n_cc / (self.c * self.chat**2)
-
-    @cached_property
-    def def_beta_sharp(self):
-        return deformation_tensor(self.M, self.M.beta_sharp, self.gamma_a, self.scheme)
+        n_cc = np.einsum("...i,...i->...", self.M.n_field, dcc)
+        return -0.5 * n_cc / (self.M.c * self.M.chat**2)
 
     @cached_property
     def Def_frame(self):
         """Tangential part of Def_{beta_sharp} in the frame."""
-        return self.op_to_frame(self.def_beta_sharp)
-
-    @cached_property
-    def W_n(self):
-        """nabla_n beta_sharp_top, a coordinate field; W_frame is its tangential part."""
-        nab_bst = covariant_vector_derivative(self.M, self.bst, self.gamma_a, self.scheme)
-        return np.einsum("...ik,...k->...i", nab_bst, self.n)
+        return self.op_to_frame(deformation_tensor(self.M, self.nabla_beta_sharp))
 
     @cached_property
     def W_frame(self):
         """(nabla_n beta_sharp_top)^T in the frame."""
-        return self.vec_to_frame(self.W_n)
+        M = self.M
+        nab_bst = covariant_vector_derivative(M, M.beta_sharp_top, self.gamma_a, self.scheme)
+        return self.vec_to_frame(np.einsum("...ik,...k->...i", nab_bst, M.n_field))
 
     @cached_property
     def Ag_formula(self):
@@ -307,7 +279,7 @@ class ExtrinsicBundle:
         ``Ag_printed``) carries chat in place of that factor c, so the two
         coincide exactly when beta(N) = 0 and differ otherwise.
         """
-        c, chat = self.c, self.chat
+        c, chat = self.M.c, self.M.chat
         c2 = np.where(c > 1e-12, c**2, 1.0)
         b, W, Q = self.b_frame, self.W_frame, self.Q_frame
         T = (
@@ -342,7 +314,7 @@ class ExtrinsicBundle:
         with U = chat^-1 (nabla_n bst)^T - c Zbar.  Agrees with the corrected
         ``Ag_formula`` exactly where beta(N) = 0.
         """
-        c, chat = self.c, self.chat
+        c, chat = self.M.c, self.M.chat
         b, Abst = self.b_frame, self.Abst_frame
         U = self.W_frame / chat[..., None] - c[..., None] * self.Zbar_frame
         V = (
@@ -367,7 +339,7 @@ class ExtrinsicBundle:
     @cached_property
     def Z_direct(self):
         """Z = nabla_nu nu from the numeric Levi-Civita connection of g."""
-        return self.M.project_tangent(np.einsum("...ik,...k->...i", self.nabla_nu, self.nu))
+        return self.M.project_tangent(np.einsum("...ik,...k->...i", self.nabla_nu, self.M.nu_field))
 
     @cached_property
     def Z_direct_frame(self):
@@ -384,7 +356,7 @@ class ExtrinsicBundle:
         """Z = (c chat)^-1 Zbar - c^-1 chat^-2 grad^T chat
                + c^-3 chat^-1 beta(Zbar - chat^-1 grad^T chat) bst  (frame array)."""
         b, Zb, dch = self.b_frame, self.Zbar_frame, self.dchat_frame
-        c, chat = self.c, self.chat
+        c, chat = self.M.c, self.M.chat
         beta_w = dot(b, Zb - dch / chat[..., None])
         return (
             Zb / (c * chat)[..., None]
@@ -423,8 +395,8 @@ class ExtrinsicBundle:
         torsion definition (see the verifier's convergence report).
         """
         b, Zb, dch = self.b_frame, self.Zbar_frame, self.dchat_frame
-        chat = self.chat
-        c2 = np.where(self.c > 1e-12, self.c**2, 1.0)
+        chat = self.M.chat
+        c2 = np.where(self.M.c > 1e-12, self.M.c**2, 1.0)
         # 2 C_n(e_a, e_b, Z) with Z eliminated
         twoC = (
             outer(Zb, b)
@@ -443,10 +415,10 @@ class ExtrinsicBundle:
         chat^3 scaling.  Kept for the comparison report.
         """
         b, Zb = self.b_frame, self.Zbar_frame
-        c, chat, cc = self.c, self.chat, self.cc
+        c, chat, cc = self.M.c, self.M.chat, self.cc
         dc = gradient(self.M, c, self.scheme)
         grad_c_f = self.vec_to_frame(np.einsum("...ij,...j->...i", self.M.a_inv, dc))
-        n_chat = np.einsum("...i,...i->...", self.n, self.d_chat)
+        n_chat = np.einsum("...i,...i->...", self.M.n_field, self.d_chat)
         bst_chat = dot(b, self.dchat_frame)
         beta_Zbar = dot(b, Zb)
         bb = outer(b, b)
@@ -461,7 +433,7 @@ class ExtrinsicBundle:
             + coef_id[..., None, None] * np.eye(self.M.m)
             + coef_bb[..., None, None] * bb
         )
-        c2 = np.where(self.c > 1e-12, self.c**2, 1.0)
+        c2 = np.where(self.M.c > 1e-12, self.M.c**2, 1.0)
         csharp_n = (Cbar + bb @ Cbar / c2[..., None, None]) / cc[..., None, None]
         return csharp_n / chat[..., None, None] ** 3
 
@@ -475,10 +447,10 @@ class ExtrinsicBundle:
         for tangent u, v and a general slot w.
         """
         M = self.M
-        nab_n = covariant_vector_derivative(M, self.n, self.gamma_g, self.scheme)
-        w = np.einsum("...ik,...k->...i", nab_n, self.n)  # nabla_n n, not tangent
+        nab_n = covariant_vector_derivative(M, M.n_field, self.gamma_g, self.scheme)
+        w = np.einsum("...ik,...k->...i", nab_n, M.n_field)  # nabla_n n, not tangent
         b, d, cc = self.b_frame, M.dim, self.cc
-        n_w = M.inner(self.n, w)
+        n_w = M.inner(M.n_field, w)
         # I_n(e_a) = (d+1)/2 beta(e_a); I_n(w) = (d+1)/(2 cc)(beta(w) - beta(n) <n, w>)
         beta_w = np.einsum("...i,...i->...", M.beta, w)
         I_w = (d + 1) / (2.0 * cc) * (beta_w - (cc - 1.0) * n_w)
@@ -531,23 +503,23 @@ class ExtrinsicBundle:
     def perp_beta(self, X):
         """Frame vector X with its bst component removed (identity where bst degenerates)."""
         b = self.b_frame
-        b2 = 1.0 - self.c**2
+        b2 = 1.0 - self.M.c**2
         safe = np.where(b2 > 1e-12, b2, 1.0)
         out = X - (dot(X, b) / safe)[..., None] * b
         return np.where((b2 > 1e-12)[..., None], out, X)
 
     @cached_property
     def Abar_bst(self):
-        return np.einsum("...ij,...j->...i", self.Abar, self.bst)
+        return np.einsum("...ij,...j->...i", self.Abar, self.M.beta_sharp_top)
 
     @cached_property
     def beta_Zbar(self):
-        return self.M.inner(self.bst, self.Zbar)
+        return self.M.inner(self.M.beta_sharp_top, self.Zbar)
 
     @cached_property
     def Abst_beta(self):
         """<Abar(bst), beta_sharp> = <Abar(bst), bst> (the output is tangent)."""
-        return self.M.inner(self.Abar_bst, self.bst)
+        return self.M.inner(self.Abar_bst, self.M.beta_sharp_top)
 
     @cached_property
     def U1(self):
@@ -558,8 +530,8 @@ class ExtrinsicBundle:
         c A^g = Abar + delta Id + U1^flat (x) bst + U2 (x) beta^T
                 + a3 beta^T (x) bst.
         """
-        v = self.Abst_frame - self.c[..., None] * self.Zbar_frame
-        c2 = np.where(self.c > 1e-12, self.c**2, 1.0)
+        v = self.Abst_frame - self.M.c[..., None] * self.Zbar_frame
+        c2 = np.where(self.M.c > 1e-12, self.M.c**2, 1.0)
         return self.perp_beta(v) / (2.0 * c2)[..., None]
 
     @cached_property
@@ -570,32 +542,32 @@ class ExtrinsicBundle:
     @cached_property
     def a3(self):
         """-beta(Zbar) / (c (1 - c^2)); weight of the beta^T (x) bst piece."""
-        b2 = 1.0 - self.c**2
+        b2 = 1.0 - self.M.c**2
         safe = np.where(b2 > 1e-12, b2, 1.0)
-        val = -self.beta_Zbar / (self.c * safe)
+        val = -self.beta_Zbar / (self.M.c * safe)
         return np.where(b2 > 1e-12, val, 0.0)
 
     @cached_property
     def U1_printed(self):
         """(1/(2 c chat)) (Abar(bst) + (c - 2 chat) Zbar)^{perp beta} (as published), frame vector."""
-        v = self.Abst_frame + (self.c - 2.0 * self.chat)[..., None] * self.Zbar_frame
+        v = self.Abst_frame + (self.M.c - 2.0 * self.M.chat)[..., None] * self.Zbar_frame
         return self.perp_beta(v) / (2.0 * self.cc)[..., None]
 
     @cached_property
     def U2_printed(self):
         """((c - 2 chat)/(2 chat)) (Abar(bst) + c Zbar)^{perp beta} (as published), frame vector."""
-        return ((self.c - 2.0 * self.chat) / (2.0 * self.chat))[..., None] * self.perp_beta(
+        return ((self.M.c - 2.0 * self.M.chat) / (2.0 * self.M.chat))[..., None] * self.perp_beta(
             self.Q_frame
         )
 
     @cached_property
     def a3_printed(self):
         """Published weight of the beta^T (x) bst piece."""
-        b2 = 1.0 - self.c**2
+        b2 = 1.0 - self.M.c**2
         safe = np.where(b2 > 1e-12, b2, 1.0)
-        val = (self.c - 2.0 * self.chat) / (self.cc * safe) * self.beta_Zbar - (
-            self.chat - self.c
-        ) / (self.c**2 * self.chat * safe) * self.Abst_beta
+        val = (self.M.c - 2.0 * self.M.chat) / (self.cc * safe) * self.beta_Zbar - (
+            self.M.chat - self.M.c
+        ) / (self.M.c**2 * self.M.chat * safe) * self.Abst_beta
         return np.where(b2 > 1e-12, val, 0.0)
 
 

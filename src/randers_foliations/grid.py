@@ -70,10 +70,6 @@ class PeriodicGrid:
     def meshgrid(self) -> list[np.ndarray]:
         return list(np.meshgrid(*(self.axis_coords(i) for i in range(self.dim)), indexing="ij"))
 
-    @property
-    def node_count(self) -> int:
-        return int(np.prod(self.sizes))
-
 
 def _spectral_derivative(values: np.ndarray, axis: int, period: float, n: int) -> np.ndarray:
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)

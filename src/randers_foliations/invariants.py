@@ -3,8 +3,9 @@
 Frame representations of leaf operators are arrays of shape (..., m, m) and
 those of leaf vectors arrays of shape (..., m); these helpers evaluate dot
 and outer products, sigma_k, multi-matrix sigma_lambda and Newton
-transformations nodewise.  Semantics match :mod:`randers_foliations.matinv`,
-which owns the scalar reference implementations and the oracle.
+transformations nodewise.  :mod:`randers_foliations.matinv` owns the
+determinant oracle and the single-tuple API; its single-matrix sigma_k and
+Newton transformation call the kernels here.
 
 Grids are 2- or 3-dimensional, so every metric field is a stack of d x d
 matrices with d <= 3.  ``det``, ``inv`` and ``is_spd`` evaluate such stacks

@@ -43,10 +43,6 @@ __all__ = [
 VOLUMES = ("a", "g", "F")
 
 
-def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + np.swapaxes(M, -1, -2))
-
-
 @dataclass(frozen=True)
 class FoliatedRandersManifold:
     """Grid + metric field a + 1-form field beta + unit normal field N."""
@@ -286,26 +282,21 @@ def covariant_operator_derivative(
     return term
 
 
-def deformation_tensor(
-    M: FoliatedRandersManifold, u: np.ndarray, gamma: np.ndarray, scheme: str
-) -> np.ndarray:
-    """(1,1) deformation tensor: half the a-symmetrised covariant derivative.
+def deformation_tensor(M: FoliatedRandersManifold, nab: np.ndarray) -> np.ndarray:
+    """(1,1) deformation tensor of u, given nab = nabla u: half its a-symmetrisation.
 
-    With nab = nabla u:  Def^i_j = (nab^i_j + a^{ik} nab^l_k a_{lj}) / 2,
-    i.e. (nab + a^-1 nab^T a) / 2.
+    Def^i_j = (nab^i_j + a^{ik} nab^l_k a_{lj}) / 2 = (nab + a^-1 nab^T a) / 2.
     """
-    nab = covariant_vector_derivative(M, u, gamma, scheme)
     nab_t = M.a_inv @ (np.swapaxes(nab, -1, -2) @ M.a)
     return 0.5 * (nab + nab_t)
 
 
 @dataclass(frozen=True)
 class BarData:
-    """Extrinsic quantities of the base metric: Abar, Zbar and helpers."""
+    """Extrinsic quantities of the base metric: Abar and Zbar."""
 
     Abar: np.ndarray        # (.., d, d) operator, kills N, maps into T(leaves)
     Zbar: np.ndarray        # (.., d) tangent vector field
-    nabla_N: np.ndarray     # (.., d, d) full covariant derivative of N
 
 
 def extrinsic_bar(M: FoliatedRandersManifold, gamma: np.ndarray, scheme: str) -> BarData:
@@ -314,18 +305,18 @@ def extrinsic_bar(M: FoliatedRandersManifold, gamma: np.ndarray, scheme: str) ->
     Zbar = M.project_tangent((nabN @ M.N[..., None])[..., 0])
     P = M.tangent_projector
     Abar = -(P @ nabN @ P)
-    return BarData(Abar=Abar, Zbar=Zbar, nabla_N=nabN)
+    return BarData(Abar=Abar, Zbar=Zbar)
 
 
 @dataclass(frozen=True)
 class CurvatureData:
-    riemann: np.ndarray     # R[..., i, j, k, l] with (R(e_k, e_l) e_j)^i
+    sup_riemann: float      # max |R^i_{jkl}| over all nodes and components
     R_N: np.ndarray         # operator R_N(u) = R(u, N) N on the tangent bundle
     ricci_N: np.ndarray     # scalar field, trace of R_N over the leaf tangent
 
 
 def curvature_bar(M: FoliatedRandersManifold, gamma: np.ndarray, scheme: str) -> CurvatureData:
-    """Riemann tensor of the base metric and its normal-direction operator.
+    """Normal-direction curvature of the base metric, and the sup of its Riemann tensor.
 
     R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma^i_{km} Gamma^m_{lj}
     - Gamma^i_{lm} Gamma^m_{kj}, assembled as T[i, k, l, j] - T[i, l, k, j] with
@@ -346,7 +337,8 @@ def curvature_bar(M: FoliatedRandersManifold, gamma: np.ndarray, scheme: str) ->
     P = M.tangent_projector
     RN_tan = P @ RN @ P
     ric = np.trace(RN_tan, axis1=-2, axis2=-1)
-    return CurvatureData(riemann=np.moveaxis(R, -1, -3), R_N=RN_tan, ricci_N=ric)
+    sup = max(R.max(), -R.min())  # max |R| without another d^4-sized array
+    return CurvatureData(sup_riemann=float(sup), R_N=RN_tan, ricci_N=ric)
 
 
 def integrate(M: FoliatedRandersManifold, f: np.ndarray, volume: str = "a") -> float:

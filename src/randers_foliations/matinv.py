@@ -16,9 +16,12 @@ Two independent routes are provided:
   of matrix words (Newton's identities for k = 1, a truncated
   exp-trace-log expansion for k = 2).
 
-``newton_transform`` implements T_0 = I, T_r = sigma_r(A) I - A T_{r-1}, and
-``verify_appendix_identities`` samples random tuples and measures the residual
-of every algebraic identity the rest of the package relies on.
+``sigma_single`` and ``newton_transform`` (T_0 = I, T_r = sigma_r(A) I -
+A T_{r-1}) check their input and hand the one matrix to the batched kernels of
+:mod:`randers_foliations.invariants`, the one implementation of Newton's
+identities.  ``verify_appendix_identities`` samples random tuples and
+measures the residual of every algebraic identity the rest of the package
+relies on.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import math
 from typing import Sequence
 
 import numpy as np
+
+from .invariants import newton_transform_batched, sigma_k
 
 __all__ = [
     "sigma_single",
@@ -65,25 +70,12 @@ def _check_tuple(mats: Sequence) -> list[np.ndarray]:
 
 
 def sigma_single(A, k: int) -> float:
-    """Elementary symmetric function sigma_k(A) via Newton's identities."""
+    """Elementary symmetric function sigma_k(A) via Newton's identities (``invariants.sigma_k``)."""
     A = _as_square(A)
     m = A.shape[0]
     if not 0 <= k <= m:
         raise ValueError(f"order k={k} out of range [0, {m}]")
-    # power sums p_i = tr(A^i), then e_k = (1/k) sum (-1)^(i-1) e_{k-i} p_i
-    p = np.empty(k + 1)
-    P = np.eye(m)
-    for i in range(1, k + 1):
-        P = P @ A
-        p[i] = np.trace(P)
-    e = np.empty(k + 1)
-    e[0] = 1.0
-    for r in range(1, k + 1):
-        s = 0.0
-        for i in range(1, r + 1):
-            s += (-1) ** (i - 1) * e[r - i] * p[i]
-        e[r] = s / r
-    return float(e[k])
+    return float(sigma_k(A, k))
 
 
 def _poly2_mul(P: np.ndarray, Q: np.ndarray, max_total: int) -> np.ndarray:
@@ -217,10 +209,7 @@ def newton_transform(A, r: int) -> np.ndarray:
     m = A.shape[0]
     if not 0 <= r <= m:
         raise ValueError(f"order r={r} out of range [0, {m}]")
-    T = np.eye(m)
-    for s in range(1, r + 1):
-        T = sigma_single(A, s) * np.eye(m) - A @ T
-    return T
+    return newton_transform_batched(A, r)
 
 
 def _rand_matrix(rng: np.random.Generator, m: int) -> np.ndarray:

@@ -67,10 +67,10 @@ def hypothesis_profile(E: ExtrinsicBundle) -> dict[str, float]:
     hyp["sup_nabla_beta"] = _sup_active(E, E.nabla_beta_sharp)
     hyp["sup_beta"] = _sup_active(E, M.beta_norm)
     hyp["min_beta_top"] = float(
-        np.min(np.where(M.active, np.sqrt(np.clip(1.0 - E.c**2, 0.0, None)), np.inf))
+        np.min(np.where(M.active, np.sqrt(np.clip(1.0 - M.c**2, 0.0, None)), np.inf))
     )
-    cs = np.where(M.active, E.c, np.nan)
-    bn = np.where(M.active, E.beta_N, np.nan)
+    cs = np.where(M.active, M.c, np.nan)
+    bn = np.where(M.active, M.beta_N, np.nan)
     hyp["var_c"] = float(np.nanmax(cs) - np.nanmin(cs))
     hyp["var_beta_N"] = float(np.nanmax(bn) - np.nanmin(bn))
     hyp["min_abs_beta_N"] = float(np.nanmin(np.abs(bn)))
@@ -80,7 +80,7 @@ def hypothesis_profile(E: ExtrinsicBundle) -> dict[str, float]:
     hyp["masked"] = 0.0 if M.mask is None else 1.0
     hyp["beta_singular"] = 1.0 if M.beta_singular else 0.0
     if M.mask is None:
-        hyp["sup_riemann"] = float(np.max(np.abs(E.curvature.riemann)))
+        hyp["sup_riemann"] = E.curvature.sup_riemann
         hyp["max_ricci_N"] = float(np.max(E.curvature.ricci_N))
     return hyp
 
@@ -150,7 +150,7 @@ def _directional(E, f, v):
 
 def _ric_nu(E):
     """Ric_nu of the Finsler structure: c^-2 Ric_N of the base metric."""
-    return E.curvature.ricci_N / E.c**2
+    return E.curvature.ricci_N / E.M.c**2
 
 
 def _curvature_spread(E):
@@ -217,7 +217,7 @@ def _ev_berwald_sigma(k, printed=False):
         Ab = E.Abar_frame
         eye = np.eye(m)
         Csh = E.Csharp_formula
-        cC = E.c[..., None, None] * Csh
+        cC = E.M.c[..., None, None] * Csh
         b = E.b_frame
         if printed:
             U1, U2, a3 = E.U1_printed, E.U2_printed, E.a3_printed
@@ -241,7 +241,7 @@ def _ev_berwald_sigma(k, printed=False):
             # published display: sigma_k(Abar + delta I) truncated at first order
             integrand = E.delta * (m - k + 1) * sigma_k(Ab, k - 1) + expansion - sigma_k(X, k)
             return integrate(E.M, integrand, "a"), 0.0, {}
-        integrand = expansion / E.c**k - sigma_k(Ab, k)
+        integrand = expansion / E.M.c**k - sigma_k(Ab, k)
         return integrate(E.M, integrand, "a"), 0.0, {}
 
     return ev
@@ -250,7 +250,7 @@ def _ev_berwald_sigma(k, printed=False):
 def _ev_sigma_tg(k):
     def ev(E, hyp):
         m = E.M.m
-        c, ch, cc = E.c, E.chat, E.cc
+        c, ch, cc = E.M.c, E.M.chat, E.cc
         eye = np.eye(m)
         Csh = E.Csharp_formula
         b = E.b_frame
@@ -262,7 +262,7 @@ def _ev_sigma_tg(k):
         t2 = (c - 2 * ch) / (2 * cc) * np.einsum("...ab,...b,...a->...", T0, b, Zp)
         # (Zbar^perp)^flat (x) bst: eats <Zbar^perp, .>, outputs bst
         R1 = outer(b, Zp) * ((c - 2 * ch) / (2 * cc))[..., None, None]
-        base = E.c[..., None, None] * Csh + E.delta[..., None, None] * eye
+        base = E.M.c[..., None, None] * Csh + E.delta[..., None, None] * eye
         T1 = newton_transform_batched(base + R1, k - 1)
         t3 = (c * (c - 2 * ch) / (2 * ch)) * np.einsum("...a,...ab,...b->...", b, T1, Zp)
         R2 = outer(Zp, b) * ((c * (c - 2 * ch)) / (2 * ch))[..., None, None]
@@ -283,7 +283,7 @@ def _csharp_bst(E, Csh):
 
 def _ev_parallel_second_order_printed(E, hyp):
     M = E.M
-    c, ch, cc = E.c, E.chat, E.cc
+    c, ch, cc = M.c, M.chat, E.cc
     Csh = E.Csharp_formula
     X = E.Abar_frame + c[..., None, None] * Csh
     bf = E.b_frame
@@ -311,7 +311,7 @@ def _ev_parallel_second_order_printed(E, hyp):
 
 def _ev_parallel_const_printed(E, hyp):
     M = E.M
-    c, ch, cc = E.c, E.chat, E.cc
+    c, ch, cc = M.c, M.chat, E.cc
     Csh = E.Csharp_formula
     Abf = E.Abar_frame
     Ab, Zb = E.Abst_frame, E.Zbar_frame
@@ -330,7 +330,7 @@ def _ev_parallel_const_printed(E, hyp):
 
 def _ev_parallel_tangent_printed(E, hyp):
     M = E.M
-    c = E.c
+    c = M.c
     Csh = E.Csharp_formula
     Abf = E.Abar_frame
     Ab, Zb = E.Abst_frame, E.Zbar_frame
@@ -352,26 +352,27 @@ def _ev_parallel_tangent_printed(E, hyp):
 
 def _ev_tilt_balance_printed(E, hyp):
     M = E.M
-    Nc = _directional(E, E.c, M.N)
+    Nc = _directional(E, M.c, M.N)
     integrand = (
         E.cc ** (M.m / 2.0)
-        / E.c**2
-        * (E.chat - E.c)
-        * (E.c * Nc + E.c * E.beta_Zbar + E.Abst_beta)
+        / M.c**2
+        * (M.chat - M.c)
+        * (M.c * Nc + M.c * E.beta_Zbar + E.Abst_beta)
     )
     return integrate(M, integrand, "a"), 0.0, {}
 
 
 def _ev_tilt_const_printed(E, hyp):
-    return integrate(E.M, E.Abst_beta + E.c * E.beta_Zbar, "a"), 0.0, {}
+    return integrate(E.M, E.Abst_beta + E.M.c * E.beta_Zbar, "a"), 0.0, {}
 
 
 def _ev_eigen_balance(E, hyp):
     # beta_sharp_top is an eigenfield of Abar; check it and integrate the eigenvalue
     M = E.M
-    b2 = np.where(M.active, M.inner(E.bst, E.bst), 1.0)
+    bst = M.beta_sharp_top
+    b2 = np.where(M.active, M.inner(bst, bst), 1.0)
     lam = np.where(M.active, E.Abst_beta / b2, 0.0)
-    Ares = E.Abar_bst - lam[..., None] * E.bst
+    Ares = E.Abar_bst - lam[..., None] * bst
     eig_res = _sup_active(E, Ares)
     return integrate(M, lam, "a"), 0.0, {"eigenfield_residual": eig_res}
 
@@ -412,7 +413,7 @@ def _ev_csharp_scale(E, hyp):
         detail["median_ratio"] = float(np.median(ratio))
         detail["median_cc"] = float(np.median(np.broadcast_to(E.cc[..., None, None], mag.shape)[big]))
         detail["median_chat3"] = float(
-            np.median(np.broadcast_to(E.chat[..., None, None] ** 3, mag.shape)[big])
+            np.median(np.broadcast_to(E.M.chat[..., None, None] ** 3, mag.shape)[big])
         )
         detail["median_cc3"] = float(np.median(np.broadcast_to(E.cc[..., None, None] ** 3, mag.shape)[big]))
     return resid, 0.0, detail
@@ -425,10 +426,10 @@ def _ev_trace_comparison(E, hyp):
     rhs = (
         trace(E.Abar_frame)
         + M.m * E.delta
-        + div_bs / E.chat
-        - Nchat / E.chat
+        + div_bs / M.chat
+        - Nchat / M.chat
     )
-    lhs = E.c * trace(E.Ag_direct)
+    lhs = M.c * trace(E.Ag_direct)
     return _sup_active(E, lhs - rhs), 0.0, {}
 
 
@@ -441,8 +442,7 @@ def _codazzi_asymmetry(E, nabZ, metric):
 
 
 def _ev_codazzi(E, hyp):
-    nabZ = covariant_vector_derivative(E.M, E.Zbar, E.gamma_a, E.scheme)
-    return _codazzi_asymmetry(E, nabZ, E.M.a), 0.0, {}
+    return _codazzi_asymmetry(E, E.nabla_Zbar, E.M.a), 0.0, {}
 
 
 def _ev_codazzi_g(E, hyp):
@@ -452,10 +452,9 @@ def _ev_codazzi_g(E, hyp):
 
 def _ev_riccati(E, hyp):
     M = E.M
-    gam = E.gamma_a
     P = M.tangent_projector
-    defz_t = P @ deformation_tensor(M, E.Zbar, gam, E.scheme) @ P
-    dNA = P @ covariant_operator_derivative(M, E.Abar, M.N, gam, E.scheme) @ P
+    defz_t = P @ deformation_tensor(M, E.nabla_Zbar) @ P
+    dNA = P @ covariant_operator_derivative(M, E.Abar, M.N, E.gamma_a, E.scheme) @ P
     A2 = E.Abar @ E.Abar
     zf = (M.a @ E.Zbar[..., None])[..., 0]
     zz = E.Zbar[..., :, None] * zf[..., None, :]
@@ -479,7 +478,7 @@ def _ev_abar_selfadjoint(E, hyp):
 
 def _ev_tangency(E, hyp):
     M = E.M
-    gz = np.einsum("...i,...ij,...j->...", E.Z_direct, E.g, E.nu)
+    gz = np.einsum("...i,...ij,...j->...", E.Z_direct, E.g, M.nu_field)
     az = M.inner(E.Zbar, M.N)
     return float(max(_sup_active(E, gz), _sup_active(E, az))), 0.0, {}
 
@@ -499,7 +498,7 @@ def _energy_pair(E):
     bnorm2 = float(np.max(np.where(M.active, M.beta_norm**2, 0.0)))
     ric_term = 0.0
     if M.mask is None:
-        ric_term = integrate(M, E.curvature.ricci_N / E.c**2, "a")
+        ric_term = integrate(M, E.curvature.ricci_N / M.c**2, "a")
     rhs = (1.0 - bnorm2) ** ((m + 2) / 2.0) * ((m + 1) / 2.0 * volA + ric_term / (2.0 * m))
     return energy, rhs, volF
 
@@ -516,7 +515,7 @@ def _ev_umbilicity_bound(E, hyp):
     U = integrate(M, _curvature_spread(E), "F")
     r = -hyp.get("max_ricci_N", 0.0)
     bnorm2 = float(np.max(np.where(M.active, M.beta_norm**2, 0.0)))
-    rhs = (1.0 - bnorm2) ** ((m + 2) / 2.0) * m * r * integrate(M, 1.0 / E.c**2 * np.ones(M.grid.sizes), "a")
+    rhs = (1.0 - bnorm2) ** ((m + 2) / 2.0) * m * r * integrate(M, 1.0 / M.c**2 * np.ones(M.grid.sizes), "a")
     return U - rhs, 0.0, {"umbilicity_defect": U, "bound": rhs}
 
 

@@ -63,8 +63,11 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
     assert main(["--example", "flat-graph", "--param", "beta_sharp=0.9,0.6"]) == 2
     assert main(["--example", "flat-parallel", "--param", "beta_sharp=0.6,0,0.9"]) == 2
     assert main(["--example", "sphere-latitudes", "--res", "128", "--param", "r0_sweep=0.2,0.01"]) == 2
-    # non-integer or non-boolean values from a config file or the environment
-    for line in ("seed = x", "jobs = 1.5", "matrix_identities = maybe"):
+    # a negative seed and an empty formula selection, as flags
+    assert main(["--example", "flat-parallel", "--seed", "-1", "--matrix-identities"]) == 2
+    assert main(["--example", "flat-parallel", "--formulas", ","]) == 2
+    # bad values from a config file or the environment
+    for line in ("seed = x", "jobs = 1.5", "matrix_identities = maybe", "seed = -1", "formulas ="):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"example = flat-parallel\n{line}\n")
         assert main(["--config", str(cfg)]) == 2, line
@@ -89,6 +92,13 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
     assert len(err) == 5 and all(line.startswith("error: ") for line in err)
     assert err[0] == "error: flat-graph: parameter amplitude takes one value, got (0.1, 0.2)"
     assert all(line.endswith("is not finite") for line in err[1:])
+    # a report path that cannot be written, after the sweep has run
+    out = tmp_path / "missing" / "report.json"
+    argv = ["--example", "flat-parallel", "--res", "12", "--formulas", "reeb-riemannian"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot write report {out}: No such file or directory"
+    ]
 
 
 def test_list_catalog(capsys):

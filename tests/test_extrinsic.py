@@ -1,4 +1,7 @@
+import dataclasses
+
 import numpy as np
+import pytest
 
 from randers_foliations.catalog import ExampleSpec, build_example
 from randers_foliations.extrinsic import build_extrinsic, g_metric_field
@@ -35,9 +38,9 @@ def test_g_field_matches_pointwise_fundamental_tensor():
         nd = f_normal(p, M.N[idx])
         g_pt = fundamental_tensor(p, nd.n)
         assert np.max(np.abs(E.g[idx] - g_pt)) < 1e-12
-        assert abs(E.c[idx] - nd.c) < 1e-13
-        assert abs(E.chat[idx] - nd.chat) < 1e-13
-        np.testing.assert_allclose(E.n[idx], nd.n, atol=1e-13)
+        assert abs(M.c[idx] - nd.c) < 1e-13
+        assert abs(M.chat[idx] - nd.chat) < 1e-13
+        np.testing.assert_allclose(M.n_field[idx], nd.n, atol=1e-13)
 
 
 def test_g_field_normal_beta_closed_form():
@@ -191,7 +194,7 @@ def test_z_formula_normal_beta_specialisation():
     E = build_extrinsic(M, "spectral")
     df = np.stack([derivative_values(f, grid, ax, "spectral") for ax in range(2)], -1)
     grad_f_tan = M.project_tangent(np.einsum("...ij,...j->...i", M.a_inv, df))
-    expected = E.Zbar / E.chat[..., None] - grad_f_tan / E.chat[..., None] ** 2
+    expected = E.Zbar / E.M.chat[..., None] - grad_f_tan / E.M.chat[..., None] ** 2
     assert np.max(np.abs(E.Z_direct - expected)) < 1e-9
     assert np.max(np.abs(E.Z_formula - E.vec_to_frame(expected))) < 1e-11
 
@@ -203,7 +206,7 @@ def test_csharp_routes_and_scale():
     target = E.cc[..., None, None] * E.Csharp_direct
     assert np.max(np.abs(E.Csharp_n_direct_numeric - target)) < 1e-10
     # and the published chat^3 scaling does not fit
-    wrong = E.chat[..., None, None] ** 3 * E.Csharp_direct
+    wrong = E.M.chat[..., None, None] ** 3 * E.Csharp_direct
     assert np.max(np.abs(E.Csharp_n_direct_numeric - wrong)) > 1e-3
 
 
@@ -256,7 +259,7 @@ def test_nabla_z_symmetry_for_g():
 
 def test_tangency_of_curvature_vectors():
     E = bundle("flat-graph", n=64)
-    gz = np.einsum("...i,...ij,...j->...", E.Z_direct, E.g, E.nu)
+    gz = np.einsum("...i,...ij,...j->...", E.Z_direct, E.g, E.M.nu_field)
     az = np.einsum("...i,...ij,...j->...", E.Zbar, E.M.a, E.M.N)
     assert np.max(np.abs(gz)) < 1e-10
     assert np.max(np.abs(az)) < 1e-10
@@ -274,8 +277,8 @@ def test_berwald_rank_one_decomposition():
         A2 = np.einsum("...a,...b->...ab", E.U2, b)
         A3 = E.a3[..., None, None] * np.einsum("...a,...b->...ab", b, b)
         lhs = E.Abar_frame + A1 + A2 + A3 + E.delta[..., None, None] * np.eye(M.m)
-        formula = E.c[..., None, None] * E.Ag_formula
-        direct = E.c[..., None, None] * E.Ag_direct
+        formula = M.c[..., None, None] * E.Ag_formula
+        direct = M.c[..., None, None] * E.Ag_direct
         # vs the comparison formula only the discretised derivative of the
         # (analytically parallel) beta field separates the two routes
         assert np.max(np.abs(lhs - formula)) < 1e-9
@@ -292,10 +295,10 @@ def test_parallel_tangent_specialisation_display():
 
     E = bundle("flat-graph-tangent", n=24)
     M = E.M
-    c = E.c
+    c = M.c
     bs = E.b_frame
     dc = np.stack([derivative_values(c, M.grid, ax, "spectral") for ax in range(M.dim)], -1)
-    n_c = np.einsum("...i,...i->...", E.n, dc)
+    n_c = np.einsum("...i,...i->...", M.n_field, dc)
     Abs = E.Abst_frame
     Zb = E.Zbar_frame
     disp = (
@@ -308,13 +311,13 @@ def test_parallel_tangent_specialisation_display():
         - (E.beta_Zbar / (c * (1 - c**2)))[..., None, None]
         * np.einsum("...a,...b->...ab", bs, bs)
     )
-    corrected = E.c[..., None, None] * E.Ag_formula
+    corrected = M.c[..., None, None] * E.Ag_formula
     assert np.max(np.abs(disp - corrected)) < 1e-10
 
 
 def test_delta_identity_under_parallel_beta():
     E = bundle("flat-graph")
-    expected = -(E.c * E.beta_Zbar + E.Abst_beta) / (2 * E.c**2)
+    expected = -(E.M.c * E.beta_Zbar + E.Abst_beta) / (2 * E.M.c**2)
     assert np.max(np.abs(expected - E.delta)) < 1e-10
 
 
@@ -342,15 +345,15 @@ def test_corrected_trace_identity_field():
     M = E.M
     nab = covariant_vector_derivative(M, M.beta_sharp, E.gamma_a, "spectral")
     div_bs = np.einsum("...ii->...", nab)
-    dchat = np.stack([derivative_values(E.chat, M.grid, ax, "spectral") for ax in range(2)], -1)
+    dchat = np.stack([derivative_values(M.chat, M.grid, ax, "spectral") for ax in range(2)], -1)
     Nchat = np.einsum("...i,...i->...", M.N, dchat)
     rhs = (
         np.einsum("...aa->...", E.op_to_frame(E.Abar))
         + M.m * E.delta
-        + div_bs / E.chat
-        - Nchat / E.chat
+        + div_bs / M.chat
+        - Nchat / M.chat
     )
-    lhs = E.c * np.einsum("...aa->...", E.Ag_direct)
+    lhs = M.c * np.einsum("...aa->...", E.Ag_direct)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -383,3 +386,69 @@ def test_formula_routes_agree_across_parameter_variations():
             )
         assert errs[1] < 1e-7 or errs[0] / errs[1] > 50.0, (name, params, errs)
 
+
+
+# -- what a bundle holds and computes ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def tangent_point():
+    """One flat-graph-tangent sweep point under ``--formulas all``.
+
+    Returns the point's bundle and every covariant_vector_derivative call
+    made while it was evaluated, as (field, connection) pairs.  The calls keep
+    their arguments alive, so equal ids mean the same arrays.
+    """
+    from randers_foliations import extrinsic, manifold, verify
+
+    derivative = manifold.covariant_vector_derivative
+    bundles, calls = [], []
+
+    def keep_bundle(*args, **kwargs):
+        bundles.append(build_extrinsic(*args, **kwargs))
+        return bundles[-1]
+
+    def record(M, v, gamma, scheme):
+        calls.append((v, gamma))
+        return derivative(M, v, gamma, scheme)
+
+    fids = [f for f in verify.formula_ids() if not verify.FORMULAS[f].refuted]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "build_extrinsic", keep_bundle)
+        for module in (manifold, extrinsic, verify):
+            mp.setattr(module, "covariant_vector_derivative", record)
+        verify.run_formulas(ExampleSpec("flat-graph-tangent"), fids, [12], "spectral")
+    assert len(bundles) == 1
+    return bundles[0], calls
+
+
+def test_bundle_holds_no_array_wider_than_the_connection(tangent_point):
+    # operators carry dim + 2 axes; only the two Christoffel fields carry
+    # dim + 3, and nothing holds a d^4 array such as the Riemann tensor
+    E, _ = tangent_point
+    held = {}
+
+    def walk(name, value):
+        if isinstance(value, np.ndarray):
+            held[name] = value.ndim
+        elif dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                walk(f"{name}.{f.name}", getattr(value, f.name))
+        elif isinstance(value, (tuple, list)):
+            for i, item in enumerate(value):
+                walk(f"{name}[{i}]", item)
+
+    for key, value in vars(E).items():
+        if key != "M":
+            walk(key, value)
+    assert "curvature.R_N" in held and "bars.Abar" in held
+    dim = E.M.dim
+    wide = {name: ndim for name, ndim in held.items() if ndim > dim + 2}
+    assert wide == {"gamma_a": dim + 3, "gamma_g": dim + 3}
+
+
+def test_bundle_takes_each_covariant_derivative_once(tangent_point):
+    _, calls = tangent_point
+    pairs = [(id(v), id(gamma)) for v, gamma in calls]
+    assert len(pairs) >= 6
+    assert len(set(pairs)) == len(pairs)

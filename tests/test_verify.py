@@ -9,7 +9,12 @@ from randers_foliations.invariants import (
     sigma_k,
     sigma_multi_batched,
 )
-from randers_foliations.matinv import newton_transform, sigma_multi, sigma_single
+from randers_foliations.matinv import (
+    newton_transform,
+    sigma_multi,
+    sigma_single,
+    sigma_via_determinant,
+)
 from randers_foliations.report import ResidualReport, reports_to_csv, reports_to_json
 from randers_foliations.verify import FORMULAS, formula_ids, run_formulas
 
@@ -22,13 +27,16 @@ def by_id(reports, fid):
 
 
 def test_batched_sigma_matches_scalar():
+    # against the determinant oracle, which shares no code with Newton's identities
     rng = np.random.default_rng(0)
     A = rng.uniform(-1, 1, (4, 5, 3, 3))
     for k in range(4):
         batched = sigma_k(A, k)
         for i in range(4):
             for j in range(5):
-                assert batched[i, j] == pytest.approx(sigma_single(A[i, j], k), rel=1e-10, abs=1e-12)
+                ref = sigma_via_determinant([A[i, j]], (k,))
+                assert batched[i, j] == pytest.approx(ref, rel=1e-10, abs=1e-12)
+                assert sigma_single(A[i, j], k) == pytest.approx(batched[i, j], rel=1e-14, abs=1e-15)
 
 
 def test_batched_sigma_above_order_is_zero():
@@ -48,12 +56,18 @@ def test_batched_sigma_multi_matches_scalar():
 
 
 def test_batched_newton_matches_scalar():
+    # against the closed form T_r = sum_i (-1)^i sigma_{r-i}(A) A^i, sigma from the oracle
     rng = np.random.default_rng(2)
     A = rng.uniform(-1, 1, (4, 3, 3))
-    for r in range(3):
+    for r in range(4):
         batched = newton_transform_batched(A, r)
-        for i in range(4):
-            np.testing.assert_allclose(batched[i], newton_transform(A[i], r), atol=1e-12)
+        for n in range(4):
+            ref = sum(
+                (-1) ** i * sigma_via_determinant([A[n]], (r - i,)) * np.linalg.matrix_power(A[n], i)
+                for i in range(r + 1)
+            )
+            np.testing.assert_allclose(batched[n], ref, atol=1e-12)
+            np.testing.assert_allclose(newton_transform(A[n], r), batched[n], rtol=1e-14, atol=1e-15)
 
 
 # -- runner behaviour -------------------------------------------------------------
@@ -287,9 +301,9 @@ def test_first_order_expansion_matches_closed_display_pointwise():
     E = build_extrinsic(build_example(ExampleSpec("flat-graph", {"n": 48})), "spectral")
     m = E.M.m
     closed = (
-        E.c * trace(E.Csharp_formula)
+        E.M.c * trace(E.Csharp_formula)
         + m * E.delta
-        + E.a3_printed * (1.0 - E.c**2)
+        + E.a3_printed * (1.0 - E.M.c**2)
     )
     # reassemble the same integrand the printed k = 1 evaluator integrates
     b = E.b_frame
@@ -297,10 +311,10 @@ def test_first_order_expansion_matches_closed_display_pointwise():
     U2 = E.U2_printed
     pieces = (
         m * E.delta
-        + E.c * trace(E.Csharp_formula)
+        + E.M.c * trace(E.Csharp_formula)
         + np.einsum("...a,...a->...", b, U1)
         + np.einsum("...a,...a->...", b, U2)
-        + E.a3_printed * (1.0 - E.c**2)
+        + E.a3_printed * (1.0 - E.M.c**2)
     )
     assert np.max(np.abs(pieces - closed)) < 1e-10
     # and both reproduce the registry evaluator's value
