@@ -4,30 +4,16 @@ Every example lives on a single periodic chart.  The foliations are exact by
 construction (level sets of explicit functions), so integrability never has
 to be checked numerically.
 
-==================  ====  =========================================================
-name                dim   geometry
-==================  ====  =========================================================
-flat-parallel        3    flat torus, parallel hyperplane leaves, constant beta
-                          (Berwald, Abar = Zbar = 0, totally geodesic)
-flat-graph           2    flat torus, leaves y = phi(x) + const, constant beta
-                          (Berwald, flat, Abar != 0, beta(N) varies)
-flat-graph-tangent   3    flat torus, leaves z = phi(x) + const, constant beta
-                          tangent to the leaves (Berwald, beta(N) = 0, the
-                          second coordinate direction is flat along each leaf)
-conformal-torus      2    a = e^{2 phi} delta, coordinate leaves, smooth beta
-                          (non-Berwald; beta_mode selects generic / constant
-                          angle / vanishing beta)
-sphere-latitudes     2    round 2-sphere in the (theta, phi) chart, latitude
-                          leaves, poles excised at radius r0 (singular case);
-                          beta_mode rotational (leaf-tangent, asymmetric
-                          profile) or eigen (beta_sharp = eps' X + eps N with
-                          X the principal direction field)
-==================  ====  =========================================================
+Each example's builder, default resolutions, description (``--list``) and
+parameter rows are listed once, in ``_EXAMPLES`` and ``PARAMS`` below.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,12 +23,16 @@ from .manifold import FoliatedRandersManifold
 __all__ = [
     "ExampleError",
     "ExampleSpec",
+    "Param",
+    "PARAMS",
     "build_example",
     "example_names",
     "example_info",
     "default_resolutions",
+    "param_help",
+    "parse_params",
+    "resolve_params",
     "r0_sweep",
-    "DEFAULT_R0_SWEEP",
 ]
 
 
@@ -55,117 +45,85 @@ class ExampleSpec:
     name: str
     params: dict = field(default_factory=dict)
 
-    def with_resolution(self, n: int) -> "ExampleSpec":
-        params = dict(self.params)
-        params["n"] = int(n)
-        return ExampleSpec(self.name, params)
 
-
-def _flat_parallel(params: dict) -> FoliatedRandersManifold:
-    n = int(params.get("n", 16))
-    L = float(params.get("period", 1.0))
-    bs = np.asarray(params.get("beta_sharp", (0.3, 0.0, 0.4)), float)
-    grid = PeriodicGrid((n, n, n), (L, L, L))
-    d = 3
-    if bs.shape != (d,):
-        raise ValueError("flat-parallel expects a 3-component beta_sharp")
+def _flat_parallel(p: dict) -> FoliatedRandersManifold:
+    n, L, bs = p["n"], p["period"], np.asarray(p["beta_sharp"])
     if np.linalg.norm(bs) >= 1.0:
         raise ValueError("|beta| must be < 1")
+    grid = PeriodicGrid((n, n, n), (L, L, L))
     shape = grid.sizes
-    a = np.broadcast_to(np.eye(d), shape + (d, d)).copy()
-    N = np.zeros(shape + (d,))
-    N[..., d - 1] = 1.0
-    beta = np.broadcast_to(bs, shape + (d,)).copy()
+    a = np.broadcast_to(np.eye(3), shape + (3, 3)).copy()
+    N = np.zeros(shape + (3,))
+    N[..., 2] = 1.0
+    beta = np.broadcast_to(bs, shape + (3,)).copy()
     return FoliatedRandersManifold(grid, a, beta, N, name="flat-parallel")
 
 
-def _graph_profile(x: np.ndarray, L: float, amp: float) -> tuple[np.ndarray, np.ndarray]:
+def _graph_slope(x: np.ndarray, L: float, amp: float) -> np.ndarray:
+    """phi'(x) of the leaf profile phi = amp (sin(w x) + cos(2 w x) / 2), w = 2 pi / L."""
     w = 2.0 * np.pi / L
-    phi = amp * (np.sin(w * x) + 0.5 * np.cos(2.0 * w * x))
-    dphi = amp * w * (np.cos(w * x) - np.sin(2.0 * w * x))
-    return phi, dphi
+    return amp * w * (np.cos(w * x) - np.sin(2.0 * w * x))
 
 
-def _flat_graph(params: dict) -> FoliatedRandersManifold:
-    n = int(params.get("n", 64))
-    L = float(params.get("period", 1.0))
-    amp = float(params.get("amplitude", 0.05))
-    bs = np.asarray(params.get("beta_sharp", (0.3, 0.15)), float)
+def _flat_graph(p: dict) -> FoliatedRandersManifold:
+    n, L, bs = p["n"], p["period"], np.asarray(p["beta_sharp"])
     grid = PeriodicGrid((n, n), (L, L))
     x, _y = grid.meshgrid()
-    _, dphi = _graph_profile(x, L, amp)
+    dphi = _graph_slope(x, L, p["amplitude"])
     W = np.sqrt(1.0 + dphi**2)
     shape = grid.sizes
     a = np.broadcast_to(np.eye(2), shape + (2, 2)).copy()
     N = np.stack([-dphi / W, 1.0 / W], axis=-1)
-    if np.linalg.norm(bs) >= 1.0:
+    norm = np.linalg.norm(bs)
+    if norm >= 1.0:
         raise ValueError("|beta| must be < 1")
-    # beta_sharp must stay nowhere parallel to N
-    cosang = np.abs(N @ bs) / np.linalg.norm(bs)
-    if cosang.max() >= 1.0 - 1e-6:
+    # beta_sharp must stay nowhere parallel to N (beta = 0 is parallel to nothing)
+    if norm > 0.0 and np.abs(N @ bs).max() >= (1.0 - 1e-6) * norm:
         raise ValueError("beta_sharp is parallel to N somewhere; leaves would be orthogonal")
     beta = np.broadcast_to(bs, shape + (2,)).copy()
     return FoliatedRandersManifold(grid, a, beta, N, name="flat-graph")
 
 
-def _flat_graph_tangent(params: dict) -> FoliatedRandersManifold:
-    n = int(params.get("n", 32))
-    L = float(params.get("period", 1.0))
-    amp = float(params.get("amplitude", 0.04))
-    b = float(params.get("b", 0.4))
+def _flat_graph_tangent(p: dict) -> FoliatedRandersManifold:
+    n, L = p["n"], p["period"]
     grid = PeriodicGrid((n, n, n), (L, L, L))
     x = grid.meshgrid()[0]
-    _, dphi = _graph_profile(x, L, amp)
+    dphi = _graph_slope(x, L, p["amplitude"])
     W = np.sqrt(1.0 + dphi**2)
     shape = grid.sizes
     a = np.broadcast_to(np.eye(3), shape + (3, 3)).copy()
     N = np.stack([-dphi / W, np.zeros_like(W), 1.0 / W], axis=-1)
-    if not 0 < abs(b) < 1:
-        raise ValueError("tangent component b must satisfy 0 < |b| < 1")
-    beta = np.broadcast_to(np.array([0.0, b, 0.0]), shape + (3,)).copy()
+    beta = np.broadcast_to(np.array([0.0, p["b"], 0.0]), shape + (3,)).copy()
     return FoliatedRandersManifold(grid, a, beta, N, name="flat-graph-tangent")
 
 
-def _conformal_torus(params: dict) -> FoliatedRandersManifold:
-    n = int(params.get("n", 64))
-    L = float(params.get("period", 1.0))
-    amp = float(params.get("phi_amplitude", 0.15))
-    mode = params.get("beta_mode", "generic")
+def _conformal_torus(p: dict) -> FoliatedRandersManifold:
+    n, L, amp, mode = p["n"], p["period"], p["phi_amplitude"], p["beta_mode"]
     grid = PeriodicGrid((n, n), (L, L))
     x, y = grid.meshgrid()
     w = 2.0 * np.pi / L
     phi = amp * (np.sin(w * x) * np.cos(w * y) + 0.4 * np.cos(w * x) + 0.3 * np.sin(w * y))
     e2p = np.exp(2.0 * phi)
     shape = grid.sizes
-    a = np.zeros(shape + (2, 2))
-    a[..., 0, 0] = e2p
-    a[..., 1, 1] = e2p
+    a = e2p[..., None, None] * np.eye(2)
     emp = np.exp(-phi)
     N = np.stack([np.zeros(shape), emp], axis=-1)
     if mode == "riemannian":
         bsharp = np.zeros(shape + (2,))
     elif mode == "generic":
-        e1 = float(params.get("eps1", 0.35))
-        e2 = float(params.get("eps2", 0.25))
         u = np.sin(w * x + 0.7) * np.cos(w * y)
         v = np.cos(w * x) * np.sin(w * y + 0.3)
-        bsharp = np.stack([e1 * u * emp, e2 * v * emp], axis=-1)
-    elif mode == "constant-angle":
-        e1 = float(params.get("eps1", 0.4))
-        e2 = float(params.get("eps2", 0.25))
-        bsharp = np.stack([e1 * emp, e2 * emp], axis=-1)
-    else:
-        raise ValueError(f"unknown beta_mode {mode!r}")
+        bsharp = np.stack([p["eps1"] * u * emp, p["eps2"] * v * emp], axis=-1)
+    else:  # constant-angle
+        bsharp = np.stack([p["eps1"] * emp, p["eps2"] * emp], axis=-1)
     beta = np.einsum("...ij,...j->...i", a, bsharp)
     return FoliatedRandersManifold(
         grid, a, beta, N, name=f"conformal-torus[{mode}]", beta_sharp_given=bsharp
     )
 
 
-def _sphere_latitudes(params: dict) -> FoliatedRandersManifold:
-    n = int(params.get("n", 256))
-    r0 = float(params.get("r0", 0.1))
-    mode = params.get("beta_mode", "rotational")
+def _sphere_latitudes(p: dict) -> FoliatedRandersManifold:
+    n, r0, mode, eps = p["n"], p["r0"], p["beta_mode"], p["eps"]
     grid = PeriodicGrid((n, n), (np.pi, 2.0 * np.pi))
     if r0 < 2.0 * max(grid.spacings):
         raise ValueError(
@@ -182,20 +140,18 @@ def _sphere_latitudes(params: dict) -> FoliatedRandersManifold:
     N[..., 0] = 1.0
     mask = np.minimum(theta, np.pi - theta) > r0
     if mode == "rotational":
-        eps = float(params.get("eps", 0.25))
-        asym = float(params.get("asym", 0.6))
-        profile = eps * (1.0 + asym * c2)
+        profile = eps * (1.0 + p["asym"] * c2)
         if np.max(np.abs(profile) * s) >= 1.0:
             raise ValueError("rotational beta profile exceeds the norm bound")
         bsharp = np.zeros(shape + (2,))
         bsharp[..., 1] = profile
         beta = np.zeros(shape + (2,))
         beta[..., 1] = profile * s**2
-    elif mode == "eigen":
-        # beta_sharp = eps' X + eps N with X the unit latitude direction field;
-        # X does not extend over the poles, so beta is singular on the excised set
-        epsp = float(params.get("eps_prime", 0.3))
-        eps = float(params.get("eps", 0.25))
+    else:
+        # eigen: beta_sharp = eps' X + eps N with X the unit latitude direction
+        # field; X does not extend over the poles, so beta is singular on the
+        # excised set
+        epsp = p["eps_prime"]
         if epsp**2 + eps**2 >= 1.0:
             raise ValueError("eigen-mode coefficients exceed the norm bound")
         s_safe = np.where(np.abs(s) > 1e-12, s, 1.0)
@@ -205,137 +161,215 @@ def _sphere_latitudes(params: dict) -> FoliatedRandersManifold:
         beta = np.zeros(shape + (2,))
         beta[..., 0] = eps
         beta[..., 1] = epsp * s
-    else:
-        raise ValueError(f"unknown beta_mode {mode!r}")
     return FoliatedRandersManifold(
-        grid,
-        a,
-        beta,
-        N,
-        mask=mask,
-        name=f"sphere-latitudes[{mode}]",
-        excision_radius=r0,
-        beta_sharp_given=bsharp,
-        beta_singular=(mode == "eigen"),
+        grid, a, beta, N, mask=mask, name=f"sphere-latitudes[{mode}]", excision_radius=r0,
+        beta_sharp_given=bsharp, beta_singular=(mode == "eigen"),
     )
 
 
-_BUILDERS = {
-    "flat-parallel": _flat_parallel,
-    "flat-graph": _flat_graph,
-    "flat-graph-tangent": _flat_graph_tangent,
-    "conformal-torus": _conformal_torus,
-    "sphere-latitudes": _sphere_latitudes,
-}
-
-_INFO = {
+# name: (builder, default resolutions, description); the excised sphere sweeps
+# the excision radius at the finest grid, so one resolution is its default
+_EXAMPLES = {
     "flat-parallel": (
+        _flat_parallel, (12, 16),
         "flat T^3, parallel leaves, constant tilted beta; Berwald, flat, "
         "Abar = Zbar = 0; exercises every formula trivially and the "
-        "totally-geodesic and equality cases of the bounds"
+        "totally-geodesic and equality cases of the bounds",
     ),
     "flat-graph": (
+        _flat_graph, (48, 64),
         "flat T^2, graph leaves, constant beta, beta(N) varying; Berwald, "
         "flat curvature: exercises the shape-operator comparison, the "
         "parallel-field second-order formula, the Berwald sigma_k series "
-        "and the flat total-curvature values"
+        "and the flat total-curvature values",
     ),
     "flat-graph-tangent": (
+        _flat_graph_tangent, (24, 32),
         "flat T^3, graph leaves along x, constant beta tangent to leaves; "
         "Berwald, beta(N) = 0 constant: adds the constant-angle variants "
-        "and the parallel-tangent vanishing conclusions"
+        "and the parallel-tangent vanishing conclusions",
     ),
     "conformal-torus": (
+        _conformal_torus, (48, 64),
         "conformally flat T^2, coordinate leaves, smooth non-parallel beta; "
         "exercises the general first-order balance, the weighted mean "
         "curvature formula and (beta_mode=riemannian) the curvature-route "
-        "second-order identity"
+        "second-order identity",
     ),
     "sphere-latitudes": (
+        _sphere_latitudes, (256,),
         "round S^2, latitude leaves, poles excised at radius r0: the "
         "singular-foliation regime; beta_mode=eigen runs the principal "
-        "direction construction with constant c and beta(N)"
+        "direction construction with constant c and beta(N)",
     ),
 }
 
-_DEFAULT_RES = {
-    "flat-parallel": (12, 16),
-    "flat-graph": (48, 64),
-    "flat-graph-tangent": (24, 32),
-    "conformal-torus": (48, 64),
-    # excised runs sweep the excision radius at the finest grid, so a single
-    # resolution is the meaningful default here
-    "sphere-latitudes": (256,),
-}
+_FINITE, _POSITIVE, _UNIT = ((-math.inf, math.inf),), ((0.0, math.inf),), ((-1.0, 1.0),)
+_RADIUS = ((0.0, math.pi / 2),)  # a larger excision radius leaves no active node
 
-# examples whose mask excises singular points; they sweep the excision radius
-_EXCISED = ("sphere-latitudes",)
-DEFAULT_R0_SWEEP = (0.2, 0.1, 0.05)
 
-# the parameters each example accepts, with the default shown by --list (None:
-# the default depends on beta_mode); n is also set by the resolution sweep and
-# r0 by the excision sweep
-_PARAMS = {
-    "flat-parallel": {"n": "16", "period": "1.0", "beta_sharp": "(0.3,0,0.4)"},
-    "flat-graph": {"n": "64", "period": "1.0", "amplitude": "0.05", "beta_sharp": "(0.3,0.15)"},
-    "flat-graph-tangent": {"n": "32", "period": "1.0", "amplitude": "0.04", "b": "0.4"},
+class Param(NamedTuple):
+    """One parameter row.  ``kind`` is ``number``, ``tuple`` (``arity``
+    components; None: one or more) or ``choice`` (one of the strings
+    ``bounds``); a number and each tuple component lie in one of the open
+    intervals ``bounds``.  A dict default ``{beta_mode: value}`` names the
+    modes that read the row, and must follow the ``beta_mode`` row."""
+
+    default: object
+    kind: str = "number"
+    arity: int | None = 1
+    bounds: tuple = _FINITE
+
+
+# every parameter each example accepts; the resolution sweep sets the grid size n
+PARAMS = {
+    "flat-parallel": {
+        "period": Param(1.0, bounds=_POSITIVE),
+        "beta_sharp": Param((0.3, 0.0, 0.4), "tuple", 3, _UNIT),
+    },
+    "flat-graph": {
+        "period": Param(1.0, bounds=_POSITIVE),
+        "amplitude": Param(0.05),
+        "beta_sharp": Param((0.3, 0.15), "tuple", 2, _UNIT),
+    },
+    "flat-graph-tangent": {
+        "period": Param(1.0, bounds=_POSITIVE),
+        "amplitude": Param(0.04),
+        # the only beta component, tangent to the leaves; 0 would make beta vanish
+        "b": Param(0.4, bounds=((-1.0, 0.0), (0.0, 1.0))),
+    },
     "conformal-torus": {
-        "n": "64", "period": "1.0", "phi_amplitude": "0.15",
-        "beta_mode": "generic|constant-angle|riemannian", "eps1": None, "eps2": None,
+        "period": Param(1.0, bounds=_POSITIVE),
+        "phi_amplitude": Param(0.15),
+        "beta_mode": Param("generic", "choice", bounds=("generic", "constant-angle", "riemannian")),
+        "eps1": Param({"generic": 0.35, "constant-angle": 0.4}, bounds=_UNIT),
+        "eps2": Param({"generic": 0.25, "constant-angle": 0.25}, bounds=_UNIT),
     },
     "sphere-latitudes": {
-        "n": "256", "r0": "0.1", "r0_sweep": "0.2,0.1,0.05",
-        "beta_mode": "rotational|eigen", "eps": None, "asym": None, "eps_prime": None,
+        "r0": Param(0.1, bounds=_RADIUS),
+        "r0_sweep": Param((0.2, 0.1, 0.05), "tuple", None, _RADIUS),  # read by r0_sweep
+        "beta_mode": Param("rotational", "choice", bounds=("rotational", "eigen")),
+        "eps": Param(0.25, bounds=_UNIT),
+        "asym": Param({"rotational": 0.6}),
+        "eps_prime": Param({"eigen": 0.3}, bounds=_UNIT),
     },
 }
-
-# the only parameters that take a tuple of numbers
-_TUPLE_PARAMS = ("beta_sharp", "r0_sweep")
 
 
 def example_names() -> list[str]:
-    return sorted(_BUILDERS)
+    return sorted(_EXAMPLES)
 
 
 def example_info(name: str) -> str:
-    return _INFO[name]
-
-
-def example_params(name: str) -> dict[str, str | None]:
-    """Parameters one example accepts, each with its default (None: mode-dependent)."""
-    return dict(_PARAMS[name])
+    return _EXAMPLES[name][2]
 
 
 def default_resolutions(name: str) -> tuple[int, ...]:
-    return _DEFAULT_RES[name]
+    return _EXAMPLES[name][1]
+
+
+def _intervals(bounds: tuple) -> str:
+    return " or ".join(f"({lo:g}, {hi:g})" for lo, hi in bounds)
+
+
+def param_help(name: str) -> list[str]:
+    """One line per row: kind, arity, bounds and the default of each beta_mode."""
+    lines = []
+    for key, row in PARAMS[name].items():
+        kind = f"tuple[{row.arity or '1+'}]" if row.kind == "tuple" else row.kind
+        bounds = "|".join(row.bounds) if row.kind == "choice" else _intervals(row.bounds)
+        lines.append(f"{key:<14s} {kind} in {bounds}; default {row.default}")
+    return lines
+
+
+def parse_params(name: str, texts: dict[str, str]) -> dict:
+    """``--param`` text parsed by each row's kind and validated: a choice keeps
+    its text, anything else becomes a float or, with commas, a tuple of them."""
+    rows, params = PARAMS.get(name, {}), {}
+    for key, text in texts.items():
+        items = tuple(map(_number, text.split(",")))
+        choice = key in rows and rows[key].kind == "choice"
+        params[key] = text if choice else items[0] if len(items) == 1 else items
+    resolve_params(name, params)
+    return params
+
+
+def _number(token: str) -> float | str:
+    try:
+        return float(token)
+    except ValueError:
+        return token.strip()
+
+
+def _check(where: str, row: Param, value):
+    """One given value against its row; numbers come back as floats."""
+    if row.kind == "choice":
+        if not (isinstance(value, str) and value in row.bounds):
+            raise ExampleError(f"{where} must be one of {'|'.join(row.bounds)}, got {value!r}")
+        return value
+    many = isinstance(value, (tuple, list))
+    items = tuple(value) if many else (value,)
+    if any(isinstance(v, bool) or not isinstance(v, Real) for v in items):
+        raise ExampleError(f"{where} expects numbers, got {value!r}")
+    if not all(map(math.isfinite, items)):
+        raise ExampleError(f"{where} value {value} is not finite")
+    if row.kind == "number" and many:
+        raise ExampleError(f"{where} takes one value, got {value}")
+    if len(items) != (row.arity or max(len(items), 1)):
+        raise ExampleError(f"{where} takes {row.arity or '1 or more'} values, got {len(items)}")
+    if not all(any(lo < v < hi for lo, hi in row.bounds) for v in items):
+        raise ExampleError(f"{where} must lie in {_intervals(row.bounds)}, got {value}")
+    return tuple(map(float, items)) if row.kind == "tuple" else float(value)
+
+
+def resolve_params(name: str, params: dict) -> dict:
+    """The values an example builds from: ``params`` checked against its rows,
+    with the defaults of the selected ``beta_mode`` filled in, and the grid
+    size ``n`` (default: the finest default resolution)."""
+    if name not in PARAMS:
+        raise ExampleError(f"unknown example {name!r}; available: {', '.join(example_names())}")
+    rows = PARAMS[name]
+    unknown = sorted(set(params) - set(rows) - {"n"})
+    if unknown:
+        raise ExampleError(
+            f"unknown parameter(s) {', '.join(unknown)} for {name}; accepted: {', '.join(rows)}"
+        )
+    if "r0" in params and "r0_sweep" in params:
+        raise ExampleError("give r0 (a one-point sweep) or r0_sweep, not both")
+    n = params["n"] if "n" in params else max(default_resolutions(name))
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise ExampleError(f"{name}: grid size n must be an integer, got {n!r}")
+    resolved, mode = {"n": int(n)}, None
+    for key, row in rows.items():
+        modes = row.default if isinstance(row.default, dict) else {mode: row.default}
+        if mode in modes:
+            where = f"{name}: parameter {key}"
+            resolved[key] = _check(where, row, params[key]) if key in params else modes[mode]
+        elif key in params:
+            raise ExampleError(f"{name}: parameter {key} is not read under beta_mode={mode}, "
+                               f"only under {', '.join(modes)}")
+        mode = resolved["beta_mode"] if key == "beta_mode" else mode
+    return resolved
 
 
 def r0_sweep(spec: ExampleSpec) -> tuple[float, ...] | None:
     """Excision radii an excised example sweeps, largest first; None for the tori.
 
     Only ``sphere-latitudes`` excises (its poles): its residuals are limited by
-    the cap truncation, so it sweeps ``r0`` at the finest grid, taken from the
-    ``r0_sweep`` parameter (one value is a one-point sweep).  An explicit
-    ``r0`` without ``r0_sweep`` is a one-point sweep at that radius.
+    the cap truncation, so it sweeps ``r0`` at the finest grid, over the
+    ``r0_sweep`` row, or over an explicit ``r0`` alone (a one-point sweep).
     """
-    if spec.name not in _EXCISED:
+    p = resolve_params(spec.name, spec.params)
+    if "r0_sweep" not in p:
         return None
-    r0s = spec.params.get("r0_sweep", spec.params.get("r0", DEFAULT_R0_SWEEP))
-    return tuple(sorted(r0s if isinstance(r0s, (tuple, list)) else (r0s,), reverse=True))
+    return tuple(sorted((p["r0"],) if "r0" in spec.params else p["r0_sweep"], reverse=True))
 
 
 def build_example(spec: ExampleSpec) -> FoliatedRandersManifold:
-    """Construct a catalog manifold; raises ExampleError on unknown names/params."""
+    """Construct a catalog manifold; raises ExampleError for parameters that
+    fail their rows (see ``resolve_params``) or the builder's own checks."""
+    p = resolve_params(spec.name, spec.params)
     try:
-        builder = _BUILDERS[spec.name]
-    except KeyError:
-        raise ExampleError(
-            f"unknown example {spec.name!r}; available: {', '.join(example_names())}"
-        ) from None
-    for key, value in spec.params.items():
-        if isinstance(value, tuple) and key not in _TUPLE_PARAMS:
-            raise ExampleError(f"{spec.name}: parameter {key} takes one value, got {value}")
-    try:
-        return builder(dict(spec.params))
+        return _EXAMPLES[spec.name][0](p)
     except ValueError as exc:
         raise ExampleError(f"{spec.name}: {exc}") from exc

@@ -8,9 +8,12 @@ Examples::
     randers-foliate --example sphere-latitudes --param r0_sweep=0.2,0.1 --formulas reeb-finsler
     randers-foliate --example conformal-torus --param beta_mode=riemannian --formulas sound
 
-An explicit ``r0`` is a one-point excision sweep at that radius; ``r0_sweep``
-sweeps several, and giving both is a configuration error, as is a parameter
-name the example does not accept (``--list`` shows them).
+``--param key=value`` sets one row of the example's parameter table; ``--list``
+shows each row's kind (number, ``tuple[k]``, ``tuple[1+]`` or choice), bounds
+and default, per ``beta_mode`` where only some modes read the row.  Unknown
+names, rows the selected ``beta_mode`` does not read, wrong arity and values
+out of bounds are configuration errors.  ``--res`` alone sets the grid size
+``n``.  ``r0`` is a one-point excision sweep, ``r0_sweep`` several, not both.
 
 Exit status: 0 when every applicable check passes, 1 when any check fails,
 2 on configuration errors and when the report cannot be written.
@@ -23,7 +26,6 @@ failures are the finding, documented in the README).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -34,7 +36,8 @@ from .catalog import (
     default_resolutions,
     example_info,
     example_names,
-    example_params,
+    param_help,
+    parse_params,
 )
 from .matinv import verify_appendix_identities
 from .report import ResidualReport, reports_to_csv, reports_to_json
@@ -70,30 +73,14 @@ class RunConfig:
         }
 
 
-def _parse_scalar(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    return text
-
-
-def _parse_value(text: str):
-    """A finite number, a tuple of finite numbers (comma-separated), or the text itself."""
-    items = tuple(_parse_scalar(tok.strip()) for tok in text.split(","))
-    if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-        raise ConfigError(f"parameter value {text!r} is not finite")
-    if len(items) == 1:
-        return items[0]
-    return items if all(isinstance(v, (int, float)) for v in items) else text
-
-
-def _parse_int(value, name: str) -> int:
+def _parse_int(value, name: str, least: int) -> int:
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if number < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {number}")
+    return number
 
 
 def _parse_bool(value, name: str) -> bool:
@@ -103,11 +90,11 @@ def _parse_bool(value, name: str) -> bool:
     return text in ("true", "1")
 
 
-def _parse_param(item: str) -> tuple[str, object]:
+def _split_param(item: str) -> tuple[str, str]:
     if "=" not in item:
         raise ConfigError(f"parameter {item!r} is not of the form key=value")
     key, value = item.split("=", 1)
-    return key.strip(), _parse_value(value.strip())
+    return key.strip(), value.strip()
 
 
 def _read_config_file(path: str) -> dict:
@@ -181,31 +168,19 @@ def build_config(argv: list[str]) -> RunConfig | None:
     file_vals = _read_config_file(args.config) if args.config else {"param": []}
 
     def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_vals:
-            return file_vals[key]
-        return default
+        return flag_value if flag_value is not None else file_vals.get(key, default)
 
     example = pick(args.example, "example", None)
     if not example:
         raise ConfigError("no example selected; use --example or a config file (or --list)")
-    if example not in example_names():
-        raise ConfigError(f"unknown example {example!r}; available: {', '.join(example_names())}")
 
-    params = {}
-    for item in list(file_vals["param"]) + list(args.param):
-        key, value = _parse_param(item)
-        params[key] = value
-    accepted = example_params(example)
-    unknown = sorted(set(params) - set(accepted))
-    if unknown:
-        raise ConfigError(
-            f"unknown parameter(s) {', '.join(unknown)} for {example}; "
-            f"accepted: {', '.join(accepted)}"
-        )
-    if "r0" in params and "r0_sweep" in params:
-        raise ConfigError("give r0 (a one-point sweep) or r0_sweep, not both")
+    texts = dict(_split_param(item) for item in file_vals["param"] + args.param)
+    if "n" in texts:
+        raise ConfigError("the grid size n is not a --param; set it with --res")
+    try:
+        params = parse_params(example, texts)
+    except ExampleError as exc:
+        raise ConfigError(str(exc)) from None
 
     res_text = pick(args.res, "res", None)
     if res_text is None:
@@ -222,11 +197,8 @@ def build_config(argv: list[str]) -> RunConfig | None:
     scheme = str(pick(args.scheme, "scheme", "spectral"))
     if scheme not in ("spectral", "central4"):
         raise ConfigError(f"unknown scheme {scheme!r}")
-    seed = _parse_int(pick(args.seed, "seed", 0), "seed")
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    jobs_env = os.environ.get("RANDERS_FOLIATE_JOBS")
-    jobs = _parse_int(pick(args.jobs, "jobs", jobs_env if jobs_env is not None else 1), "jobs")
+    seed = _parse_int(pick(args.seed, "seed", 0), "seed", 0)
+    jobs = _parse_int(pick(args.jobs, "jobs", os.environ.get("RANDERS_FOLIATE_JOBS", 1)), "jobs", 1)
     fmt = str(pick(args.fmt, "format", "json"))
     if fmt not in ("json", "csv"):
         raise ConfigError(f"unknown format {fmt!r}")
@@ -241,7 +213,7 @@ def build_config(argv: list[str]) -> RunConfig | None:
         formulas=formulas,
         scheme=scheme,
         seed=seed,
-        jobs=max(1, jobs),
+        jobs=jobs,
         out=out,
         fmt=fmt,
         matrix_identities=matrix_identities,
@@ -252,11 +224,9 @@ def _print_catalog():
     print("examples:")
     for name in example_names():
         print(f"  {name:<22s} {example_info(name)}")
-        params = ", ".join(
-            key if default is None else f"{key}={default}"
-            for key, default in example_params(name).items()
-        )
-        print(f"  {'':<22s} parameters: {params}")
+        print(f"  {'':<22s} parameters (the grid size n is set by --res):")
+        for line in param_help(name):
+            print(f"  {'':<22s}   {line}")
         print(f"  {'':<22s} default resolutions: {', '.join(str(n) for n in default_resolutions(name))}")
     print("\nformulas:")
     for fid in formula_ids():
@@ -309,11 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     for r in reports:
         print(r.summary_line())
-    counts = {
-        "pass": sum(r.verdict == "pass" for r in reports),
-        "fail": sum(r.verdict == "fail" for r in reports),
-        "not-applicable": sum(r.verdict == "not-applicable" for r in reports),
-    }
+    counts = {v: sum(r.verdict == v for r in reports) for v in ("pass", "fail", "not-applicable")}
     print(
         f"\n{counts['pass']} passed, {counts['fail']} failed, "
         f"{counts['not-applicable']} not applicable"

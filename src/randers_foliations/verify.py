@@ -719,14 +719,14 @@ def run_formulas(
         raise ValueError(f"unknown formula ids: {', '.join(unknown)}")
     if not resolutions:
         raise ValueError("need at least one resolution")
+    sizes = sorted({int(n) for n in resolutions})
     radii = r0_sweep(spec)
     singular = radii is not None
     if singular:
-        finest = max(resolutions)
-        sweep = [(ExampleSpec(spec.name, {**spec.params, "r0": r0}).with_resolution(finest), r0)
-                 for r0 in radii]
+        fixed = {k: v for k, v in spec.params.items() if k != "r0_sweep"} | {"n": sizes[-1]}
+        sweep = [(ExampleSpec(spec.name, {**fixed, "r0": r0}), r0) for r0 in radii]
     else:
-        sweep = [(spec.with_resolution(n), float(n)) for n in sorted(set(resolutions))]
+        sweep = [(ExampleSpec(spec.name, {**spec.params, "n": n}), float(n)) for n in sizes]
     if jobs > 1 and len(sweep) > 1:
         import concurrent.futures
 

@@ -67,7 +67,7 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
     assert main(["--example", "flat-parallel", "--seed", "-1", "--matrix-identities"]) == 2
     assert main(["--example", "flat-parallel", "--formulas", ","]) == 2
     # bad values from a config file or the environment
-    for line in ("seed = x", "jobs = 1.5", "matrix_identities = maybe", "seed = -1", "formulas ="):
+    for line in ("seed = x", "jobs = 1.5", "matrix_identities = maybe", "seed = -1", "formulas =", "jobs = 0"):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"example = flat-parallel\n{line}\n")
         assert main(["--config", str(cfg)]) == 2, line
@@ -84,7 +84,7 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
     assert main(["--example", "sphere-latitudes", "--param", "r0=0.2", "--param", "r0_sweep=0.2,0.1"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 3 and all(line.startswith("error: ") for line in err)
-    assert err[0].endswith("amplitdue for flat-graph; accepted: n, period, amplitude, beta_sharp")
+    assert err[0].endswith("amplitdue for flat-graph; accepted: period, amplitude, beta_sharp")
     # a tuple for a scalar parameter, and non-finite numbers
     for value in ("0.1,0.2", "nan", "inf", "-inf", "0.1,nan"):
         assert main(["--example", "flat-graph", "--param", f"amplitude={value}"]) == 2, value
@@ -92,6 +92,39 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
     assert len(err) == 5 and all(line.startswith("error: ") for line in err)
     assert err[0] == "error: flat-graph: parameter amplitude takes one value, got (0.1, 0.2)"
     assert all(line.endswith("is not finite") for line in err[1:])
+    # a worker count below 1, as a flag or from the environment
+    assert main(["--example", "flat-parallel", "--jobs", "0"]) == 2
+    assert main(["--example", "flat-parallel", "--jobs", "-3"]) == 2
+    monkeypatch.setenv("RANDERS_FOLIATE_JOBS", "0")
+    assert main(["--example", "flat-parallel"]) == 2
+    monkeypatch.delenv("RANDERS_FOLIATE_JOBS")
+    assert capsys.readouterr().err.splitlines() == [
+        "error: jobs must be an integer >= 1, got 0",
+        "error: jobs must be an integer >= 1, got -3",
+        "error: jobs must be an integer >= 1, got 0",
+    ]
+    # the grid size, wrong arity, a row the selected beta_mode does not read,
+    # and a choice outside its values
+    for argv in (
+        ["--example", "flat-graph", "--param", "n=20"],
+        ["--example", "flat-graph", "--param", "beta_sharp=0.1,0.2,0.3"],
+        ["--example", "flat-graph", "--param", "beta_sharp=0.5"],
+        ["--example", "conformal-torus", "--param", "beta_mode=riemannian", "--param", "eps1=0.9"],
+        ["--example", "sphere-latitudes", "--param", "beta_mode=eigen", "--param", "asym=5"],
+        ["--example", "conformal-torus", "--param", "beta_mode=a,b"],
+    ):
+        assert main(argv) == 2, argv
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the grid size n is not a --param; set it with --res",
+        "error: flat-graph: parameter beta_sharp takes 2 values, got 3",
+        "error: flat-graph: parameter beta_sharp takes 2 values, got 1",
+        "error: conformal-torus: parameter eps1 is not read under beta_mode=riemannian, "
+        "only under generic, constant-angle",
+        "error: sphere-latitudes: parameter asym is not read under beta_mode=eigen, "
+        "only under rotational",
+        "error: conformal-torus: parameter beta_mode must be one of "
+        "generic|constant-angle|riemannian, got 'a,b'",
+    ]
     # a report path that cannot be written, after the sweep has run
     out = tmp_path / "missing" / "report.json"
     argv = ["--example", "flat-parallel", "--res", "12", "--formulas", "reeb-riemannian"]
@@ -130,18 +163,18 @@ def test_param_parsing_and_config_file(tmp_path):
     assert config.params == {"beta_mode": "riemannian"}
     assert config.resolutions == [32, 48]
     # flags override the file
-    config = build_config(["--config", str(cfg), "--res", "16,32", "--param", "eps1=0.2"])
+    config = build_config(["--config", str(cfg), "--res", "16,32", "--param", "phi_amplitude=0.2"])
     assert config.resolutions == [16, 32]
-    assert config.params["eps1"] == 0.2
+    assert config.params["phi_amplitude"] == 0.2
     # matrix_identities reads true/false/1/0; "false" must not run the suite
     for text, want in (("false", False), ("0", False), ("true", True), ("1", True)):
         cfg.write_text(f"example = conformal-torus\nmatrix_identities = {text}\n")
         assert build_config(["--config", str(cfg)]).matrix_identities is want, text
-    # comma-separated numbers are tuples; other text stays a string
+    # comma-separated numbers are tuples; a choice is checked against its values
     config = build_config(["--example", "flat-graph", "--param", "beta_sharp=0.3,0.15"])
     assert config.params == {"beta_sharp": (0.3, 0.15)}
-    config = build_config(["--example", "conformal-torus", "--param", "beta_mode=a,b"])
-    assert config.params == {"beta_mode": "a,b"}
+    with pytest.raises(ConfigError):
+        build_config(["--example", "conformal-torus", "--param", "beta_mode=a,b"])
     config = build_config(["--example", "sphere-latitudes", "--param", "r0_sweep=0.2,0.1"])
     assert config.params["r0_sweep"] == (0.2, 0.1)
     # the excised sphere sweeps r0 in descending order; one value is a one-point sweep
