@@ -125,10 +125,12 @@ def _conformal_torus(p: dict) -> FoliatedRandersManifold:
 def _sphere_latitudes(p: dict) -> FoliatedRandersManifold:
     n, r0, mode, eps = p["n"], p["r0"], p["beta_mode"], p["eps"]
     grid = PeriodicGrid((n, n), (np.pi, 2.0 * np.pi))
+    # derivative stencils must not touch the poles: r0 >= 2 h, where the
+    # 2 pi period of phi sets the largest spacing h = 2 pi / n
     if r0 < 2.0 * max(grid.spacings):
         raise ValueError(
-            f"excision radius {r0} too small for spacing {max(grid.spacings):.4f}; "
-            "derivative stencils would touch the poles"
+            f"excision radius {r0} is below 2 * (2 pi / n) = {2.0 * max(grid.spacings):.4f} "
+            f"at n = {n}; the smallest n that admits it is {math.ceil(4.0 * math.pi / r0)}"
         )
     theta, _phi = grid.meshgrid()
     s, c2 = np.sin(theta), np.sin(2.0 * theta)
@@ -162,7 +164,7 @@ def _sphere_latitudes(p: dict) -> FoliatedRandersManifold:
         beta[..., 0] = eps
         beta[..., 1] = epsp * s
     return FoliatedRandersManifold(
-        grid, a, beta, N, mask=mask, name=f"sphere-latitudes[{mode}]", excision_radius=r0,
+        grid, a, beta, N, mask=mask, name=f"sphere-latitudes[{mode}]",
         beta_sharp_given=bsharp, beta_singular=(mode == "eigen"),
     )
 

@@ -91,6 +91,21 @@ class ExtrinsicBundle:
         return self.M.c * self.M.chat
 
     @cached_property
+    def c2(self):
+        """c^2, guarded to 1 where c vanishes; a safe divisor."""
+        return np.where(self.M.c > 1e-12, self.M.c**2, 1.0)
+
+    @cached_property
+    def bst_live(self):
+        """Nodes where bst does not degenerate: |bst|^2 = 1 - c^2 > 1e-12."""
+        return 1.0 - self.M.c**2 > 1e-12
+
+    @cached_property
+    def b2(self):
+        """|bst|^2 = 1 - c^2, guarded to 1 where bst degenerates."""
+        return np.where(self.bst_live, 1.0 - self.M.c**2, 1.0)
+
+    @cached_property
     def g(self):
         return g_metric_field(self.M)
 
@@ -225,8 +240,7 @@ class ExtrinsicBundle:
         """(c chat)^-1 (I + b b^T / c^2); Sherman-Morrison closed inverse."""
         bb = outer(self.b_frame, self.b_frame)
         cc = np.where(self.cc > 1e-12, self.cc, 1.0)
-        c2 = np.where(self.M.c > 1e-12, self.M.c**2, 1.0)
-        return (np.eye(self.M.m) + bb / c2[..., None, None]) / cc[..., None, None]
+        return (np.eye(self.M.m) + bb / self.c2[..., None, None]) / cc[..., None, None]
 
     # -- shape operator of g: two routes ---------------------------------------
 
@@ -279,8 +293,7 @@ class ExtrinsicBundle:
         ``Ag_printed``) carries chat in place of that factor c, so the two
         coincide exactly when beta(N) = 0 and differ otherwise.
         """
-        c, chat = self.M.c, self.M.chat
-        c2 = np.where(c > 1e-12, c**2, 1.0)
+        c, chat, c2 = self.M.c, self.M.chat, self.c2
         b, W, Q = self.b_frame, self.W_frame, self.Q_frame
         T = (
             0.5 / chat[..., None] * W
@@ -324,13 +337,12 @@ class ExtrinsicBundle:
             + U
             + dot(b, U)[..., None] * b
         )
-        c2 = np.where(c > 1e-12, c**2, 1.0)
         cAg = (
             self.Abar_frame
             + self.delta[..., None, None] * np.eye(self.M.m)
             + self.Def_frame / chat[..., None, None]
             + 0.5 * outer(U - Abst, b)
-            + 0.5 / c2[..., None, None] * outer(b, V)
+            + 0.5 / self.c2[..., None, None] * outer(b, V)
         )
         return cAg / c[..., None, None]
 
@@ -395,8 +407,7 @@ class ExtrinsicBundle:
         torsion definition (see the verifier's convergence report).
         """
         b, Zb, dch = self.b_frame, self.Zbar_frame, self.dchat_frame
-        chat = self.M.chat
-        c2 = np.where(self.M.c > 1e-12, self.M.c**2, 1.0)
+        chat, c2 = self.M.chat, self.c2
         # 2 C_n(e_a, e_b, Z) with Z eliminated
         twoC = (
             outer(Zb, b)
@@ -433,8 +444,7 @@ class ExtrinsicBundle:
             + coef_id[..., None, None] * np.eye(self.M.m)
             + coef_bb[..., None, None] * bb
         )
-        c2 = np.where(self.M.c > 1e-12, self.M.c**2, 1.0)
-        csharp_n = (Cbar + bb @ Cbar / c2[..., None, None]) / cc[..., None, None]
+        csharp_n = (Cbar + bb @ Cbar / self.c2[..., None, None]) / cc[..., None, None]
         return csharp_n / chat[..., None, None] ** 3
 
     @cached_property
@@ -503,10 +513,8 @@ class ExtrinsicBundle:
     def perp_beta(self, X):
         """Frame vector X with its bst component removed (identity where bst degenerates)."""
         b = self.b_frame
-        b2 = 1.0 - self.M.c**2
-        safe = np.where(b2 > 1e-12, b2, 1.0)
-        out = X - (dot(X, b) / safe)[..., None] * b
-        return np.where((b2 > 1e-12)[..., None], out, X)
+        out = X - (dot(X, b) / self.b2)[..., None] * b
+        return np.where(self.bst_live[..., None], out, X)
 
     @cached_property
     def Abar_bst(self):
@@ -531,8 +539,7 @@ class ExtrinsicBundle:
                 + a3 beta^T (x) bst.
         """
         v = self.Abst_frame - self.M.c[..., None] * self.Zbar_frame
-        c2 = np.where(self.M.c > 1e-12, self.M.c**2, 1.0)
-        return self.perp_beta(v) / (2.0 * c2)[..., None]
+        return self.perp_beta(v) / (2.0 * self.c2)[..., None]
 
     @cached_property
     def U2(self):
@@ -542,10 +549,8 @@ class ExtrinsicBundle:
     @cached_property
     def a3(self):
         """-beta(Zbar) / (c (1 - c^2)); weight of the beta^T (x) bst piece."""
-        b2 = 1.0 - self.M.c**2
-        safe = np.where(b2 > 1e-12, b2, 1.0)
-        val = -self.beta_Zbar / (self.M.c * safe)
-        return np.where(b2 > 1e-12, val, 0.0)
+        val = -self.beta_Zbar / (self.M.c * self.b2)
+        return np.where(self.bst_live, val, 0.0)
 
     @cached_property
     def U1_printed(self):
@@ -563,12 +568,10 @@ class ExtrinsicBundle:
     @cached_property
     def a3_printed(self):
         """Published weight of the beta^T (x) bst piece."""
-        b2 = 1.0 - self.M.c**2
-        safe = np.where(b2 > 1e-12, b2, 1.0)
-        val = (self.M.c - 2.0 * self.M.chat) / (self.cc * safe) * self.beta_Zbar - (
+        val = (self.M.c - 2.0 * self.M.chat) / (self.cc * self.b2) * self.beta_Zbar - (
             self.M.chat - self.M.c
-        ) / (self.M.c**2 * self.M.chat * safe) * self.Abst_beta
-        return np.where(b2 > 1e-12, val, 0.0)
+        ) / (self.M.c**2 * self.M.chat * self.b2) * self.Abst_beta
+        return np.where(self.bst_live, val, 0.0)
 
 
 def build_extrinsic(M: FoliatedRandersManifold, scheme: str = "spectral") -> ExtrinsicBundle:

@@ -53,7 +53,6 @@ class FoliatedRandersManifold:
     N: np.ndarray          # (*sizes, d), a-unit
     mask: np.ndarray | None = None   # True on active nodes; None = everywhere
     name: str = "custom"
-    excision_radius: float = 0.0
     # optional analytic dual field; required for charts where the metric
     # degenerates on the excised set (a^-1 beta would be indeterminate there)
     beta_sharp_given: np.ndarray | None = None

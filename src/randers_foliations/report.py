@@ -1,10 +1,12 @@
 """Structured residual reports and their serialisation.
 
 One :class:`ResidualReport` records a single (formula, example, resolution)
-check: the measured value against its expected value, the tolerance actually
-applied, the verdict, the numerically verified hypotheses, and the
-convergence table across the sweep.  JSON output is deterministic: fixed key
-order, ``repr``-exact floats.
+check: the measured value, which every formula states against zero (so its
+residual is ``|value|``), the tolerance actually applied, the verdict, the
+numerically verified hypotheses, and the convergence table across the sweep.
+JSON output is deterministic: fixed key order, ``repr``-exact floats.  The
+JSON entry still writes ``"expected": 0.0`` so that schema version 1 stays
+unchanged.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ class ResidualReport:
     resolution: tuple[int, ...]
     scheme: str
     value: float
-    expected: float
     tolerance: float
     verdict: str
     hypotheses: dict[str, float] = field(default_factory=dict)
@@ -41,7 +42,7 @@ class ResidualReport:
 
     @property
     def residual(self) -> float:
-        return abs(self.value - self.expected)
+        return abs(self.value)
 
     def to_dict(self) -> dict:
         return {
@@ -50,7 +51,7 @@ class ResidualReport:
             "resolution": list(self.resolution),
             "scheme": self.scheme,
             "value": self.value,
-            "expected": self.expected,
+            "expected": 0.0,
             "residual": self.residual,
             "tolerance": self.tolerance,
             "verdict": self.verdict,

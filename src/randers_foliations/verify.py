@@ -1,9 +1,11 @@
 """Integral-formula and comparison-formula verification engine.
 
 Every check is a :class:`Formula`: a hypothesis gate (predicates evaluated
-numerically on the example at hand) plus an evaluator returning a measured
-value and its expected value.  The runner sweeps a list of resolutions,
-records the convergence table, and issues the verdict at the finest grid.
+numerically on the example at hand) plus an evaluator that maps the bundle to
+its residual and an audit detail.  Each formula is stated against zero: an
+integral that vanishes, a sup-norm difference of two routes, or the margin of
+a bound.  The runner sweeps a list of resolutions, records the convergence
+table, and one judge gives the verdict at the finest grid.
 Hypothesis gates never pass silently: each report carries the measured
 hypothesis residuals, and an example that violates a formula's hypotheses
 yields the first-class verdict ``not-applicable``.
@@ -36,8 +38,7 @@ from .report import ResidualReport
 
 __all__ = ["Formula", "formula_ids", "run_formulas", "hypothesis_profile", "FORMULAS"]
 
-SUP_FLOOR = 1e-11   # residuals at this scale count as converged to zero
-BOUND_TOL = 1e-8    # default slack of bound-type checks
+BOUND_TOL = 1e-8    # slack of bound-type checks
 
 # judging policy (tol, ratio, cap): the default absolute tolerance, the
 # residual decay per sweep step that certifies convergence, and the residual
@@ -57,7 +58,8 @@ def _sup_active(E: ExtrinsicBundle, field: np.ndarray) -> float:
     act = E.M.active
     extra = field.ndim - act.ndim
     a = act.reshape(act.shape + (1,) * extra)
-    return float(np.max(np.abs(np.where(a, field, 0.0))))
+    # max |f| without an |f| copy; abs() only turns a -0.0 maximum into 0.0
+    return float(abs(max(np.max(field, where=a, initial=0), -np.min(field, where=a, initial=0))))
 
 
 def hypothesis_profile(E: ExtrinsicBundle) -> dict[str, float]:
@@ -108,7 +110,7 @@ PREDICATES: dict[str, Callable[[dict], bool]] = {
 class Formula:
     fid: str
     description: str
-    evaluate: Callable[[ExtrinsicBundle, dict], tuple[float, float, dict]]
+    evaluate: Callable[[ExtrinsicBundle], tuple[float, dict]]  # residual, detail
     requires: tuple[str, ...] = ()
     any_of: tuple[str, ...] = ()          # at least one must hold, if nonempty
     kind: str = "zero"                    # zero | sup | bound
@@ -168,42 +170,42 @@ def _curvature_spread(E):
 # --------------------------------------------------------------------------
 
 
-def _ev_reeb_riemannian(E, hyp):
-    return integrate(E.M, trace(E.Abar_frame), "a"), 0.0, {}
+def _ev_reeb_riemannian(E):
+    return integrate(E.M, trace(E.Abar_frame), "a"), {}
 
 
-def _ev_reeb_weighted(E, hyp):
+def _ev_reeb_weighted(E):
     f, Nf = _test_function(E)
-    return integrate(E.M, f * trace(E.Abar_frame) - Nf, "a"), 0.0, {}
+    return integrate(E.M, f * trace(E.Abar_frame) - Nf, "a"), {}
 
 
-def _ev_reeb_normal_metric(E, hyp):
-    return integrate(E.M, trace(E.Ag_direct), "g"), 0.0, {}
+def _ev_reeb_normal_metric(E):
+    return integrate(E.M, trace(E.Ag_direct), "g"), {}
 
 
-def _ev_reeb_finsler(E, hyp):
-    return integrate(E.M, trace(E.A_frame), "F"), 0.0, {}
+def _ev_reeb_finsler(E):
+    return integrate(E.M, trace(E.A_frame), "F"), {}
 
 
 # -- second order ------------------------------------------------------------
 
 
-def _ev_second_order_riemannian(E, hyp):
+def _ev_second_order_riemannian(E):
     integrand = 2.0 * sigma_k(E.Abar_frame, 2) - E.curvature.ricci_N
-    return integrate(E.M, integrand, "a"), 0.0, {}
+    return integrate(E.M, integrand, "a"), {}
 
 
-def _ev_second_order_finsler(E, hyp):
+def _ev_second_order_finsler(E):
     integrand = sigma_k(E.A_frame, 2) - 0.5 * _ric_nu(E)
-    return integrate(E.M, integrand, "F"), 0.0, {}
+    return integrate(E.M, integrand, "F"), {}
 
 
 # -- flat total curvatures -----------------------------------------------------
 
 
 def _ev_sigma_flat(k):
-    def ev(E, hyp):
-        return integrate(E.M, sigma_k(E.A_frame, k), "F"), 0.0, {}
+    def ev(E):
+        return integrate(E.M, sigma_k(E.A_frame, k), "F"), {}
 
     return ev
 
@@ -212,7 +214,7 @@ def _ev_sigma_flat(k):
 
 
 def _ev_berwald_sigma(k, printed=False):
-    def ev(E, hyp):
+    def ev(E):
         m = E.M.m
         Ab = E.Abar_frame
         eye = np.eye(m)
@@ -240,15 +242,15 @@ def _ev_berwald_sigma(k, printed=False):
         if printed:
             # published display: sigma_k(Abar + delta I) truncated at first order
             integrand = E.delta * (m - k + 1) * sigma_k(Ab, k - 1) + expansion - sigma_k(X, k)
-            return integrate(E.M, integrand, "a"), 0.0, {}
+            return integrate(E.M, integrand, "a"), {}
         integrand = expansion / E.M.c**k - sigma_k(Ab, k)
-        return integrate(E.M, integrand, "a"), 0.0, {}
+        return integrate(E.M, integrand, "a"), {}
 
     return ev
 
 
 def _ev_sigma_tg(k):
-    def ev(E, hyp):
+    def ev(E):
         m = E.M.m
         c, ch, cc = E.M.c, E.M.chat, E.cc
         eye = np.eye(m)
@@ -256,7 +258,6 @@ def _ev_sigma_tg(k):
         b = E.b_frame
         Zp = E.perp_beta(E.Zbar_frame)
         bZ = E.beta_Zbar
-        b2 = np.where(1.0 - c**2 > 1e-12, 1.0 - c**2, 1.0)
         t1 = c**k * sigma_k(Csh, k)
         T0 = newton_transform_batched(Csh + E.delta[..., None, None] * eye, k - 1)
         t2 = (c - 2 * ch) / (2 * cc) * np.einsum("...ab,...b,...a->...", T0, b, Zp)
@@ -267,8 +268,8 @@ def _ev_sigma_tg(k):
         t3 = (c * (c - 2 * ch) / (2 * ch)) * np.einsum("...a,...ab,...b->...", b, T1, Zp)
         R2 = outer(Zp, b) * ((c * (c - 2 * ch)) / (2 * ch))[..., None, None]
         T2 = newton_transform_batched(base + R1 + R2, k - 1)
-        t4 = (c - 2 * ch) / (cc * b2) * bZ * np.einsum("...a,...ab,...b->...", b, T2, b)
-        return integrate(E.M, t1 + t2 + t3 + t4, "a"), 0.0, {}
+        t4 = (c - 2 * ch) / (cc * E.b2) * bZ * np.einsum("...a,...ab,...b->...", b, T2, b)
+        return integrate(E.M, t1 + t2 + t3 + t4, "a"), {}
 
     return ev
 
@@ -281,7 +282,7 @@ def _csharp_bst(E, Csh):
     return np.einsum("...ab,...b->...a", Csh, E.b_frame)
 
 
-def _ev_parallel_second_order_printed(E, hyp):
+def _ev_parallel_second_order_printed(E):
     M = E.M
     c, ch, cc = M.c, M.chat, E.cc
     Csh = E.Csharp_formula
@@ -293,23 +294,22 @@ def _ev_parallel_second_order_printed(E, hyp):
     perpZ = E.perp_beta(E.Zbar_frame)
     perpA = E.perp_beta(E.Abst_frame)
     perpC = E.perp_beta(_csharp_bst(E, Csh))
-    b2 = np.where(1.0 - c**2 > 1e-12, 1.0 - c**2, 1.0)
     integrand = (1.0 / c**2) * (
         sigma_k(X, 2)
         + ((c - 2 * ch) / cc * Ab_b - (ch - c) / (c**2 * ch) * bZ) * trace(X)
-        + (ch - c) / (cc * b2) * Xb_b * Ab_b
+        + (ch - c) / (cc * E.b2) * Xb_b * Ab_b
         - (c - 2 * ch) ** 2 * (1 - c**2) / (4 * ch**2) * dot(perpZ, perpZ)
-        + (c - 2 * ch) / (cc * b2) * bZ * Xb_b
+        + (c - 2 * ch) / (cc * E.b2) * bZ * Xb_b
         - (1 - (c - 2 * ch) ** 2) / (4 * ch**2) * dot(perpA, perpA)
         - (c - 2 * ch) * (1 - c**2 + 2 * cc) / (2 * ch**2) * dot(perpA, perpZ)
         - (1 + c**2 - 2 * cc) / (2 * ch) * dot(perpA, perpC)
         - (c - 2 * ch) * (1 + c**2) / (2 * ch) * dot(perpC, perpZ)
         - 0.5 * E.curvature.ricci_N
     )
-    return integrate(M, integrand, "a"), 0.0, {}
+    return integrate(M, integrand, "a"), {}
 
 
-def _ev_parallel_const_printed(E, hyp):
+def _ev_parallel_const_printed(E):
     M = E.M
     c, ch, cc = M.c, M.chat, E.cc
     Csh = E.Csharp_formula
@@ -325,10 +325,10 @@ def _ev_parallel_const_printed(E, hyp):
         - (c - 2 * ch) ** 2 * (1 - c**2) / (4 * ch**2) * dot(Zb, Zb)
         - (c - 2 * ch) * (1 + c**2) / (2 * ch) * dot(Cb, Zb)
     )
-    return integrate(M, integrand, "a"), 0.0, {}
+    return integrate(M, integrand, "a"), {}
 
 
-def _ev_parallel_tangent_printed(E, hyp):
+def _ev_parallel_tangent_printed(E):
     M = E.M
     c = M.c
     Csh = E.Csharp_formula
@@ -344,13 +344,13 @@ def _ev_parallel_tangent_printed(E, hyp):
         - (1 - c**2) / (2 * c) * dot(Ab, Cb)
         + (1 + c**2) / 2.0 * dot(Cb, Zb)
     )
-    return integrate(M, integrand, "a"), 0.0, {}
+    return integrate(M, integrand, "a"), {}
 
 
 # -- first-order tilt family ----------------------------------------------------
 
 
-def _ev_tilt_balance_printed(E, hyp):
+def _ev_tilt_balance_printed(E):
     M = E.M
     Nc = _directional(E, M.c, M.N)
     integrand = (
@@ -359,14 +359,14 @@ def _ev_tilt_balance_printed(E, hyp):
         * (M.chat - M.c)
         * (M.c * Nc + M.c * E.beta_Zbar + E.Abst_beta)
     )
-    return integrate(M, integrand, "a"), 0.0, {}
+    return integrate(M, integrand, "a"), {}
 
 
-def _ev_tilt_const_printed(E, hyp):
-    return integrate(E.M, E.Abst_beta + E.M.c * E.beta_Zbar, "a"), 0.0, {}
+def _ev_tilt_const_printed(E):
+    return integrate(E.M, E.Abst_beta + E.M.c * E.beta_Zbar, "a"), {}
 
 
-def _ev_eigen_balance(E, hyp):
+def _ev_eigen_balance(E):
     # beta_sharp_top is an eigenfield of Abar; check it and integrate the eigenvalue
     M = E.M
     bst = M.beta_sharp_top
@@ -374,33 +374,33 @@ def _ev_eigen_balance(E, hyp):
     lam = np.where(M.active, E.Abst_beta / b2, 0.0)
     Ares = E.Abar_bst - lam[..., None] * bst
     eig_res = _sup_active(E, Ares)
-    return integrate(M, lam, "a"), 0.0, {"eigenfield_residual": eig_res}
+    return integrate(M, lam, "a"), {"eigenfield_residual": eig_res}
 
 
 # -- comparison (sup-norm) checks ------------------------------------------------
 
 
-def _ev_shape_comparison(E, hyp):
-    return _sup_active(E, E.Ag_formula - E.Ag_direct), 0.0, {}
+def _ev_shape_comparison(E):
+    return _sup_active(E, E.Ag_formula - E.Ag_direct), {}
 
 
-def _ev_shape_comparison_printed(E, hyp):
-    return _sup_active(E, E.Ag_printed - E.Ag_direct), 0.0, {}
+def _ev_shape_comparison_printed(E):
+    return _sup_active(E, E.Ag_printed - E.Ag_direct), {}
 
 
-def _ev_z_comparison(E, hyp):
-    return _sup_active(E, E.Z_formula - E.Z_direct_frame), 0.0, {}
+def _ev_z_comparison(E):
+    return _sup_active(E, E.Z_formula - E.Z_direct_frame), {}
 
 
-def _ev_csharp_comparison(E, hyp):
-    return _sup_active(E, E.Csharp_formula - E.Csharp_direct), 0.0, {}
+def _ev_csharp_comparison(E):
+    return _sup_active(E, E.Csharp_formula - E.Csharp_direct), {}
 
 
-def _ev_csharp_comparison_printed(E, hyp):
-    return _sup_active(E, E.Csharp_printed - E.Csharp_direct), 0.0, {}
+def _ev_csharp_comparison_printed(E):
+    return _sup_active(E, E.Csharp_printed - E.Csharp_direct), {}
 
 
-def _ev_csharp_scale(E, hyp):
+def _ev_csharp_scale(E):
     """Settles the torsion scale factor: C#_n = (c chat) C#_nu."""
     target = E.cc[..., None, None] * E.Csharp_direct
     resid = _sup_active(E, E.Csharp_n_direct_numeric - target)
@@ -416,10 +416,10 @@ def _ev_csharp_scale(E, hyp):
             np.median(np.broadcast_to(E.M.chat[..., None, None] ** 3, mag.shape)[big])
         )
         detail["median_cc3"] = float(np.median(np.broadcast_to(E.cc[..., None, None] ** 3, mag.shape)[big]))
-    return resid, 0.0, detail
+    return resid, detail
 
 
-def _ev_trace_comparison(E, hyp):
+def _ev_trace_comparison(E):
     M = E.M
     div_bs = np.einsum("...ii->...", E.nabla_beta_sharp)
     Nchat = np.einsum("...i,...i->...", M.N, E.d_chat)
@@ -430,7 +430,7 @@ def _ev_trace_comparison(E, hyp):
         - Nchat / M.chat
     )
     lhs = M.c * trace(E.Ag_direct)
-    return _sup_active(E, lhs - rhs), 0.0, {}
+    return _sup_active(E, lhs - rhs), {}
 
 
 def _codazzi_asymmetry(E, nabZ, metric):
@@ -441,16 +441,16 @@ def _codazzi_asymmetry(E, nabZ, metric):
     return _sup_active(E, formt - np.swapaxes(formt, -1, -2))
 
 
-def _ev_codazzi(E, hyp):
-    return _codazzi_asymmetry(E, E.nabla_Zbar, E.M.a), 0.0, {}
+def _ev_codazzi(E):
+    return _codazzi_asymmetry(E, E.nabla_Zbar, E.M.a), {}
 
 
-def _ev_codazzi_g(E, hyp):
+def _ev_codazzi_g(E):
     nabZ = covariant_vector_derivative(E.M, E.Z_direct, E.gamma_g, E.scheme)
-    return _codazzi_asymmetry(E, nabZ, E.g), 0.0, {}
+    return _codazzi_asymmetry(E, nabZ, E.g), {}
 
 
-def _ev_riccati(E, hyp):
+def _ev_riccati(E):
     M = E.M
     P = M.tangent_projector
     defz_t = P @ deformation_tensor(M, E.nabla_Zbar) @ P
@@ -459,28 +459,28 @@ def _ev_riccati(E, hyp):
     zf = (M.a @ E.Zbar[..., None])[..., 0]
     zz = E.Zbar[..., :, None] * zf[..., None, :]
     resid = E.curvature.R_N - (defz_t + dNA - A2 - zz)
-    return _sup_active(E, resid), 0.0, {}
+    return _sup_active(E, resid), {}
 
 
-def _ev_volume_distortion(E, hyp):
+def _ev_volume_distortion(E):
     M = E.M
     lhs = M.volume_density("g")
     rhs = np.exp(E.distortion_nu) * M.volume_density("F")
     rel = np.where(M.active, np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300), 0.0)
     tau_diff = np.where(M.active, np.abs(E.distortion_det_route - E.distortion_nu), 0.0)
-    return float(max(rel.max(), tau_diff.max())), 0.0, {}
+    return float(max(rel.max(), tau_diff.max())), {}
 
 
-def _ev_abar_selfadjoint(E, hyp):
+def _ev_abar_selfadjoint(E):
     Af = E.Abar_frame
-    return _sup_active(E, Af - np.swapaxes(Af, -1, -2)), 0.0, {}
+    return _sup_active(E, Af - np.swapaxes(Af, -1, -2)), {}
 
 
-def _ev_tangency(E, hyp):
+def _ev_tangency(E):
     M = E.M
     gz = np.einsum("...i,...ij,...j->...", E.Z_direct, E.g, M.nu_field)
     az = M.inner(E.Zbar, M.N)
-    return float(max(_sup_active(E, gz), _sup_active(E, az))), 0.0, {}
+    return float(max(_sup_active(E, gz), _sup_active(E, az))), {}
 
 
 # -- inequalities and vanishing conclusions ---------------------------------------
@@ -503,35 +503,35 @@ def _energy_pair(E):
     return energy, rhs, volF
 
 
-def _ev_energy_bound(E, hyp):
+def _ev_energy_bound(E):
     energy, rhs, volF = _energy_pair(E)
     margin = energy - rhs
-    return margin, 0.0, {"energy": energy, "bound": rhs, "vol_F": volF}
+    return margin, {"energy": energy, "bound": rhs, "vol_F": volF}
 
 
-def _ev_umbilicity_bound(E, hyp):
+def _ev_umbilicity_bound(E):
     M = E.M
     m = M.m
     U = integrate(M, _curvature_spread(E), "F")
-    r = -hyp.get("max_ricci_N", 0.0)
+    r = -float(np.max(E.curvature.ricci_N))
     bnorm2 = float(np.max(np.where(M.active, M.beta_norm**2, 0.0)))
     rhs = (1.0 - bnorm2) ** ((m + 2) / 2.0) * m * r * integrate(M, 1.0 / M.c**2 * np.ones(M.grid.sizes), "a")
-    return U - rhs, 0.0, {"umbilicity_defect": U, "bound": rhs}
+    return U - rhs, {"umbilicity_defect": U, "bound": rhs}
 
 
-def _ev_vanishing_parallel(E, hyp):
-    return _sup_active(E, E.Abar_bst), 0.0, {}
+def _ev_vanishing_parallel(E):
+    return _sup_active(E, E.Abar_bst), {}
 
 
-def _ev_csharp_vanishing(E, hyp):
-    return _sup_active(E, E.cc[..., None, None] * E.Csharp_direct), 0.0, {}
+def _ev_csharp_vanishing(E):
+    return _sup_active(E, E.cc[..., None, None] * E.Csharp_direct), {}
 
 
-def _ev_umbilicity_spread_identity(E, hyp):
+def _ev_umbilicity_spread_identity(E):
     """Cross-check sum_{i<j}(k_i-k_j)^2 = m tr(A^2) - (tr A)^2 pointwise."""
     Asym = E.A_frame_gsym
     alt = E.M.m * np.einsum("...ab,...ba->...", Asym, Asym) - trace(Asym) ** 2
-    return _sup_active(E, _curvature_spread(E) - alt), 0.0, {}
+    return _sup_active(E, _curvature_spread(E) - alt), {}
 
 
 # --------------------------------------------------------------------------
@@ -620,10 +620,9 @@ FORMULAS: dict[str, Formula] = {f.fid: f for f in (
             kind="sup"),
     Formula("tangency", "Z and Zbar stay tangent to the leaves", _ev_tangency, kind="sup"),
     Formula("energy-bound", "energy of the unit normal against the curvature bound", _ev_energy_bound,
-            requires=("berwald",), kind="bound", fixed_tol=1e-8),
+            requires=("berwald",), kind="bound"),
     Formula("umbilicity-bound", "umbilicity defect against the negative-Ricci bound",
-            _ev_umbilicity_bound, requires=("berwald", "unmasked", "negative-ricci"), kind="bound",
-            fixed_tol=1e-8),
+            _ev_umbilicity_bound, requires=("berwald", "unmasked", "negative-ricci"), kind="bound"),
     Formula("umbilicity-spread", "principal curvature spread identity",
             _ev_umbilicity_spread_identity, kind="sup"),
     Formula("vanishing-parallel", "parallel constant-angle fields are base-shape null directions",
@@ -646,12 +645,7 @@ def formula_ids() -> list[str]:
 
 
 def _judge(
-    kind: str,
-    value: float,
-    expected: float,
-    fixed: float | None,
-    conv: list[tuple[float, float]],
-    policy: tuple[float, float, float],
+    formula: Formula, value: float, conv: list[tuple[float, float]], singular: bool
 ) -> tuple[str, float, dict]:
     """Verdict, effective tolerance, and audit detail for one check.
 
@@ -659,15 +653,17 @@ def _judge(
     shows it decreasing at the policy's rate toward zero (the
     discretization-error regime).  A residual that plateaus above tolerance
     fails.  Bound-type checks compare the margin against a fixed slack.
+    Excised runs judge integral residuals by the singular policy; sup-norm
+    residuals converge in h even there.
     """
-    if kind == "bound":
-        tol = fixed if fixed is not None else BOUND_TOL
-        return ("pass" if value >= expected - tol else "fail"), tol, {}
-    default_tol, min_ratio, cap = policy
-    tol = fixed if fixed is not None else default_tol
-    resid = abs(value - expected)
+    if formula.kind == "bound":
+        return ("pass" if value >= -BOUND_TOL else "fail"), BOUND_TOL, {}
+    tol, min_ratio, cap = SINGULAR_POLICY if singular and formula.kind != "sup" else SMOOTH_POLICY
+    if formula.fixed_tol is not None:
+        tol = formula.fixed_tol
+    resid = abs(value)
     detail: dict[str, float] = {}
-    if resid <= max(tol, SUP_FLOOR):
+    if resid <= tol:
         return "pass", tol, detail
     if len(conv) >= 2:
         r_coarse, r_fine = conv[-2][1], conv[-1][1]
@@ -690,11 +686,11 @@ def _sweep_point(subspec: ExampleSpec, fids: list[str], scheme: str):
     M = build_example(subspec)
     E = build_extrinsic(M, scheme)
     hyp = hypothesis_profile(E)
-    values: dict[str, tuple[float, float, dict]] = {}
+    values: dict[str, tuple[float, dict]] = {}
     for fid in fids:
         formula = FORMULAS[fid]
         if formula.applicable(hyp, M.m):
-            values[fid] = formula.evaluate(E, hyp)
+            values[fid] = formula.evaluate(E)
     return M.name, M.grid, hyp, values
 
 
@@ -713,6 +709,8 @@ def run_formulas(
     their residuals.  Each sweep point builds its manifold once.  ``jobs``
     bounds the worker threads; every sweep point is independent and reports
     are merged in sweep order, so results do not depend on the worker count.
+    Every entry carries the finest point's hypotheses; a check not applicable
+    there reports value 0 and the verdict ``not-applicable``.
     """
     unknown = [f for f in fids if f not in FORMULAS]
     if unknown:
@@ -734,56 +732,30 @@ def run_formulas(
             results = list(pool.map(lambda sl: _sweep_point(sl[0], fids, scheme), sweep))
     else:
         results = [_sweep_point(subspec, fids, scheme) for subspec, _ in sweep]
-    per_res: list[tuple[float, dict, dict]] = []
+    per_res: list[tuple[float, dict]] = []
     for (_, label), (example_name, grid, hyp, values) in zip(sweep, results):
-        h = label if singular else max(grid.spacings)
-        per_res.append((h, hyp, values))
-    finest_res = grid.sizes
+        per_res.append((label if singular else max(grid.spacings), values))
+    values_fine = per_res[-1][1]
     reports = []
-    _, hyp_fine, values_fine = per_res[-1]
     for fid in fids:
-        formula = FORMULAS[fid]
-        if fid not in values_fine:
-            reports.append(
-                ResidualReport(
-                    formula_id=fid,
-                    example=example_name,
-                    resolution=finest_res,
-                    scheme=scheme,
-                    value=0.0,
-                    expected=0.0,
-                    tolerance=0.0,
-                    verdict="not-applicable",
-                    hypotheses=hyp_fine,
-                    convergence=[],
-                    detail={},
-                )
-            )
-            continue
-        conv = [
-            (h, abs(v[fid][0] - v[fid][1]))
-            for h, _, v in per_res
-            if fid in v
-        ]
-        value, expected, detail = values_fine[fid]
-        # sup-norm residuals converge in h even on excised runs
-        policy = SINGULAR_POLICY if singular and formula.kind != "sup" else SMOOTH_POLICY
-        verdict, tol, audit = _judge(
-            formula.kind, float(value), float(expected), formula.fixed_tol, conv, policy
-        )
+        value, detail, conv, verdict, tol = 0.0, {}, [], "not-applicable", 0.0
+        if fid in values_fine:
+            value, detail = values_fine[fid]
+            conv = [(h, abs(v[fid][0])) for h, v in per_res if fid in v]
+            verdict, tol, audit = _judge(FORMULAS[fid], float(value), conv, singular)
+            detail = {**detail, **audit}
         reports.append(
             ResidualReport(
                 formula_id=fid,
                 example=example_name,
-                resolution=finest_res,
+                resolution=grid.sizes,
                 scheme=scheme,
                 value=float(value),
-                expected=float(expected),
                 tolerance=float(tol),
                 verdict=verdict,
-                hypotheses=hyp_fine,
+                hypotheses=hyp,
                 convergence=conv,
-                detail={**detail, **audit},
+                detail=detail,
             )
         )
     return reports

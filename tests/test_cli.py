@@ -104,7 +104,9 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
         "error: jobs must be an integer >= 1, got 0",
     ]
     # the grid size, wrong arity, a row the selected beta_mode does not read,
-    # and a choice outside its values
+    # a choice outside its values, an excision radius the grid cannot
+    # resolve (r0 >= 2 * (2 pi / n) needs n >= 252 for the default 0.05), and
+    # 'sound', which is no selector: only 'all', 'full' and formula ids are
     for argv in (
         ["--example", "flat-graph", "--param", "n=20"],
         ["--example", "flat-graph", "--param", "beta_sharp=0.1,0.2,0.3"],
@@ -112,6 +114,9 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
         ["--example", "conformal-torus", "--param", "beta_mode=riemannian", "--param", "eps1=0.9"],
         ["--example", "sphere-latitudes", "--param", "beta_mode=eigen", "--param", "asym=5"],
         ["--example", "conformal-torus", "--param", "beta_mode=a,b"],
+        ["--example", "sphere-latitudes", "--res", "128"],
+        ["--example", "sphere-latitudes", "--res", "251"],
+        ["--example", "flat-parallel", "--formulas", "sound"],
     ):
         assert main(argv) == 2, argv
     assert capsys.readouterr().err.splitlines() == [
@@ -124,6 +129,11 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
         "only under rotational",
         "error: conformal-torus: parameter beta_mode must be one of "
         "generic|constant-angle|riemannian, got 'a,b'",
+        "error: sphere-latitudes: excision radius 0.05 is below 2 * (2 pi / n) = 0.0982 "
+        "at n = 128; the smallest n that admits it is 252",
+        "error: sphere-latitudes: excision radius 0.05 is below 2 * (2 pi / n) = 0.0501 "
+        "at n = 251; the smallest n that admits it is 252",
+        "error: unknown formula id(s): sound; run --list to see the catalog",
     ]
     # a report path that cannot be written, after the sweep has run
     out = tmp_path / "missing" / "report.json"

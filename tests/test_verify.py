@@ -16,7 +16,15 @@ from randers_foliations.matinv import (
     sigma_via_determinant,
 )
 from randers_foliations.report import ResidualReport, reports_to_csv, reports_to_json
-from randers_foliations.verify import FORMULAS, formula_ids, run_formulas
+from randers_foliations.verify import (
+    BOUND_TOL,
+    FORMULAS,
+    SINGULAR_POLICY,
+    SMOOTH_POLICY,
+    _judge,
+    formula_ids,
+    run_formulas,
+)
 
 
 def by_id(reports, fid):
@@ -262,6 +270,29 @@ def test_report_round_trip_and_determinism(flat_graph_reports):
     assert len(csv_text.splitlines()) == len(flat_graph_reports) + 1
 
 
+def test_judge_rules():
+    bound, sup, zero = FORMULAS["energy-bound"], FORMULAS["shape-comparison"], FORMULAS["reeb-riemannian"]
+    # a bound's margin passes down to -tol, whatever the sweep shows
+    assert _judge(bound, -BOUND_TOL, [], False) == ("pass", BOUND_TOL, {})
+    assert _judge(bound, np.nextafter(-BOUND_TOL, -1.0), [], False)[0] == "fail"
+    # below the absolute tolerance a residual passes with no audit
+    tol = SMOOTH_POLICY[0]
+    assert _judge(zero, -0.5 * tol, [(0.1, 1.0), (0.05, 0.5 * tol)], False) == ("pass", tol, {})
+    # above it, a residual that falls by the policy's ratio under the cap passes
+    verdict, _, audit = _judge(zero, 1e-4, [(0.1, 4e-4), (0.05, 1e-4)], False)
+    assert verdict == "pass" and audit["convergence_ratio"] == 4.0
+    assert audit["extrapolated_residual"] == pytest.approx(1e-4 / 3.0)
+    # a plateau fails
+    verdict, _, audit = _judge(zero, 1e-4, [(0.1, 1.01e-4), (0.05, 1e-4)], False)
+    assert verdict == "fail" and audit["convergence_ratio"] == pytest.approx(1.01)
+    # on an excised run an integral takes the singular policy, a sup-norm
+    # residual the smooth one: the same residual and decay split on it
+    conv = [(0.2, 2.5e-3), (0.1, 1e-3)]
+    assert _judge(zero, 1e-3, conv, True)[:2] == ("pass", SINGULAR_POLICY[0])
+    assert _judge(sup, 1e-3, conv, True)[:2] == ("fail", SMOOTH_POLICY[0])
+    assert _judge(zero, 1e-3, conv, False)[:2] == ("fail", SMOOTH_POLICY[0])
+
+
 def test_report_rejects_bad_verdict():
     with pytest.raises(ValueError):
         ResidualReport(
@@ -270,7 +301,6 @@ def test_report_rejects_bad_verdict():
             resolution=(8,),
             scheme="spectral",
             value=0.0,
-            expected=0.0,
             tolerance=1.0,
             verdict="maybe",
         )
@@ -318,5 +348,5 @@ def test_first_order_expansion_matches_closed_display_pointwise():
     )
     assert np.max(np.abs(pieces - closed)) < 1e-10
     # and both reproduce the registry evaluator's value
-    val, _, _ = FORMULAS["berwald-sigma-k1-printed"].evaluate(E, {})
+    val, _ = FORMULAS["berwald-sigma-k1-printed"].evaluate(E)
     assert val == pytest.approx(integrate(E.M, closed, "a"), abs=1e-12)
