@@ -128,9 +128,10 @@ def _sphere_latitudes(p: dict) -> FoliatedRandersManifold:
     # derivative stencils must not touch the poles: r0 >= 2 h, where the
     # 2 pi period of phi sets the largest spacing h = 2 pi / n
     if r0 < 2.0 * max(grid.spacings):
+        need = 4.0 * math.pi / r0  # inf for a subnormal r0
+        fix = f"the smallest n that admits it is {math.ceil(need)}" if math.isfinite(need) else "no n admits it"
         raise ValueError(
-            f"excision radius {r0} is below 2 * (2 pi / n) = {2.0 * max(grid.spacings):.4f} "
-            f"at n = {n}; the smallest n that admits it is {math.ceil(4.0 * math.pi / r0)}"
+            f"excision radius {r0} is below 2 * (2 pi / n) = {2.0 * max(grid.spacings):.4f} at n = {n}; {fix}"
         )
     theta, _phi = grid.meshgrid()
     s, c2 = np.sin(theta), np.sin(2.0 * theta)

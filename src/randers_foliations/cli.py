@@ -16,7 +16,8 @@ out of bounds are configuration errors.  ``--res`` alone sets the grid size
 ``n``.  ``r0`` is a one-point excision sweep, ``r0_sweep`` several, not both.
 
 Exit status: 0 when every applicable check passes, 1 when any check fails,
-2 on configuration errors and when the report cannot be written.
+2 on configuration errors (a grid too large to allocate among them) and
+when the report cannot be written.
 ``--formulas all`` selects every check expected to hold; ``--formulas full``
 additionally includes the verbatim transcriptions of published displays
 that the convergence tables refute (those runs exit 1 by design; the
@@ -275,6 +276,9 @@ def main(argv: list[str] | None = None) -> int:
         code, reports = run(config)
     except (ConfigError, ExampleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a grid too large to allocate is a configuration error
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     for r in reports:
         print(r.summary_line())

@@ -16,7 +16,10 @@ operator A = A^g + C^sharp_nu, eigenvalues, volume densities) is cached on
 one bundle object, the only memo of the pipeline: each field is computed at
 most once per bundle, and a fresh bundle is built for every sweep point.  The
 bundle holds only derived fields; the pointwise scalars and normals (c, chat,
-beta(N), n, nu and bst = beta_sharp_top) are read from the manifold.
+beta(N), n, nu and bst = beta_sharp_top) are read from the manifold.  Each of
+the two Levi-Civita connections (of a and of g) is formed once, inside one
+pass that takes every field its readers need from it, and is freed when the
+pass returns: no held field has more than dim + 2 axes.
 
 Leaf operators and leaf vectors are frame arrays: (m x m) matrices and
 m-vectors in a per-node a-orthonormal tangent frame F.  The frame is built by
@@ -32,14 +35,19 @@ projecting first.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .invariants import det, dot, outer
 from .manifold import (
+    BarData,
+    CurvatureData,
     FoliatedRandersManifold,
     _masked_to_identity,
+    connection_along,
+    covariant_operator_derivative,
     covariant_vector_derivative,
     curvature_bar,
     deformation_tensor,
@@ -76,6 +84,28 @@ def _matvec(L: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...ab,...b->...a", L, v)
 
 
+@dataclass(frozen=True)
+class BasePass:
+    """What the checks read from the base connection Gamma_a; Gamma_a is not kept."""
+
+    bars: BarData
+    nabla_beta_sharp: np.ndarray    # nabla beta_sharp
+    nabla_Zbar: np.ndarray          # nabla Zbar
+    nabla_n_bst: np.ndarray         # nabla_n beta_sharp_top, a vector
+    gamma_N: np.ndarray             # Gamma_a(N) = connection_along(Gamma_a, N)
+    curvature: CurvatureData | None  # None on masked manifolds, where no check reads it
+
+
+@dataclass(frozen=True)
+class NormalPass:
+    """What the checks read from the connection of g; Gamma_g is not kept."""
+
+    nabla_nu: np.ndarray            # nabla nu
+    Z_direct: np.ndarray            # nabla_nu nu, tangent part
+    nabla_Z: np.ndarray             # nabla Z_direct
+    nabla_n_n: np.ndarray           # nabla_n n, a vector
+
+
 class ExtrinsicBundle:
     """All extrinsic fields of one manifold at one derivative scheme."""
 
@@ -110,50 +140,81 @@ class ExtrinsicBundle:
         return g_metric_field(self.M)
 
     @cached_property
-    def gamma_a(self):
-        return levi_civita(self.M, self.scheme)
-
-    @cached_property
-    def gamma_g(self):
-        return levi_civita(self.M, self.scheme, metric=self.g)
-
-    @cached_property
-    def nabla_beta_sharp(self):
-        """Covariant derivative of beta_sharp for the base metric."""
-        return covariant_vector_derivative(self.M, self.M.beta_sharp, self.gamma_a, self.scheme)
-
-    @cached_property
-    def nabla_Zbar(self):
-        """Covariant derivative of Zbar for the base metric."""
-        return covariant_vector_derivative(self.M, self.Zbar, self.gamma_a, self.scheme)
-
-    @cached_property
-    def nabla_nu(self):
-        """Covariant derivative of nu for the normal metric g."""
-        return covariant_vector_derivative(self.M, self.M.nu_field, self.gamma_g, self.scheme)
-
-    @cached_property
     def d_chat(self):
         """Coordinate differential of chat."""
         return gradient(self.M, self.M.chat, self.scheme)
 
-    # -- base-metric extrinsic quantities ---------------------------------------
+    # -- the two connections: each formed once, inside the pass that reads it -----
 
     @cached_property
-    def bars(self):
-        return extrinsic_bar(self.M, self.gamma_a, self.scheme)
+    def base_pass(self):
+        """Every field read from the base connection Gamma_a, taken in one pass.
+
+        Gamma_a (d^3 numbers per node) is a local here and is freed on return;
+        ``curvature`` is formed only where a check can read it (unmasked).
+        """
+        M, scheme = self.M, self.scheme
+        gamma = levi_civita(M, scheme)
+        bars = extrinsic_bar(M, gamma, scheme)
+        return BasePass(
+            bars=bars,
+            nabla_beta_sharp=covariant_vector_derivative(M, M.beta_sharp, gamma, scheme),
+            nabla_Zbar=covariant_vector_derivative(M, bars.Zbar, gamma, scheme),
+            nabla_n_bst=_matvec(covariant_vector_derivative(M, M.beta_sharp_top, gamma, scheme), M.n_field),
+            gamma_N=connection_along(gamma, M.N),
+            curvature=curvature_bar(M, gamma, scheme) if M.mask is None else None,
+        )
+
+    @cached_property
+    def normal_pass(self):
+        """Every field read from the connection Gamma_g of g, taken in one pass; Gamma_g is a local."""
+        M, scheme = self.M, self.scheme
+        gamma = levi_civita(M, scheme, metric=self.g)
+        nabla_nu = covariant_vector_derivative(M, M.nu_field, gamma, scheme)
+        Z = M.project_tangent(_matvec(nabla_nu, M.nu_field))
+        return NormalPass(
+            nabla_nu=nabla_nu,
+            Z_direct=Z,
+            nabla_Z=covariant_vector_derivative(M, Z, gamma, scheme),
+            nabla_n_n=_matvec(covariant_vector_derivative(M, M.n_field, gamma, scheme), M.n_field),
+        )
 
     @cached_property
     def curvature(self):
-        return curvature_bar(self.M, self.gamma_a, self.scheme)
+        return self.base_pass.curvature
+
+    @cached_property
+    def nabla_beta_sharp(self):
+        return self.base_pass.nabla_beta_sharp
+
+    @cached_property
+    def nabla_Zbar(self):
+        return self.base_pass.nabla_Zbar
+
+    def nabla_N_Abar(self):
+        """nabla_N Abar for the base metric, from the kept Gamma_a(N); not kept, it has one reader."""
+        M = self.M
+        return covariant_operator_derivative(M, self.Abar, M.N, self.base_pass.gamma_N, self.scheme)
+
+    @cached_property
+    def Z_direct(self):
+        """Z = nabla_nu nu from the numeric Levi-Civita connection of g."""
+        return self.normal_pass.Z_direct
+
+    @cached_property
+    def nabla_Z_direct(self):
+        """Covariant derivative of Z_direct for the normal metric g."""
+        return self.normal_pass.nabla_Z
+
+    # -- base-metric extrinsic quantities ---------------------------------------
 
     @cached_property
     def Abar(self):
-        return self.bars.Abar
+        return self.base_pass.bars.Abar
 
     @cached_property
     def Zbar(self):
-        return self.bars.Zbar
+        return self.base_pass.bars.Zbar
 
     # -- tangent frames ----------------------------------------------------------
 
@@ -251,7 +312,7 @@ class ExtrinsicBundle:
         The g-normal component of the output is removed, out -= nu g(nu, out),
         before the frame map.
         """
-        nu, Dnu = self.M.nu_field, self.nabla_nu
+        nu, Dnu = self.M.nu_field, self.normal_pass.nabla_nu
         g_nu = np.einsum("...ij,...j->...i", self.g, nu)
         return -self.op_to_frame(Dnu - outer(nu, (g_nu[..., None, :] @ Dnu)[..., 0, :]))
 
@@ -270,9 +331,7 @@ class ExtrinsicBundle:
     @cached_property
     def W_frame(self):
         """(nabla_n beta_sharp_top)^T in the frame."""
-        M = self.M
-        nab_bst = covariant_vector_derivative(M, M.beta_sharp_top, self.gamma_a, self.scheme)
-        return self.vec_to_frame(np.einsum("...ik,...k->...i", nab_bst, M.n_field))
+        return self.vec_to_frame(self.base_pass.nabla_n_bst)
 
     @cached_property
     def Ag_formula(self):
@@ -347,11 +406,6 @@ class ExtrinsicBundle:
         return cAg / c[..., None, None]
 
     # -- curvature vector of the nu-curves: two routes ---------------------------
-
-    @cached_property
-    def Z_direct(self):
-        """Z = nabla_nu nu from the numeric Levi-Civita connection of g."""
-        return self.M.project_tangent(np.einsum("...ik,...k->...i", self.nabla_nu, self.M.nu_field))
 
     @cached_property
     def Z_direct_frame(self):
@@ -457,8 +511,7 @@ class ExtrinsicBundle:
         for tangent u, v and a general slot w.
         """
         M = self.M
-        nab_n = covariant_vector_derivative(M, M.n_field, self.gamma_g, self.scheme)
-        w = np.einsum("...ik,...k->...i", nab_n, M.n_field)  # nabla_n n, not tangent
+        w = self.normal_pass.nabla_n_n  # nabla_n n, not tangent
         b, d, cc = self.b_frame, M.dim, self.cc
         n_w = M.inner(M.n_field, w)
         # I_n(e_a) = (d+1)/2 beta(e_a); I_n(w) = (d+1)/(2 cc)(beta(w) - beta(n) <n, w>)

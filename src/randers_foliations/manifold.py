@@ -32,6 +32,7 @@ __all__ = [
     "FoliatedRandersManifold",
     "gradient",
     "levi_civita",
+    "connection_along",
     "covariant_vector_derivative",
     "covariant_operator_derivative",
     "deformation_tensor",
@@ -217,6 +218,8 @@ def levi_civita(
     Defaults to the base metric ``a``; pass ``metric`` for any other SPD
     field (the normal-metric g, for instance); a ``metric`` that is not SPD
     raises FloatingPointError naming the first such active node in C order.
+    Each partial d_p g is added into X[l, j, k] = d_j g_kl + d_k g_jl - d_l g_jk
+    as it is taken, so no stack of partials is formed.
     """
     g = M.a if metric is None else metric
     if metric is None:
@@ -229,12 +232,15 @@ def levi_civita(
             node = tuple(int(i) for i in np.unravel_index(int(bad[0]), M.grid.sizes))
             raise FloatingPointError(f"metric field not SPD at node {node}")
         g_inv = inv(g_act, D)
-    dg = gradient(M, g, scheme)  # dg[..., k, i, j] = d_k g_ij
-    X = dg + np.swapaxes(dg, -3, -2)
-    X -= np.moveaxis(dg, -3, -1)  # X[..., j, k, l] = d_j g_kl + d_k g_jl - d_l g_jk
     d = M.dim
-    X_lT = np.swapaxes(X.reshape(X.shape[:-3] + (d * d, d)), -1, -2)  # (l, jk)
-    gam = g_inv @ X_lT
+    X = np.zeros(M.grid.sizes + (d, d, d))  # X[..., l, j, k]
+    for p in range(d):
+        dg = derivative_values(g, M.grid, p, scheme)  # dg[..., i, j] = d_p g_ij
+        dgT = np.swapaxes(dg, -1, -2)
+        X[..., :, p, :] += dgT  # j = p: d_p g_kl
+        X[..., :, :, p] += dgT  # k = p: d_p g_jl
+        X[..., p, :, :] -= dg   # l = p: d_p g_jk
+    gam = g_inv @ X.reshape(M.grid.sizes + (d, d * d))
     gam *= 0.5
     return gam.reshape(X.shape)
 
@@ -248,8 +254,12 @@ def _masked_to_identity(g: np.ndarray, M: FoliatedRandersManifold) -> np.ndarray
     return out
 
 
-def _contract_last(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """out[..., i, k] = Gamma^i_{km} v^m, one (d^2, d) @ (d,) product per node."""
+def connection_along(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Connection matrix along v: out[..., i, k] = Gamma^i_{km} v^m = Gamma^i_{mk} v^m.
+
+    One (d^2, d) @ (d,) product per node; the two index orders agree because
+    Levi-Civita symbols are symmetric in their lower indices.
+    """
     d = v.shape[-1]
     return (gamma.reshape(gamma.shape[:-3] + (d * d, d)) @ v[..., None]).reshape(gamma.shape[:-1])
 
@@ -257,27 +267,31 @@ def _contract_last(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
 def covariant_vector_derivative(
     M: FoliatedRandersManifold, v: np.ndarray, gamma: np.ndarray, scheme: str
 ) -> np.ndarray:
-    """(nabla v)[..., i, k] = d_k v^i + Gamma^i_{km} v^m."""
-    dv = gradient(M, v, scheme)  # dv[..., k, i]
-    return np.swapaxes(dv, -1, -2) + _contract_last(gamma, v)
+    """(nabla v)[..., i, k] = d_k v^i + Gamma^i_{km} v^m, each d_k v added in as taken."""
+    out = connection_along(gamma, v)
+    for k in range(M.dim):
+        out[..., :, k] += derivative_values(v, M.grid, k, scheme)
+    return out
 
 
 def covariant_operator_derivative(
-    M: FoliatedRandersManifold, T: np.ndarray, direction: np.ndarray, gamma: np.ndarray, scheme: str
+    M: FoliatedRandersManifold, T: np.ndarray, direction: np.ndarray, gamma_X: np.ndarray, scheme: str
 ) -> np.ndarray:
-    """Covariant derivative of a (1,1)-tensor field along a vector field.
+    """Covariant derivative of a (1,1)-tensor field along a vector field X.
 
     (nabla_X T)^i_j = X^k d_k T^i_j + X^k Gamma^i_{km} T^m_j - X^k Gamma^m_{kj} T^i_m,
-    assembled as X.dT + G T - T G with G^i_m = Gamma^i_{mk} X^k = Gamma^i_{km} X^k
-    (the Levi-Civita symbols are symmetric in their lower indices).
+    assembled as X.dT + G T - T G from the connection matrix along X,
+    ``gamma_X`` = G = connection_along(Gamma, X); each d_k T is added in as taken.
     """
-    d = M.dim
-    dT = gradient(M, T, scheme)  # dT[..., k, i, j]
-    flat = dT.reshape(dT.shape[:-3] + (d, d * d))
-    term = (direction[..., None, :] @ flat).reshape(T.shape)
-    G = _contract_last(gamma, direction)
-    term += G @ T
-    term -= T @ G
+    term = derivative_values(T, M.grid, 0, scheme)
+    term *= direction[..., 0, None, None]
+    for k in range(1, M.dim):
+        dT = derivative_values(T, M.grid, k, scheme)
+        dT *= direction[..., k, None, None]
+        term += dT
+        del dT
+    term += gamma_X @ T
+    term -= T @ gamma_X
     return term
 
 
@@ -287,7 +301,9 @@ def deformation_tensor(M: FoliatedRandersManifold, nab: np.ndarray) -> np.ndarra
     Def^i_j = (nab^i_j + a^{ik} nab^l_k a_{lj}) / 2 = (nab + a^-1 nab^T a) / 2.
     """
     nab_t = M.a_inv @ (np.swapaxes(nab, -1, -2) @ M.a)
-    return 0.5 * (nab + nab_t)
+    nab_t += nab
+    nab_t *= 0.5
+    return nab_t
 
 
 @dataclass(frozen=True)
@@ -318,25 +334,32 @@ def curvature_bar(M: FoliatedRandersManifold, gamma: np.ndarray, scheme: str) ->
     """Normal-direction curvature of the base metric, and the sup of its Riemann tensor.
 
     R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma^i_{km} Gamma^m_{lj}
-    - Gamma^i_{lm} Gamma^m_{kj}, assembled as T[i, k, l, j] - T[i, l, k, j] with
-    T[i, k, l, j] = d_k Gamma^i_{lj} + Gamma^i_{km} Gamma^m_{lj}, and
-    R_N^i_k = R^i_{jkl} N^j N^l.
+    - Gamma^i_{lm} Gamma^m_{kj} is formed one slice R_kl = R[:, :, k, l], k < l,
+    at a time: with (Gamma_k)^i_m = Gamma^i_{km}, each one (d, d) field,
+    R_kl = (Gamma_k Gamma_l + d_k Gamma_l) - (Gamma_l Gamma_k + d_l Gamma_k).
+    R_lk = -R_kl and R_kk = 0, so the slices give sup |R| exactly, and
+    R_N^i_k = R^i_{jkl} N^j N^l collects R_kl N from both of its slots.
     """
     d = M.dim
-    batch = gamma.shape[:-3]
-    dgam = gradient(M, gamma, scheme)  # dgam[..., p, i, j, k]
-    T = gamma.reshape(batch + (d * d, d)) @ gamma.reshape(batch + (d, d * d))
-    T = T.reshape(batch + (d,) * 4)  # (i, k, l, j), so far Gamma^i_{km} Gamma^m_{lj}
-    T += np.swapaxes(dgam, -4, -3)
-    del dgam  # at most two d^4-sized arrays are alive at once
-    R = T - np.swapaxes(T, -3, -2)  # R[..., i, k, l, j]
-    del T
-    NN = (M.N[..., :, None] * M.N[..., None, :]).reshape(batch + (d * d, 1))  # (l, j)
-    RN = (R.reshape(batch + (d * d, d * d)) @ NN).reshape(batch + (d, d))
+    N = M.N
+    RN = np.zeros(M.grid.sizes + (d, d))
+    sup = 0.0
+    for k in range(d):
+        for l in range(k + 1, d):
+            gk, gl = gamma[..., :, k, :], gamma[..., :, l, :]
+            R = gk @ gl
+            R += derivative_values(gl, M.grid, k, scheme)
+            T = gl @ gk
+            T += derivative_values(gk, M.grid, l, scheme)
+            R -= T
+            del T
+            sup = max(sup, R.max(), -R.min())
+            RNv = (R @ N[..., None])[..., 0]  # R^i_{jkl} N^j
+            RN[..., :, k] += RNv * N[..., l, None]
+            RN[..., :, l] -= RNv * N[..., k, None]
     P = M.tangent_projector
     RN_tan = P @ RN @ P
     ric = np.trace(RN_tan, axis1=-2, axis2=-1)
-    sup = max(R.max(), -R.min())  # max |R| without another d^4-sized array
     return CurvatureData(sup_riemann=float(sup), R_N=RN_tan, ricci_N=ric)
 
 

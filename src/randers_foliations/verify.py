@@ -27,13 +27,7 @@ import numpy as np
 from .catalog import ExampleSpec, build_example, r0_sweep
 from .extrinsic import ExtrinsicBundle, build_extrinsic
 from .invariants import dot, newton_transform_batched, outer, sigma_k, sigma_multi_batched, trace
-from .manifold import (
-    covariant_operator_derivative,
-    covariant_vector_derivative,
-    deformation_tensor,
-    gradient,
-    integrate,
-)
+from .manifold import deformation_tensor, gradient, integrate
 from .report import ResidualReport
 
 __all__ = ["Formula", "formula_ids", "run_formulas", "hypothesis_profile", "FORMULAS"]
@@ -446,19 +440,20 @@ def _ev_codazzi(E):
 
 
 def _ev_codazzi_g(E):
-    nabZ = covariant_vector_derivative(E.M, E.Z_direct, E.gamma_g, E.scheme)
-    return _codazzi_asymmetry(E, nabZ, E.g), {}
+    return _codazzi_asymmetry(E, E.nabla_Z_direct, E.g), {}
 
 
 def _ev_riccati(E):
+    """R_N = P (Def_Zbar + nabla_N Abar) P - Abar^2 - Zbar (x) Zbar^flat, as a sup residual."""
     M = E.M
     P = M.tangent_projector
-    defz_t = P @ deformation_tensor(M, E.nabla_Zbar) @ P
-    dNA = P @ covariant_operator_derivative(M, E.Abar, M.N, E.gamma_a, E.scheme) @ P
-    A2 = E.Abar @ E.Abar
-    zf = (M.a @ E.Zbar[..., None])[..., 0]
-    zz = E.Zbar[..., :, None] * zf[..., None, :]
-    resid = E.curvature.R_N - (defz_t + dNA - A2 - zz)
+    inner = deformation_tensor(M, E.nabla_Zbar)
+    inner += E.nabla_N_Abar()
+    resid = P @ inner @ P
+    del inner
+    resid -= E.Abar @ E.Abar
+    resid -= outer(E.Zbar, (M.a @ E.Zbar[..., None])[..., 0])
+    resid -= E.curvature.R_N
     return _sup_active(E, resid), {}
 
 

@@ -246,11 +246,11 @@ def test_self_adjointness_of_shape_operators():
 
 
 def test_nabla_z_symmetry_for_g():
-    from randers_foliations.manifold import covariant_vector_derivative
+    from randers_foliations.manifold import covariant_vector_derivative, levi_civita
 
     E = bundle("conformal-torus", n=64)
     M = E.M
-    nabZ = covariant_vector_derivative(M, E.Z_direct, E.gamma_g, "spectral")
+    nabZ = covariant_vector_derivative(M, E.Z_direct, levi_civita(M, "spectral", metric=E.g), "spectral")
     form = np.einsum("...lu,...lv->...uv", nabZ, E.g)
     P = M.tangent_projector
     formt = np.einsum("...ua,...uv,...vb->...ab", P, form, P)
@@ -339,11 +339,11 @@ def test_principal_curvatures_real_and_sorted():
 
 def test_corrected_trace_identity_field():
     from randers_foliations.grid import derivative_values
-    from randers_foliations.manifold import covariant_vector_derivative
+    from randers_foliations.manifold import covariant_vector_derivative, levi_civita
 
     E = bundle("conformal-torus", n=64)
     M = E.M
-    nab = covariant_vector_derivative(M, M.beta_sharp, E.gamma_a, "spectral")
+    nab = covariant_vector_derivative(M, M.beta_sharp, levi_civita(M, "spectral"), "spectral")
     div_bs = np.einsum("...ii->...", nab)
     dchat = np.stack([derivative_values(M.chat, M.grid, ax, "spectral") for ax in range(2)], -1)
     Nchat = np.einsum("...i,...i->...", M.N, dchat)
@@ -415,7 +415,7 @@ def tangent_point():
     fids = [f for f in verify.formula_ids() if not verify.FORMULAS[f].refuted]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "build_extrinsic", keep_bundle)
-        for module in (manifold, extrinsic, verify):
+        for module in (manifold, extrinsic):
             mp.setattr(module, "covariant_vector_derivative", record)
         verify.run_formulas(ExampleSpec("flat-graph-tangent"), fids, [12], "spectral")
     assert len(bundles) == 1
@@ -423,8 +423,8 @@ def tangent_point():
 
 
 def test_bundle_holds_no_array_wider_than_the_connection(tangent_point):
-    # operators carry dim + 2 axes; only the two Christoffel fields carry
-    # dim + 3, and nothing holds a d^4 array such as the Riemann tensor
+    # operators carry dim + 2 axes; the Christoffel fields (dim + 3) live only
+    # inside the pass that reads them, and no d^4 array is ever held
     E, _ = tangent_point
     held = {}
 
@@ -441,10 +441,10 @@ def test_bundle_holds_no_array_wider_than_the_connection(tangent_point):
     for key, value in vars(E).items():
         if key != "M":
             walk(key, value)
-    assert "curvature.R_N" in held and "bars.Abar" in held
+    assert "base_pass.curvature.R_N" in held and "base_pass.bars.Abar" in held
+    assert "normal_pass.nabla_Z" in held
     dim = E.M.dim
-    wide = {name: ndim for name, ndim in held.items() if ndim > dim + 2}
-    assert wide == {"gamma_a": dim + 3, "gamma_g": dim + 3}
+    assert {name: ndim for name, ndim in held.items() if ndim > dim + 2} == {}
 
 
 def test_bundle_takes_each_covariant_derivative_once(tangent_point):

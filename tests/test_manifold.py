@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from randers_foliations.catalog import ExampleSpec, build_example, example_names
 from randers_foliations.grid import PeriodicGrid, derivative_values
 from randers_foliations.manifold import (
     FoliatedRandersManifold,
+    connection_along,
     covariant_operator_derivative,
     covariant_vector_derivative,
     curvature_bar,
@@ -183,9 +186,7 @@ def test_curvature_flat_zero():
 
 
 def test_curvature_first_bianchi():
-    M = conformal()
-    gam = levi_civita(M, "spectral")
-    R = _check_curvature_against_reference(M, gam)
+    R = _check_curvature_against_reference(conformal(), "spectral")
     cyc = (
         R
         + np.moveaxis(R, (-3, -2, -1), (-1, -3, -2))
@@ -202,15 +203,13 @@ def test_gauss_bonnet_on_conformal_torus():
 
 
 def riccati_residual(M, scheme):
-    from randers_foliations.manifold import covariant_operator_derivative
-
     gam = levi_civita(M, scheme)
     bar = extrinsic_bar(M, gam, scheme)
     cur = curvature_bar(M, gam, scheme)
     P = M.tangent_projector
     defz = deformation_tensor(M, covariant_vector_derivative(M, bar.Zbar, gam, scheme))
     defz_t = np.einsum("...il,...lm,...mj->...ij", P, defz, P)
-    dNA = covariant_operator_derivative(M, bar.Abar, M.N, gam, scheme)
+    dNA = covariant_operator_derivative(M, bar.Abar, M.N, connection_along(gam, M.N), scheme)
     dNA = np.einsum("...il,...lm,...mj->...ij", P, dNA, P)
     zf = np.einsum("...ij,...j->...i", M.a, bar.Zbar)
     resid = cur.R_N - (
@@ -335,9 +334,7 @@ def random_3d():
     Nv = np.einsum("...ij,...j->...i", np.linalg.inv(a), w)
     N = Nv / np.sqrt(np.einsum("...i,...i->...", w, Nv))[..., None]
     beta = 0.1 * _smooth_fields(grid, 3, rng)
-    M = FoliatedRandersManifold(grid, a, beta, N, name="random")
-    gam = levi_civita(M, "spectral")
-    return M, gam, rng
+    return FoliatedRandersManifold(grid, a, beta, N, name="random"), rng
 
 
 def _close(got, ref):
@@ -345,39 +342,50 @@ def _close(got, ref):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+# each kernel adds its partial derivatives in one at a time, per scheme
+SCHEMES = ("spectral", "central4")
+
+
 def test_levi_civita_matches_index_formula(random_3d):
     # Gamma^i_{jk} = a^{il} (d_j a_kl + d_k a_jl - d_l a_jk) / 2
-    M, gam, _ = random_3d
-    da = gradient(M, M.a, "spectral")  # da[..., p, i, j] = d_p a_ij
-    X = da + np.einsum("...kjl->...jkl", da) - np.einsum("...ljk->...jkl", da)
-    _close(gam, 0.5 * np.einsum("...il,...jkl->...ijk", M.a_inv, X))
+    M, _ = random_3d
+    for scheme in SCHEMES:
+        da = gradient(M, M.a, scheme)  # da[..., p, i, j] = d_p a_ij
+        X = da + np.einsum("...kjl->...jkl", da) - np.einsum("...ljk->...jkl", da)
+        _close(levi_civita(M, scheme), 0.5 * np.einsum("...il,...jkl->...ijk", M.a_inv, X))
 
 
 def test_covariant_derivatives_match_index_formulas(random_3d):
-    M, gam, rng = random_3d
+    for scheme in SCHEMES:
+        _check_covariant_derivatives(*random_3d, scheme)
+
+
+def _check_covariant_derivatives(M, rng, scheme):
+    gam = levi_civita(M, scheme)
     v = _smooth_fields(M.grid, 3, rng)
     T = _smooth_fields(M.grid, 9, rng).reshape(M.grid.sizes + (3, 3))
     X = _smooth_fields(M.grid, 3, rng)
     # (nabla v)^i_k = d_k v^i + Gamma^i_{km} v^m
-    dv = gradient(M, v, "spectral")
+    dv = gradient(M, v, scheme)
     nab_ref = np.einsum("...ki->...ik", dv) + np.einsum("...ikm,...m->...ik", gam, v)
-    nab = covariant_vector_derivative(M, v, gam, "spectral")
+    nab = covariant_vector_derivative(M, v, gam, scheme)
     _close(nab, nab_ref)
     # (nabla_X T)^i_j = X^k d_k T^i_j + X^k Gamma^i_{km} T^m_j - X^k Gamma^m_{kj} T^i_m
-    dT = gradient(M, T, "spectral")
+    dT = gradient(M, T, scheme)
     ref = (
         np.einsum("...k,...kij->...ij", X, dT)
         + np.einsum("...k,...ikm,...mj->...ij", X, gam, T)
         - np.einsum("...k,...mkj,...im->...ij", X, gam, T)
     )
-    _close(covariant_operator_derivative(M, T, X, gam, "spectral"), ref)
+    _close(covariant_operator_derivative(M, T, X, connection_along(gam, X), scheme), ref)
     # Def^i_j = (nabla v^i_j + a^{ik} nabla v^l_k a_lj) / 2
     ref = 0.5 * (nab_ref + np.einsum("...ik,...lk,...lj->...ij", M.a_inv, nab_ref, M.a))
     _close(deformation_tensor(M, nab), ref)
 
 
 def test_extrinsic_bar_matches_index_formula(random_3d):
-    M, gam, _ = random_3d
+    M, _ = random_3d
+    gam = levi_civita(M, "spectral")
     bar = extrinsic_bar(M, gam, "spectral")
     nabN = np.einsum("...ki->...ik", gradient(M, M.N, "spectral")) + np.einsum(
         "...ikm,...m->...ik", gam, M.N
@@ -387,14 +395,15 @@ def test_extrinsic_bar_matches_index_formula(random_3d):
     _close(bar.Zbar, M.project_tangent(np.einsum("...ik,...k->...i", nabN, M.N)))
 
 
-def _check_curvature_against_reference(M, gam):
+def _check_curvature_against_reference(M, scheme):
     """Check curvature_bar against an einsum Riemann tensor; returns that tensor.
 
     R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
                 + Gamma^i_{km} Gamma^m_{lj} - Gamma^i_{lm} Gamma^m_{kj}
     """
-    cur = curvature_bar(M, gam, "spectral")
-    dgam = gradient(M, gam, "spectral")  # dgam[..., p, i, j, k] = d_p Gamma^i_{jk}
+    gam = levi_civita(M, scheme)
+    cur = curvature_bar(M, gam, scheme)
+    dgam = gradient(M, gam, scheme)  # dgam[..., p, i, j, k] = d_p Gamma^i_{jk}
     R = (
         np.einsum("...kilj->...ijkl", dgam)
         - np.einsum("...likj->...ijkl", dgam)
@@ -412,5 +421,22 @@ def _check_curvature_against_reference(M, gam):
 
 
 def test_curvature_bar_matches_index_formula(random_3d):
-    M, gam, _ = random_3d
-    _check_curvature_against_reference(M, gam)
+    for scheme in SCHEMES:
+        _check_curvature_against_reference(random_3d[0], scheme)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("metric", ["random-3d", "conformal-2d"])
+def test_curvature_bar_peak_memory_is_a_few_connections(random_3d, metric, scheme):
+    # the Riemann tensor is formed one (k, l) slice at a time, so no d^4
+    # array, nor a stack of connection partials, is ever allocated
+    M = random_3d[0] if metric == "random-3d" else conformal(n=64)
+    gam = levi_civita(M, scheme)
+    M.tangent_projector  # a cached manifold field, not a kernel temporary
+    tracemalloc.start()
+    try:
+        curvature_bar(M, gam, scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * gam.nbytes, peak / gam.nbytes
