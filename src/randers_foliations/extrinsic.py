@@ -19,7 +19,12 @@ bundle holds only derived fields; the pointwise scalars and normals (c, chat,
 beta(N), n, nu and bst = beta_sharp_top) are read from the manifold.  Each of
 the two Levi-Civita connections (of a and of g) is formed once, inside one
 pass that takes every field its readers need from it, and is freed when the
-pass returns: no held field has more than dim + 2 axes.
+pass returns: no held field has more than dim + 2 axes.  Each pass output is
+its own memo entry.
+
+A field lives only until its last reader.  The bundle notes which stage of a
+sweep point (the hypotheses, then each check) last read each memo entry; a
+later bundle given that plan drops each entry as soon as that stage ends.
 
 Leaf operators and leaf vectors are frame arrays: (m x m) matrices and
 m-vectors in a per-node a-orthonormal tangent frame F.  The frame is built by
@@ -35,15 +40,12 @@ projecting first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .invariants import det, dot, outer
 from .manifold import (
-    BarData,
-    CurvatureData,
     FoliatedRandersManifold,
     _masked_to_identity,
     connection_along,
@@ -84,34 +86,48 @@ def _matvec(L: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...ab,...b->...a", L, v)
 
 
-@dataclass(frozen=True)
-class BasePass:
-    """What the checks read from the base connection Gamma_a; Gamma_a is not kept."""
+def _pass_field(run_pass, name: str) -> cached_property:
+    """The memo entry ``name``, which ``run_pass`` stores together with its other outputs."""
 
-    bars: BarData
-    nabla_beta_sharp: np.ndarray    # nabla beta_sharp
-    nabla_Zbar: np.ndarray          # nabla Zbar
-    nabla_n_bst: np.ndarray         # nabla_n beta_sharp_top, a vector
-    gamma_N: np.ndarray             # Gamma_a(N) = connection_along(Gamma_a, N)
-    curvature: CurvatureData | None  # None on masked manifolds, where no check reads it
+    def field(self):
+        return run_pass(self)[name]
 
-
-@dataclass(frozen=True)
-class NormalPass:
-    """What the checks read from the connection of g; Gamma_g is not kept."""
-
-    nabla_nu: np.ndarray            # nabla nu
-    Z_direct: np.ndarray            # nabla_nu nu, tangent part
-    nabla_Z: np.ndarray             # nabla Z_direct
-    nabla_n_n: np.ndarray           # nabla_n n, a vector
+    field.__name__ = name
+    return cached_property(field)
 
 
 class ExtrinsicBundle:
-    """All extrinsic fields of one manifold at one derivative scheme."""
+    """All extrinsic fields of one manifold at one derivative scheme.
 
-    def __init__(self, M: FoliatedRandersManifold, scheme: str = "spectral"):
+    The caller names the current stage (``stage``: "hyp" or a check id) and
+    closes it with ``end_stage``.  Every read of a memo entry is noted in
+    ``last_reader`` (field -> the last stage that read it or made it).  Given
+    the ``plan`` of an earlier bundle (its ``last_reader``), ``end_stage``
+    drops each entry the plan says the closing stage read last; an entry read
+    again after that is computed again.
+    """
+
+    def __init__(self, M: FoliatedRandersManifold, scheme: str = "spectral", plan: dict | None = None):
         self.M = M
         self.scheme = scheme
+        self.plan = plan or {}
+        self.stage: str | None = None
+        self.last_reader: dict[str, str | None] = {}
+
+    def __getattribute__(self, name):
+        value = object.__getattribute__(self, name)
+        if name in _FIELDS:
+            self.last_reader[name] = self.stage
+        return value
+
+    def end_stage(self) -> None:
+        """Close the current stage: note the entries it made, drop those it read last."""
+        memo = vars(self)
+        for name in _FIELDS.intersection(memo):
+            self.last_reader.setdefault(name, self.stage)
+        for name, stage in self.plan.items():
+            if stage == self.stage:
+                memo.pop(name, None)
 
     # -- metric level ----------------------------------------------------------
 
@@ -146,75 +162,67 @@ class ExtrinsicBundle:
 
     # -- the two connections: each formed once, inside the pass that reads it -----
 
-    @cached_property
-    def base_pass(self):
+    def _base_pass(self):
         """Every field read from the base connection Gamma_a, taken in one pass.
 
-        Gamma_a (d^3 numbers per node) is a local here and is freed on return;
-        ``curvature`` is formed only where a check can read it (unmasked).
+        Each output is stored as its own memo entry, so each is dropped after
+        its own last reader.  Gamma_a (d^3 numbers per node) is a local here
+        and is freed on return.  The curvature fields are formed only where a
+        check can read them (unmasked) and are None elsewhere.
         """
         M, scheme = self.M, self.scheme
         gamma = levi_civita(M, scheme)
         bars = extrinsic_bar(M, gamma, scheme)
-        return BasePass(
-            bars=bars,
-            nabla_beta_sharp=covariant_vector_derivative(M, M.beta_sharp, gamma, scheme),
-            nabla_Zbar=covariant_vector_derivative(M, bars.Zbar, gamma, scheme),
-            nabla_n_bst=_matvec(covariant_vector_derivative(M, M.beta_sharp_top, gamma, scheme), M.n_field),
-            gamma_N=connection_along(gamma, M.N),
-            curvature=curvature_bar(M, gamma, scheme) if M.mask is None else None,
-        )
+        out = {
+            "Abar": bars.Abar,
+            "Zbar": bars.Zbar,
+            "nabla_beta_sharp": covariant_vector_derivative(M, M.beta_sharp, gamma, scheme),
+            "nabla_Zbar": covariant_vector_derivative(M, bars.Zbar, gamma, scheme),
+            "nabla_n_bst": _matvec(
+                covariant_vector_derivative(M, M.beta_sharp_top, gamma, scheme), M.n_field
+            ),
+            "gamma_N": connection_along(gamma, M.N),
+        }
+        curvature = curvature_bar(M, gamma, scheme) if M.mask is None else None
+        for key in ("R_N", "ricci_N", "sup_riemann"):
+            out[key] = getattr(curvature, key, None)
+        vars(self).update(out)
+        return out
 
-    @cached_property
-    def normal_pass(self):
+    def _normal_pass(self):
         """Every field read from the connection Gamma_g of g, taken in one pass; Gamma_g is a local."""
         M, scheme = self.M, self.scheme
         gamma = levi_civita(M, scheme, metric=self.g)
         nabla_nu = covariant_vector_derivative(M, M.nu_field, gamma, scheme)
         Z = M.project_tangent(_matvec(nabla_nu, M.nu_field))
-        return NormalPass(
-            nabla_nu=nabla_nu,
-            Z_direct=Z,
-            nabla_Z=covariant_vector_derivative(M, Z, gamma, scheme),
-            nabla_n_n=_matvec(covariant_vector_derivative(M, M.n_field, gamma, scheme), M.n_field),
-        )
+        out = {
+            "nabla_nu": nabla_nu,
+            "Z_direct": Z,
+            "nabla_Z_direct": covariant_vector_derivative(M, Z, gamma, scheme),
+            "nabla_n_n": _matvec(covariant_vector_derivative(M, M.n_field, gamma, scheme), M.n_field),
+        }
+        vars(self).update(out)
+        return out
 
-    @cached_property
-    def curvature(self):
-        return self.base_pass.curvature
-
-    @cached_property
-    def nabla_beta_sharp(self):
-        return self.base_pass.nabla_beta_sharp
-
-    @cached_property
-    def nabla_Zbar(self):
-        return self.base_pass.nabla_Zbar
+    # the passes' outputs, one memo entry each
+    Abar = _pass_field(_base_pass, "Abar")                          # kills N, maps into T(leaves)
+    Zbar = _pass_field(_base_pass, "Zbar")                          # tangent vector field
+    nabla_beta_sharp = _pass_field(_base_pass, "nabla_beta_sharp")
+    nabla_Zbar = _pass_field(_base_pass, "nabla_Zbar")
+    nabla_n_bst = _pass_field(_base_pass, "nabla_n_bst")            # nabla_n beta_sharp_top, a vector
+    gamma_N = _pass_field(_base_pass, "gamma_N")                    # Gamma_a(N), a (d, d) field
+    R_N = _pass_field(_base_pass, "R_N")                            # R(., N) N; None when masked
+    ricci_N = _pass_field(_base_pass, "ricci_N")                    # leaf trace of R_N; None when masked
+    sup_riemann = _pass_field(_base_pass, "sup_riemann")            # max |R^i_jkl|; None when masked
+    nabla_nu = _pass_field(_normal_pass, "nabla_nu")
+    Z_direct = _pass_field(_normal_pass, "Z_direct")                # nabla_nu nu, tangent part
+    nabla_Z_direct = _pass_field(_normal_pass, "nabla_Z_direct")    # g-derivative of Z_direct
+    nabla_n_n = _pass_field(_normal_pass, "nabla_n_n")              # nabla_n n, a vector (not tangent)
 
     def nabla_N_Abar(self):
         """nabla_N Abar for the base metric, from the kept Gamma_a(N); not kept, it has one reader."""
         M = self.M
-        return covariant_operator_derivative(M, self.Abar, M.N, self.base_pass.gamma_N, self.scheme)
-
-    @cached_property
-    def Z_direct(self):
-        """Z = nabla_nu nu from the numeric Levi-Civita connection of g."""
-        return self.normal_pass.Z_direct
-
-    @cached_property
-    def nabla_Z_direct(self):
-        """Covariant derivative of Z_direct for the normal metric g."""
-        return self.normal_pass.nabla_Z
-
-    # -- base-metric extrinsic quantities ---------------------------------------
-
-    @cached_property
-    def Abar(self):
-        return self.base_pass.bars.Abar
-
-    @cached_property
-    def Zbar(self):
-        return self.base_pass.bars.Zbar
+        return covariant_operator_derivative(M, self.Abar, M.N, self.gamma_N, self.scheme)
 
     # -- tangent frames ----------------------------------------------------------
 
@@ -312,7 +320,7 @@ class ExtrinsicBundle:
         The g-normal component of the output is removed, out -= nu g(nu, out),
         before the frame map.
         """
-        nu, Dnu = self.M.nu_field, self.normal_pass.nabla_nu
+        nu, Dnu = self.M.nu_field, self.nabla_nu
         g_nu = np.einsum("...ij,...j->...i", self.g, nu)
         return -self.op_to_frame(Dnu - outer(nu, (g_nu[..., None, :] @ Dnu)[..., 0, :]))
 
@@ -331,7 +339,7 @@ class ExtrinsicBundle:
     @cached_property
     def W_frame(self):
         """(nabla_n beta_sharp_top)^T in the frame."""
-        return self.vec_to_frame(self.base_pass.nabla_n_bst)
+        return self.vec_to_frame(self.nabla_n_bst)
 
     @cached_property
     def Ag_formula(self):
@@ -511,7 +519,7 @@ class ExtrinsicBundle:
         for tangent u, v and a general slot w.
         """
         M = self.M
-        w = self.normal_pass.nabla_n_n  # nabla_n n, not tangent
+        w = self.nabla_n_n  # nabla_n n, not tangent
         b, d, cc = self.b_frame, M.dim, self.cc
         n_w = M.inner(M.n_field, w)
         # I_n(e_a) = (d+1)/2 beta(e_a); I_n(w) = (d+1)/(2 cc)(beta(w) - beta(n) <n, w>)
@@ -627,6 +635,14 @@ class ExtrinsicBundle:
         return np.where(self.bst_live, val, 0.0)
 
 
-def build_extrinsic(M: FoliatedRandersManifold, scheme: str = "spectral") -> ExtrinsicBundle:
-    """A fresh bundle; its fields are computed on first access and kept with it."""
-    return ExtrinsicBundle(M, scheme)
+# the memo entries: every field a bundle computes at most once and may drop
+_FIELDS = frozenset(
+    name for name, attr in vars(ExtrinsicBundle).items() if isinstance(attr, cached_property)
+)
+
+
+def build_extrinsic(
+    M: FoliatedRandersManifold, scheme: str = "spectral", plan: dict | None = None
+) -> ExtrinsicBundle:
+    """A fresh bundle; its fields are computed on first access and kept until ``plan`` drops them."""
+    return ExtrinsicBundle(M, scheme, plan)

@@ -76,8 +76,8 @@ def hypothesis_profile(E: ExtrinsicBundle) -> dict[str, float]:
     hyp["masked"] = 0.0 if M.mask is None else 1.0
     hyp["beta_singular"] = 1.0 if M.beta_singular else 0.0
     if M.mask is None:
-        hyp["sup_riemann"] = E.curvature.sup_riemann
-        hyp["max_ricci_N"] = float(np.max(E.curvature.ricci_N))
+        hyp["sup_riemann"] = E.sup_riemann
+        hyp["max_ricci_N"] = float(np.max(E.ricci_N))
     return hyp
 
 
@@ -146,7 +146,7 @@ def _directional(E, f, v):
 
 def _ric_nu(E):
     """Ric_nu of the Finsler structure: c^-2 Ric_N of the base metric."""
-    return E.curvature.ricci_N / E.M.c**2
+    return E.ricci_N / E.M.c**2
 
 
 def _curvature_spread(E):
@@ -185,7 +185,7 @@ def _ev_reeb_finsler(E):
 
 
 def _ev_second_order_riemannian(E):
-    integrand = 2.0 * sigma_k(E.Abar_frame, 2) - E.curvature.ricci_N
+    integrand = 2.0 * sigma_k(E.Abar_frame, 2) - E.ricci_N
     return integrate(E.M, integrand, "a"), {}
 
 
@@ -298,7 +298,7 @@ def _ev_parallel_second_order_printed(E):
         - (c - 2 * ch) * (1 - c**2 + 2 * cc) / (2 * ch**2) * dot(perpA, perpZ)
         - (1 + c**2 - 2 * cc) / (2 * ch) * dot(perpA, perpC)
         - (c - 2 * ch) * (1 + c**2) / (2 * ch) * dot(perpC, perpZ)
-        - 0.5 * E.curvature.ricci_N
+        - 0.5 * E.ricci_N
     )
     return integrate(M, integrand, "a"), {}
 
@@ -453,7 +453,7 @@ def _ev_riccati(E):
     del inner
     resid -= E.Abar @ E.Abar
     resid -= outer(E.Zbar, (M.a @ E.Zbar[..., None])[..., 0])
-    resid -= E.curvature.R_N
+    resid -= E.R_N
     return _sup_active(E, resid), {}
 
 
@@ -493,7 +493,7 @@ def _energy_pair(E):
     bnorm2 = float(np.max(np.where(M.active, M.beta_norm**2, 0.0)))
     ric_term = 0.0
     if M.mask is None:
-        ric_term = integrate(M, E.curvature.ricci_N / M.c**2, "a")
+        ric_term = integrate(M, E.ricci_N / M.c**2, "a")
     rhs = (1.0 - bnorm2) ** ((m + 2) / 2.0) * ((m + 1) / 2.0 * volA + ric_term / (2.0 * m))
     return energy, rhs, volF
 
@@ -508,7 +508,7 @@ def _ev_umbilicity_bound(E):
     M = E.M
     m = M.m
     U = integrate(M, _curvature_spread(E), "F")
-    r = -float(np.max(E.curvature.ricci_N))
+    r = -float(np.max(E.ricci_N))
     bnorm2 = float(np.max(np.where(M.active, M.beta_norm**2, 0.0)))
     rhs = (1.0 - bnorm2) ** ((m + 2) / 2.0) * m * r * integrate(M, 1.0 / M.c**2 * np.ones(M.grid.sizes), "a")
     return U - rhs, {"umbilicity_defect": U, "bound": rhs}
@@ -672,21 +672,39 @@ def _judge(
     return "fail", tol, detail
 
 
-def _sweep_point(subspec: ExampleSpec, fids: list[str], scheme: str):
-    """Hypotheses and formula values of one sweep point.
+# checks whose residual is a sup over a coordinate array: evaluated first, so
+# the coordinate (d, d) fields that only they read die before the frame checks
+_COORDINATE_FIRST = (
+    "codazzi-symmetry", "codazzi-symmetry-g", "riccati-identity", "trace-comparison", "tangency",
+    "volume-distortion",
+)
 
-    Returns the example's name and grid, not the manifold, so no point's
-    fields stay alive while the next point is built.
+
+def _sweep_point(subspec: ExampleSpec, fids: list[str], scheme: str, plan: dict | None = None):
+    """Hypotheses, formula values and release plan of one sweep point.
+
+    The hypotheses are the stage "hyp"; each check is a stage of its own,
+    the ``_COORDINATE_FIRST`` checks before the rest.  Given ``plan``, the
+    bundle drops each field when the stage the plan names as its last reader
+    ends.  Returns the example's name and grid (not the manifold, so no
+    point's fields stay alive while the next point is built), the
+    hypotheses, the values, and this point's record of last readers: the
+    plan for the next point.
     """
     M = build_example(subspec)
-    E = build_extrinsic(M, scheme)
+    E = build_extrinsic(M, scheme, plan)
+    E.stage = "hyp"
     hyp = hypothesis_profile(E)
+    E.end_stage()
     values: dict[str, tuple[float, dict]] = {}
-    for fid in fids:
+    order = [f for f in _COORDINATE_FIRST if f in fids] + [f for f in fids if f not in _COORDINATE_FIRST]
+    for fid in order:
+        E.stage = fid
         formula = FORMULAS[fid]
         if formula.applicable(hyp, M.m):
             values[fid] = formula.evaluate(E)
-    return M.name, M.grid, hyp, values
+        E.end_stage()
+    return M.name, M.grid, hyp, values, E.last_reader
 
 
 def run_formulas(
@@ -701,11 +719,14 @@ def run_formulas(
     Torus examples sweep the grid resolution.  Excised examples run at the
     finest requested grid and sweep the excision radius instead
     (``catalog.r0_sweep``), since the cap truncation, not the grid, limits
-    their residuals.  Each sweep point builds its manifold once.  ``jobs``
-    bounds the worker threads; every sweep point is independent and reports
-    are merged in sweep order, so results do not depend on the worker count.
-    Every entry carries the finest point's hypotheses; a check not applicable
-    there reports value 0 and the verdict ``not-applicable``.
+    their residuals.  Each sweep point builds its manifold once.  The first
+    point runs alone and records which check last reads each bundle field;
+    every later point drops each field after that reader.  ``jobs`` bounds
+    the worker threads of those later points; each is independent and
+    reports are merged in sweep order, so results do not depend on the
+    worker count.  Every entry carries the finest point's hypotheses; a check
+    not applicable there reports value 0 and the verdict ``not-applicable``.
+    Reports follow the order of ``fids``.
     """
     unknown = [f for f in fids if f not in FORMULAS]
     if unknown:
@@ -720,15 +741,18 @@ def run_formulas(
         sweep = [(ExampleSpec(spec.name, {**fixed, "r0": r0}), r0) for r0 in radii]
     else:
         sweep = [(ExampleSpec(spec.name, {**spec.params, "n": n}), float(n)) for n in sizes]
-    if jobs > 1 and len(sweep) > 1:
+    results = [_sweep_point(sweep[0][0], fids, scheme)]
+    plan = results[0][-1]
+    rest = [subspec for subspec, _ in sweep[1:]]
+    if jobs > 1 and len(rest) > 1:
         import concurrent.futures
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda sl: _sweep_point(sl[0], fids, scheme), sweep))
+            results += pool.map(lambda subspec: _sweep_point(subspec, fids, scheme, plan), rest)
     else:
-        results = [_sweep_point(subspec, fids, scheme) for subspec, _ in sweep]
+        results += [_sweep_point(subspec, fids, scheme, plan) for subspec in rest]
     per_res: list[tuple[float, dict]] = []
-    for (_, label), (example_name, grid, hyp, values) in zip(sweep, results):
+    for (_, label), (example_name, grid, hyp, values, _) in zip(sweep, results):
         per_res.append((label if singular else max(grid.spacings), values))
     values_fine = per_res[-1][1]
     reports = []
