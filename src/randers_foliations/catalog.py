@@ -33,6 +33,7 @@ __all__ = [
     "parse_params",
     "resolve_params",
     "r0_sweep",
+    "excision_masks",
 ]
 
 
@@ -122,17 +123,30 @@ def _conformal_torus(p: dict) -> FoliatedRandersManifold:
     )
 
 
-def _sphere_latitudes(p: dict) -> FoliatedRandersManifold:
-    n, r0, mode, eps = p["n"], p["r0"], p["beta_mode"], p["eps"]
-    grid = PeriodicGrid((n, n), (np.pi, 2.0 * np.pi))
+def _sphere_grid(n: int) -> PeriodicGrid:
+    """The (theta, phi) chart of the sphere: colatitude theta in [0, pi), longitude phi."""
+    return PeriodicGrid((n, n), (np.pi, 2.0 * np.pi))
+
+
+def _excision_mask(grid: PeriodicGrid, r0: float) -> np.ndarray:
+    """Nodes farther than r0 from both poles; raises ValueError if the grid cannot resolve r0."""
     # derivative stencils must not touch the poles: r0 >= 2 h, where the
     # 2 pi period of phi sets the largest spacing h = 2 pi / n
     if r0 < 2.0 * max(grid.spacings):
         need = 4.0 * math.pi / r0  # inf for a subnormal r0
         fix = f"the smallest n that admits it is {math.ceil(need)}" if math.isfinite(need) else "no n admits it"
         raise ValueError(
-            f"excision radius {r0} is below 2 * (2 pi / n) = {2.0 * max(grid.spacings):.4f} at n = {n}; {fix}"
+            f"excision radius {r0} is below 2 * (2 pi / n) = {2.0 * max(grid.spacings):.4f} "
+            f"at n = {grid.sizes[0]}; {fix}"
         )
+    theta = grid.meshgrid()[0]
+    return np.minimum(theta, np.pi - theta) > r0
+
+
+def _sphere_latitudes(p: dict) -> FoliatedRandersManifold:
+    n, r0, mode, eps = p["n"], p["r0"], p["beta_mode"], p["eps"]
+    grid = _sphere_grid(n)
+    mask = _excision_mask(grid, r0)
     theta, _phi = grid.meshgrid()
     s, c2 = np.sin(theta), np.sin(2.0 * theta)
     shape = grid.sizes
@@ -141,7 +155,6 @@ def _sphere_latitudes(p: dict) -> FoliatedRandersManifold:
     a[..., 1, 1] = s**2
     N = np.zeros(shape + (2,))
     N[..., 0] = 1.0
-    mask = np.minimum(theta, np.pi - theta) > r0
     if mode == "rotational":
         profile = eps * (1.0 + p["asym"] * c2)
         if np.max(np.abs(profile) * s) >= 1.0:
@@ -356,16 +369,36 @@ def resolve_params(name: str, params: dict) -> dict:
 
 
 def r0_sweep(spec: ExampleSpec) -> tuple[float, ...] | None:
-    """Excision radii an excised example sweeps, largest first; None for the tori.
+    """Distinct excision radii an excised example sweeps, largest first; None for the tori.
 
     Only ``sphere-latitudes`` excises (its poles): its residuals are limited by
     the cap truncation, so it sweeps ``r0`` at the finest grid, over the
     ``r0_sweep`` row, or over an explicit ``r0`` alone (a one-point sweep).
+    A radius given twice is swept once.
     """
     p = resolve_params(spec.name, spec.params)
     if "r0_sweep" not in p:
         return None
-    return tuple(sorted((p["r0"],) if "r0" in spec.params else p["r0_sweep"], reverse=True))
+    return tuple(sorted({p["r0"]} if "r0" in spec.params else set(p["r0_sweep"]), reverse=True))
+
+
+def excision_masks(spec: ExampleSpec) -> list[np.ndarray] | None:
+    """Active nodes at each radius of ``r0_sweep(spec)``, in its order, on the grid of size ``n``.
+
+    The radii are checked against the grid smallest first, so the
+    ExampleError of a grid too coarse for the sweep names the radius that
+    binds.  None for the tori, which excise nothing.
+    """
+    radii = r0_sweep(spec)
+    if radii is None:
+        return None
+    n = resolve_params(spec.name, spec.params)["n"]
+    try:
+        grid = _sphere_grid(n)
+        masks = {r0: _excision_mask(grid, r0) for r0 in sorted(radii)}
+    except ValueError as exc:
+        raise ExampleError(f"{spec.name}: {exc}") from exc
+    return [masks[r0] for r0 in radii]
 
 
 def build_example(spec: ExampleSpec) -> FoliatedRandersManifold:

@@ -105,6 +105,12 @@ class ExtrinsicBundle:
     the ``plan`` of an earlier bundle (its ``last_reader``), ``end_stage``
     drops each entry the plan says the closing stage read last; an entry read
     again after that is computed again.
+
+    Fields are computed on the manifold's own active set ``M.active``.  The
+    reductions that judge them (sup norms, quadratures, hypotheses) read
+    ``active`` instead, which the caller may set to any subset of
+    ``M.active`` (None restores ``M.active``): an excision sweep judges each
+    radius on its own mask.
     """
 
     def __init__(self, M: FoliatedRandersManifold, scheme: str = "spectral", plan: dict | None = None):
@@ -112,6 +118,7 @@ class ExtrinsicBundle:
         self.scheme = scheme
         self.plan = plan or {}
         self.stage: str | None = None
+        self._judged: np.ndarray | None = None
         self.last_reader: dict[str, str | None] = {}
 
     def __getattribute__(self, name):
@@ -119,6 +126,15 @@ class ExtrinsicBundle:
         if name in _FIELDS:
             self.last_reader[name] = self.stage
         return value
+
+    @property
+    def active(self) -> np.ndarray:
+        """The nodes the judging reductions read; ``M.active`` unless set."""
+        return self.M.active if self._judged is None else self._judged
+
+    @active.setter
+    def active(self, mask: np.ndarray | None) -> None:
+        self._judged = mask
 
     def end_stage(self) -> None:
         """Close the current stage: note the entries it made, drop those it read last."""

@@ -163,11 +163,17 @@ def sigma_multi_batched(mats: list[np.ndarray], lam: tuple[int, ...]) -> np.ndar
 
 
 def newton_transform_batched(A: np.ndarray, r: int) -> np.ndarray:
-    """Nodewise Newton transformation T_r(A) = sigma_r(A) I - A T_{r-1}(A)."""
+    """Nodewise Newton transformation T_r(A) = sigma_r(A) I - A T_{r-1}(A).
+
+    The recursion starts at T_1 = sigma_1(A) I - A, which skips the product
+    A T_0 = A I.
+    """
     m = A.shape[-1]
     if not 0 <= r <= m:
         raise ValueError(f"order {r} out of range for {m} x {m} matrices")
-    T = np.broadcast_to(np.eye(m), A.shape).copy()
-    for s in range(1, r + 1):
+    if r == 0:
+        return np.broadcast_to(np.eye(m), A.shape).copy()
+    T = sigma_k(A, 1)[..., None, None] * np.eye(m) - A
+    for s in range(2, r + 1):
         T = sigma_k(A, s)[..., None, None] * np.eye(m) - A @ T
     return T

@@ -363,6 +363,9 @@ def curvature_bar(M: FoliatedRandersManifold, gamma: np.ndarray, scheme: str) ->
     return CurvatureData(sup_riemann=float(sup), R_N=RN_tan, ricci_N=ric)
 
 
-def integrate(M: FoliatedRandersManifold, f: np.ndarray, volume: str = "a") -> float:
-    """Quadrature of a scalar field against dV_a, dV_g or dV_F."""
-    return trapezoid_integral(M.grid, np.asarray(f, float), M.volume_density(volume), M.active)
+def integrate(
+    M: FoliatedRandersManifold, f: np.ndarray, volume: str = "a", active: np.ndarray | None = None
+) -> float:
+    """Quadrature of a scalar field against dV_a, dV_g or dV_F over ``active`` (default ``M.active``)."""
+    active = M.active if active is None else active
+    return trapezoid_integral(M.grid, np.asarray(f, float), M.volume_density(volume), active)

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .catalog import ExampleSpec, build_example, r0_sweep
+from .catalog import ExampleSpec, build_example, excision_masks, r0_sweep
 from .extrinsic import ExtrinsicBundle, build_extrinsic
 from .invariants import dot, newton_transform_batched, outer, sigma_k, sigma_multi_batched, trace
 from .manifold import deformation_tensor, gradient, integrate
@@ -49,24 +49,29 @@ SINGULAR_POLICY = (1e-2, 2.5, 0.1)
 
 
 def _sup_active(E: ExtrinsicBundle, field: np.ndarray) -> float:
-    act = E.M.active
+    act = E.active
     extra = field.ndim - act.ndim
     a = act.reshape(act.shape + (1,) * extra)
     # max |f| without an |f| copy; abs() only turns a -0.0 maximum into 0.0
     return float(abs(max(np.max(field, where=a, initial=0), -np.min(field, where=a, initial=0))))
 
 
+def _integrate(E: ExtrinsicBundle, f: np.ndarray, volume: str) -> float:
+    """Quadrature of a scalar field over the judged nodes ``E.active``."""
+    return integrate(E.M, f, volume, E.active)
+
+
 def hypothesis_profile(E: ExtrinsicBundle) -> dict[str, float]:
-    """Numerically measured hypothesis residuals of one example."""
-    M = E.M
+    """Numerically measured hypothesis residuals of one example, on the judged nodes ``E.active``."""
+    M, act = E.M, E.active
     hyp: dict[str, float] = {}
     hyp["sup_nabla_beta"] = _sup_active(E, E.nabla_beta_sharp)
     hyp["sup_beta"] = _sup_active(E, M.beta_norm)
     hyp["min_beta_top"] = float(
-        np.min(np.where(M.active, np.sqrt(np.clip(1.0 - M.c**2, 0.0, None)), np.inf))
+        np.min(np.where(act, np.sqrt(np.clip(1.0 - M.c**2, 0.0, None)), np.inf))
     )
-    cs = np.where(M.active, M.c, np.nan)
-    bn = np.where(M.active, M.beta_N, np.nan)
+    cs = np.where(act, M.c, np.nan)
+    bn = np.where(act, M.beta_N, np.nan)
     hyp["var_c"] = float(np.nanmax(cs) - np.nanmin(cs))
     hyp["var_beta_N"] = float(np.nanmax(bn) - np.nanmin(bn))
     hyp["min_abs_beta_N"] = float(np.nanmin(np.abs(bn)))
@@ -165,20 +170,20 @@ def _curvature_spread(E):
 
 
 def _ev_reeb_riemannian(E):
-    return integrate(E.M, trace(E.Abar_frame), "a"), {}
+    return _integrate(E, trace(E.Abar_frame), "a"), {}
 
 
 def _ev_reeb_weighted(E):
     f, Nf = _test_function(E)
-    return integrate(E.M, f * trace(E.Abar_frame) - Nf, "a"), {}
+    return _integrate(E, f * trace(E.Abar_frame) - Nf, "a"), {}
 
 
 def _ev_reeb_normal_metric(E):
-    return integrate(E.M, trace(E.Ag_direct), "g"), {}
+    return _integrate(E, trace(E.Ag_direct), "g"), {}
 
 
 def _ev_reeb_finsler(E):
-    return integrate(E.M, trace(E.A_frame), "F"), {}
+    return _integrate(E, trace(E.A_frame), "F"), {}
 
 
 # -- second order ------------------------------------------------------------
@@ -186,12 +191,12 @@ def _ev_reeb_finsler(E):
 
 def _ev_second_order_riemannian(E):
     integrand = 2.0 * sigma_k(E.Abar_frame, 2) - E.ricci_N
-    return integrate(E.M, integrand, "a"), {}
+    return _integrate(E, integrand, "a"), {}
 
 
 def _ev_second_order_finsler(E):
     integrand = sigma_k(E.A_frame, 2) - 0.5 * _ric_nu(E)
-    return integrate(E.M, integrand, "F"), {}
+    return _integrate(E, integrand, "F"), {}
 
 
 # -- flat total curvatures -----------------------------------------------------
@@ -199,7 +204,7 @@ def _ev_second_order_finsler(E):
 
 def _ev_sigma_flat(k):
     def ev(E):
-        return integrate(E.M, sigma_k(E.A_frame, k), "F"), {}
+        return _integrate(E, sigma_k(E.A_frame, k), "F"), {}
 
     return ev
 
@@ -236,9 +241,9 @@ def _ev_berwald_sigma(k, printed=False):
         if printed:
             # published display: sigma_k(Abar + delta I) truncated at first order
             integrand = E.delta * (m - k + 1) * sigma_k(Ab, k - 1) + expansion - sigma_k(X, k)
-            return integrate(E.M, integrand, "a"), {}
+            return _integrate(E, integrand, "a"), {}
         integrand = expansion / E.M.c**k - sigma_k(Ab, k)
-        return integrate(E.M, integrand, "a"), {}
+        return _integrate(E, integrand, "a"), {}
 
     return ev
 
@@ -263,7 +268,7 @@ def _ev_sigma_tg(k):
         R2 = outer(Zp, b) * ((c * (c - 2 * ch)) / (2 * ch))[..., None, None]
         T2 = newton_transform_batched(base + R1 + R2, k - 1)
         t4 = (c - 2 * ch) / (cc * E.b2) * bZ * np.einsum("...a,...ab,...b->...", b, T2, b)
-        return integrate(E.M, t1 + t2 + t3 + t4, "a"), {}
+        return _integrate(E, t1 + t2 + t3 + t4, "a"), {}
 
     return ev
 
@@ -300,7 +305,7 @@ def _ev_parallel_second_order_printed(E):
         - (c - 2 * ch) * (1 + c**2) / (2 * ch) * dot(perpC, perpZ)
         - 0.5 * E.ricci_N
     )
-    return integrate(M, integrand, "a"), {}
+    return _integrate(E, integrand, "a"), {}
 
 
 def _ev_parallel_const_printed(E):
@@ -319,7 +324,7 @@ def _ev_parallel_const_printed(E):
         - (c - 2 * ch) ** 2 * (1 - c**2) / (4 * ch**2) * dot(Zb, Zb)
         - (c - 2 * ch) * (1 + c**2) / (2 * ch) * dot(Cb, Zb)
     )
-    return integrate(M, integrand, "a"), {}
+    return _integrate(E, integrand, "a"), {}
 
 
 def _ev_parallel_tangent_printed(E):
@@ -338,7 +343,7 @@ def _ev_parallel_tangent_printed(E):
         - (1 - c**2) / (2 * c) * dot(Ab, Cb)
         + (1 + c**2) / 2.0 * dot(Cb, Zb)
     )
-    return integrate(M, integrand, "a"), {}
+    return _integrate(E, integrand, "a"), {}
 
 
 # -- first-order tilt family ----------------------------------------------------
@@ -353,22 +358,22 @@ def _ev_tilt_balance_printed(E):
         * (M.chat - M.c)
         * (M.c * Nc + M.c * E.beta_Zbar + E.Abst_beta)
     )
-    return integrate(M, integrand, "a"), {}
+    return _integrate(E, integrand, "a"), {}
 
 
 def _ev_tilt_const_printed(E):
-    return integrate(E.M, E.Abst_beta + E.M.c * E.beta_Zbar, "a"), {}
+    return _integrate(E, E.Abst_beta + E.M.c * E.beta_Zbar, "a"), {}
 
 
 def _ev_eigen_balance(E):
     # beta_sharp_top is an eigenfield of Abar; check it and integrate the eigenvalue
     M = E.M
     bst = M.beta_sharp_top
-    b2 = np.where(M.active, M.inner(bst, bst), 1.0)
-    lam = np.where(M.active, E.Abst_beta / b2, 0.0)
+    b2 = np.where(E.active, M.inner(bst, bst), 1.0)
+    lam = np.where(E.active, E.Abst_beta / b2, 0.0)
     Ares = E.Abar_bst - lam[..., None] * bst
     eig_res = _sup_active(E, Ares)
-    return integrate(M, lam, "a"), {"eigenfield_residual": eig_res}
+    return _integrate(E, lam, "a"), {"eigenfield_residual": eig_res}
 
 
 # -- comparison (sup-norm) checks ------------------------------------------------
@@ -399,7 +404,7 @@ def _ev_csharp_scale(E):
     target = E.cc[..., None, None] * E.Csharp_direct
     resid = _sup_active(E, E.Csharp_n_direct_numeric - target)
     detail = {}
-    act = E.M.active[..., None, None]
+    act = E.active[..., None, None]
     mag = np.where(act, np.abs(E.Csharp_direct), 0.0)
     big = mag > max(1e-8, 0.1 * float(np.max(mag)))
     if np.any(big):
@@ -461,8 +466,8 @@ def _ev_volume_distortion(E):
     M = E.M
     lhs = M.volume_density("g")
     rhs = np.exp(E.distortion_nu) * M.volume_density("F")
-    rel = np.where(M.active, np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300), 0.0)
-    tau_diff = np.where(M.active, np.abs(E.distortion_det_route - E.distortion_nu), 0.0)
+    rel = np.where(E.active, np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300), 0.0)
+    tau_diff = np.where(E.active, np.abs(E.distortion_det_route - E.distortion_nu), 0.0)
     return float(max(rel.max(), tau_diff.max())), {}
 
 
@@ -485,15 +490,15 @@ def _energy_pair(E):
     M = E.M
     m = M.m
     ones = np.ones(M.grid.sizes)
-    volF = integrate(M, ones, "F")
-    volA = integrate(M, ones, "a")
+    volF = _integrate(E, ones, "F")
+    volA = _integrate(E, ones, "a")
     Asym = E.A_frame_gsym
     trA2 = np.einsum("...ab,...ba->...", Asym, Asym)
-    energy = (m + 1) / 2.0 * volF + 0.5 * integrate(M, trA2, "F")
-    bnorm2 = float(np.max(np.where(M.active, M.beta_norm**2, 0.0)))
+    energy = (m + 1) / 2.0 * volF + 0.5 * _integrate(E, trA2, "F")
+    bnorm2 = float(np.max(np.where(E.active, M.beta_norm**2, 0.0)))
     ric_term = 0.0
     if M.mask is None:
-        ric_term = integrate(M, E.ricci_N / M.c**2, "a")
+        ric_term = _integrate(E, E.ricci_N / M.c**2, "a")
     rhs = (1.0 - bnorm2) ** ((m + 2) / 2.0) * ((m + 1) / 2.0 * volA + ric_term / (2.0 * m))
     return energy, rhs, volF
 
@@ -507,10 +512,10 @@ def _ev_energy_bound(E):
 def _ev_umbilicity_bound(E):
     M = E.M
     m = M.m
-    U = integrate(M, _curvature_spread(E), "F")
+    U = _integrate(E, _curvature_spread(E), "F")
     r = -float(np.max(E.ricci_N))
-    bnorm2 = float(np.max(np.where(M.active, M.beta_norm**2, 0.0)))
-    rhs = (1.0 - bnorm2) ** ((m + 2) / 2.0) * m * r * integrate(M, 1.0 / M.c**2 * np.ones(M.grid.sizes), "a")
+    bnorm2 = float(np.max(np.where(E.active, M.beta_norm**2, 0.0)))
+    rhs = (1.0 - bnorm2) ** ((m + 2) / 2.0) * m * r * _integrate(E, 1.0 / M.c**2 * np.ones(M.grid.sizes), "a")
     return U - rhs, {"umbilicity_defect": U, "bound": rhs}
 
 
@@ -680,31 +685,44 @@ _COORDINATE_FIRST = (
 )
 
 
-def _sweep_point(subspec: ExampleSpec, fids: list[str], scheme: str, plan: dict | None = None):
+def _sweep_point(
+    subspec: ExampleSpec, fids: list[str], scheme: str, plan: dict | None = None,
+    masks: list[np.ndarray] | None = None,
+):
     """Hypotheses, formula values and release plan of one sweep point.
 
-    The hypotheses are the stage "hyp"; each check is a stage of its own,
-    the ``_COORDINATE_FIRST`` checks before the rest.  Given ``plan``, the
-    bundle drops each field when the stage the plan names as its last reader
-    ends.  Returns the example's name and grid (not the manifold, so no
-    point's fields stay alive while the next point is built), the
-    hypotheses, the values, and this point's record of last readers: the
-    plan for the next point.
+    The point builds its manifold and bundle once and judges them on each of
+    ``masks`` (default: the build's own active set alone), by setting
+    ``E.active``.  The hypotheses are the stage "hyp"; each check is a stage
+    of its own, the ``_COORDINATE_FIRST`` checks before the rest.  Each stage
+    runs on every mask before the next stage starts, so no mask's early
+    checks run on top of the fields of another mask's later ones.  Given
+    ``plan``, the bundle drops each field when the stage the plan names as
+    its last reader ends.  Returns the example's name and grid (not the
+    manifold, so no point's fields stay alive while the next point is
+    built), the hypotheses and the values of each mask, and this point's
+    record of last readers: the plan for the next point.
     """
     M = build_example(subspec)
     E = build_extrinsic(M, scheme, plan)
+    masks = [None] if masks is None else masks
     E.stage = "hyp"
-    hyp = hypothesis_profile(E)
+    hyps = []
+    for mask in masks:
+        E.active = mask
+        hyps.append(hypothesis_profile(E))
     E.end_stage()
-    values: dict[str, tuple[float, dict]] = {}
+    values: list[dict[str, tuple[float, dict]]] = [{} for _ in masks]
     order = [f for f in _COORDINATE_FIRST if f in fids] + [f for f in fids if f not in _COORDINATE_FIRST]
     for fid in order:
         E.stage = fid
         formula = FORMULAS[fid]
-        if formula.applicable(hyp, M.m):
-            values[fid] = formula.evaluate(E)
+        for mask, hyp, vals in zip(masks, hyps, values):
+            E.active = mask
+            if formula.applicable(hyp, M.m):
+                vals[fid] = formula.evaluate(E)
         E.end_stage()
-    return M.name, M.grid, hyp, values, E.last_reader
+    return M.name, M.grid, hyps, values, E.last_reader
 
 
 def run_formulas(
@@ -716,17 +734,28 @@ def run_formulas(
 ) -> list[ResidualReport]:
     """Evaluate the requested formulas on a sweep; verdicts at the finest level.
 
-    Torus examples sweep the grid resolution.  Excised examples run at the
-    finest requested grid and sweep the excision radius instead
-    (``catalog.r0_sweep``), since the cap truncation, not the grid, limits
-    their residuals.  Each sweep point builds its manifold once.  The first
-    point runs alone and records which check last reads each bundle field;
-    every later point drops each field after that reader.  ``jobs`` bounds
-    the worker threads of those later points; each is independent and
-    reports are merged in sweep order, so results do not depend on the
-    worker count.  Every entry carries the finest point's hypotheses; a check
-    not applicable there reports value 0 and the verdict ``not-applicable``.
-    Reports follow the order of ``fids``.
+    Torus examples sweep the grid resolution, one sweep point per size.
+    Excised examples run at the finest requested grid and sweep the excision
+    radius instead (``catalog.r0_sweep``), since the cap truncation, not the
+    grid, limits their residuals.  Their whole sweep is one point: it builds
+    at the smallest radius, whose active set contains every other radius's,
+    and judges each radius on its own mask (``catalog.excision_masks``).  On
+    a radius's active nodes every field equals that of a build at that
+    radius, bit for bit, with one exception: ``nabla_Z_direct`` is a spectral
+    derivative of ``Z_direct``, whose excised nodes take the mask's identity
+    fill.  Its one reader, ``codazzi-symmetry-g``, projects onto the leaves,
+    and on the sphere's 1D latitude leaves the projector is exactly
+    diag(0, 1), so that check reads exactly 0 from either build.
+
+    Each sweep point builds its manifold once.  The first point runs alone
+    and records which check last reads each bundle field; every later point
+    drops each field after that reader.  ``jobs`` bounds the worker threads
+    of those later points (so it does not apply to the excised sweep, a
+    single point); each is independent and reports are merged in sweep
+    order, so results do not depend on the worker count.  Every entry
+    carries the finest point's hypotheses; a check not applicable there
+    reports value 0 and the verdict ``not-applicable``.  Reports follow the
+    order of ``fids``.
     """
     unknown = [f for f in fids if f not in FORMULAS]
     if unknown:
@@ -734,16 +763,17 @@ def run_formulas(
     if not resolutions:
         raise ValueError("need at least one resolution")
     sizes = sorted({int(n) for n in resolutions})
-    radii = r0_sweep(spec)
+    finest = ExampleSpec(spec.name, {**spec.params, "n": sizes[-1]})
+    radii, masks = r0_sweep(finest), excision_masks(finest)
     singular = radii is not None
     if singular:
-        fixed = {k: v for k, v in spec.params.items() if k != "r0_sweep"} | {"n": sizes[-1]}
-        sweep = [(ExampleSpec(spec.name, {**fixed, "r0": r0}), r0) for r0 in radii]
+        fixed = {k: v for k, v in finest.params.items() if k != "r0_sweep"}
+        specs = [ExampleSpec(spec.name, {**fixed, "r0": radii[-1]})]
     else:
-        sweep = [(ExampleSpec(spec.name, {**spec.params, "n": n}), float(n)) for n in sizes]
-    results = [_sweep_point(sweep[0][0], fids, scheme)]
+        specs = [ExampleSpec(spec.name, {**spec.params, "n": n}) for n in sizes]
+    results = [_sweep_point(specs[0], fids, scheme, masks=masks)]
     plan = results[0][-1]
-    rest = [subspec for subspec, _ in sweep[1:]]
+    rest = specs[1:]
     if jobs > 1 and len(rest) > 1:
         import concurrent.futures
 
@@ -752,9 +782,9 @@ def run_formulas(
     else:
         results += [_sweep_point(subspec, fids, scheme, plan) for subspec in rest]
     per_res: list[tuple[float, dict]] = []
-    for (_, label), (example_name, grid, hyp, values, _) in zip(sweep, results):
-        per_res.append((label if singular else max(grid.spacings), values))
-    values_fine = per_res[-1][1]
+    for example_name, grid, hyps, values, _ in results:
+        per_res += zip(radii if singular else [max(grid.spacings)], values)
+    hyp, values_fine = hyps[-1], per_res[-1][1]
     reports = []
     for fid in fids:
         value, detail, conv, verdict, tol = 0.0, {}, [], "not-applicable", 0.0

@@ -3,6 +3,7 @@ either builds or raises a one-line ExampleError."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from randers_foliations.catalog import (
     build_example,
     default_resolutions,
     example_names,
+    excision_masks,
     parse_params,
     r0_sweep,
 )
@@ -73,6 +75,17 @@ def test_builders_read_exactly_their_rows(name, smallest, monkeypatch):
         rows = {k for k, row in PARAMS[name].items()
                 if not isinstance(row.default, dict) or mode in row.default}
         assert read == rows | {"n"}, mode
+
+
+def test_excision_masks_are_the_builds_masks():
+    spec = ExampleSpec("sphere-latitudes", {"n": 64, "r0_sweep": (0.25, 0.5, 0.25)})
+    masks = excision_masks(spec)
+    assert r0_sweep(spec) == (0.5, 0.25)
+    for r0, mask in zip(r0_sweep(spec), masks):
+        assert np.array_equal(mask, build_example(ExampleSpec("sphere-latitudes", {"n": 64, "r0": r0})).mask)
+    # a larger radius judges a subset of the smaller radius's nodes
+    assert masks[0].sum() < masks[1].sum() and not np.any(masks[0] & ~masks[1])
+    assert excision_masks(ExampleSpec("flat-graph")) is None
 
 
 def test_api_rejects_lists_for_scalars_and_unknown_names():

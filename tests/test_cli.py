@@ -109,7 +109,8 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
     ]
     # the grid size, wrong arity, a row the selected beta_mode does not read,
     # a choice outside its values, an excision radius the grid cannot
-    # resolve (r0 >= 2 * (2 pi / n) needs n >= 252 for the default 0.05), and
+    # resolve (r0 >= 2 * (2 pi / n) needs n >= 252 for the default 0.05; at
+    # n = 64, where 0.1 fails too, the error names 0.05, the radius that binds), and
     # 'sound', which is no selector: only 'all', 'full' and formula ids are
     for argv in (
         ["--example", "flat-graph", "--param", "n=20"],
@@ -118,6 +119,7 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
         ["--example", "conformal-torus", "--param", "beta_mode=riemannian", "--param", "eps1=0.9"],
         ["--example", "sphere-latitudes", "--param", "beta_mode=eigen", "--param", "asym=5"],
         ["--example", "conformal-torus", "--param", "beta_mode=a,b"],
+        ["--example", "sphere-latitudes", "--res", "64"],
         ["--example", "sphere-latitudes", "--res", "128"],
         ["--example", "sphere-latitudes", "--res", "251"],
         ["--example", "flat-parallel", "--formulas", "sound"],
@@ -133,6 +135,8 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
         "only under rotational",
         "error: conformal-torus: parameter beta_mode must be one of "
         "generic|constant-angle|riemannian, got 'a,b'",
+        "error: sphere-latitudes: excision radius 0.05 is below 2 * (2 pi / n) = 0.1963 "
+        "at n = 64; the smallest n that admits it is 252",
         "error: sphere-latitudes: excision radius 0.05 is below 2 * (2 pi / n) = 0.0982 "
         "at n = 128; the smallest n that admits it is 252",
         "error: sphere-latitudes: excision radius 0.05 is below 2 * (2 pi / n) = 0.0501 "

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from randers_foliations.invariants import det, inv, is_spd, sigma_multi_batched
+from randers_foliations.invariants import det, inv, is_spd, newton_transform_batched, sigma_k, sigma_multi_batched
 
 
 def _stacks(d, seed):
@@ -61,3 +61,15 @@ def test_batched_sigma_multi_error_checks():
     with pytest.raises(ValueError):
         sigma_multi_batched([A, A], (2, 1))
     np.testing.assert_array_equal(sigma_multi_batched([A, A], (0, 0)), np.ones(4))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_newton_transform_starts_at_first_order(m):
+    # the recursion from T_0 = I, with its product A T_0, gives the same arrays
+    rng = np.random.default_rng(20 + m)
+    A = rng.uniform(-1, 1, (4, 5, m, m))
+    T = np.broadcast_to(np.eye(m), A.shape).copy()
+    for r in range(m + 1):
+        if r:
+            T = sigma_k(A, r)[..., None, None] * np.eye(m) - A @ T
+        assert np.array_equal(newton_transform_batched(A, r), T), r

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from randers_foliations.catalog import ExampleSpec
+from randers_foliations.catalog import ExampleError, ExampleSpec, r0_sweep
 from randers_foliations.invariants import (
     newton_transform_batched,
     sigma_k,
@@ -198,8 +198,75 @@ def test_each_sweep_point_is_built_once(monkeypatch):
     run_formulas(ExampleSpec("flat-graph"), ["reeb-riemannian"], [16, 24], "spectral")
     assert [s.params["n"] for s in built] == [16, 24]
     built.clear()
-    run_formulas(ExampleSpec("sphere-latitudes", {"r0_sweep": (0.3, 0.2)}), ["reeb-riemannian"], [64])
-    assert [(s.params["r0"], s.params["n"]) for s in built] == [(0.3, 64), (0.2, 64)]
+    # the excised sweep is one point: built once, at its smallest radius
+    reports = run_formulas(
+        ExampleSpec("sphere-latitudes", {"r0_sweep": (0.3, 0.2)}), ["reeb-riemannian"], [64]
+    )
+    assert [(s.params["r0"], s.params["n"]) for s in built] == [(0.2, 64)]
+    assert [r0 for r0, _ in reports[0].convergence] == [0.3, 0.2]
+
+
+SWEEP_RADII = (0.3, 0.2, 0.1)
+
+
+def _bits(x):
+    return {k: float(v).hex() for k, v in x.items()} if isinstance(x, dict) else float(x).hex()
+
+
+@pytest.mark.parametrize("mode", ["rotational", "eigen"])
+def test_each_radius_is_judged_as_its_own_build(mode):
+    # the one build at the smallest radius, judged on each radius's mask, gives
+    # every convergence entry of a one-point run at that radius bit for bit
+    def run(params):
+        spec = ExampleSpec("sphere-latitudes", {"beta_mode": mode, **params})
+        return {r.formula_id: r for r in run_formulas(spec, formula_ids(), [128])}
+
+    sweep = run({"r0_sweep": SWEEP_RADII})
+    alone = {r0: run({"r0": r0}) for r0 in SWEEP_RADII}
+    entries = 0
+    for fid, r in sweep.items():
+        for r0, resid in r.convergence:
+            assert alone[r0][fid].convergence == [(r0, resid)], (fid, r0)
+            assert _bits(alone[r0][fid].convergence[0][1]) == _bits(resid)
+            entries += 1
+        assert _bits(r.value) == _bits(alone[0.1][fid].value), fid
+        assert _bits(r.hypotheses) == _bits(alone[0.1][fid].hypotheses)
+    assert entries >= 3 * 10
+
+
+def test_repeated_radius_is_swept_once():
+    assert r0_sweep(ExampleSpec("sphere-latitudes", {"r0_sweep": (0.3, 0.3)})) == (0.3,)
+    twice = run_formulas(ExampleSpec("sphere-latitudes", {"r0_sweep": (0.3, 0.3)}), UNREFUTED, [128])
+    once = run_formulas(ExampleSpec("sphere-latitudes", {"r0": 0.3}), UNREFUTED, [128])
+    assert reports_to_json(twice) == reports_to_json(once)
+
+
+def test_unresolved_radius_fails_before_any_build(monkeypatch):
+    from randers_foliations import verify
+
+    built = []
+    monkeypatch.setattr(verify, "build_example", built.append)
+    # 0.1 and 0.05 both fail at n = 64; the error names the one that binds
+    with pytest.raises(ExampleError, match=r"radius 0\.05 .* n = 64; the smallest n that admits it is 252$"):
+        run_formulas(ExampleSpec("sphere-latitudes"), ["reeb-riemannian"], [64])
+    assert built == []
+
+
+def test_radius_sweep_peak_matches_one_point():
+    import tracemalloc
+
+    def peak(params):
+        tracemalloc.start()
+        try:
+            run_formulas(ExampleSpec("sphere-latitudes", params), UNREFUTED, [128])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak({"r0": SWEEP_RADII[-1]})
+    sweep = peak({"r0_sweep": SWEEP_RADII})
+    # every stage runs at each radius before the next stage: measured 0.99
+    assert sweep <= 1.05 * one, (sweep, one)
 
 
 def test_sweep_points_do_not_outlive_their_evaluation(monkeypatch):
