@@ -107,10 +107,10 @@ class ExtrinsicBundle:
     again after that is computed again.
 
     Fields are computed on the manifold's own active set ``M.active``.  The
-    reductions that judge them (sup norms, quadratures, hypotheses) read
-    ``active`` instead, which the caller may set to any subset of
-    ``M.active`` (None restores ``M.active``): an excision sweep judges each
-    radius on its own mask.
+    reductions that judge them (sup norms, quadratures, hypotheses) read the
+    attribute ``active`` instead: ``M.active`` at construction, and the
+    caller may set it to any subset of ``M.active``, as an excision sweep
+    does to judge each radius on its own mask.
     """
 
     def __init__(self, M: FoliatedRandersManifold, scheme: str = "spectral", plan: dict | None = None):
@@ -118,7 +118,7 @@ class ExtrinsicBundle:
         self.scheme = scheme
         self.plan = plan or {}
         self.stage: str | None = None
-        self._judged: np.ndarray | None = None
+        self.active: np.ndarray = M.active
         self.last_reader: dict[str, str | None] = {}
 
     def __getattribute__(self, name):
@@ -126,15 +126,6 @@ class ExtrinsicBundle:
         if name in _FIELDS:
             self.last_reader[name] = self.stage
         return value
-
-    @property
-    def active(self) -> np.ndarray:
-        """The nodes the judging reductions read; ``M.active`` unless set."""
-        return self.M.active if self._judged is None else self._judged
-
-    @active.setter
-    def active(self, mask: np.ndarray | None) -> None:
-        self._judged = mask
 
     def end_stage(self) -> None:
         """Close the current stage: note the entries it made, drop those it read last."""
@@ -188,20 +179,19 @@ class ExtrinsicBundle:
         """
         M, scheme = self.M, self.scheme
         gamma = levi_civita(M, scheme)
-        bars = extrinsic_bar(M, gamma, scheme)
+        Abar, Zbar = extrinsic_bar(M, gamma, scheme)
         out = {
-            "Abar": bars.Abar,
-            "Zbar": bars.Zbar,
+            "Abar": Abar,
+            "Zbar": Zbar,
             "nabla_beta_sharp": covariant_vector_derivative(M, M.beta_sharp, gamma, scheme),
-            "nabla_Zbar": covariant_vector_derivative(M, bars.Zbar, gamma, scheme),
+            "nabla_Zbar": covariant_vector_derivative(M, Zbar, gamma, scheme),
             "nabla_n_bst": _matvec(
                 covariant_vector_derivative(M, M.beta_sharp_top, gamma, scheme), M.n_field
             ),
             "gamma_N": connection_along(gamma, M.N),
         }
-        curvature = curvature_bar(M, gamma, scheme) if M.mask is None else None
-        for key in ("R_N", "ricci_N", "sup_riemann"):
-            out[key] = getattr(curvature, key, None)
+        curvature = curvature_bar(M, gamma, scheme) if M.mask is None else (None,) * 3
+        out.update(zip(("R_N", "ricci_N", "sup_riemann"), curvature))
         vars(self).update(out)
         return out
 

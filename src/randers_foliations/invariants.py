@@ -27,6 +27,7 @@ __all__ = [
     "sigma_k",
     "sigma_multi_batched",
     "newton_transform_batched",
+    "newton_chain",
 ]
 
 
@@ -177,3 +178,21 @@ def newton_transform_batched(A: np.ndarray, r: int) -> np.ndarray:
     for s in range(2, r + 1):
         T = sigma_k(A, s)[..., None, None] * np.eye(m) - A @ T
     return T
+
+
+def newton_chain(core: np.ndarray, k: int, updates) -> np.ndarray:
+    """Nodewise sigma_k(core + sum_i w_i p_i q_i^T) - sigma_k(core), one rank-one update at a time.
+
+    ``updates`` lists (p, q, w): frame vectors p, q and a scalar or field
+    weight w.  The difference is sum_i w_i q_i^T T_{k-1}(C_i) p_i with C_1 =
+    core and C_{i+1} = C_i + w_i p_i q_i^T; the last update's matrix is never
+    formed.
+    """
+    out = 0.0
+    C = core
+    for i, (p, q, w) in enumerate(updates):
+        T = newton_transform_batched(C, k - 1)
+        out = out + w * np.einsum("...a,...ab,...b->...", q, T, p)
+        if i + 1 < len(updates):
+            C = C + outer(p, q) * np.asarray(w)[..., None, None]
+    return out

@@ -306,32 +306,17 @@ def deformation_tensor(M: FoliatedRandersManifold, nab: np.ndarray) -> np.ndarra
     return nab_t
 
 
-@dataclass(frozen=True)
-class BarData:
-    """Extrinsic quantities of the base metric: Abar and Zbar."""
-
-    Abar: np.ndarray        # (.., d, d) operator, kills N, maps into T(leaves)
-    Zbar: np.ndarray        # (.., d) tangent vector field
-
-
-def extrinsic_bar(M: FoliatedRandersManifold, gamma: np.ndarray, scheme: str) -> BarData:
-    """Shape operator Abar(u) = -(nabla_u N)^T and curvature vector Zbar."""
+def extrinsic_bar(M: FoliatedRandersManifold, gamma: np.ndarray, scheme: str) -> tuple:
+    """``(Abar, Zbar)``: the shape operator Abar(u) = -(nabla_u N)^T and the curvature vector."""
     nabN = covariant_vector_derivative(M, M.N, gamma, scheme)
     Zbar = M.project_tangent((nabN @ M.N[..., None])[..., 0])
     P = M.tangent_projector
     Abar = -(P @ nabN @ P)
-    return BarData(Abar=Abar, Zbar=Zbar)
+    return Abar, Zbar
 
 
-@dataclass(frozen=True)
-class CurvatureData:
-    sup_riemann: float      # max |R^i_{jkl}| over all nodes and components
-    R_N: np.ndarray         # operator R_N(u) = R(u, N) N on the tangent bundle
-    ricci_N: np.ndarray     # scalar field, trace of R_N over the leaf tangent
-
-
-def curvature_bar(M: FoliatedRandersManifold, gamma: np.ndarray, scheme: str) -> CurvatureData:
-    """Normal-direction curvature of the base metric, and the sup of its Riemann tensor.
+def curvature_bar(M: FoliatedRandersManifold, gamma: np.ndarray, scheme: str) -> tuple:
+    """``(R_N, ricci_N, sup_riemann)``: R_N(u) = R(u, N) N on the leaves, its trace, and sup |R|.
 
     R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma^i_{km} Gamma^m_{lj}
     - Gamma^i_{lm} Gamma^m_{kj} is formed one slice R_kl = R[:, :, k, l], k < l,
@@ -360,7 +345,7 @@ def curvature_bar(M: FoliatedRandersManifold, gamma: np.ndarray, scheme: str) ->
     P = M.tangent_projector
     RN_tan = P @ RN @ P
     ric = np.trace(RN_tan, axis1=-2, axis2=-1)
-    return CurvatureData(sup_riemann=float(sup), R_N=RN_tan, ricci_N=ric)
+    return RN_tan, ric, float(sup)
 
 
 def integrate(

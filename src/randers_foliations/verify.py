@@ -26,7 +26,7 @@ import numpy as np
 
 from .catalog import ExampleSpec, build_example, excision_masks, r0_sweep
 from .extrinsic import ExtrinsicBundle, build_extrinsic
-from .invariants import dot, newton_transform_batched, outer, sigma_k, sigma_multi_batched, trace
+from .invariants import dot, newton_chain, newton_transform_batched, outer, sigma_k, sigma_multi_batched, trace
 from .manifold import deformation_tensor, gradient, integrate
 from .report import ResidualReport
 
@@ -216,59 +216,46 @@ def _ev_berwald_sigma(k, printed=False):
     def ev(E):
         m = E.M.m
         Ab = E.Abar_frame
-        eye = np.eye(m)
         Csh = E.Csharp_formula
         cC = E.M.c[..., None, None] * Csh
         b = E.b_frame
-        if printed:
-            U1, U2, a3 = E.U1_printed, E.U2_printed, E.a3_printed
-        else:
-            U1, U2, a3 = E.U1, E.U2, E.a3
-        A1 = outer(b, U1)
-        A2 = outer(U2, b)
-        X = Ab + E.delta[..., None, None] * eye
-        core = X + cC
-        # rank-one update chain through Newton transformations
-        expansion = sigma_k(X, k)
-        for j in range(1, k + 1):
-            expansion = expansion + sigma_multi_batched([X, cC], (k - j, j))
-        T0 = newton_transform_batched(core, k - 1)
-        expansion = expansion + np.einsum("...ab,...b,...a->...", T0, b, U1)
-        T1 = newton_transform_batched(core + A1, k - 1)
-        expansion = expansion + np.einsum("...a,...ab,...b->...", b, T1, U2)
-        T2 = newton_transform_batched(core + A1 + A2, k - 1)
-        expansion = expansion + a3 * np.einsum("...a,...ab,...b->...", b, T2, b)
+        U1, U2, a3 = (E.U1_printed, E.U2_printed, E.a3_printed) if printed else (E.U1, E.U2, E.a3)
+        X = Ab + E.delta[..., None, None] * np.eye(m)
+        # sigma_k(X + cC + b U1^T + U2 b^T + a3 b b^T) - sigma_k(X)
+        tail = sum(sigma_multi_batched([X, cC], (k - j, j)) for j in range(1, k + 1))
+        tail = tail + newton_chain(X + cC, k, [(b, U1, 1.0), (U2, b, 1.0), (b, b, a3)])
         if printed:
             # published display: sigma_k(Abar + delta I) truncated at first order
-            integrand = E.delta * (m - k + 1) * sigma_k(Ab, k - 1) + expansion - sigma_k(X, k)
-            return _integrate(E, integrand, "a"), {}
-        integrand = expansion / E.M.c**k - sigma_k(Ab, k)
+            integrand = E.delta * (m - k + 1) * sigma_k(Ab, k - 1) + tail
+        else:
+            integrand = (sigma_k(X, k) + tail) / E.M.c**k - sigma_k(Ab, k)
         return _integrate(E, integrand, "a"), {}
 
     return ev
 
 
 def _ev_sigma_tg(k):
+    """Totally geodesic sigma_k expansion, t1 + t2 + t3 + t4, as transcribed.
+
+    ``t2`` reads T_{k-1}(C^sharp + delta I), while ``t3`` and ``t4`` chain from
+    c C^sharp + delta I; no run can tell which core the published display
+    means.  The rows apply only on ``flat-parallel``, where Abar, Zbar and
+    delta vanish exactly, so C^sharp and every term are 0 and both rows read
+    0.0 by construction: they show that the expansion is assembled, not that
+    it holds.
+    """
+
     def ev(E):
-        m = E.M.m
         c, ch, cc = E.M.c, E.M.chat, E.cc
-        eye = np.eye(m)
-        Csh = E.Csharp_formula
-        b = E.b_frame
-        Zp = E.perp_beta(E.Zbar_frame)
-        bZ = E.beta_Zbar
+        Csh, b, Zp = E.Csharp_formula, E.b_frame, E.perp_beta(E.Zbar_frame)
+        dI = E.delta[..., None, None] * np.eye(E.M.m)
+        w1 = (c - 2 * ch) / (2 * cc)
         t1 = c**k * sigma_k(Csh, k)
-        T0 = newton_transform_batched(Csh + E.delta[..., None, None] * eye, k - 1)
-        t2 = (c - 2 * ch) / (2 * cc) * np.einsum("...ab,...b,...a->...", T0, b, Zp)
-        # (Zbar^perp)^flat (x) bst: eats <Zbar^perp, .>, outputs bst
-        R1 = outer(b, Zp) * ((c - 2 * ch) / (2 * cc))[..., None, None]
-        base = E.M.c[..., None, None] * Csh + E.delta[..., None, None] * eye
-        T1 = newton_transform_batched(base + R1, k - 1)
-        t3 = (c * (c - 2 * ch) / (2 * ch)) * np.einsum("...a,...ab,...b->...", b, T1, Zp)
-        R2 = outer(Zp, b) * ((c * (c - 2 * ch)) / (2 * ch))[..., None, None]
-        T2 = newton_transform_batched(base + R1 + R2, k - 1)
-        t4 = (c - 2 * ch) / (cc * E.b2) * bZ * np.einsum("...a,...ab,...b->...", b, T2, b)
-        return _integrate(E, t1 + t2 + t3 + t4, "a"), {}
+        t2 = w1 * np.einsum("...ab,...b,...a->...", newton_transform_batched(Csh + dI, k - 1), b, Zp)
+        # R1 = (Zbar^perp)^flat (x) bst: eats <Zbar^perp, .>, outputs bst
+        core = c[..., None, None] * Csh + dI + outer(b, Zp) * w1[..., None, None]
+        ups = [(Zp, b, c * (c - 2 * ch) / (2 * ch)), (b, b, (c - 2 * ch) / (cc * E.b2) * E.beta_Zbar)]
+        return _integrate(E, t1 + t2 + newton_chain(core, k, ups), "a"), {}
 
     return ev
 
@@ -705,7 +692,7 @@ def _sweep_point(
     """
     M = build_example(subspec)
     E = build_extrinsic(M, scheme, plan)
-    masks = [None] if masks is None else masks
+    masks = [M.active] if masks is None else masks
     E.stage = "hyp"
     hyps = []
     for mask in masks:

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from randers_foliations.invariants import det, inv, is_spd, newton_transform_batched, sigma_k, sigma_multi_batched
+from randers_foliations.invariants import (
+    det,
+    inv,
+    is_spd,
+    newton_chain,
+    newton_transform_batched,
+    outer,
+    sigma_k,
+    sigma_multi_batched,
+)
 
 
 def _stacks(d, seed):
@@ -73,3 +82,20 @@ def test_newton_transform_starts_at_first_order(m):
         if r:
             T = sigma_k(A, r)[..., None, None] * np.eye(m) - A @ T
         assert np.array_equal(newton_transform_batched(A, r), T), r
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("field_weights", [False, True])
+def test_newton_chain_is_the_rank_one_expansion(m, field_weights):
+    rng = np.random.default_rng(30 + m + 10 * field_weights)
+    core = rng.uniform(-1, 1, (7, 5, m, m))
+    for k in range(1, m + 1):
+        for s in (1, 2, 3):
+            ups = []
+            for _ in range(s):
+                p, q = rng.uniform(-1, 1, (2, 7, 5, m))
+                w = rng.uniform(-1, 1, (7, 5)) if field_weights else float(rng.uniform(-1, 1))
+                ups.append((p, q, w))
+            full = core + sum(outer(p, q) * np.asarray(w)[..., None, None] for p, q, w in ups)
+            want = sigma_k(full, k) - sigma_k(core, k)
+            np.testing.assert_allclose(newton_chain(core, k, ups), want, rtol=0, atol=1e-13)

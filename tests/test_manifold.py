@@ -141,38 +141,38 @@ def test_non_spd_metric_reports_node():
 
 def test_extrinsic_bar_flat_parallel():
     M = build_example(ExampleSpec("flat-parallel", {"n": 12}))
-    bar = extrinsic_bar(M, levi_civita(M, "spectral"), "spectral")
-    assert np.max(np.abs(bar.Abar)) == 0.0
-    assert np.max(np.abs(bar.Zbar)) == 0.0
+    Abar, Zbar = extrinsic_bar(M, levi_civita(M, "spectral"), "spectral")
+    assert np.max(np.abs(Abar)) == 0.0
+    assert np.max(np.abs(Zbar)) == 0.0
 
 
 def test_extrinsic_bar_graph_curvature():
     # leaves y = phi(x) + const: sigma_1(Abar) equals the signed curve curvature
     M = build_example(ExampleSpec("flat-graph", {"n": 128, "amplitude": 0.05}))
-    bar = extrinsic_bar(M, levi_civita(M, "spectral"), "spectral")
+    Abar, _ = extrinsic_bar(M, levi_civita(M, "spectral"), "spectral")
     x = M.grid.meshgrid()[0]
     w = 2 * np.pi
     amp = 0.05
     dphi = amp * w * (np.cos(w * x) - np.sin(2 * w * x))
     ddphi = amp * w * w * (-np.sin(w * x) - 2 * np.cos(2 * w * x))
     kappa = ddphi / (1 + dphi**2) ** 1.5
-    sigma1 = np.einsum("...ii->...", bar.Abar)
+    sigma1 = np.einsum("...ii->...", Abar)
     assert np.max(np.abs(sigma1 - kappa)) < 1e-6
 
 
 def test_abar_self_adjoint():
     # <Abar u, v> is a symmetric bilinear form on the leaf tangent bundle
     M = conformal()
-    bar = extrinsic_bar(M, levi_civita(M, "spectral"), "spectral")
-    sym = np.einsum("...ki,...kj->...ij", bar.Abar, M.a)
+    Abar, _ = extrinsic_bar(M, levi_civita(M, "spectral"), "spectral")
+    sym = np.einsum("...ki,...kj->...ij", Abar, M.a)
     assert np.max(np.abs(sym - np.swapaxes(sym, -1, -2))) < 1e-10
 
 
 def test_codazzi_symmetry_for_zbar():
     M = conformal()
     gam = levi_civita(M, "spectral")
-    bar = extrinsic_bar(M, gam, "spectral")
-    nabZ = covariant_vector_derivative(M, bar.Zbar, gam, "spectral")
+    _, Zbar = extrinsic_bar(M, gam, "spectral")
+    nabZ = covariant_vector_derivative(M, Zbar, gam, "spectral")
     form = np.einsum("...lu,...lv->...uv", nabZ, M.a)
     P = M.tangent_projector
     formt = np.einsum("...ua,...uv,...vb->...ab", P, form, P)
@@ -181,8 +181,8 @@ def test_codazzi_symmetry_for_zbar():
 
 def test_curvature_flat_zero():
     M = build_example(ExampleSpec("flat-graph", {"n": 32}))
-    cur = curvature_bar(M, levi_civita(M, "spectral"), "spectral")
-    assert cur.sup_riemann == 0.0
+    _, _, sup_riemann = curvature_bar(M, levi_civita(M, "spectral"), "spectral")
+    assert sup_riemann == 0.0
 
 
 def test_curvature_first_bianchi():
@@ -198,22 +198,22 @@ def test_curvature_first_bianchi():
 def test_gauss_bonnet_on_conformal_torus():
     # total Gauss curvature of any metric on T^2 vanishes
     M = conformal()
-    cur = curvature_bar(M, levi_civita(M, "spectral"), "spectral")
-    assert abs(integrate(M, cur.ricci_N, "a")) < 1e-10
+    _, ricci_N, _ = curvature_bar(M, levi_civita(M, "spectral"), "spectral")
+    assert abs(integrate(M, ricci_N, "a")) < 1e-10
 
 
 def riccati_residual(M, scheme):
     gam = levi_civita(M, scheme)
-    bar = extrinsic_bar(M, gam, scheme)
-    cur = curvature_bar(M, gam, scheme)
+    Abar, Zbar = extrinsic_bar(M, gam, scheme)
+    R_N, _, _ = curvature_bar(M, gam, scheme)
     P = M.tangent_projector
-    defz = deformation_tensor(M, covariant_vector_derivative(M, bar.Zbar, gam, scheme))
+    defz = deformation_tensor(M, covariant_vector_derivative(M, Zbar, gam, scheme))
     defz_t = np.einsum("...il,...lm,...mj->...ij", P, defz, P)
-    dNA = covariant_operator_derivative(M, bar.Abar, M.N, connection_along(gam, M.N), scheme)
+    dNA = covariant_operator_derivative(M, Abar, M.N, connection_along(gam, M.N), scheme)
     dNA = np.einsum("...il,...lm,...mj->...ij", P, dNA, P)
-    zf = np.einsum("...ij,...j->...i", M.a, bar.Zbar)
-    resid = cur.R_N - (
-        defz_t + dNA - bar.Abar @ bar.Abar - np.einsum("...i,...j->...ij", bar.Zbar, zf)
+    zf = np.einsum("...ij,...j->...i", M.a, Zbar)
+    resid = R_N - (
+        defz_t + dNA - Abar @ Abar - np.einsum("...i,...j->...ij", Zbar, zf)
     )
     return np.max(np.abs(resid))
 
@@ -286,9 +286,9 @@ def test_flat_parallel_beta_is_parallel():
 
 def test_sphere_latitude_mean_curvature():
     M = build_example(ExampleSpec("sphere-latitudes", {"n": 128, "r0": 0.2}))
-    bar = extrinsic_bar(M, levi_civita(M, "spectral"), "spectral")
+    Abar, _ = extrinsic_bar(M, levi_civita(M, "spectral"), "spectral")
     th = M.grid.meshgrid()[0]
-    sigma1 = np.einsum("...ii->...", bar.Abar)
+    sigma1 = np.einsum("...ii->...", Abar)
     cot = np.cos(th) / np.where(M.active, np.sin(th), 1.0)
     err = np.abs(sigma1 + cot)[M.active]
     assert err.max() < 1e-10
@@ -304,8 +304,8 @@ def test_sphere_rejects_tiny_excision():
 
 def test_sphere_eigen_normal_curves_are_geodesics():
     M = build_example(ExampleSpec("sphere-latitudes", {"n": 128, "r0": 0.2, "beta_mode": "eigen"}))
-    bar = extrinsic_bar(M, levi_civita(M, "central4"), "central4")
-    assert np.max(np.abs(np.where(M.active[..., None], bar.Zbar, 0.0))) < 1e-12
+    _, Zbar = extrinsic_bar(M, levi_civita(M, "central4"), "central4")
+    assert np.max(np.abs(np.where(M.active[..., None], Zbar, 0.0))) < 1e-12
 
 
 # -- kernels against their index definitions -----------------------------------
@@ -386,13 +386,13 @@ def _check_covariant_derivatives(M, rng, scheme):
 def test_extrinsic_bar_matches_index_formula(random_3d):
     M, _ = random_3d
     gam = levi_civita(M, "spectral")
-    bar = extrinsic_bar(M, gam, "spectral")
+    Abar, Zbar = extrinsic_bar(M, gam, "spectral")
     nabN = np.einsum("...ki->...ik", gradient(M, M.N, "spectral")) + np.einsum(
         "...ikm,...m->...ik", gam, M.N
     )
     P = M.tangent_projector
-    _close(bar.Abar, -np.einsum("...il,...lm,...mj->...ij", P, nabN, P))
-    _close(bar.Zbar, M.project_tangent(np.einsum("...ik,...k->...i", nabN, M.N)))
+    _close(Abar, -np.einsum("...il,...lm,...mj->...ij", P, nabN, P))
+    _close(Zbar, M.project_tangent(np.einsum("...ik,...k->...i", nabN, M.N)))
 
 
 def _check_curvature_against_reference(M, scheme):
@@ -402,7 +402,7 @@ def _check_curvature_against_reference(M, scheme):
                 + Gamma^i_{km} Gamma^m_{lj} - Gamma^i_{lm} Gamma^m_{kj}
     """
     gam = levi_civita(M, scheme)
-    cur = curvature_bar(M, gam, scheme)
+    R_N, ricci_N, sup_riemann = curvature_bar(M, gam, scheme)
     dgam = gradient(M, gam, scheme)  # dgam[..., p, i, j, k] = d_p Gamma^i_{jk}
     R = (
         np.einsum("...kilj->...ijkl", dgam)
@@ -411,12 +411,12 @@ def _check_curvature_against_reference(M, scheme):
         - np.einsum("...ilm,...mkj->...ijkl", gam, gam)
     )
     sup = np.max(np.abs(R))
-    assert abs(cur.sup_riemann - sup) <= 1e-12 * sup
+    assert abs(sup_riemann - sup) <= 1e-12 * sup
     P = M.tangent_projector
     RN = np.einsum("...ijkl,...j,...l->...ik", R, M.N, M.N)
     RN_tan = np.einsum("...il,...lm,...mj->...ij", P, RN, P)
-    _close(cur.R_N, RN_tan)
-    _close(cur.ricci_N, np.einsum("...ii->...", RN_tan))
+    _close(R_N, RN_tan)
+    _close(ricci_N, np.einsum("...ii->...", RN_tan))
     return R
 
 

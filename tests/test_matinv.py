@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randers_foliations.matinv import (
+    ORACLE_MAX_DIM,
     newton_transform,
     sigma_multi,
     sigma_pair,
@@ -83,6 +84,29 @@ def test_sigma_pair_against_oracle():
         )
 
 
+def test_oracle_holds_its_tolerance_at_its_largest_size():
+    rng = np.random.default_rng(12)
+    m = ORACLE_MAX_DIM
+    for _ in range(20):
+        A, B = rng.uniform(-1, 1, (2, m, m))
+        i = int(rng.integers(0, m + 1))
+        lam = (i, int(rng.integers(0, m - i + 1)))
+        assert sigma_via_determinant([A, B], lam) == pytest.approx(sigma_pair(A, B, lam), rel=1e-9, abs=1e-9)
+
+
+def test_oracle_rejects_sizes_above_its_range():
+    rng = np.random.default_rng(13)
+    mats = list(rng.uniform(-1, 1, (3, ORACLE_MAX_DIM + 1, ORACLE_MAX_DIM + 1)))
+    with pytest.raises(ValueError, match="oracle's maximum 5"):
+        sigma_via_determinant(mats[:2], (1, 1))
+    with pytest.raises(ValueError, match="oracle's maximum 5"):
+        sigma_multi(mats, (1, 1, 1))
+    # the trace routes keep their own range
+    assert np.isfinite(sigma_multi(mats[:2], (2, 2)))
+    with pytest.raises(ValueError, match="m_max"):
+        verify_appendix_identities(seed=0, trials=1, m_max=ORACLE_MAX_DIM + 1)
+
+
 def test_sigma_multi_shape_error():
     with pytest.raises(ValueError):
         sigma_multi([np.eye(2), np.eye(3)], (1, 1))
@@ -135,6 +159,8 @@ def test_appendix_identities_suite():
     res = verify_appendix_identities(seed=1, trials=100, m_max=4)
     for name, value in res.items():
         assert value < 1e-9, f"identity {name} residual {value:.3e}"
+    # the batched kernel the Berwald checks evaluate is compared, not skipped
+    assert 0.0 < res["kernel_agreement"]
 
 
 def test_oracle_equivalence_bulk():
