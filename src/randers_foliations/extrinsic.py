@@ -25,6 +25,8 @@ its own memo entry.
 A field lives only until its last reader.  The bundle notes which stage of a
 sweep point (the hypotheses, then each check) last read each memo entry; a
 later bundle given that plan drops each entry as soon as that stage ends.
+Fields are computed on the manifold's own active set ``M.active``; the bundle
+holds no judging mask, since ``verify`` passes each mask to the reductions.
 
 Leaf operators and leaf vectors are frame arrays: (m x m) matrices and
 m-vectors in a per-node a-orthonormal tangent frame F.  The frame is built by
@@ -105,12 +107,6 @@ class ExtrinsicBundle:
     the ``plan`` of an earlier bundle (its ``last_reader``), ``end_stage``
     drops each entry the plan says the closing stage read last; an entry read
     again after that is computed again.
-
-    Fields are computed on the manifold's own active set ``M.active``.  The
-    reductions that judge them (sup norms, quadratures, hypotheses) read the
-    attribute ``active`` instead: ``M.active`` at construction, and the
-    caller may set it to any subset of ``M.active``, as an excision sweep
-    does to judge each radius on its own mask.
     """
 
     def __init__(self, M: FoliatedRandersManifold, scheme: str = "spectral", plan: dict | None = None):
@@ -118,7 +114,6 @@ class ExtrinsicBundle:
         self.scheme = scheme
         self.plan = plan or {}
         self.stage: str | None = None
-        self.active: np.ndarray = M.active
         self.last_reader: dict[str, str | None] = {}
 
     def __getattribute__(self, name):

@@ -75,6 +75,8 @@ def _check_tuple(mats: Sequence) -> list[np.ndarray]:
 
 def _check_index(mats: Sequence, lam: Sequence[int]) -> tuple[list[np.ndarray], tuple[int, ...]]:
     mats = _check_tuple(mats)
+    if not all(float(x).is_integer() for x in lam):
+        raise ValueError(f"multi-index entries must be integers, got {tuple(lam)}")
     lam = tuple(int(x) for x in lam)
     if len(lam) != len(mats):
         raise ValueError("multi-index length must match the number of matrices")
@@ -111,11 +113,8 @@ def _poly2_mul(P: np.ndarray, Q: np.ndarray, max_total: int) -> np.ndarray:
 
 def sigma_pair(A, B, lam: Sequence[int]) -> float:
     """sigma_(i,j)(A, B) from traces of words in A, B (exp of tr log expansion)."""
-    A, B = _check_tuple([A, B])
+    (A, B), (i0, j0) = _check_index([A, B], lam)
     m = A.shape[0]
-    i0, j0 = int(lam[0]), int(lam[1])
-    if i0 < 0 or j0 < 0 or i0 + j0 > m:
-        raise ValueError(f"multi-index {tuple(lam)} out of range for dimension {m}")
     if i0 + j0 == 0:
         return 1.0
     # L = tr log(I + sA + tB) truncated at total degree m.  The matrix

@@ -1,11 +1,14 @@
 """Integral-formula and comparison-formula verification engine.
 
 Every check is a :class:`Formula`: a hypothesis gate (predicates evaluated
-numerically on the example at hand) plus an evaluator that maps the bundle to
-its residual and an audit detail.  Each formula is stated against zero: an
-integral that vanishes, a sup-norm difference of two routes, or the margin of
-a bound.  The runner sweeps a list of resolutions, records the convergence
-table, and one judge gives the verdict at the finest grid.
+numerically on the example at hand), an evaluator that maps the bundle to the
+row's pointwise field, and the reduction its ``kind`` names.  Each formula is
+stated against zero: an integral that vanishes (``zero``: the field against
+the row's ``volume``), a sup-norm difference of two routes (``sup``: max |f|),
+or the margin of a bound.  The judging mask is an argument of the reduction,
+not of the field, so one field is reduced on every mask that judges it.  The
+runner sweeps a list of resolutions, records the convergence table, and one
+judge gives the verdict at the finest grid.
 Hypothesis gates never pass silently: each report carries the measured
 hypothesis residuals, and an example that violates a formula's hypotheses
 yields the first-class verdict ``not-applicable``.
@@ -48,36 +51,30 @@ SINGULAR_POLICY = (1e-2, 2.5, 0.1)
 # --------------------------------------------------------------------------
 
 
-def _sup_active(E: ExtrinsicBundle, field: np.ndarray) -> float:
-    act = E.active
-    extra = field.ndim - act.ndim
-    a = act.reshape(act.shape + (1,) * extra)
+def _sup(field: np.ndarray, mask: np.ndarray) -> float:
+    """max |f| over the judged nodes ``mask``."""
+    a = mask.reshape(mask.shape + (1,) * (field.ndim - mask.ndim))
     # max |f| without an |f| copy; abs() only turns a -0.0 maximum into 0.0
     return float(abs(max(np.max(field, where=a, initial=0), -np.min(field, where=a, initial=0))))
 
 
-def _integrate(E: ExtrinsicBundle, f: np.ndarray, volume: str) -> float:
-    """Quadrature of a scalar field over the judged nodes ``E.active``."""
-    return integrate(E.M, f, volume, E.active)
-
-
-def hypothesis_profile(E: ExtrinsicBundle) -> dict[str, float]:
-    """Numerically measured hypothesis residuals of one example, on the judged nodes ``E.active``."""
-    M, act = E.M, E.active
+def hypothesis_profile(E: ExtrinsicBundle, mask: np.ndarray) -> dict[str, float]:
+    """Numerically measured hypothesis residuals of one example, on the judged nodes ``mask``."""
+    M = E.M
     hyp: dict[str, float] = {}
-    hyp["sup_nabla_beta"] = _sup_active(E, E.nabla_beta_sharp)
-    hyp["sup_beta"] = _sup_active(E, M.beta_norm)
+    hyp["sup_nabla_beta"] = _sup(E.nabla_beta_sharp, mask)
+    hyp["sup_beta"] = _sup(M.beta_norm, mask)
     hyp["min_beta_top"] = float(
-        np.min(np.where(act, np.sqrt(np.clip(1.0 - M.c**2, 0.0, None)), np.inf))
+        np.min(np.where(mask, np.sqrt(np.clip(1.0 - M.c**2, 0.0, None)), np.inf))
     )
-    cs = np.where(act, M.c, np.nan)
-    bn = np.where(act, M.beta_N, np.nan)
+    cs = np.where(mask, M.c, np.nan)
+    bn = np.where(mask, M.beta_N, np.nan)
     hyp["var_c"] = float(np.nanmax(cs) - np.nanmin(cs))
     hyp["var_beta_N"] = float(np.nanmax(bn) - np.nanmin(bn))
     hyp["min_abs_beta_N"] = float(np.nanmin(np.abs(bn)))
     hyp["sup_beta_N"] = float(np.nanmax(np.abs(bn)))
-    hyp["sup_zbar"] = _sup_active(E, E.Zbar)
-    hyp["sup_abar"] = _sup_active(E, E.Abar)
+    hyp["sup_zbar"] = _sup(E.Zbar, mask)
+    hyp["sup_abar"] = _sup(E.Abar, mask)
     hyp["masked"] = 0.0 if M.mask is None else 1.0
     hyp["beta_singular"] = 1.0 if M.beta_singular else 0.0
     if M.mask is None:
@@ -109,17 +106,19 @@ PREDICATES: dict[str, Callable[[dict], bool]] = {
 class Formula:
     fid: str
     description: str
-    evaluate: Callable[[ExtrinsicBundle], tuple[float, dict]]  # residual, detail
+    # the row's pointwise field; a composite row returns its own mask -> (value, detail)
+    evaluate: Callable[[ExtrinsicBundle], np.ndarray | Callable]
     requires: tuple[str, ...] = ()
     any_of: tuple[str, ...] = ()          # at least one must hold, if nonempty
     kind: str = "zero"                    # zero | sup | bound
+    volume: str = "a"                     # the measure a ``zero`` row integrates against
     fixed_tol: float | None = None
     min_m: int = 1                        # smallest leaf dimension the check needs
     # verbatim published display that the convergence tables refute; selected
     # only by ``--formulas full`` or by name
     refuted: bool = False
 
-    def applicable(self, hyp: dict, m: int = 99) -> bool:
+    def applicable(self, hyp: dict, m: int) -> bool:
         if m < self.min_m:
             return False
         if not all(PREDICATES[p](hyp) for p in self.requires):
@@ -128,30 +127,27 @@ class Formula:
             return False
         return True
 
+    def values(self, E: ExtrinsicBundle, masks: list[np.ndarray]) -> list[tuple[float, dict]]:
+        """Value and detail on each judging mask, all reduced from one evaluation.
+
+        A ``sup`` row takes max |f| over the mask, a ``zero`` row integrates f
+        against ``volume`` over it; a composite row reduces itself.
+        """
+        field = self.evaluate(E)
+        if callable(field):
+            return [field(mask) for mask in masks]
+        if self.kind == "sup":
+            return [(_sup(field, mask), {}) for mask in masks]
+        return [(integrate(E.M, field, self.volume, mask), {}) for mask in masks]
+
 
 # --------------------------------------------------------------------------
 # shared field helpers
 # --------------------------------------------------------------------------
 
 
-def _test_function(E) -> tuple[np.ndarray, np.ndarray]:
-    """Smooth test function for the weighted mean-curvature formula and N(f)."""
-    M = E.M
-    x0 = M.grid.meshgrid()[0]
-    if M.mask is None:
-        f = np.exp(np.cos(2.0 * np.pi * x0 / M.grid.periods[0]))
-    else:
-        f = np.exp(0.3 * np.sin(2.0 * x0))  # periodic in the excised chart
-    return f, _directional(E, f, M.N)
-
-
 def _directional(E, f, v):
     return np.einsum("...i,...i->...", v, gradient(E.M, f, E.scheme))
-
-
-def _ric_nu(E):
-    """Ric_nu of the Finsler structure: c^-2 Ric_N of the base metric."""
-    return E.ricci_N / E.M.c**2
 
 
 def _curvature_spread(E):
@@ -165,48 +161,20 @@ def _curvature_spread(E):
 
 
 # --------------------------------------------------------------------------
-# evaluators: mean curvature family
+# evaluators: each returns the row's pointwise field (composite rows: its
+# reduction, mask -> (value, detail)); one-line fields sit in the table
 # --------------------------------------------------------------------------
 
 
-def _ev_reeb_riemannian(E):
-    return _integrate(E, trace(E.Abar_frame), "a"), {}
-
-
 def _ev_reeb_weighted(E):
-    f, Nf = _test_function(E)
-    return _integrate(E, f * trace(E.Abar_frame) - Nf, "a"), {}
-
-
-def _ev_reeb_normal_metric(E):
-    return _integrate(E, trace(E.Ag_direct), "g"), {}
-
-
-def _ev_reeb_finsler(E):
-    return _integrate(E, trace(E.A_frame), "F"), {}
-
-
-# -- second order ------------------------------------------------------------
-
-
-def _ev_second_order_riemannian(E):
-    integrand = 2.0 * sigma_k(E.Abar_frame, 2) - E.ricci_N
-    return _integrate(E, integrand, "a"), {}
-
-
-def _ev_second_order_finsler(E):
-    integrand = sigma_k(E.A_frame, 2) - 0.5 * _ric_nu(E)
-    return _integrate(E, integrand, "F"), {}
-
-
-# -- flat total curvatures -----------------------------------------------------
-
-
-def _ev_sigma_flat(k):
-    def ev(E):
-        return _integrate(E, sigma_k(E.A_frame, k), "F"), {}
-
-    return ev
+    """f tr(Abar) - N(f) for a smooth test function f."""
+    M = E.M
+    x0 = M.grid.meshgrid()[0]
+    if M.mask is None:
+        f = np.exp(np.cos(2.0 * np.pi * x0 / M.grid.periods[0]))
+    else:
+        f = np.exp(0.3 * np.sin(2.0 * x0))  # periodic in the excised chart
+    return f * trace(E.Abar_frame) - _directional(E, f, M.N)
 
 
 # -- Berwald sigma_k expansions ------------------------------------------------
@@ -226,10 +194,8 @@ def _ev_berwald_sigma(k, printed=False):
         tail = tail + newton_chain(X + cC, k, [(b, U1, 1.0), (U2, b, 1.0), (b, b, a3)])
         if printed:
             # published display: sigma_k(Abar + delta I) truncated at first order
-            integrand = E.delta * (m - k + 1) * sigma_k(Ab, k - 1) + tail
-        else:
-            integrand = (sigma_k(X, k) + tail) / E.M.c**k - sigma_k(Ab, k)
-        return _integrate(E, integrand, "a"), {}
+            return E.delta * (m - k + 1) * sigma_k(Ab, k - 1) + tail
+        return (sigma_k(X, k) + tail) / E.M.c**k - sigma_k(Ab, k)
 
     return ev
 
@@ -255,7 +221,7 @@ def _ev_sigma_tg(k):
         # R1 = (Zbar^perp)^flat (x) bst: eats <Zbar^perp, .>, outputs bst
         core = c[..., None, None] * Csh + dI + outer(b, Zp) * w1[..., None, None]
         ups = [(Zp, b, c * (c - 2 * ch) / (2 * ch)), (b, b, (c - 2 * ch) / (cc * E.b2) * E.beta_Zbar)]
-        return _integrate(E, t1 + t2 + newton_chain(core, k, ups), "a"), {}
+        return t1 + t2 + newton_chain(core, k, ups)
 
     return ev
 
@@ -280,7 +246,7 @@ def _ev_parallel_second_order_printed(E):
     perpZ = E.perp_beta(E.Zbar_frame)
     perpA = E.perp_beta(E.Abst_frame)
     perpC = E.perp_beta(_csharp_bst(E, Csh))
-    integrand = (1.0 / c**2) * (
+    return (1.0 / c**2) * (
         sigma_k(X, 2)
         + ((c - 2 * ch) / cc * Ab_b - (ch - c) / (c**2 * ch) * bZ) * trace(X)
         + (ch - c) / (cc * E.b2) * Xb_b * Ab_b
@@ -292,7 +258,6 @@ def _ev_parallel_second_order_printed(E):
         - (c - 2 * ch) * (1 + c**2) / (2 * ch) * dot(perpC, perpZ)
         - 0.5 * E.ricci_N
     )
-    return _integrate(E, integrand, "a"), {}
 
 
 def _ev_parallel_const_printed(E):
@@ -302,7 +267,7 @@ def _ev_parallel_const_printed(E):
     Abf = E.Abar_frame
     Ab, Zb = E.Abst_frame, E.Zbar_frame
     Cb = _csharp_bst(E, Csh)
-    integrand = (
+    return (
         c * trace(Csh) * trace(Abf)
         - c * trace(Abf @ Csh)
         - (1 - (c - 2 * ch) ** 2) / (4 * ch**2) * dot(Ab, Ab)
@@ -311,7 +276,6 @@ def _ev_parallel_const_printed(E):
         - (c - 2 * ch) ** 2 * (1 - c**2) / (4 * ch**2) * dot(Zb, Zb)
         - (c - 2 * ch) * (1 + c**2) / (2 * ch) * dot(Cb, Zb)
     )
-    return _integrate(E, integrand, "a"), {}
 
 
 def _ev_parallel_tangent_printed(E):
@@ -321,7 +285,7 @@ def _ev_parallel_tangent_printed(E):
     Abf = E.Abar_frame
     Ab, Zb = E.Abst_frame, E.Zbar_frame
     Cb = _csharp_bst(E, Csh)
-    integrand = (
+    return (
         c * trace(Csh) * trace(Abf)
         - c * trace(Abf @ Csh)
         - (1 - c**2) / (4 * c**2) * dot(Ab, Ab)
@@ -330,7 +294,6 @@ def _ev_parallel_tangent_printed(E):
         - (1 - c**2) / (2 * c) * dot(Ab, Cb)
         + (1 + c**2) / 2.0 * dot(Cb, Zb)
     )
-    return _integrate(E, integrand, "a"), {}
 
 
 # -- first-order tilt family ----------------------------------------------------
@@ -339,70 +302,47 @@ def _ev_parallel_tangent_printed(E):
 def _ev_tilt_balance_printed(E):
     M = E.M
     Nc = _directional(E, M.c, M.N)
-    integrand = (
+    return (
         E.cc ** (M.m / 2.0)
         / M.c**2
         * (M.chat - M.c)
         * (M.c * Nc + M.c * E.beta_Zbar + E.Abst_beta)
     )
-    return _integrate(E, integrand, "a"), {}
-
-
-def _ev_tilt_const_printed(E):
-    return _integrate(E, E.Abst_beta + E.M.c * E.beta_Zbar, "a"), {}
 
 
 def _ev_eigen_balance(E):
     # beta_sharp_top is an eigenfield of Abar; check it and integrate the eigenvalue
+    # (the division is guarded on M.active, which holds every judging mask)
     M = E.M
     bst = M.beta_sharp_top
-    b2 = np.where(E.active, M.inner(bst, bst), 1.0)
-    lam = np.where(E.active, E.Abst_beta / b2, 0.0)
+    b2 = np.where(M.active, M.inner(bst, bst), 1.0)
+    lam = np.where(M.active, E.Abst_beta / b2, 0.0)
     Ares = E.Abar_bst - lam[..., None] * bst
-    eig_res = _sup_active(E, Ares)
-    return _integrate(E, lam, "a"), {"eigenfield_residual": eig_res}
+    return lambda mask: (integrate(M, lam, "a", mask), {"eigenfield_residual": _sup(Ares, mask)})
 
 
 # -- comparison (sup-norm) checks ------------------------------------------------
 
 
-def _ev_shape_comparison(E):
-    return _sup_active(E, E.Ag_formula - E.Ag_direct), {}
-
-
-def _ev_shape_comparison_printed(E):
-    return _sup_active(E, E.Ag_printed - E.Ag_direct), {}
-
-
-def _ev_z_comparison(E):
-    return _sup_active(E, E.Z_formula - E.Z_direct_frame), {}
-
-
-def _ev_csharp_comparison(E):
-    return _sup_active(E, E.Csharp_formula - E.Csharp_direct), {}
-
-
-def _ev_csharp_comparison_printed(E):
-    return _sup_active(E, E.Csharp_printed - E.Csharp_direct), {}
-
-
 def _ev_csharp_scale(E):
     """Settles the torsion scale factor: C#_n = (c chat) C#_nu."""
-    target = E.cc[..., None, None] * E.Csharp_direct
-    resid = _sup_active(E, E.Csharp_n_direct_numeric - target)
-    detail = {}
-    act = E.active[..., None, None]
-    mag = np.where(act, np.abs(E.Csharp_direct), 0.0)
-    big = mag > max(1e-8, 0.1 * float(np.max(mag)))
-    if np.any(big):
-        ratio = E.Csharp_n_direct_numeric[big] / E.Csharp_direct[big]
-        detail["median_ratio"] = float(np.median(ratio))
-        detail["median_cc"] = float(np.median(np.broadcast_to(E.cc[..., None, None], mag.shape)[big]))
-        detail["median_chat3"] = float(
-            np.median(np.broadcast_to(E.M.chat[..., None, None] ** 3, mag.shape)[big])
-        )
-        detail["median_cc3"] = float(np.median(np.broadcast_to(E.cc[..., None, None] ** 3, mag.shape)[big]))
-    return resid, detail
+    Cn, C, cc = E.Csharp_n_direct_numeric, E.Csharp_direct, E.cc[..., None, None]
+    resid = Cn - cc * C
+
+    def judged(mask):
+        detail = {}
+        mag = np.where(mask[..., None, None], np.abs(C), 0.0)
+        big = mag > max(1e-8, 0.1 * float(np.max(mag)))
+        if np.any(big):
+            detail["median_ratio"] = float(np.median(Cn[big] / C[big]))
+            detail["median_cc"] = float(np.median(np.broadcast_to(cc, mag.shape)[big]))
+            detail["median_chat3"] = float(
+                np.median(np.broadcast_to(E.M.chat[..., None, None] ** 3, mag.shape)[big])
+            )
+            detail["median_cc3"] = float(np.median(np.broadcast_to(cc**3, mag.shape)[big]))
+        return _sup(resid, mask), detail
+
+    return judged
 
 
 def _ev_trace_comparison(E):
@@ -415,8 +355,7 @@ def _ev_trace_comparison(E):
         + div_bs / M.chat
         - Nchat / M.chat
     )
-    lhs = M.c * trace(E.Ag_direct)
-    return _sup_active(E, lhs - rhs), {}
+    return M.c * trace(E.Ag_direct) - rhs
 
 
 def _codazzi_asymmetry(E, nabZ, metric):
@@ -424,15 +363,7 @@ def _codazzi_asymmetry(E, nabZ, metric):
     P = E.M.tangent_projector
     form = np.swapaxes(nabZ, -1, -2) @ metric  # u = the derivative slot of nabZ
     formt = np.swapaxes(P, -1, -2) @ form @ P
-    return _sup_active(E, formt - np.swapaxes(formt, -1, -2))
-
-
-def _ev_codazzi(E):
-    return _codazzi_asymmetry(E, E.nabla_Zbar, E.M.a), {}
-
-
-def _ev_codazzi_g(E):
-    return _codazzi_asymmetry(E, E.nabla_Z_direct, E.g), {}
+    return formt - np.swapaxes(formt, -1, -2)
 
 
 def _ev_riccati(E):
@@ -446,79 +377,70 @@ def _ev_riccati(E):
     resid -= E.Abar @ E.Abar
     resid -= outer(E.Zbar, (M.a @ E.Zbar[..., None])[..., 0])
     resid -= E.R_N
-    return _sup_active(E, resid), {}
+    return resid
 
 
 def _ev_volume_distortion(E):
     M = E.M
     lhs = M.volume_density("g")
     rhs = np.exp(E.distortion_nu) * M.volume_density("F")
-    rel = np.where(E.active, np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300), 0.0)
-    tau_diff = np.where(E.active, np.abs(E.distortion_det_route - E.distortion_nu), 0.0)
-    return float(max(rel.max(), tau_diff.max())), {}
-
-
-def _ev_abar_selfadjoint(E):
-    Af = E.Abar_frame
-    return _sup_active(E, Af - np.swapaxes(Af, -1, -2)), {}
+    rel = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
+    return np.maximum(rel, np.abs(E.distortion_det_route - E.distortion_nu))
 
 
 def _ev_tangency(E):
     M = E.M
     gz = np.einsum("...i,...ij,...j->...", E.Z_direct, E.g, M.nu_field)
-    az = M.inner(E.Zbar, M.N)
-    return float(max(_sup_active(E, gz), _sup_active(E, az))), {}
+    return np.maximum(np.abs(gz), np.abs(M.inner(E.Zbar, M.N)))
 
 
 # -- inequalities and vanishing conclusions ---------------------------------------
 
 
-def _energy_pair(E):
-    M = E.M
-    m = M.m
-    ones = np.ones(M.grid.sizes)
-    volF = _integrate(E, ones, "F")
-    volA = _integrate(E, ones, "a")
-    Asym = E.A_frame_gsym
-    trA2 = np.einsum("...ab,...ba->...", Asym, Asym)
-    energy = (m + 1) / 2.0 * volF + 0.5 * _integrate(E, trA2, "F")
-    bnorm2 = float(np.max(np.where(E.active, M.beta_norm**2, 0.0)))
-    ric_term = 0.0
-    if M.mask is None:
-        ric_term = _integrate(E, E.ricci_N / M.c**2, "a")
-    rhs = (1.0 - bnorm2) ** ((m + 2) / 2.0) * ((m + 1) / 2.0 * volA + ric_term / (2.0 * m))
-    return energy, rhs, volF
+def _max_beta2(M, mask: np.ndarray) -> float:
+    """max |beta|^2 over the judged nodes, the base of both bounds' volume factor."""
+    return float(np.max(np.where(mask, M.beta_norm**2, 0.0)))
 
 
 def _ev_energy_bound(E):
-    energy, rhs, volF = _energy_pair(E)
-    margin = energy - rhs
-    return margin, {"energy": energy, "bound": rhs, "vol_F": volF}
+    M = E.M
+    m = M.m
+    ones = np.ones(M.grid.sizes)
+    Asym = E.A_frame_gsym
+    trA2 = np.einsum("...ab,...ba->...", Asym, Asym)
+    ric_nu = None if M.mask is not None else E.ricci_N / M.c**2
+
+    def judged(mask):
+        volF = integrate(M, ones, "F", mask)
+        volA = integrate(M, ones, "a", mask)
+        energy = (m + 1) / 2.0 * volF + 0.5 * integrate(M, trA2, "F", mask)
+        ric_term = 0.0 if ric_nu is None else integrate(M, ric_nu, "a", mask)
+        rhs = (1.0 - _max_beta2(M, mask)) ** ((m + 2) / 2.0) * ((m + 1) / 2.0 * volA + ric_term / (2.0 * m))
+        return energy - rhs, {"energy": energy, "bound": rhs, "vol_F": volF}
+
+    return judged
 
 
 def _ev_umbilicity_bound(E):
     M = E.M
     m = M.m
-    U = _integrate(E, _curvature_spread(E), "F")
+    spread = _curvature_spread(E)
     r = -float(np.max(E.ricci_N))
-    bnorm2 = float(np.max(np.where(E.active, M.beta_norm**2, 0.0)))
-    rhs = (1.0 - bnorm2) ** ((m + 2) / 2.0) * m * r * _integrate(E, 1.0 / M.c**2 * np.ones(M.grid.sizes), "a")
-    return U - rhs, {"umbilicity_defect": U, "bound": rhs}
+    inv_c2 = 1.0 / M.c**2 * np.ones(M.grid.sizes)
 
+    def judged(mask):
+        U = integrate(M, spread, "F", mask)
+        rhs = (1.0 - _max_beta2(M, mask)) ** ((m + 2) / 2.0) * m * r * integrate(M, inv_c2, "a", mask)
+        return U - rhs, {"umbilicity_defect": U, "bound": rhs}
 
-def _ev_vanishing_parallel(E):
-    return _sup_active(E, E.Abar_bst), {}
-
-
-def _ev_csharp_vanishing(E):
-    return _sup_active(E, E.cc[..., None, None] * E.Csharp_direct), {}
+    return judged
 
 
 def _ev_umbilicity_spread_identity(E):
     """Cross-check sum_{i<j}(k_i-k_j)^2 = m tr(A^2) - (tr A)^2 pointwise."""
     Asym = E.A_frame_gsym
     alt = E.M.m * np.einsum("...ab,...ba->...", Asym, Asym) - trace(Asym) ** 2
-    return _sup_active(E, _curvature_spread(E) - alt), {}
+    return _curvature_spread(E) - alt
 
 
 # --------------------------------------------------------------------------
@@ -536,21 +458,24 @@ _TG = ("unmasked", "flat", "berwald", "nowhere-orthogonal", "totally-geodesic")
 
 # the report's config lists the selected formulas in this order
 FORMULAS: dict[str, Formula] = {f.fid: f for f in (
-    Formula("reeb-riemannian", "total mean curvature of the leaves, base metric", _ev_reeb_riemannian),
+    Formula("reeb-riemannian", "total mean curvature of the leaves, base metric",
+            lambda E: trace(E.Abar_frame)),
     Formula("reeb-weighted", "weighted mean curvature balance, base metric", _ev_reeb_weighted),
-    Formula("reeb-normal-metric", "total mean curvature, normal metric g", _ev_reeb_normal_metric,
-            requires=_SMOOTH),
-    Formula("reeb-finsler", "total Finslerian mean curvature", _ev_reeb_finsler,
-            requires=_SMOOTH, any_of=("berwald", "beta-zero", "singular")),
+    Formula("reeb-normal-metric", "total mean curvature, normal metric g", lambda E: trace(E.Ag_direct),
+            requires=_SMOOTH, volume="g"),
+    Formula("reeb-finsler", "total Finslerian mean curvature", lambda E: trace(E.A_frame),
+            requires=_SMOOTH, any_of=("berwald", "beta-zero", "singular"), volume="F"),
     Formula("second-order-riemannian",
             "twice total second mean curvature vs total normal Ricci, base metric",
-            _ev_second_order_riemannian, requires=("unmasked",)),
+            lambda E: 2.0 * sigma_k(E.Abar_frame, 2) - E.ricci_N, requires=("unmasked",)),
+    # Ric_nu of the Finsler structure is c^-2 Ric_N of the base metric
     Formula("second-order-finsler", "total second mean curvature vs normal Ricci, Finsler structure",
-            _ev_second_order_finsler, requires=("unmasked",), any_of=_FLAT_ANY),
+            lambda E: sigma_k(E.A_frame, 2) - 0.5 * (E.ricci_N / E.M.c**2),
+            requires=("unmasked",), any_of=_FLAT_ANY, volume="F"),
     Formula("sigma-flat-k1", "total sigma_1 of the full shape operator on flat Berwald examples",
-            _ev_sigma_flat(1), requires=_FLAT, any_of=_FLAT_ANY),
+            lambda E: sigma_k(E.A_frame, 1), requires=_FLAT, any_of=_FLAT_ANY, volume="F"),
     Formula("curvature-series-k1", "order-1 term of the curvature series (flat reduction)",
-            _ev_sigma_flat(1), requires=_FLAT, any_of=_FLAT_ANY),
+            lambda E: sigma_k(E.A_frame, 1), requires=_FLAT, any_of=_FLAT_ANY, volume="F"),
     Formula("berwald-sigma-k1", "parallel-beta sigma_1 expansion through Newton transformations",
             _ev_berwald_sigma(1), requires=_PARALLEL_FLAT),
     Formula("berwald-sigma-k1-printed", "published sigma_1 display (verbatim transcription)",
@@ -558,9 +483,9 @@ FORMULAS: dict[str, Formula] = {f.fid: f for f in (
     Formula("sigma-tg-k1", "published totally geodesic sigma_1 display", _ev_sigma_tg(1),
             requires=_TG),
     Formula("sigma-flat-k2", "total sigma_2 of the full shape operator on flat Berwald examples",
-            _ev_sigma_flat(2), requires=_FLAT, any_of=_FLAT_ANY, min_m=2),
+            lambda E: sigma_k(E.A_frame, 2), requires=_FLAT, any_of=_FLAT_ANY, volume="F", min_m=2),
     Formula("curvature-series-k2", "order-2 term of the curvature series (flat reduction)",
-            _ev_sigma_flat(2), requires=_FLAT, any_of=_FLAT_ANY, min_m=2),
+            lambda E: sigma_k(E.A_frame, 2), requires=_FLAT, any_of=_FLAT_ANY, volume="F", min_m=2),
     Formula("berwald-sigma-k2", "parallel-beta sigma_2 expansion through Newton transformations",
             _ev_berwald_sigma(2), requires=_PARALLEL_FLAT, min_m=2),
     Formula("berwald-sigma-k2-printed", "published sigma_2 display (verbatim transcription)",
@@ -578,33 +503,35 @@ FORMULAS: dict[str, Formula] = {f.fid: f for f in (
     Formula("tilt-balance-printed", "published first-order tilt balance (verbatim)",
             _ev_tilt_balance_printed, requires=("beta-nonzero",), refuted=True),
     Formula("tilt-balance-const-printed", "published constant-tilt balance (verbatim)",
-            _ev_tilt_const_printed, requires=("constant-c", "constant-beta-N", "beta-N-nonzero")),
+            lambda E: E.Abst_beta + E.M.c * E.beta_Zbar,
+            requires=("constant-c", "constant-beta-N", "beta-N-nonzero")),
     Formula("eigen-balance", "total eigenvalue of the principal direction carrying beta",
             _ev_eigen_balance,
             requires=("zbar-zero", "constant-c", "constant-beta-N", "nowhere-orthogonal")),
     Formula("shape-comparison", "normal-metric shape operator: formula vs direct",
-            _ev_shape_comparison, requires=_SMOOTH, kind="sup"),
+            lambda E: E.Ag_formula - E.Ag_direct, requires=_SMOOTH, kind="sup"),
     Formula("shape-comparison-printed", "published shape-operator display vs direct",
-            _ev_shape_comparison_printed, requires=_SMOOTH, kind="sup", refuted=True),
-    Formula("z-comparison", "nu-curve curvature vector: formula vs direct", _ev_z_comparison,
-            requires=_SMOOTH, kind="sup"),
-    Formula("csharp-comparison", "torsion operator: formula vs direct", _ev_csharp_comparison,
-            requires=_SMOOTH, kind="sup"),
+            lambda E: E.Ag_printed - E.Ag_direct, requires=_SMOOTH, kind="sup", refuted=True),
+    Formula("z-comparison", "nu-curve curvature vector: formula vs direct",
+            lambda E: E.Z_formula - E.Z_direct_frame, requires=_SMOOTH, kind="sup"),
+    Formula("csharp-comparison", "torsion operator: formula vs direct",
+            lambda E: E.Csharp_formula - E.Csharp_direct, requires=_SMOOTH, kind="sup"),
     Formula("csharp-comparison-printed", "published torsion display vs direct",
-            _ev_csharp_comparison_printed, requires=_SMOOTH, kind="sup", refuted=True),
+            lambda E: E.Csharp_printed - E.Csharp_direct, requires=_SMOOTH, kind="sup", refuted=True),
     Formula("csharp-scale", "n-level vs nu-level torsion scale factor", _ev_csharp_scale,
             requires=_SMOOTH, kind="sup"),
     Formula("trace-comparison", "mean curvature of g: comparison trace identity",
             _ev_trace_comparison, requires=_SMOOTH, kind="sup"),
-    Formula("codazzi-symmetry", "symmetry of the tangential Zbar derivative", _ev_codazzi, kind="sup"),
-    Formula("codazzi-symmetry-g", "symmetry of the tangential Z derivative, metric g", _ev_codazzi_g,
-            requires=_SMOOTH, kind="sup"),
+    Formula("codazzi-symmetry", "symmetry of the tangential Zbar derivative",
+            lambda E: _codazzi_asymmetry(E, E.nabla_Zbar, E.M.a), kind="sup"),
+    Formula("codazzi-symmetry-g", "symmetry of the tangential Z derivative, metric g",
+            lambda E: _codazzi_asymmetry(E, E.nabla_Z_direct, E.g), requires=_SMOOTH, kind="sup"),
     Formula("riccati-identity", "normal Riccati identity for the base metric", _ev_riccati,
             requires=("unmasked",), kind="sup"),
     Formula("volume-distortion", "volume forms against the distortion factor", _ev_volume_distortion,
             kind="sup"),
-    Formula("abar-selfadjoint", "self-adjointness of the base shape operator", _ev_abar_selfadjoint,
-            kind="sup"),
+    Formula("abar-selfadjoint", "self-adjointness of the base shape operator",
+            lambda E: E.Abar_frame - np.swapaxes(E.Abar_frame, -1, -2), kind="sup"),
     Formula("tangency", "Z and Zbar stay tangent to the leaves", _ev_tangency, kind="sup"),
     Formula("energy-bound", "energy of the unit normal against the curvature bound", _ev_energy_bound,
             requires=("berwald",), kind="bound"),
@@ -613,12 +540,12 @@ FORMULAS: dict[str, Formula] = {f.fid: f for f in (
     Formula("umbilicity-spread", "principal curvature spread identity",
             _ev_umbilicity_spread_identity, kind="sup"),
     Formula("vanishing-parallel", "parallel constant-angle fields are base-shape null directions",
-            _ev_vanishing_parallel,
+            lambda E: E.Abar_bst,
             requires=("berwald", "nowhere-orthogonal", "beta-nonzero", "constant-beta-N"), kind="sup",
             fixed_tol=1e-8),
     Formula("csharp-vanishing", "torsion operator vanishes for parallel beta with rigid normal geometry",
-            _ev_csharp_vanishing, requires=("berwald", "constant-beta-N", "zbar-zero"), kind="sup",
-            fixed_tol=1e-8),
+            lambda E: E.cc[..., None, None] * E.Csharp_direct,
+            requires=("berwald", "constant-beta-N", "zbar-zero"), kind="sup", fixed_tol=1e-8),
 )}
 
 
@@ -679,35 +606,32 @@ def _sweep_point(
     """Hypotheses, formula values and release plan of one sweep point.
 
     The point builds its manifold and bundle once and judges them on each of
-    ``masks`` (default: the build's own active set alone), by setting
-    ``E.active``.  The hypotheses are the stage "hyp"; each check is a stage
-    of its own, the ``_COORDINATE_FIRST`` checks before the rest.  Each stage
-    runs on every mask before the next stage starts, so no mask's early
-    checks run on top of the fields of another mask's later ones.  Given
-    ``plan``, the bundle drops each field when the stage the plan names as
-    its last reader ends.  Returns the example's name and grid (not the
-    manifold, so no point's fields stay alive while the next point is
-    built), the hypotheses and the values of each mask, and this point's
+    ``masks`` (default: the build's own active set alone).  The hypotheses
+    are the stage "hyp"; each check is a stage of its own, the
+    ``_COORDINATE_FIRST`` checks before the rest.  A check's stage forms its
+    field once and reduces it on every mask where the check applies, so no
+    mask's early checks run on top of the fields of another mask's later
+    ones.  Given ``plan``, the bundle drops each field when the stage the
+    plan names as its last reader ends.  Returns the example's name and grid
+    (not the manifold, so no point's fields stay alive while the next point
+    is built), the hypotheses and the values of each mask, and this point's
     record of last readers: the plan for the next point.
     """
     M = build_example(subspec)
     E = build_extrinsic(M, scheme, plan)
     masks = [M.active] if masks is None else masks
     E.stage = "hyp"
-    hyps = []
-    for mask in masks:
-        E.active = mask
-        hyps.append(hypothesis_profile(E))
+    hyps = [hypothesis_profile(E, mask) for mask in masks]
     E.end_stage()
     values: list[dict[str, tuple[float, dict]]] = [{} for _ in masks]
     order = [f for f in _COORDINATE_FIRST if f in fids] + [f for f in fids if f not in _COORDINATE_FIRST]
     for fid in order:
         E.stage = fid
         formula = FORMULAS[fid]
-        for mask, hyp, vals in zip(masks, hyps, values):
-            E.active = mask
-            if formula.applicable(hyp, M.m):
-                vals[fid] = formula.evaluate(E)
+        judged = [i for i, hyp in enumerate(hyps) if formula.applicable(hyp, M.m)]
+        if judged:
+            for i, value in zip(judged, formula.values(E, [masks[i] for i in judged])):
+                values[i][fid] = value
         E.end_stage()
     return M.name, M.grid, hyps, values, E.last_reader
 

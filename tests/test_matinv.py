@@ -114,6 +114,20 @@ def test_sigma_multi_shape_error():
         sigma_multi([np.eye(2)], (3,))
 
 
+def test_multi_index_is_validated():
+    # a wrong length, a negative, fractional or non-finite entry, or |lambda| > m is an error
+    I3 = np.eye(3)
+    for lam in [(1, 1, 7), (1,), (1.5, 1), (float("inf"), 0), (float("nan"), 0), (-1, 1), (2, 2)]:
+        with pytest.raises(ValueError):
+            sigma_pair(I3, I3, lam)
+    with pytest.raises(ValueError, match="integers"):
+        sigma_multi([I3], (1.5,))
+    with pytest.raises(ValueError, match="integers"):
+        sigma_via_determinant([I3, I3], (1, 0.5))
+    # integral floats and numpy integers still name an index: (1 + s + t)^3 has st-coefficient 6
+    assert sigma_pair(I3, I3, (1.0, np.int64(1))) == pytest.approx(6.0)
+
+
 def test_conjugation_invariance():
     rng = np.random.default_rng(5)
     for _ in range(30):

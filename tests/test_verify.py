@@ -241,6 +241,31 @@ def test_repeated_radius_is_swept_once():
     assert reports_to_json(twice) == reports_to_json(once)
 
 
+def test_each_check_is_formed_once_per_sweep_point(monkeypatch):
+    # the three radii share one build, and each check forms its field once
+    # and reduces it on every radius's mask
+    import dataclasses
+    from collections import Counter
+
+    from randers_foliations import verify
+
+    calls = Counter()
+
+    def counted(formula):
+        def evaluate(E):
+            calls[formula.fid] += 1
+            return formula.evaluate(E)
+
+        return dataclasses.replace(formula, evaluate=evaluate)
+
+    monkeypatch.setattr(verify, "FORMULAS", {fid: counted(f) for fid, f in FORMULAS.items()})
+    reports = run_formulas(ExampleSpec("sphere-latitudes", {"r0_sweep": SWEEP_RADII}), formula_ids(), [128])
+    judged = [r.formula_id for r in reports if len(r.convergence) == len(SWEEP_RADII)]
+    assert len(judged) >= 10
+    assert set(judged) <= set(calls)
+    assert set(calls.values()) == {1}, calls
+
+
 def test_unresolved_radius_fails_before_any_build(monkeypatch):
     from randers_foliations import verify
 
@@ -329,7 +354,7 @@ def test_release_is_exact(released_sweep):
     applicable = [r for r in reports if r.verdict != "not-applicable"]
     assert len(applicable) >= 25
     for r in applicable:
-        value, detail = FORMULAS[r.formula_id].evaluate(fresh)
+        (value, detail), = FORMULAS[r.formula_id].values(fresh, [fresh.M.active])
         assert r.value.hex() == float(value).hex(), r.formula_id
         assert {k: r.detail[k] for k in detail} == detail, r.formula_id
 
@@ -340,10 +365,8 @@ def test_release_lowers_the_peak(released_sweep):
     from randers_foliations.verify import _sweep_point
 
     _, bundles, _ = released_sweep
-    # after its last check, a point that follows the plan holds no field: the
-    # one array left is its judging mask, the manifold's own active set
-    assert [k for k, v in vars(bundles[-1]).items() if isinstance(v, np.ndarray)] == ["active"]
-    assert bundles[-1].active is bundles[-1].M.active
+    # after its last check, a point that follows the plan holds no field
+    assert [k for k, v in vars(bundles[-1]).items() if isinstance(v, np.ndarray)] == []
     specs = [ExampleSpec("flat-graph-tangent", {"n": n}) for n in RELEASE_RES]
     plan = _sweep_point(specs[0], UNREFUTED, "spectral")[-1]
     tracemalloc.start()
@@ -450,12 +473,14 @@ def test_report_rejects_bad_verdict():
 
 def test_formula_registry_descriptions():
     from randers_foliations.cli import _resolve_formulas
+    from randers_foliations.manifold import VOLUMES
     from randers_foliations.verify import PREDICATES
 
     for fid in formula_ids():
         f = FORMULAS[fid]
         assert f.description
         assert f.kind in ("zero", "sup", "bound")
+        assert f.volume in VOLUMES, fid
         assert set(f.requires) | set(f.any_of) <= set(PREDICATES), fid
     assert _resolve_formulas("all") == [f for f in formula_ids() if not FORMULAS[f].refuted]
     assert _resolve_formulas("full") == formula_ids()
@@ -490,5 +515,5 @@ def test_first_order_expansion_matches_closed_display_pointwise():
     )
     assert np.max(np.abs(pieces - closed)) < 1e-10
     # and both reproduce the registry evaluator's value
-    val, _ = FORMULAS["berwald-sigma-k1-printed"].evaluate(E)
+    (val, _), = FORMULAS["berwald-sigma-k1-printed"].values(E, [E.M.active])
     assert val == pytest.approx(integrate(E.M, closed, "a"), abs=1e-12)
