@@ -129,7 +129,8 @@ def _sphere_grid(n: int) -> PeriodicGrid:
 
 
 def _excision_mask(grid: PeriodicGrid, r0: float) -> np.ndarray:
-    """Nodes farther than r0 from both poles; raises ValueError if the grid cannot resolve r0."""
+    """Nodes farther than r0 from both poles; raises ValueError if the grid
+    cannot resolve r0 or no node lies beyond it."""
     # derivative stencils must not touch the poles: r0 >= 2 h, where the
     # 2 pi period of phi sets the largest spacing h = 2 pi / n
     if r0 < 2.0 * max(grid.spacings):
@@ -140,7 +141,13 @@ def _excision_mask(grid: PeriodicGrid, r0: float) -> np.ndarray:
             f"at n = {grid.sizes[0]}; {fix}"
         )
     theta = grid.meshgrid()[0]
-    return np.minimum(theta, np.pi - theta) > r0
+    distance = np.minimum(theta, np.pi - theta)
+    if not distance.max() > r0:  # odd n puts no row on the equator
+        raise ValueError(
+            f"excision radius {r0} leaves no node at n = {grid.sizes[0]}; "
+            f"it must be below {grid.sizes[0] // 2} pi / n = {distance.max():.4f}"
+        )
+    return distance > r0
 
 
 def _sphere_latitudes(p: dict) -> FoliatedRandersManifold:
@@ -221,7 +228,7 @@ _EXAMPLES = {
 }
 
 _FINITE, _POSITIVE, _UNIT = ((-math.inf, math.inf),), ((0.0, math.inf),), ((-1.0, 1.0),)
-_RADIUS = ((0.0, math.pi / 2),)  # a larger excision radius leaves no active node
+_RADIUS = ((0.0, math.pi / 2),)  # _excision_mask also rejects a radius no node lies beyond (odd n)
 
 
 class Param(NamedTuple):

@@ -15,6 +15,13 @@ names, rows the selected ``beta_mode`` does not read, wrong arity and values
 out of bounds are configuration errors.  ``--res`` alone sets the grid size
 ``n``.  ``r0`` is a one-point excision sweep, ``r0_sweep`` several, not both.
 
+A ``--config`` file holds flat ``key = value`` lines (``#`` starts a comment).
+Each line becomes the flag it names, placed before argv, so one parser checks
+both, flags override the file and the file overrides ``RANDERS_FOLIATE_JOBS``.
+Keys: example, param (repeatable), res, formulas, scheme, seed, jobs, out,
+format, matrix_identities (true, false, 1 or 0).  An unknown key and every
+bad flag or value end in one ``error:`` line and exit status 2.
+
 Exit status: 0 when every applicable check passes, 1 when any check fails,
 2 on configuration errors (a grid too large to allocate among them) and
 when the report cannot be written.
@@ -84,13 +91,6 @@ def _parse_int(value, name: str, least: int) -> int:
     return number
 
 
-def _parse_bool(value, name: str) -> bool:
-    text = str(value).strip().lower()
-    if text not in ("true", "false", "1", "0"):
-        raise ConfigError(f"{name} must be true, false, 1 or 0, got {value!r}")
-    return text in ("true", "1")
-
-
 def _split_param(item: str) -> tuple[str, str]:
     if "=" not in item:
         raise ConfigError(f"parameter {item!r} is not of the form key=value")
@@ -98,24 +98,33 @@ def _split_param(item: str) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
-def _read_config_file(path: str) -> dict:
-    values: dict = {"param": []}
+_FILE_KEYS = "example param res formulas scheme seed jobs out format matrix_identities".split()
+
+
+def _read_config_file(path: str) -> list[str]:
+    """The flag tokens of a ``--config`` file, one a line (see the module docstring)."""
     try:
         with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key == "param":
-                    values["param"].append(value)
-                else:
-                    values[key] = value
-    except OSError as exc:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return values
+    tokens = []
+    for lineno, raw in enumerate(lines, 1):
+        line, where = raw.split("#", 1)[0].strip(), f"{path}:{lineno}"
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{where}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _FILE_KEYS:
+            raise ConfigError(f"{where}: unknown key {key!r}; accepted: {', '.join(_FILE_KEYS)}")
+        if key != "matrix_identities":
+            tokens.append(f"--{key}={value}")  # one token: a value may start with '-'
+        elif value.lower() in ("true", "1"):
+            tokens.append("--matrix-identities")
+        elif value.lower() not in ("false", "0"):
+            raise ConfigError(f"{where}: {key} must be true, false, 1 or 0, got {value!r}")
+    return tokens
 
 
 def _resolve_formulas(selector: str) -> list[str]:
@@ -135,8 +144,13 @@ def _resolve_formulas(selector: str) -> list[str]:
     return chosen
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one ``error:`` line and exit 2 from main, not a usage block
+        raise ConfigError(message)
+
+
 def build_config(argv: list[str]) -> RunConfig | None:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="randers-foliate",
         description="verify integral formulas of codimension-one foliated Randers spaces",
     )
@@ -149,8 +163,12 @@ def build_config(argv: list[str]) -> RunConfig | None:
         "published displays), or comma-separated formula ids",
     )
     parser.add_argument("--scheme", choices=("spectral", "central4"), help="derivative scheme")
-    parser.add_argument("--seed", type=int, help="seed for randomized identity checks")
-    parser.add_argument("--jobs", type=int, help="parallel sweep workers")
+    parser.add_argument(
+        "--seed", type=lambda v: _parse_int(v, "seed", 0), help="seed for randomized identity checks"
+    )
+    parser.add_argument(
+        "--jobs", type=lambda v: _parse_int(v, "jobs", 1), help="parallel sweep workers"
+    )
     parser.add_argument("--out", help="report output path")
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"), help="report format")
     parser.add_argument("--config", help="flat key=value config file; flags override")
@@ -160,64 +178,39 @@ def build_config(argv: list[str]) -> RunConfig | None:
         action="store_true",
         help="also run the randomized matrix-invariant identity suite",
     )
+    parser.set_defaults(formulas="all", scheme="spectral", seed=0, fmt="json")
     args = parser.parse_args(argv)
-
     if args.list:
         _print_catalog()
         return None
+    # argparse runs ``type`` on a string default: a bad environment value counts only if used
+    parser.set_defaults(jobs=os.environ.get("RANDERS_FOLIATE_JOBS", "1"))
+    args = parser.parse_args((_read_config_file(args.config) if args.config else []) + argv)
 
-    file_vals = _read_config_file(args.config) if args.config else {"param": []}
-
-    def pick(flag_value, key, default):
-        return flag_value if flag_value is not None else file_vals.get(key, default)
-
-    example = pick(args.example, "example", None)
-    if not example:
+    if not args.example:
         raise ConfigError("no example selected; use --example or a config file (or --list)")
-
-    texts = dict(_split_param(item) for item in file_vals["param"] + args.param)
+    texts = dict(_split_param(item) for item in args.param)
     if "n" in texts:
         raise ConfigError("the grid size n is not a --param; set it with --res")
     try:
-        params = parse_params(example, texts)
+        params = parse_params(args.example, texts)
     except ExampleError as exc:
         raise ConfigError(str(exc)) from None
 
-    res_text = pick(args.res, "res", None)
-    if res_text is None:
-        resolutions = list(default_resolutions(example))
+    if args.res is None:
+        resolutions = list(default_resolutions(args.example))
     else:
         try:
-            resolutions = [int(tok) for tok in str(res_text).split(",") if tok.strip()]
+            resolutions = [int(tok) for tok in args.res.split(",") if tok.strip()]
         except ValueError as exc:
-            raise ConfigError(f"bad --res value {res_text!r}") from exc
+            raise ConfigError(f"bad --res value {args.res!r}") from exc
         if not resolutions:
             raise ConfigError("--res must name at least one resolution")
 
-    formulas = _resolve_formulas(str(pick(args.formulas, "formulas", "all")))
-    scheme = str(pick(args.scheme, "scheme", "spectral"))
-    if scheme not in ("spectral", "central4"):
-        raise ConfigError(f"unknown scheme {scheme!r}")
-    seed = _parse_int(pick(args.seed, "seed", 0), "seed", 0)
-    jobs = _parse_int(pick(args.jobs, "jobs", os.environ.get("RANDERS_FOLIATE_JOBS", 1)), "jobs", 1)
-    fmt = str(pick(args.fmt, "format", "json"))
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"unknown format {fmt!r}")
-    out = pick(args.out, "out", None)
-    matrix_identities = args.matrix_identities or _parse_bool(
-        file_vals.get("matrix_identities", "false"), "matrix_identities"
-    )
     return RunConfig(
-        example=example,
-        params=params,
-        resolutions=resolutions,
-        formulas=formulas,
-        scheme=scheme,
-        seed=seed,
-        jobs=jobs,
-        out=out,
-        fmt=fmt,
-        matrix_identities=matrix_identities,
+        example=args.example, params=params, resolutions=resolutions,
+        formulas=_resolve_formulas(args.formulas), scheme=args.scheme, seed=args.seed,
+        jobs=args.jobs, out=args.out, fmt=args.fmt, matrix_identities=args.matrix_identities,
     )
 
 

@@ -88,6 +88,19 @@ def test_excision_masks_are_the_builds_masks():
     assert excision_masks(ExampleSpec("flat-graph")) is None
 
 
+def test_a_radius_that_leaves_no_node_is_rejected():
+    # odd n puts no row on the equator: at n = 255 the rows nearest it lie 127 pi / 255 from a pole
+    message = "excision radius 1.565 leaves no node at n = 255; it must be below 127 pi / n = 1.5646"
+    for params in ({"r0": 1.565}, {"r0_sweep": (1.565, 0.2)}):
+        with pytest.raises(ExampleError, match=message):
+            excision_masks(ExampleSpec("sphere-latitudes", {"n": 255, **params}))
+    with pytest.raises(ExampleError, match=message):
+        build_example(ExampleSpec("sphere-latitudes", {"n": 255, "r0": 1.565}))
+    # just inside, the two rows nearest the equator stay
+    [mask] = excision_masks(ExampleSpec("sphere-latitudes", {"n": 255, "r0": 127 * math.pi / 255 - 1e-9}))
+    assert mask.sum() == 2 * 255
+
+
 def test_api_rejects_lists_for_scalars_and_unknown_names():
     with pytest.raises(ExampleError, match="amplitude takes one value"):
         build_example(ExampleSpec("flat-graph", {"amplitude": [0.1, 0.2]}))

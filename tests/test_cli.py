@@ -71,10 +71,13 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
     assert main(["--example", "flat-parallel", "--seed", "-1", "--matrix-identities"]) == 2
     assert main(["--example", "flat-parallel", "--formulas", ","]) == 2
     # bad values from a config file or the environment
-    for line in ("seed = x", "jobs = 1.5", "matrix_identities = maybe", "seed = -1", "formulas =", "jobs = 0"):
+    for line in ("seed = x", "jobs = 1.5", "matrix_identities = maybe", "seed = -1", "formulas =", "jobs = 0",
+                 "scheme = foo", "format = xml"):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"example = flat-parallel\n{line}\n")
         assert main(["--config", str(cfg)]) == 2, line
+    cfg.write_bytes(b"example = flat-parallel\nres = \xff\n")  # not text
+    assert main(["--config", str(cfg)]) == 2
     monkeypatch.setenv("RANDERS_FOLIATE_JOBS", "two")
     assert main(["--example", "flat-parallel"]) == 2
     err = capsys.readouterr().err
@@ -122,6 +125,8 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
         ["--example", "sphere-latitudes", "--res", "64"],
         ["--example", "sphere-latitudes", "--res", "128"],
         ["--example", "sphere-latitudes", "--res", "251"],
+        ["--example", "sphere-latitudes", "--res", "255", "--param", "r0=1.565"],
+        ["--example", "sphere-latitudes", "--res", "255", "--param", "r0_sweep=1.565,0.2"],
         ["--example", "flat-parallel", "--formulas", "sound"],
     ):
         assert main(argv) == 2, argv
@@ -141,6 +146,9 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
         "at n = 128; the smallest n that admits it is 252",
         "error: sphere-latitudes: excision radius 0.05 is below 2 * (2 pi / n) = 0.0501 "
         "at n = 251; the smallest n that admits it is 252",
+        # odd n puts no row on the equator: every radius is checked before any build
+        *2 * ["error: sphere-latitudes: excision radius 1.565 leaves no node at n = 255; "
+              "it must be below 127 pi / n = 1.5646"],
         "error: unknown formula id(s): sound; run --list to see the catalog",
     ]
     # a report path that cannot be written, after the sweep has run
@@ -150,6 +158,48 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
     assert capsys.readouterr().err.splitlines() == [
         f"error: cannot write report {out}: No such file or directory"
     ]
+
+
+def test_bad_flags_return_two_with_the_config_files_one_line(tmp_path, capsys):
+    # flags and config lines go through one parser: main returns 2 (no SystemExit)
+    # and prints one error line, the same for a flag and its config-file twin
+    cfg = tmp_path / "bad.cfg"
+    for key, value in (("seed", "x"), ("jobs", "1.5"), ("scheme", "foo"), ("format", "xml")):
+        assert main(["--example", "flat-parallel", f"--{key}", value]) == 2, key
+        cfg.write_text(f"example = flat-parallel\n{key} = {value}\n")
+        assert main(["--config", str(cfg)]) == 2, key
+        flag_err, file_err = capsys.readouterr().err.splitlines()
+        assert flag_err == file_err and flag_err.startswith("error: "), key
+    assert main(["--example", "flat-parallel", "--bogus", "1"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: unrecognized arguments: --bogus 1"]
+
+
+def test_misspelled_config_key_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("example = flat-parallel\nsheme = central4\n")
+    assert main(["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {cfg}:2: unknown key 'sheme'; accepted: example, param, res, formulas, "
+        "scheme, seed, jobs, out, format, matrix_identities"
+    ]
+
+
+def test_config_file_and_its_flag_twin_write_the_same_report(tmp_path):
+    file_out, flag_out = tmp_path / "file.json", tmp_path / "flag.json"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "example = conformal-torus\nres = 32,48\nformulas = reeb-riemannian,reeb-finsler\n"
+        "scheme = central4  # stencils\nseed = 3\nmatrix_identities = true\n"
+        f"param = beta_mode=riemannian\nparam = phi_amplitude=0.2\nout = {file_out}\n"
+    )
+    flags = ["--example", "conformal-torus", "--res", "32,48", "--formulas",
+             "reeb-riemannian,reeb-finsler", "--scheme", "central4", "--seed", "3",
+             "--matrix-identities", "--param", "beta_mode=riemannian", "--param",
+             "phi_amplitude=0.2", "--out", str(flag_out)]
+    assert main(["--config", str(cfg)]) == main(flags) == 0
+    assert file_out.read_bytes() == flag_out.read_bytes()
+    config = json.loads(file_out.read_text())["config"]
+    assert config["scheme"] == "central4" and config["seed"] == 3 and config["matrix_identities"]
 
 
 def test_list_catalog(capsys):
@@ -287,3 +337,12 @@ def test_jobs_flag_and_env(tmp_path, monkeypatch):
         ["--example", "flat-graph", "--formulas", "reeb-riemannian", "--jobs", "3"]
     )
     assert config.jobs == 3
+    # the environment < a config file < a flag; a bad environment value that
+    # nothing reads is no error, and --list reads none of them
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text("example = flat-graph\njobs = 4\n")
+    assert build_config(["--config", str(cfg)]).jobs == 4
+    assert build_config(["--config", str(cfg), "--jobs", "3"]).jobs == 3
+    monkeypatch.setenv("RANDERS_FOLIATE_JOBS", "two")
+    assert build_config(["--config", str(cfg)]).jobs == 4
+    assert build_config(["--list"]) is None
