@@ -32,8 +32,7 @@ __all__ = [
     "param_help",
     "parse_params",
     "resolve_params",
-    "r0_sweep",
-    "excision_masks",
+    "sweep_points",
 ]
 
 
@@ -151,9 +150,9 @@ def _excision_mask(grid: PeriodicGrid, r0: float) -> np.ndarray:
 
 
 def _sphere_latitudes(p: dict) -> FoliatedRandersManifold:
-    n, r0, mode, eps = p["n"], p["r0"], p["beta_mode"], p["eps"]
+    n, mode, eps = p["n"], p["beta_mode"], p["eps"]
     grid = _sphere_grid(n)
-    mask = _excision_mask(grid, r0)
+    mask = _excision_mask(grid, min(p["r0"]))  # the smallest radius keeps every other's nodes
     theta, _phi = grid.meshgrid()
     s, c2 = np.sin(theta), np.sin(2.0 * theta)
     shape = grid.sizes
@@ -269,8 +268,7 @@ PARAMS = {
         "eps2": Param({"generic": 0.25, "constant-angle": 0.25}, bounds=_UNIT),
     },
     "sphere-latitudes": {
-        "r0": Param(0.1, bounds=_RADIUS),
-        "r0_sweep": Param((0.2, 0.1, 0.05), "tuple", None, _RADIUS),  # read by r0_sweep
+        "r0": Param((0.2, 0.1, 0.05), "tuple", None, _RADIUS),  # the radii sweep_points sweeps
         "beta_mode": Param("rotational", "choice", bounds=("rotational", "eigen")),
         "eps": Param(0.25, bounds=_UNIT),
         "asym": Param({"rotational": 0.6}),
@@ -357,8 +355,6 @@ def resolve_params(name: str, params: dict) -> dict:
         raise ExampleError(
             f"unknown parameter(s) {', '.join(unknown)} for {name}; accepted: {', '.join(rows)}"
         )
-    if "r0" in params and "r0_sweep" in params:
-        raise ExampleError("give r0 (a one-point sweep) or r0_sweep, not both")
     n = params["n"] if "n" in params else max(default_resolutions(name))
     if isinstance(n, bool) or not isinstance(n, Integral):
         raise ExampleError(f"{name}: grid size n must be an integer, got {n!r}")
@@ -375,37 +371,30 @@ def resolve_params(name: str, params: dict) -> dict:
     return resolved
 
 
-def r0_sweep(spec: ExampleSpec) -> tuple[float, ...] | None:
-    """Distinct excision radii an excised example sweeps, largest first; None for the tori.
+def sweep_points(spec: ExampleSpec, resolutions: list[int]) -> list[tuple[ExampleSpec, list | None]]:
+    """The points of a sweep: the spec each builds and its labelled judging masks.
 
-    Only ``sphere-latitudes`` excises (its poles): its residuals are limited by
-    the cap truncation, so it sweeps ``r0`` at the finest grid, over the
-    ``r0_sweep`` row, or over an explicit ``r0`` alone (a one-point sweep).
-    A radius given twice is swept once.
+    A torus gives one point per distinct grid size, ascending, each judged on
+    its build's own active set (None).  An example with an ``r0`` row excises
+    the poles: its residuals are limited by the cap truncation, not the grid,
+    so it sweeps the distinct radii of ``r0`` at the finest size instead.
+    That sweep is one point, built at the smallest radius (whose active set
+    contains every other radius's) and judged on each radius's mask, labelled
+    by the radius, largest first.  The radii are checked against the grid
+    smallest first, so the ExampleError of a grid too coarse for the sweep
+    names the radius that binds.
     """
-    p = resolve_params(spec.name, spec.params)
-    if "r0_sweep" not in p:
-        return None
-    return tuple(sorted({p["r0"]} if "r0" in spec.params else set(p["r0_sweep"]), reverse=True))
-
-
-def excision_masks(spec: ExampleSpec) -> list[np.ndarray] | None:
-    """Active nodes at each radius of ``r0_sweep(spec)``, in its order, on the grid of size ``n``.
-
-    The radii are checked against the grid smallest first, so the
-    ExampleError of a grid too coarse for the sweep names the radius that
-    binds.  None for the tori, which excise nothing.
-    """
-    radii = r0_sweep(spec)
-    if radii is None:
-        return None
-    n = resolve_params(spec.name, spec.params)["n"]
+    sizes = sorted({int(n) for n in resolutions})
+    p = resolve_params(spec.name, {**spec.params, "n": sizes[-1]})
+    if "r0" not in p:
+        return [(ExampleSpec(spec.name, {**spec.params, "n": n}), None) for n in sizes]
+    radii = sorted(set(p["r0"]))
     try:
-        grid = _sphere_grid(n)
-        masks = {r0: _excision_mask(grid, r0) for r0 in sorted(radii)}
+        grid = _sphere_grid(p["n"])
+        masks = [(r0, _excision_mask(grid, r0)) for r0 in radii]
     except ValueError as exc:
         raise ExampleError(f"{spec.name}: {exc}") from exc
-    return [masks[r0] for r0 in radii]
+    return [(ExampleSpec(spec.name, {**spec.params, "n": p["n"], "r0": radii[0]}), masks[::-1])]
 
 
 def build_example(spec: ExampleSpec) -> FoliatedRandersManifold:

@@ -5,7 +5,7 @@ Examples::
     randers-foliate --list
     randers-foliate --example flat-graph --res 32,64,128 --formulas all --out report.json
     randers-foliate --example sphere-latitudes --param r0=0.05 --formulas reeb-finsler
-    randers-foliate --example sphere-latitudes --param r0_sweep=0.2,0.1 --formulas reeb-finsler
+    randers-foliate --example sphere-latitudes --param r0=0.2,0.1 --formulas reeb-finsler
     randers-foliate --example conformal-torus --param beta_mode=riemannian --formulas all
 
 ``--param key=value`` sets one row of the example's parameter table; ``--list``
@@ -13,7 +13,7 @@ shows each row's kind (number, ``tuple[k]``, ``tuple[1+]`` or choice), bounds
 and default, per ``beta_mode`` where only some modes read the row.  Unknown
 names, rows the selected ``beta_mode`` does not read, wrong arity and values
 out of bounds are configuration errors.  ``--res`` alone sets the grid size
-``n``.  ``r0`` is a one-point excision sweep, ``r0_sweep`` several, not both.
+``n``.  The excised sphere sweeps the radii of ``r0``, one or several.
 
 A ``--config`` file holds flat ``key = value`` lines (``#`` starts a comment).
 Each line becomes the flag it names, placed before argv, so one parser checks
@@ -23,8 +23,10 @@ format, matrix_identities (true, false, 1 or 0).  An unknown key and every
 bad flag or value end in one ``error:`` line and exit status 2.
 
 Exit status: 0 when every applicable check passes, 1 when any check fails,
-2 on configuration errors (a grid too large to allocate among them) and
-when the report cannot be written.
+2 on configuration errors (a grid too large to allocate, an empty ``--out``
+or one in a missing directory among them) and when the report cannot be
+written.  A reader that closes stdout ends the printed output only: the
+report is still written and the exit status is the verdict's.
 ``--formulas all`` selects every check expected to hold; ``--formulas full``
 additionally includes the verbatim transcriptions of published displays
 that the convergence tables refute (those runs exit 1 by design; the
@@ -181,7 +183,7 @@ def build_config(argv: list[str]) -> RunConfig | None:
     parser.set_defaults(formulas="all", scheme="spectral", seed=0, fmt="json")
     args = parser.parse_args(argv)
     if args.list:
-        _print_catalog()
+        _print(*_catalog_lines())
         return None
     # argparse runs ``type`` on a string default: a bad environment value counts only if used
     parser.set_defaults(jobs=os.environ.get("RANDERS_FOLIATE_JOBS", "1"))
@@ -197,6 +199,10 @@ def build_config(argv: list[str]) -> RunConfig | None:
     except ExampleError as exc:
         raise ConfigError(str(exc)) from None
 
+    if args.out == "":
+        raise ConfigError("cannot write report '': the path is empty")
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ConfigError(f"cannot write report {args.out}: No such file or directory")
     if args.res is None:
         resolutions = list(default_resolutions(args.example))
     else:
@@ -214,22 +220,31 @@ def build_config(argv: list[str]) -> RunConfig | None:
     )
 
 
-def _print_catalog():
-    print("examples:")
+def _catalog_lines() -> list[str]:
+    lines = ["examples:"]
     for name in example_names():
-        print(f"  {name:<22s} {example_info(name)}")
-        print(f"  {'':<22s} parameters (the grid size n is set by --res):")
-        for line in param_help(name):
-            print(f"  {'':<22s}   {line}")
-        print(f"  {'':<22s} default resolutions: {', '.join(str(n) for n in default_resolutions(name))}")
-    print("\nformulas:")
+        lines.append(f"  {name:<22s} {example_info(name)}")
+        lines.append(f"  {'':<22s} parameters (the grid size n is set by --res):")
+        lines += [f"  {'':<22s}   {line}" for line in param_help(name)]
+        lines.append(f"  {'':<22s} default resolutions: {', '.join(str(n) for n in default_resolutions(name))}")
+    lines.append("\nformulas:")
     for fid in formula_ids():
         f = FORMULAS[fid]
         gates = ",".join(f.requires) if f.requires else "-"
         extra = f" any-of[{','.join(f.any_of)}]" if f.any_of else ""
         note = "  [published display under test]" if f.refuted else ""
-        print(f"  {fid:<36s} gates: {gates}{extra}{note}")
-        print(f"  {'':<36s} {f.description}")
+        lines.append(f"  {fid:<36s} gates: {gates}{extra}{note}")
+        lines.append(f"  {'':<36s} {f.description}")
+    return lines
+
+
+def _print(*lines: str) -> None:
+    """Print to stdout; a reader that closed it ends the printed output, not the run."""
+    try:
+        print(*lines, sep="\n")
+        sys.stdout.flush()
+    except BrokenPipeError:  # later prints and the interpreter's exit flush go nowhere
+        sys.stdout = open(os.devnull, "w")
 
 
 def _matrix_identity_report(seed: int) -> ResidualReport:
@@ -273,14 +288,10 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:  # a grid too large to allocate is a configuration error
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
-    for r in reports:
-        print(r.summary_line())
     counts = {v: sum(r.verdict == v for r in reports) for v in ("pass", "fail", "not-applicable")}
-    print(
-        f"\n{counts['pass']} passed, {counts['fail']} failed, "
-        f"{counts['not-applicable']} not applicable"
-    )
-    if config.out:
+    _print(*(r.summary_line() for r in reports), f"\n{counts['pass']} passed, {counts['fail']} failed, "
+           f"{counts['not-applicable']} not applicable")
+    if config.out is not None:
         payload = (
             reports_to_json(reports, config.to_dict())
             if config.fmt == "json"
@@ -292,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"error: cannot write report {config.out}: {exc.strerror}", file=sys.stderr)
             return 2
-        print(f"report written to {config.out}")
+        _print(f"report written to {config.out}")
     return code
 
 

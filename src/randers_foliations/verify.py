@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .catalog import ExampleSpec, build_example, excision_masks, r0_sweep
+from .catalog import ExampleSpec, build_example, sweep_points
 from .extrinsic import ExtrinsicBundle, build_extrinsic
 from .invariants import dot, newton_chain, newton_transform_batched, outer, sigma_k, sigma_multi_batched, trace
 from .manifold import deformation_tensor, gradient, integrate
@@ -600,28 +600,28 @@ _COORDINATE_FIRST = (
 
 
 def _sweep_point(
-    subspec: ExampleSpec, fids: list[str], scheme: str, plan: dict | None = None,
-    masks: list[np.ndarray] | None = None,
+    subspec: ExampleSpec, masks: list | None, fids: list[str], scheme: str, plan: dict | None = None
 ):
     """Hypotheses, formula values and release plan of one sweep point.
 
-    The point builds its manifold and bundle once and judges them on each of
-    ``masks`` (default: the build's own active set alone).  The hypotheses
-    are the stage "hyp"; each check is a stage of its own, the
-    ``_COORDINATE_FIRST`` checks before the rest.  A check's stage forms its
-    field once and reduces it on every mask where the check applies, so no
-    mask's early checks run on top of the fields of another mask's later
-    ones.  Given ``plan``, the bundle drops each field when the stage the
-    plan names as its last reader ends.  Returns the example's name and grid
-    (not the manifold, so no point's fields stay alive while the next point
-    is built), the hypotheses and the values of each mask, and this point's
-    record of last readers: the plan for the next point.
+    The point builds its manifold and bundle once and judges them on each
+    labelled mask of ``masks`` (default: the build's own active set,
+    labelled by the largest grid spacing).  The hypotheses are the stage
+    "hyp"; each check is a stage of its own, the ``_COORDINATE_FIRST`` checks
+    before the rest.  A check's stage forms its field once and reduces it on
+    every mask where the check applies, so no mask's early checks run on top
+    of the fields of another mask's later ones.  Given ``plan``, the bundle
+    drops each field when the stage the plan names as its last reader ends.
+    Returns the example's name and grid (not the manifold, so no point's
+    fields stay alive while the next point is built), the hypotheses of each
+    mask, a ``(label, values)`` pair per mask, and this point's record of last
+    readers: the plan for the next point.
     """
     M = build_example(subspec)
     E = build_extrinsic(M, scheme, plan)
-    masks = [M.active] if masks is None else masks
+    masks = masks or [(max(M.grid.spacings), M.active)]
     E.stage = "hyp"
-    hyps = [hypothesis_profile(E, mask) for mask in masks]
+    hyps = [hypothesis_profile(E, mask) for _, mask in masks]
     E.end_stage()
     values: list[dict[str, tuple[float, dict]]] = [{} for _ in masks]
     order = [f for f in _COORDINATE_FIRST if f in fids] + [f for f in fids if f not in _COORDINATE_FIRST]
@@ -630,10 +630,10 @@ def _sweep_point(
         formula = FORMULAS[fid]
         judged = [i for i, hyp in enumerate(hyps) if formula.applicable(hyp, M.m)]
         if judged:
-            for i, value in zip(judged, formula.values(E, [masks[i] for i in judged])):
+            for i, value in zip(judged, formula.values(E, [masks[i][1] for i in judged])):
                 values[i][fid] = value
         E.end_stage()
-    return M.name, M.grid, hyps, values, E.last_reader
+    return M.name, M.grid, hyps, [(label, v) for (label, _), v in zip(masks, values)], E.last_reader
 
 
 def run_formulas(
@@ -645,56 +645,45 @@ def run_formulas(
 ) -> list[ResidualReport]:
     """Evaluate the requested formulas on a sweep; verdicts at the finest level.
 
-    Torus examples sweep the grid resolution, one sweep point per size.
-    Excised examples run at the finest requested grid and sweep the excision
-    radius instead (``catalog.r0_sweep``), since the cap truncation, not the
-    grid, limits their residuals.  Their whole sweep is one point: it builds
-    at the smallest radius, whose active set contains every other radius's,
-    and judges each radius on its own mask (``catalog.excision_masks``).  On
-    a radius's active nodes every field equals that of a build at that
-    radius, bit for bit, with one exception: ``nabla_Z_direct`` is a spectral
-    derivative of ``Z_direct``, whose excised nodes take the mask's identity
-    fill.  Its one reader, ``codazzi-symmetry-g``, projects onto the leaves,
-    and on the sphere's 1D latitude leaves the projector is exactly
-    diag(0, 1), so that check reads exactly 0 from either build.
+    ``catalog.sweep_points`` says what the sweep is: the tori sweep the grid
+    resolution, one point per size, and the excised sphere sweeps the
+    excision radius in one point at the finest grid, built at the smallest
+    radius and judged on each radius's mask.  On a radius's active nodes
+    every field equals that of a build at that radius, bit for bit, with one
+    exception: ``nabla_Z_direct`` is a spectral derivative of ``Z_direct``,
+    whose excised nodes take the mask's identity fill.  Its one reader,
+    ``codazzi-symmetry-g``, projects onto the leaves, and on the sphere's 1D
+    latitude leaves the projector is exactly diag(0, 1), so that check reads
+    exactly 0 from either build.  Each convergence entry is a point's label
+    (the grid spacing, or the radius) and its residual.
 
     Each sweep point builds its manifold once.  The first point runs alone
     and records which check last reads each bundle field; every later point
     drops each field after that reader.  ``jobs`` bounds the worker threads
-    of those later points (so it does not apply to the excised sweep, a
-    single point); each is independent and reports are merged in sweep
-    order, so results do not depend on the worker count.  Every entry
-    carries the finest point's hypotheses; a check not applicable there
-    reports value 0 and the verdict ``not-applicable``.  Reports follow the
-    order of ``fids``.
+    of those later points (so it does not apply to a one-point sweep); each
+    is independent and reports are merged in sweep order, so results do not
+    depend on the worker count.  Every entry carries the finest point's
+    hypotheses, which also say whether the run is singular (masked); a check
+    not applicable there reports value 0 and the verdict ``not-applicable``.
+    Reports follow the order of ``fids``.
     """
     unknown = [f for f in fids if f not in FORMULAS]
     if unknown:
         raise ValueError(f"unknown formula ids: {', '.join(unknown)}")
     if not resolutions:
         raise ValueError("need at least one resolution")
-    sizes = sorted({int(n) for n in resolutions})
-    finest = ExampleSpec(spec.name, {**spec.params, "n": sizes[-1]})
-    radii, masks = r0_sweep(finest), excision_masks(finest)
-    singular = radii is not None
-    if singular:
-        fixed = {k: v for k, v in finest.params.items() if k != "r0_sweep"}
-        specs = [ExampleSpec(spec.name, {**fixed, "r0": radii[-1]})]
-    else:
-        specs = [ExampleSpec(spec.name, {**spec.params, "n": n}) for n in sizes]
-    results = [_sweep_point(specs[0], fids, scheme, masks=masks)]
-    plan = results[0][-1]
-    rest = specs[1:]
+    points = sweep_points(spec, resolutions)
+    results = [_sweep_point(*points[0], fids, scheme)]
+    plan, rest = results[0][-1], points[1:]
     if jobs > 1 and len(rest) > 1:
         import concurrent.futures
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results += pool.map(lambda subspec: _sweep_point(subspec, fids, scheme, plan), rest)
+            results += pool.map(lambda point: _sweep_point(*point, fids, scheme, plan), rest)
     else:
-        results += [_sweep_point(subspec, fids, scheme, plan) for subspec in rest]
-    per_res: list[tuple[float, dict]] = []
-    for example_name, grid, hyps, values, _ in results:
-        per_res += zip(radii if singular else [max(grid.spacings)], values)
+        results += [_sweep_point(*point, fids, scheme, plan) for point in rest]
+    per_res = [pair for *_, pairs, _ in results for pair in pairs]
+    example_name, grid, hyps = results[-1][:3]
     hyp, values_fine = hyps[-1], per_res[-1][1]
     reports = []
     for fid in fids:
@@ -702,7 +691,7 @@ def run_formulas(
         if fid in values_fine:
             value, detail = values_fine[fid]
             conv = [(h, abs(v[fid][0])) for h, v in per_res if fid in v]
-            verdict, tol, audit = _judge(FORMULAS[fid], float(value), conv, singular)
+            verdict, tol, audit = _judge(FORMULAS[fid], float(value), conv, PREDICATES["singular"](hyp))
             detail = {**detail, **audit}
         reports.append(
             ResidualReport(

@@ -261,7 +261,7 @@ def test_criterion_7_parallel_second_order_plateau_documented():
 
 def test_criterion_8_singular_sphere():
     rep = run_formulas(
-        ExampleSpec("sphere-latitudes", {"r0_sweep": [0.2, 0.1, 0.05]}),
+        ExampleSpec("sphere-latitudes", {"r0": [0.2, 0.1, 0.05]}),
         ["reeb-finsler", "reeb-riemannian"],
         [256],
         "spectral",

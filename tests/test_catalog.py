@@ -16,9 +16,8 @@ from randers_foliations.catalog import (
     build_example,
     default_resolutions,
     example_names,
-    excision_masks,
     parse_params,
-    r0_sweep,
+    sweep_points,
 )
 from randers_foliations.grid import MIN_SIZE
 
@@ -57,7 +56,7 @@ class _Reads(dict):
 
 @pytest.mark.parametrize("name", example_names())
 def test_builders_read_exactly_their_rows(name, smallest, monkeypatch):
-    # the builder and the excision sweep (r0_sweep) are the only readers
+    # the builder and the sweep (sweep_points) are the only readers
     resolved = []
     resolve = catalog.resolve_params
 
@@ -70,34 +69,47 @@ def test_builders_read_exactly_their_rows(name, smallest, monkeypatch):
         spec = ExampleSpec(name, {"n": smallest[name], **({"beta_mode": mode} if mode else {})})
         resolved.clear()
         build_example(spec)
-        r0_sweep(spec)
+        sweep_points(spec, [smallest[name]])
         read = set().union(*(values.read for values in resolved))
         rows = {k for k, row in PARAMS[name].items()
                 if not isinstance(row.default, dict) or mode in row.default}
         assert read == rows | {"n"}, mode
 
 
-def test_excision_masks_are_the_builds_masks():
-    spec = ExampleSpec("sphere-latitudes", {"n": 64, "r0_sweep": (0.25, 0.5, 0.25)})
-    masks = excision_masks(spec)
-    assert r0_sweep(spec) == (0.5, 0.25)
-    for r0, mask in zip(r0_sweep(spec), masks):
+def test_a_torus_sweeps_each_distinct_size_ascending():
+    points = sweep_points(ExampleSpec("flat-graph", {"amplitude": 0.04}), [64, 48, 64, 32])
+    assert [(spec.name, spec.params) for spec, _ in points] == [
+        ("flat-graph", {"amplitude": 0.04, "n": n}) for n in (32, 48, 64)
+    ]
+    assert [masks for _, masks in points] == [None] * 3
+
+
+def test_the_sphere_sweeps_its_radii_at_the_finest_size():
+    [(spec, masks)] = sweep_points(ExampleSpec("sphere-latitudes", {"r0": (0.25, 0.5, 0.25)}), [32, 64])
+    # built once, at the smallest radius; a radius given twice is swept once
+    assert spec == ExampleSpec("sphere-latitudes", {"r0": 0.25, "n": 64})
+    assert [r0 for r0, _ in masks] == [0.5, 0.25]
+    for r0, mask in masks:
         assert np.array_equal(mask, build_example(ExampleSpec("sphere-latitudes", {"n": 64, "r0": r0})).mask)
     # a larger radius judges a subset of the smaller radius's nodes
-    assert masks[0].sum() < masks[1].sum() and not np.any(masks[0] & ~masks[1])
-    assert excision_masks(ExampleSpec("flat-graph")) is None
+    (_, wide), (_, narrow) = masks
+    assert wide.sum() < narrow.sum() and not np.any(wide & ~narrow)
+    # the default radii, largest first, and the build's mask is the smallest radius's
+    [(spec, masks)] = sweep_points(ExampleSpec("sphere-latitudes"), [256])
+    assert [r0 for r0, _ in masks] == [0.2, 0.1, 0.05]
+    assert np.array_equal(masks[-1][1], build_example(spec).mask)
 
 
 def test_a_radius_that_leaves_no_node_is_rejected():
     # odd n puts no row on the equator: at n = 255 the rows nearest it lie 127 pi / 255 from a pole
     message = "excision radius 1.565 leaves no node at n = 255; it must be below 127 pi / n = 1.5646"
-    for params in ({"r0": 1.565}, {"r0_sweep": (1.565, 0.2)}):
+    for r0 in (1.565, (1.565, 0.2)):
         with pytest.raises(ExampleError, match=message):
-            excision_masks(ExampleSpec("sphere-latitudes", {"n": 255, **params}))
+            sweep_points(ExampleSpec("sphere-latitudes", {"r0": r0}), [255])
     with pytest.raises(ExampleError, match=message):
         build_example(ExampleSpec("sphere-latitudes", {"n": 255, "r0": 1.565}))
     # just inside, the two rows nearest the equator stay
-    [mask] = excision_masks(ExampleSpec("sphere-latitudes", {"n": 255, "r0": 127 * math.pi / 255 - 1e-9}))
+    [(_, [(_, mask)])] = sweep_points(ExampleSpec("sphere-latitudes", {"r0": 127 * math.pi / 255 - 1e-9}), [255])
     assert mask.sum() == 2 * 255
 
 

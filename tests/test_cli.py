@@ -62,7 +62,7 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
     assert main(["--example", "conformal-torus", "--param", "beta_mode=bogus"]) == 2
     assert main(["--example", "flat-graph", "--param", "beta_sharp=0.9,0.6"]) == 2
     assert main(["--example", "flat-parallel", "--param", "beta_sharp=0.6,0,0.9"]) == 2
-    assert main(["--example", "sphere-latitudes", "--res", "128", "--param", "r0_sweep=0.2,0.01"]) == 2
+    assert main(["--example", "sphere-latitudes", "--res", "128", "--param", "r0=0.2,0.01"]) == 2
     # a grid too large to allocate: numpy refuses the request at once
     assert main(["--example", "flat-graph-tangent", "--res", "100000"]) == 2
     # an excision radius so small that no grid size admits it
@@ -84,14 +84,16 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
     assert "|beta| must be < 1" in err  # the tuple reached the builder
     assert "Traceback" not in err
     assert all(line.startswith("error: ") for line in err.splitlines())
-    # parameter names the example does not accept, and r0 together with r0_sweep
+    # parameter names the example does not accept, among them the former r0_sweep
     monkeypatch.delenv("RANDERS_FOLIATE_JOBS")
     assert main(["--example", "flat-graph", "--param", "amplitdue=0.5", "--formulas", "reeb-riemannian"]) == 2
     assert main(["--example", "flat-parallel", "--param", "r0=0.2"]) == 2
-    assert main(["--example", "sphere-latitudes", "--param", "r0=0.2", "--param", "r0_sweep=0.2,0.1"]) == 2
+    assert main(["--example", "sphere-latitudes", "--param", "r0_sweep=0.2,0.1"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 3 and all(line.startswith("error: ") for line in err)
     assert err[0].endswith("amplitdue for flat-graph; accepted: period, amplitude, beta_sharp")
+    assert err[2] == ("error: unknown parameter(s) r0_sweep for sphere-latitudes; "
+                      "accepted: r0, beta_mode, eps, asym, eps_prime")
     # a tuple for a scalar parameter, and non-finite numbers
     for value in ("0.1,0.2", "nan", "inf", "-inf", "0.1,nan"):
         assert main(["--example", "flat-graph", "--param", f"amplitude={value}"]) == 2, value
@@ -126,7 +128,7 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
         ["--example", "sphere-latitudes", "--res", "128"],
         ["--example", "sphere-latitudes", "--res", "251"],
         ["--example", "sphere-latitudes", "--res", "255", "--param", "r0=1.565"],
-        ["--example", "sphere-latitudes", "--res", "255", "--param", "r0_sweep=1.565,0.2"],
+        ["--example", "sphere-latitudes", "--res", "255", "--param", "r0=1.565,0.2"],
         ["--example", "flat-parallel", "--formulas", "sound"],
     ):
         assert main(argv) == 2, argv
@@ -151,13 +153,59 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
               "it must be below 127 pi / n = 1.5646"],
         "error: unknown formula id(s): sound; run --list to see the catalog",
     ]
-    # a report path that cannot be written, after the sweep has run
+    # a report path in a missing directory, before the sweep (see
+    # test_report_path_is_checked_before_the_sweep), and one that fails to
+    # open after it: a directory
     out = tmp_path / "missing" / "report.json"
     argv = ["--example", "flat-parallel", "--res", "12", "--formulas", "reeb-riemannian"]
     assert main(argv + ["--out", str(out)]) == 2
+    assert main(argv + ["--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"error: cannot write report {out}: No such file or directory"
+        f"error: cannot write report {out}: No such file or directory",
+        f"error: cannot write report {tmp_path}: Is a directory",
     ]
+
+
+def test_report_path_is_checked_before_the_sweep(tmp_path, capsys, monkeypatch):
+    from randers_foliations import verify
+
+    def no_build(spec):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(verify, "build_example", no_build)
+    argv = ["--example", "flat-parallel", "--res", "12", "--formulas", "reeb-riemannian"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("example = flat-parallel\nres = 12\nout =\n")
+    missing = tmp_path / "missing" / "report.json"
+    assert main(argv + ["--out", ""]) == 2
+    assert main(["--config", str(cfg)]) == 2
+    assert main(argv + ["--out", str(missing)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: cannot write report '': the path is empty",
+        "error: cannot write report '': the path is empty",
+        f"error: cannot write report {missing}: No such file or directory",
+    ]
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_keeps_the_report_and_the_exit_code(tmp_path, capsys, monkeypatch):
+    argv = ["--example", "flat-parallel", "--res", "12"]
+    assert main(argv + ["--out", str(tmp_path / "open.json")]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdout", _ClosedStdout())
+    assert main(argv + ["--out", str(tmp_path / "closed.json")]) == 0
+    assert (tmp_path / "closed.json").read_bytes() == (tmp_path / "open.json").read_bytes()
+    assert main(["--list"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_bad_flags_return_two_with_the_config_files_one_line(tmp_path, capsys):
@@ -243,13 +291,13 @@ def test_param_parsing_and_config_file(tmp_path):
     assert config.params == {"beta_sharp": (0.3, 0.15)}
     with pytest.raises(ConfigError):
         build_config(["--example", "conformal-torus", "--param", "beta_mode=a,b"])
-    config = build_config(["--example", "sphere-latitudes", "--param", "r0_sweep=0.2,0.1"])
-    assert config.params["r0_sweep"] == (0.2, 0.1)
+    config = build_config(["--example", "sphere-latitudes", "--param", "r0=0.2,0.1"])
+    assert config.params["r0"] == (0.2, 0.1)
     # the excised sphere sweeps r0 in descending order; one value is a one-point sweep
     base = ["--example", "sphere-latitudes", "--res", "128", "--formulas", "reeb-riemannian"]
     out = tmp_path / "sweep.json"
     for sweep, radii in (("0.2,0.3", [0.3, 0.2]), ("0.3", [0.3])):
-        assert main(base + ["--param", f"r0_sweep={sweep}", "--out", str(out)]) == 0
+        assert main(base + ["--param", f"r0={sweep}", "--out", str(out)]) == 0
         conv = json.loads(out.read_text())["reports"][0]["convergence"]
         assert [h for h, _ in conv] == radii
 
@@ -260,6 +308,11 @@ def test_explicit_r0_is_a_one_point_sweep(tmp_path):
     assert main(argv + ["--formulas", "reeb-riemannian"]) == 0
     [report] = json.loads(out.read_text())["reports"]
     assert [h for h, _ in report["convergence"]] == [0.3]
+    # a radius given twice is swept once: the same reports (config.params records the values given)
+    twice = tmp_path / "twice.json"
+    argv[argv.index("r0=0.3")] = "r0=0.3,0.3"
+    assert main(argv[:-1] + [str(twice), "--formulas", "reeb-riemannian"]) == 0
+    assert json.loads(twice.read_text())["reports"] == json.loads(out.read_text())["reports"]
 
 
 def test_bad_param_reports_config_error():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from randers_foliations.catalog import ExampleError, ExampleSpec, r0_sweep
+from randers_foliations.catalog import ExampleError, ExampleSpec
 from randers_foliations.invariants import (
     newton_transform_batched,
     sigma_k,
@@ -172,7 +172,7 @@ def test_jobs_do_not_change_results():
 
 def test_singular_sweep_uses_r0_ladder():
     reports = run_formulas(
-        ExampleSpec("sphere-latitudes", {"r0_sweep": [0.2, 0.1]}),
+        ExampleSpec("sphere-latitudes", {"r0": [0.2, 0.1]}),
         ["reeb-finsler", "reeb-riemannian"],
         [128],
         "spectral",
@@ -200,7 +200,7 @@ def test_each_sweep_point_is_built_once(monkeypatch):
     built.clear()
     # the excised sweep is one point: built once, at its smallest radius
     reports = run_formulas(
-        ExampleSpec("sphere-latitudes", {"r0_sweep": (0.3, 0.2)}), ["reeb-riemannian"], [64]
+        ExampleSpec("sphere-latitudes", {"r0": (0.3, 0.2)}), ["reeb-riemannian"], [64]
     )
     assert [(s.params["r0"], s.params["n"]) for s in built] == [(0.2, 64)]
     assert [r0 for r0, _ in reports[0].convergence] == [0.3, 0.2]
@@ -221,7 +221,7 @@ def test_each_radius_is_judged_as_its_own_build(mode):
         spec = ExampleSpec("sphere-latitudes", {"beta_mode": mode, **params})
         return {r.formula_id: r for r in run_formulas(spec, formula_ids(), [128])}
 
-    sweep = run({"r0_sweep": SWEEP_RADII})
+    sweep = run({"r0": SWEEP_RADII})
     alone = {r0: run({"r0": r0}) for r0 in SWEEP_RADII}
     entries = 0
     for fid, r in sweep.items():
@@ -235,8 +235,7 @@ def test_each_radius_is_judged_as_its_own_build(mode):
 
 
 def test_repeated_radius_is_swept_once():
-    assert r0_sweep(ExampleSpec("sphere-latitudes", {"r0_sweep": (0.3, 0.3)})) == (0.3,)
-    twice = run_formulas(ExampleSpec("sphere-latitudes", {"r0_sweep": (0.3, 0.3)}), UNREFUTED, [128])
+    twice = run_formulas(ExampleSpec("sphere-latitudes", {"r0": (0.3, 0.3)}), UNREFUTED, [128])
     once = run_formulas(ExampleSpec("sphere-latitudes", {"r0": 0.3}), UNREFUTED, [128])
     assert reports_to_json(twice) == reports_to_json(once)
 
@@ -259,7 +258,7 @@ def test_each_check_is_formed_once_per_sweep_point(monkeypatch):
         return dataclasses.replace(formula, evaluate=evaluate)
 
     monkeypatch.setattr(verify, "FORMULAS", {fid: counted(f) for fid, f in FORMULAS.items()})
-    reports = run_formulas(ExampleSpec("sphere-latitudes", {"r0_sweep": SWEEP_RADII}), formula_ids(), [128])
+    reports = run_formulas(ExampleSpec("sphere-latitudes", {"r0": SWEEP_RADII}), formula_ids(), [128])
     judged = [r.formula_id for r in reports if len(r.convergence) == len(SWEEP_RADII)]
     assert len(judged) >= 10
     assert set(judged) <= set(calls)
@@ -289,7 +288,7 @@ def test_radius_sweep_peak_matches_one_point():
             tracemalloc.stop()
 
     one = peak({"r0": SWEEP_RADII[-1]})
-    sweep = peak({"r0_sweep": SWEEP_RADII})
+    sweep = peak({"r0": SWEEP_RADII})
     # every stage runs at each radius before the next stage: measured 0.99
     assert sweep <= 1.05 * one, (sweep, one)
 
@@ -368,13 +367,13 @@ def test_release_lowers_the_peak(released_sweep):
     # after its last check, a point that follows the plan holds no field
     assert [k for k, v in vars(bundles[-1]).items() if isinstance(v, np.ndarray)] == []
     specs = [ExampleSpec("flat-graph-tangent", {"n": n}) for n in RELEASE_RES]
-    plan = _sweep_point(specs[0], UNREFUTED, "spectral")[-1]
+    plan = _sweep_point(specs[0], None, UNREFUTED, "spectral")[-1]
     tracemalloc.start()
     try:
-        _sweep_point(specs[-1], UNREFUTED, "spectral")
+        _sweep_point(specs[-1], None, UNREFUTED, "spectral")
         unreleased = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        _sweep_point(specs[-1], UNREFUTED, "spectral", plan)
+        _sweep_point(specs[-1], None, UNREFUTED, "spectral", plan)
         released = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -384,7 +383,7 @@ def test_release_lowers_the_peak(released_sweep):
 
 def test_eigen_sphere_balance_checks():
     reports = run_formulas(
-        ExampleSpec("sphere-latitudes", {"beta_mode": "eigen", "r0_sweep": [0.2, 0.1]}),
+        ExampleSpec("sphere-latitudes", {"beta_mode": "eigen", "r0": [0.2, 0.1]}),
         formula_ids(),
         [128],
         "central4",
