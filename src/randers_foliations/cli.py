@@ -51,7 +51,7 @@ from .catalog import (
 )
 from .matinv import verify_appendix_identities
 from .report import ResidualReport, reports_to_csv, reports_to_json
-from .verify import FORMULAS, formula_ids, run_formulas
+from .verify import FORMULAS, GATES, formula_ids, run_formulas
 
 
 class ConfigError(Exception):
@@ -135,7 +135,7 @@ def _resolve_formulas(selector: str) -> list[str]:
         return known
     if selector == "all":
         return [f for f in known if not FORMULAS[f].refuted]
-    chosen = [tok.strip() for tok in selector.split(",") if tok.strip()]
+    chosen = list(dict.fromkeys(tok.strip() for tok in selector.split(",") if tok.strip()))
     unknown = [tok for tok in chosen if tok not in known]
     if unknown:
         raise ConfigError(
@@ -174,7 +174,7 @@ def build_config(argv: list[str]) -> RunConfig | None:
     parser.add_argument("--out", help="report output path")
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"), help="report format")
     parser.add_argument("--config", help="flat key=value config file; flags override")
-    parser.add_argument("--list", action="store_true", help="list examples and formulas")
+    parser.add_argument("--list", action="store_true", help="list examples, gates and formulas")
     parser.add_argument(
         "--matrix-identities",
         action="store_true",
@@ -227,13 +227,13 @@ def _catalog_lines() -> list[str]:
         lines.append(f"  {'':<22s} parameters (the grid size n is set by --res):")
         lines += [f"  {'':<22s}   {line}" for line in param_help(name)]
         lines.append(f"  {'':<22s} default resolutions: {', '.join(str(n) for n in default_resolutions(name))}")
+    lines.append("\ngates:")
+    lines += [f"  {name:<22s} {key} {op} {threshold:g}" for name, (key, op, threshold) in GATES.items()]
     lines.append("\nformulas:")
     for fid in formula_ids():
         f = FORMULAS[fid]
-        gates = ",".join(f.requires) if f.requires else "-"
-        extra = f" any-of[{','.join(f.any_of)}]" if f.any_of else ""
         note = "  [published display under test]" if f.refuted else ""
-        lines.append(f"  {fid:<36s} gates: {gates}{extra}{note}")
+        lines.append(f"  {fid:<36s} gates: {f.gate_label}{note}")
         lines.append(f"  {'':<36s} {f.description}")
     return lines
 
@@ -251,15 +251,8 @@ def _matrix_identity_report(seed: int) -> ResidualReport:
     residuals = verify_appendix_identities(seed=seed, trials=100, m_max=4)
     worst = max(residuals.values())
     return ResidualReport(
-        formula_id="matrix-identities",
-        example="random-matrix-tuples",
-        resolution=(100,),
-        scheme="exact",
-        value=worst,
-        tolerance=1e-9,
-        verdict="pass" if worst < 1e-9 else "fail",
-        hypotheses={},
-        convergence=[],
+        formula_id="matrix-identities", example="random-matrix-tuples", resolution=(100,), scheme="exact",
+        value=worst, tolerance=1e-9, verdict="pass" if worst < 1e-9 else "fail", gates={},
         detail=dict(sorted(residuals.items())),
     )
 

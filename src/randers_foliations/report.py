@@ -3,10 +3,10 @@
 One :class:`ResidualReport` records a single (formula, example, resolution)
 check: the measured value, which every formula states against zero (so its
 residual is ``|value|``), the tolerance actually applied, the verdict, the
-numerically verified hypotheses, and the convergence table across the sweep.
-JSON output is deterministic: fixed key order, ``repr``-exact floats.  The
-JSON entry still writes ``"expected": 0.0`` so that schema version 1 stays
-unchanged.
+check's hypothesis gates, each ``name: [measured, threshold, held]`` (measured
+is ``null`` where the run does not measure its key), and the convergence
+table across the sweep.  JSON output (schema version 2) is deterministic:
+fixed key order, ``repr``-exact floats.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 __all__ = ["ResidualReport", "reports_to_json", "reports_to_csv", "SCHEMA_VERSION"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 VERDICTS = ("pass", "fail", "not-applicable")
 
@@ -32,7 +32,7 @@ class ResidualReport:
     value: float
     tolerance: float
     verdict: str
-    hypotheses: dict[str, float] = field(default_factory=dict)
+    gates: dict[str, list] = field(default_factory=dict)
     convergence: list[tuple[float, float]] = field(default_factory=list)
     detail: dict[str, float] = field(default_factory=dict)
 
@@ -51,11 +51,10 @@ class ResidualReport:
             "resolution": list(self.resolution),
             "scheme": self.scheme,
             "value": self.value,
-            "expected": 0.0,
             "residual": self.residual,
             "tolerance": self.tolerance,
             "verdict": self.verdict,
-            "hypotheses": {k: self.hypotheses[k] for k in sorted(self.hypotheses)},
+            "gates": {k: self.gates[k] for k in sorted(self.gates)},
             "convergence": [[h, r] for h, r in self.convergence],
             "detail": {k: self.detail[k] for k in sorted(self.detail)},
         }

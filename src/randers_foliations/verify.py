@@ -1,17 +1,18 @@
 """Integral-formula and comparison-formula verification engine.
 
-Every check is a :class:`Formula`: a hypothesis gate (predicates evaluated
-numerically on the example at hand), an evaluator that maps the bundle to the
-row's pointwise field, and the reduction its ``kind`` names.  Each formula is
-stated against zero: an integral that vanishes (``zero``: the field against
-the row's ``volume``), a sup-norm difference of two routes (``sup``: max |f|),
-or the margin of a bound.  The judging mask is an argument of the reduction,
-not of the field, so one field is reduced on every mask that judges it.  The
-runner sweeps a list of resolutions, records the convergence table, and one
-judge gives the verdict at the finest grid.
-Hypothesis gates never pass silently: each report carries the measured
-hypothesis residuals, and an example that violates a formula's hypotheses
-yields the first-class verdict ``not-applicable``.
+Every check is a :class:`Formula`: its hypothesis gates, an evaluator that
+maps the bundle to the row's pointwise field, and the reduction its ``kind``
+names.  Each formula is stated against zero: an integral that vanishes
+(``zero``: the field against the row's ``volume``), a sup-norm difference of
+two routes (``sup``: max |f|), or the margin of a bound.  The judging mask is
+an argument of the reduction, not of the field, so one field is reduced on
+every mask that judges it.  The runner sweeps a list of resolutions, records
+the convergence table, and one judge gives the verdict at the finest grid.
+A gate is one row of ``GATES``: a key of ``MEASURES``, measured numerically on
+the example at hand, a comparison and a threshold.  Gates never pass
+silently: each report entry carries its row's gates as ``[measured,
+threshold, held]``, and an example that fails a row's gates yields the
+first-class verdict ``not-applicable``.
 
 Formulas whose published closed form disagrees with the definitional route
 are shipped twice: the corrected version under the plain id, and the verbatim
@@ -22,6 +23,7 @@ catalog of checks.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,7 +35,7 @@ from .invariants import dot, newton_chain, newton_transform_batched, outer, sigm
 from .manifold import deformation_tensor, gradient, integrate
 from .report import ResidualReport
 
-__all__ = ["Formula", "formula_ids", "run_formulas", "hypothesis_profile", "FORMULAS"]
+__all__ = ["Formula", "formula_ids", "run_formulas", "hypothesis_profile", "FORMULAS", "GATES"]
 
 BOUND_TOL = 1e-8    # slack of bound-type checks
 
@@ -47,7 +49,7 @@ SINGULAR_POLICY = (1e-2, 2.5, 0.1)
 
 
 # --------------------------------------------------------------------------
-# hypothesis measurements
+# hypothesis gates
 # --------------------------------------------------------------------------
 
 
@@ -58,48 +60,57 @@ def _sup(field: np.ndarray, mask: np.ndarray) -> float:
     return float(abs(max(np.max(field, where=a, initial=0), -np.min(field, where=a, initial=0))))
 
 
-def hypothesis_profile(E: ExtrinsicBundle, mask: np.ndarray) -> dict[str, float]:
-    """Numerically measured hypothesis residuals of one example, on the judged nodes ``mask``."""
-    M = E.M
-    hyp: dict[str, float] = {}
-    hyp["sup_nabla_beta"] = _sup(E.nabla_beta_sharp, mask)
-    hyp["sup_beta"] = _sup(M.beta_norm, mask)
-    hyp["min_beta_top"] = float(
-        np.min(np.where(mask, np.sqrt(np.clip(1.0 - M.c**2, 0.0, None)), np.inf))
-    )
-    cs = np.where(mask, M.c, np.nan)
-    bn = np.where(mask, M.beta_N, np.nan)
-    hyp["var_c"] = float(np.nanmax(cs) - np.nanmin(cs))
-    hyp["var_beta_N"] = float(np.nanmax(bn) - np.nanmin(bn))
-    hyp["min_abs_beta_N"] = float(np.nanmin(np.abs(bn)))
-    hyp["sup_beta_N"] = float(np.nanmax(np.abs(bn)))
-    hyp["sup_zbar"] = _sup(E.Zbar, mask)
-    hyp["sup_abar"] = _sup(E.Abar, mask)
-    hyp["masked"] = 0.0 if M.mask is None else 1.0
-    hyp["beta_singular"] = 1.0 if M.beta_singular else 0.0
-    if M.mask is None:
-        hyp["sup_riemann"] = E.sup_riemann
-        hyp["max_ricci_N"] = float(np.max(E.ricci_N))
-    return hyp
-
-
-PREDICATES: dict[str, Callable[[dict], bool]] = {
-    "berwald": lambda h: h["sup_nabla_beta"] < 1e-8,
-    "flat": lambda h: h.get("sup_riemann", np.inf) < 1e-7,
-    "unmasked": lambda h: h["masked"] == 0.0,
-    "singular": lambda h: h["masked"] == 1.0,
-    "nowhere-orthogonal": lambda h: h["min_beta_top"] > 1e-6,
-    "constant-c": lambda h: h["var_c"] < 1e-9,
-    "constant-beta-N": lambda h: h["var_beta_N"] < 1e-9,
-    "beta-N-nonzero": lambda h: h["min_abs_beta_N"] > 1e-6,
-    "tangent-beta": lambda h: h["sup_beta_N"] < 1e-9,
-    "beta-zero": lambda h: h["sup_beta"] < 1e-14,
-    "beta-nonzero": lambda h: h["sup_beta"] > 1e-10,
-    "zbar-zero": lambda h: h["sup_zbar"] < 1e-9,
-    "totally-geodesic": lambda h: h["sup_abar"] < 1e-9,
-    "negative-ricci": lambda h: h.get("max_ricci_N", np.inf) < -1e-9,
-    "smooth-beta": lambda h: h["beta_singular"] == 0.0,
+# measured key -> its value on the judged nodes ``mask``; None where it is not measured (the
+# curvature keys of a masked run)
+MEASURES: dict[str, Callable[[ExtrinsicBundle, np.ndarray], float | None]] = {
+    "sup_nabla_beta": lambda E, mask: _sup(E.nabla_beta_sharp, mask),
+    "sup_beta": lambda E, mask: _sup(E.M.beta_norm, mask),
+    "min_beta_top": lambda E, mask: float(np.min(np.sqrt(np.clip(1.0 - E.M.c[mask] ** 2, 0.0, None)))),
+    "var_c": lambda E, mask: float(np.ptp(E.M.c[mask])),
+    "var_beta_N": lambda E, mask: float(np.ptp(E.M.beta_N[mask])),
+    "min_abs_beta_N": lambda E, mask: float(np.min(np.abs(E.M.beta_N[mask]))),
+    "sup_beta_N": lambda E, mask: _sup(E.M.beta_N, mask),
+    "sup_zbar": lambda E, mask: _sup(E.Zbar, mask),
+    "sup_abar": lambda E, mask: _sup(E.Abar, mask),
+    "masked": lambda E, mask: 0.0 if E.M.mask is None else 1.0,
+    "beta_singular": lambda E, mask: 1.0 if E.M.beta_singular else 0.0,
+    "sup_riemann": lambda E, mask: E.sup_riemann,
+    "max_ricci_N": lambda E, mask: None if E.ricci_N is None else float(np.max(E.ricci_N)),
+    "m": lambda E, mask: E.M.m,                                  # leaf dimension
 }
+
+# gate -> (measured key, comparison, threshold); a gate whose key was not measured does not hold
+GATES: dict[str, tuple[str, str, float]] = {
+    "berwald": ("sup_nabla_beta", "<", 1e-8),
+    "flat": ("sup_riemann", "<", 1e-7),
+    "unmasked": ("masked", "==", 0.0),
+    "singular": ("masked", "==", 1.0),
+    "nowhere-orthogonal": ("min_beta_top", ">", 1e-6),
+    "constant-c": ("var_c", "<", 1e-9),
+    "constant-beta-N": ("var_beta_N", "<", 1e-9),
+    "beta-N-nonzero": ("min_abs_beta_N", ">", 1e-6),
+    "tangent-beta": ("sup_beta_N", "<", 1e-9),
+    "beta-zero": ("sup_beta", "<", 1e-14),
+    "beta-nonzero": ("sup_beta", ">", 1e-10),
+    "zbar-zero": ("sup_zbar", "<", 1e-9),
+    "totally-geodesic": ("sup_abar", "<", 1e-9),
+    "negative-ricci": ("max_ricci_N", "<", -1e-9),
+    "smooth-beta": ("beta_singular", "==", 0.0),
+    "two-dim-leaves": ("m", ">=", 2),
+}
+_COMPARE = {"<": operator.lt, ">": operator.gt, "==": operator.eq, ">=": operator.ge}
+
+
+def gate(name: str, hyp: dict) -> list:
+    """``[measured, threshold, held]`` of one gate on the measured hypotheses ``hyp``."""
+    key, op, threshold = GATES[name]
+    measured = hyp.get(key)
+    return [measured, threshold, measured is not None and _COMPARE[op](measured, threshold)]
+
+
+def hypothesis_profile(E: ExtrinsicBundle, mask: np.ndarray, keys: set[str]) -> dict[str, float | None]:
+    """The measured hypothesis ``keys`` of one example, on the judged nodes ``mask``."""
+    return {key: measure(E, mask) for key, measure in MEASURES.items() if key in keys}
 
 
 @dataclass(frozen=True)
@@ -108,24 +119,31 @@ class Formula:
     description: str
     # the row's pointwise field; a composite row returns its own mask -> (value, detail)
     evaluate: Callable[[ExtrinsicBundle], np.ndarray | Callable]
-    requires: tuple[str, ...] = ()
+    requires: tuple[str, ...] = ()        # gates that must all hold
     any_of: tuple[str, ...] = ()          # at least one must hold, if nonempty
     kind: str = "zero"                    # zero | sup | bound
     volume: str = "a"                     # the measure a ``zero`` row integrates against
     fixed_tol: float | None = None
-    min_m: int = 1                        # smallest leaf dimension the check needs
     # verbatim published display that the convergence tables refute; selected
     # only by ``--formulas full`` or by name
     refuted: bool = False
 
-    def applicable(self, hyp: dict, m: int) -> bool:
-        if m < self.min_m:
-            return False
-        if not all(PREDICATES[p](hyp) for p in self.requires):
-            return False
-        if self.any_of and not any(PREDICATES[p](hyp) for p in self.any_of):
-            return False
-        return True
+    @property
+    def gate_names(self) -> tuple[str, ...]:
+        return self.requires + self.any_of
+
+    def gates(self, hyp: dict) -> dict[str, list]:
+        """``[measured, threshold, held]`` of each of the row's gates."""
+        return {name: gate(name, hyp) for name in self.gate_names}
+
+    def applicable(self, hyp: dict) -> bool:
+        held = {name: g[2] for name, g in self.gates(hyp).items()}
+        return all(held[g] for g in self.requires) and (not self.any_of or any(held[g] for g in self.any_of))
+
+    @property
+    def gate_label(self) -> str:
+        """The row's gate names, as ``--list`` shows them."""
+        return (",".join(self.requires) or "-") + (f" any-of[{','.join(self.any_of)}]" if self.any_of else "")
 
     def values(self, E: ExtrinsicBundle, masks: list[np.ndarray]) -> list[tuple[float, dict]]:
         """Value and detail on each judging mask, all reduced from one evaluation.
@@ -455,6 +473,7 @@ _FLAT_ANY = ("berwald", "beta-zero")
 _PARALLEL_FLAT = ("unmasked", "flat", "berwald", "nowhere-orthogonal", "beta-nonzero")
 _PARALLEL = ("unmasked", "berwald", "nowhere-orthogonal", "beta-nonzero")
 _TG = ("unmasked", "flat", "berwald", "nowhere-orthogonal", "totally-geodesic")
+_2D = ("two-dim-leaves",)                 # sigma_2 needs m >= 2
 
 # the report's config lists the selected formulas in this order
 FORMULAS: dict[str, Formula] = {f.fid: f for f in (
@@ -483,15 +502,15 @@ FORMULAS: dict[str, Formula] = {f.fid: f for f in (
     Formula("sigma-tg-k1", "published totally geodesic sigma_1 display", _ev_sigma_tg(1),
             requires=_TG),
     Formula("sigma-flat-k2", "total sigma_2 of the full shape operator on flat Berwald examples",
-            lambda E: sigma_k(E.A_frame, 2), requires=_FLAT, any_of=_FLAT_ANY, volume="F", min_m=2),
+            lambda E: sigma_k(E.A_frame, 2), requires=_FLAT + _2D, any_of=_FLAT_ANY, volume="F"),
     Formula("curvature-series-k2", "order-2 term of the curvature series (flat reduction)",
-            lambda E: sigma_k(E.A_frame, 2), requires=_FLAT, any_of=_FLAT_ANY, volume="F", min_m=2),
+            lambda E: sigma_k(E.A_frame, 2), requires=_FLAT + _2D, any_of=_FLAT_ANY, volume="F"),
     Formula("berwald-sigma-k2", "parallel-beta sigma_2 expansion through Newton transformations",
-            _ev_berwald_sigma(2), requires=_PARALLEL_FLAT, min_m=2),
+            _ev_berwald_sigma(2), requires=_PARALLEL_FLAT + _2D),
     Formula("berwald-sigma-k2-printed", "published sigma_2 display (verbatim transcription)",
-            _ev_berwald_sigma(2, printed=True), requires=_PARALLEL_FLAT, min_m=2),
+            _ev_berwald_sigma(2, printed=True), requires=_PARALLEL_FLAT + _2D),
     Formula("sigma-tg-k2", "published totally geodesic sigma_2 display", _ev_sigma_tg(2),
-            requires=_TG, min_m=2),
+            requires=_TG + _2D),
     Formula("parallel-second-order-printed", "published parallel-field second-order display (verbatim)",
             _ev_parallel_second_order_printed, requires=_PARALLEL, refuted=True),
     Formula("parallel-second-order-const-printed",
@@ -606,9 +625,10 @@ def _sweep_point(
 
     The point builds its manifold and bundle once and judges them on each
     labelled mask of ``masks`` (default: the build's own active set,
-    labelled by the largest grid spacing).  The hypotheses are the stage
-    "hyp"; each check is a stage of its own, the ``_COORDINATE_FIRST`` checks
-    before the rest.  A check's stage forms its field once and reduces it on
+    labelled by the largest grid spacing).  The hypotheses (the keys that
+    the gates of ``fids`` read, and ``masked``) are the stage "hyp"; each
+    check is a stage of its own, the ``_COORDINATE_FIRST`` checks before
+    the rest.  A check's stage forms its field once and reduces it on
     every mask where the check applies, so no mask's early checks run on top
     of the fields of another mask's later ones.  Given ``plan``, the bundle
     drops each field when the stage the plan names as its last reader ends.
@@ -621,14 +641,15 @@ def _sweep_point(
     E = build_extrinsic(M, scheme, plan)
     masks = masks or [(max(M.grid.spacings), M.active)]
     E.stage = "hyp"
-    hyps = [hypothesis_profile(E, mask) for _, mask in masks]
+    keys = {GATES[g][0] for fid in fids for g in FORMULAS[fid].gate_names} | {"masked"}
+    hyps = [hypothesis_profile(E, mask, keys) for _, mask in masks]
     E.end_stage()
     values: list[dict[str, tuple[float, dict]]] = [{} for _ in masks]
     order = [f for f in _COORDINATE_FIRST if f in fids] + [f for f in fids if f not in _COORDINATE_FIRST]
     for fid in order:
         E.stage = fid
         formula = FORMULAS[fid]
-        judged = [i for i, hyp in enumerate(hyps) if formula.applicable(hyp, M.m)]
+        judged = [i for i, hyp in enumerate(hyps) if formula.applicable(hyp)]
         if judged:
             for i, value in zip(judged, formula.values(E, [masks[i][1] for i in judged])):
                 values[i][fid] = value
@@ -637,11 +658,7 @@ def _sweep_point(
 
 
 def run_formulas(
-    spec: ExampleSpec,
-    fids: list[str],
-    resolutions: list[int],
-    scheme: str = "spectral",
-    jobs: int = 1,
+    spec: ExampleSpec, fids: list[str], resolutions: list[int], scheme: str = "spectral", jobs: int = 1
 ) -> list[ResidualReport]:
     """Evaluate the requested formulas on a sweep; verdicts at the finest level.
 
@@ -662,9 +679,10 @@ def run_formulas(
     drops each field after that reader.  ``jobs`` bounds the worker threads
     of those later points (so it does not apply to a one-point sweep); each
     is independent and reports are merged in sweep order, so results do not
-    depend on the worker count.  Every entry carries the finest point's
-    hypotheses, which also say whether the run is singular (masked); a check
-    not applicable there reports value 0 and the verdict ``not-applicable``.
+    depend on the worker count.  Every entry carries its row's gates at the
+    finest point, whose ``singular`` gate says whether the run is judged as
+    excised; a check not applicable there reports value 0 and the verdict
+    ``not-applicable``.
     Reports follow the order of ``fids``.
     """
     unknown = [f for f in fids if f not in FORMULAS]
@@ -691,20 +709,10 @@ def run_formulas(
         if fid in values_fine:
             value, detail = values_fine[fid]
             conv = [(h, abs(v[fid][0])) for h, v in per_res if fid in v]
-            verdict, tol, audit = _judge(FORMULAS[fid], float(value), conv, PREDICATES["singular"](hyp))
+            verdict, tol, audit = _judge(FORMULAS[fid], float(value), conv, gate("singular", hyp)[2])
             detail = {**detail, **audit}
-        reports.append(
-            ResidualReport(
-                formula_id=fid,
-                example=example_name,
-                resolution=grid.sizes,
-                scheme=scheme,
-                value=float(value),
-                tolerance=float(tol),
-                verdict=verdict,
-                hypotheses=hyp,
-                convergence=conv,
-                detail=detail,
-            )
-        )
+        reports.append(ResidualReport(
+            formula_id=fid, example=example_name, resolution=grid.sizes, scheme=scheme, value=float(value),
+            tolerance=float(tol), verdict=verdict, gates=FORMULAS[fid].gates(hyp), convergence=conv, detail=detail,
+        ))
     return reports

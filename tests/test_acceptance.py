@@ -316,5 +316,5 @@ def test_criterion_11_determinism():
     _, r2 = run(config)
     t1 = reports_to_json(r1, config.to_dict())
     t2 = reports_to_json(r2, config.to_dict())
-    ok = t1 == t2 and json.loads(t1)["schema_version"] == 1
+    ok = t1 == t2 and json.loads(t1)["schema_version"] == 2
     _line(11, ok, "two identical runs produce byte-identical reports")

@@ -21,7 +21,7 @@ def test_exit_zero_on_passing_run(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert {r["verdict"] for r in payload["reports"]} == {"pass"}
     text = capsys.readouterr().out
     assert "3 passed, 0 failed" in text
@@ -256,9 +256,31 @@ def test_list_catalog(capsys):
     assert "flat-graph" in text
     assert "sphere-latitudes" in text
     assert "reeb-finsler" in text
+    # each gate's rule is stated once, and each formula names its gates
+    lines = text.splitlines()
+    assert "gates:" in lines
+    assert "  berwald                sup_nabla_beta < 1e-08" in lines
+    assert sum("sup_nabla_beta" in line for line in lines) == 1
+    assert any(
+        line.endswith("gates: smooth-beta any-of[berwald,beta-zero,singular]")
+        for line in lines if "reeb-finsler" in line
+    )
     # stable ordering across runs
     assert main(["--list"]) == 0
     assert capsys.readouterr().out == text
+
+
+def test_repeated_formula_id_runs_once(tmp_path, capsys):
+    argv = ["--example", "flat-graph", "--res", "16", "--formulas", "reeb-riemannian,reeb-riemannian"]
+    assert build_config(argv).formulas == ["reeb-riemannian"]
+    assert build_config(argv[:-1] + ["tangency,reeb-riemannian,tangency"]).formulas == [
+        "tangency", "reeb-riemannian",
+    ]
+    out = tmp_path / "twice.json"
+    main(argv + ["--out", str(out)])
+    assert [r["formula_id"] for r in json.loads(out.read_text())["reports"]] == ["reeb-riemannian"]
+    passed_failed = capsys.readouterr().out.splitlines()[-2]
+    assert sum(int(passed_failed.split()[i]) for i in (0, 2)) == 1
 
 
 def test_param_parsing_and_config_file(tmp_path):

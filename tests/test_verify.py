@@ -95,14 +95,71 @@ def test_hypothesis_gates_mark_not_applicable(conformal_reports):
     # generic beta is not parallel: the Berwald family must be gated out
     r = by_id(conformal_reports, "berwald-sigma-k1")
     assert r.verdict == "not-applicable"
-    assert r.hypotheses["sup_nabla_beta"] > 1e-3
+    assert r.gates["berwald"][0] > 1e-3
 
 
 def test_gates_record_measured_residuals(flat_graph_reports):
     r = by_id(flat_graph_reports, "berwald-sigma-k1")
     assert r.verdict == "pass"
-    assert r.hypotheses["sup_nabla_beta"] < 1e-12
-    assert r.hypotheses["sup_riemann"] < 1e-12
+    assert r.gates["berwald"][0] < 1e-12
+    assert r.gates["flat"][0] < 1e-12
+
+
+def _gates_explain_verdict(r):
+    """A not-applicable entry has a failed required gate or no held any-of gate; an applicable one neither."""
+    f = FORMULAS[r.formula_id]
+    assert set(r.gates) == set(f.requires) | set(f.any_of)
+    failed = [g for g in f.requires if not r.gates[g][2]]
+    if f.any_of and not any(r.gates[g][2] for g in f.any_of):
+        failed += list(f.any_of)
+    return bool(failed) == (r.verdict == "not-applicable")
+
+
+def test_every_verdict_is_explained_by_its_gates(flat_graph_reports, conformal_reports):
+    reports = flat_graph_reports + conformal_reports
+    assert any(r.verdict == "not-applicable" for r in reports)
+    assert all(_gates_explain_verdict(r) for r in reports)
+
+
+def test_masked_run_names_the_failed_gate():
+    reports = run_formulas(
+        ExampleSpec("sphere-latitudes", {"r0": 0.3}), ["second-order-riemannian", "sigma-flat-k1"], [128]
+    )
+    r = by_id(reports, "second-order-riemannian")
+    assert r.verdict == "not-applicable"
+    assert r.gates == {"unmasked": [1.0, 0.0, False]}
+    # the curvature is not formed on an excised run: the flatness gate is unmeasured and fails
+    flat = by_id(reports, "sigma-flat-k1").gates["flat"]
+    assert flat == [None, 1e-7, False]
+    entry = next(e for e in json.loads(reports_to_json(reports))["reports"] if e["formula_id"] == "sigma-flat-k1")
+    assert entry["gates"]["flat"] == [None, 1e-7, False] and "expected" not in entry
+    assert all(_gates_explain_verdict(r) for r in reports)
+
+
+def test_leaf_dimension_is_a_gate(flat_graph_reports):
+    # flat-graph has 1D leaves: sigma_2 rows fail the leaf-dimension gate alone
+    r = by_id(flat_graph_reports, "sigma-flat-k2")
+    assert r.verdict == "not-applicable"
+    assert r.gates["two-dim-leaves"] == [1, 2, False]
+    f = FORMULAS["sigma-flat-k2"]
+    assert [g for g in f.requires if not r.gates[g][2]] == ["two-dim-leaves"]
+    assert any(r.gates[g][2] for g in f.any_of)
+
+
+def test_hypotheses_measure_only_the_selected_gates_keys(monkeypatch):
+    import randers_foliations.verify as verify
+
+    measured = []
+    profile = verify.hypothesis_profile
+
+    def spy(E, mask, keys):
+        measured.append(profile(E, mask, keys))
+        return measured[-1]
+
+    monkeypatch.setattr(verify, "hypothesis_profile", spy)
+    reports = run_formulas(ExampleSpec("flat-graph"), ["shape-comparison"], [16])
+    assert [set(hyp) for hyp in measured] == [{"beta_singular", "masked"}]
+    assert reports[0].gates == {"smooth-beta": [0.0, 0.0, True]}
 
 
 def test_corrected_formulas_pass_on_flat_graph(flat_graph_reports):
@@ -210,7 +267,9 @@ SWEEP_RADII = (0.3, 0.2, 0.1)
 
 
 def _bits(x):
-    return {k: float(v).hex() for k, v in x.items()} if isinstance(x, dict) else float(x).hex()
+    if isinstance(x, (dict, list)):
+        return {k: _bits(v) for k, v in (x.items() if isinstance(x, dict) else enumerate(x))}
+    return x if x is None or isinstance(x, bool) else float(x).hex()
 
 
 @pytest.mark.parametrize("mode", ["rotational", "eigen"])
@@ -230,7 +289,7 @@ def test_each_radius_is_judged_as_its_own_build(mode):
             assert _bits(alone[r0][fid].convergence[0][1]) == _bits(resid)
             entries += 1
         assert _bits(r.value) == _bits(alone[0.1][fid].value), fid
-        assert _bits(r.hypotheses) == _bits(alone[0.1][fid].hypotheses)
+        assert _bits(r.gates) == _bits(alone[0.1][fid].gates)
     assert entries >= 3 * 10
 
 
@@ -425,7 +484,7 @@ def test_report_round_trip_and_determinism(flat_graph_reports):
     text2 = reports_to_json(list(reversed(flat_graph_reports)), {"example": "flat-graph"})
     assert text1 == text2  # ordering is canonical
     payload = json.loads(text1)
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert all(
         rec["verdict"] in ("pass", "fail", "not-applicable") for rec in payload["reports"]
     )
@@ -473,14 +532,15 @@ def test_report_rejects_bad_verdict():
 def test_formula_registry_descriptions():
     from randers_foliations.cli import _resolve_formulas
     from randers_foliations.manifold import VOLUMES
-    from randers_foliations.verify import PREDICATES
+    from randers_foliations.verify import GATES, MEASURES
 
     for fid in formula_ids():
         f = FORMULAS[fid]
         assert f.description
         assert f.kind in ("zero", "sup", "bound")
         assert f.volume in VOLUMES, fid
-        assert set(f.requires) | set(f.any_of) <= set(PREDICATES), fid
+        assert set(f.requires) | set(f.any_of) <= set(GATES), fid
+    assert {key for key, _, _ in GATES.values()} <= set(MEASURES)
     assert _resolve_formulas("all") == [f for f in formula_ids() if not FORMULAS[f].refuted]
     assert _resolve_formulas("full") == formula_ids()
 
