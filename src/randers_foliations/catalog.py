@@ -377,7 +377,8 @@ def sweep_points(spec: ExampleSpec, resolutions: list[int]) -> list[tuple[Exampl
     A torus gives one point per distinct grid size, ascending, each judged on
     its build's own active set (None).  An example with an ``r0`` row excises
     the poles: its residuals are limited by the cap truncation, not the grid,
-    so it sweeps the distinct radii of ``r0`` at the finest size instead.
+    so it sweeps the distinct radii of ``r0`` at its one grid size instead
+    (more than one distinct size is an ExampleError, raised before any build).
     That sweep is one point, built at the smallest radius (whose active set
     contains every other radius's) and judged on each radius's mask, labelled
     by the radius, largest first.  The radii are checked against the grid
@@ -388,6 +389,9 @@ def sweep_points(spec: ExampleSpec, resolutions: list[int]) -> list[tuple[Exampl
     p = resolve_params(spec.name, {**spec.params, "n": sizes[-1]})
     if "r0" not in p:
         return [(ExampleSpec(spec.name, {**spec.params, "n": n}), None) for n in sizes]
+    if len(sizes) > 1:
+        raise ExampleError(f"{spec.name}: an excised run sweeps r0 at one grid size; "
+                           f"got sizes {', '.join(map(str, sizes))}")
     radii = sorted(set(p["r0"]))
     try:
         grid = _sphere_grid(p["n"])

@@ -17,10 +17,10 @@ out of bounds are configuration errors.  ``--res`` alone sets the grid size
 
 A ``--config`` file holds flat ``key = value`` lines (``#`` starts a comment).
 Each line becomes the flag it names, placed before argv, so one parser checks
-both, flags override the file and the file overrides ``RANDERS_FOLIATE_JOBS``.
-Keys: example, param (repeatable), res, formulas, scheme, seed, jobs, out,
-format, matrix_identities (true, false, 1 or 0).  An unknown key and every
-bad flag or value end in one ``error:`` line and exit status 2.
+both and flags override the file.  Keys: example, param (repeatable), res,
+formulas, scheme, seed, jobs (only 1), out, format, matrix_identities (true,
+false, 1 or 0).  An unknown key and every bad flag or value end in one
+``error:`` line and exit status 2.
 
 Exit status: 0 when every applicable check passes, 1 when any check fails,
 2 on configuration errors (a grid too large to allocate, an empty ``--out``
@@ -66,7 +66,6 @@ class RunConfig:
     formulas: list[str] = field(default_factory=list)
     scheme: str = "spectral"
     seed: int = 0
-    jobs: int = 1
     out: str | None = None
     fmt: str = "json"
     matrix_identities: bool = False
@@ -168,9 +167,7 @@ def build_config(argv: list[str]) -> RunConfig | None:
     parser.add_argument(
         "--seed", type=lambda v: _parse_int(v, "seed", 0), help="seed for randomized identity checks"
     )
-    parser.add_argument(
-        "--jobs", type=lambda v: _parse_int(v, "jobs", 1), help="parallel sweep workers"
-    )
+    parser.add_argument("--jobs", type=int, choices=(1,), help="sweep workers: only 1, points run in turn")
     parser.add_argument("--out", help="report output path")
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"), help="report format")
     parser.add_argument("--config", help="flat key=value config file; flags override")
@@ -185,8 +182,6 @@ def build_config(argv: list[str]) -> RunConfig | None:
     if args.list:
         _print(*_catalog_lines())
         return None
-    # argparse runs ``type`` on a string default: a bad environment value counts only if used
-    parser.set_defaults(jobs=os.environ.get("RANDERS_FOLIATE_JOBS", "1"))
     args = parser.parse_args((_read_config_file(args.config) if args.config else []) + argv)
 
     if not args.example:
@@ -216,7 +211,7 @@ def build_config(argv: list[str]) -> RunConfig | None:
     return RunConfig(
         example=args.example, params=params, resolutions=resolutions,
         formulas=_resolve_formulas(args.formulas), scheme=args.scheme, seed=args.seed,
-        jobs=args.jobs, out=args.out, fmt=args.fmt, matrix_identities=args.matrix_identities,
+        out=args.out, fmt=args.fmt, matrix_identities=args.matrix_identities,
     )
 
 
@@ -259,9 +254,7 @@ def _matrix_identity_report(seed: int) -> ResidualReport:
 
 def run(config: RunConfig) -> tuple[int, list[ResidualReport]]:
     spec = ExampleSpec(config.example, dict(config.params))
-    reports = run_formulas(
-        spec, config.formulas, config.resolutions, config.scheme, jobs=config.jobs
-    )
+    reports = run_formulas(spec, config.formulas, config.resolutions, config.scheme)
     if config.matrix_identities:
         reports.append(_matrix_identity_report(config.seed))
     failed = any(r.verdict == "fail" for r in reports)

@@ -6,7 +6,7 @@ names.  Each formula is stated against zero: an integral that vanishes
 (``zero``: the field against the row's ``volume``), a sup-norm difference of
 two routes (``sup``: max |f|), or the margin of a bound.  The judging mask is
 an argument of the reduction, not of the field, so one field is reduced on
-every mask that judges it.  The runner sweeps a list of resolutions, records
+every mask that judges it.  The runner sweeps the resolutions in turn, records
 the convergence table, and one judge gives the verdict at the finest grid.
 A gate is one row of ``GATES``: a key of ``MEASURES``, measured numerically on
 the example at hand, a comparison and a threshold.  Gates never pass
@@ -658,7 +658,7 @@ def _sweep_point(
 
 
 def run_formulas(
-    spec: ExampleSpec, fids: list[str], resolutions: list[int], scheme: str = "spectral", jobs: int = 1
+    spec: ExampleSpec, fids: list[str], resolutions: list[int], scheme: str = "spectral"
 ) -> list[ResidualReport]:
     """Evaluate the requested formulas on a sweep; verdicts at the finest level.
 
@@ -674,13 +674,11 @@ def run_formulas(
     exactly 0 from either build.  Each convergence entry is a point's label
     (the grid spacing, or the radius) and its residual.
 
-    Each sweep point builds its manifold once.  The first point runs alone
-    and records which check last reads each bundle field; every later point
-    drops each field after that reader.  ``jobs`` bounds the worker threads
-    of those later points (so it does not apply to a one-point sweep); each
-    is independent and reports are merged in sweep order, so results do not
-    depend on the worker count.  Every entry carries its row's gates at the
-    finest point, whose ``singular`` gate says whether the run is judged as
+    The points run one at a time, and each builds its manifold once.  Each
+    point records which check last reads each bundle field, and the next
+    point drops each field after that reader; the first point keeps every
+    field to its end.  Every entry carries its row's gates at the finest
+    point, whose ``singular`` gate says whether the run is judged as
     excised; a check not applicable there reports value 0 and the verdict
     ``not-applicable``.
     Reports follow the order of ``fids``.
@@ -690,16 +688,10 @@ def run_formulas(
         raise ValueError(f"unknown formula ids: {', '.join(unknown)}")
     if not resolutions:
         raise ValueError("need at least one resolution")
-    points = sweep_points(spec, resolutions)
-    results = [_sweep_point(*points[0], fids, scheme)]
-    plan, rest = results[0][-1], points[1:]
-    if jobs > 1 and len(rest) > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results += pool.map(lambda point: _sweep_point(*point, fids, scheme, plan), rest)
-    else:
-        results += [_sweep_point(*point, fids, scheme, plan) for point in rest]
+    results, plan = [], None
+    for point in sweep_points(spec, resolutions):
+        results.append(_sweep_point(*point, fids, scheme, plan))
+        plan = results[-1][-1]
     per_res = [pair for *_, pairs, _ in results for pair in pairs]
     example_name, grid, hyps = results[-1][:3]
     hyp, values_fine = hyps[-1], per_res[-1][1]

@@ -85,7 +85,7 @@ def test_a_torus_sweeps_each_distinct_size_ascending():
 
 
 def test_the_sphere_sweeps_its_radii_at_the_finest_size():
-    [(spec, masks)] = sweep_points(ExampleSpec("sphere-latitudes", {"r0": (0.25, 0.5, 0.25)}), [32, 64])
+    [(spec, masks)] = sweep_points(ExampleSpec("sphere-latitudes", {"r0": (0.25, 0.5, 0.25)}), [64])
     # built once, at the smallest radius; a radius given twice is swept once
     assert spec == ExampleSpec("sphere-latitudes", {"r0": 0.25, "n": 64})
     assert [r0 for r0, _ in masks] == [0.5, 0.25]

@@ -52,7 +52,7 @@ def test_full_selection_includes_refuted_displays():
     assert code == 1
 
 
-def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
+def test_exit_two_on_config_errors(capsys, tmp_path):
     assert main(["--example", "nosuch"]) == 2
     assert main(["--example", "flat-graph", "--formulas", "bogus-formula"]) == 2
     assert main(["--example", "flat-graph", "--res", "abc"]) == 2
@@ -70,7 +70,7 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
     # a negative seed and an empty formula selection, as flags
     assert main(["--example", "flat-parallel", "--seed", "-1", "--matrix-identities"]) == 2
     assert main(["--example", "flat-parallel", "--formulas", ","]) == 2
-    # bad values from a config file or the environment
+    # bad values from a config file
     for line in ("seed = x", "jobs = 1.5", "matrix_identities = maybe", "seed = -1", "formulas =", "jobs = 0",
                  "scheme = foo", "format = xml"):
         cfg = tmp_path / "bad.cfg"
@@ -78,14 +78,11 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
         assert main(["--config", str(cfg)]) == 2, line
     cfg.write_bytes(b"example = flat-parallel\nres = \xff\n")  # not text
     assert main(["--config", str(cfg)]) == 2
-    monkeypatch.setenv("RANDERS_FOLIATE_JOBS", "two")
-    assert main(["--example", "flat-parallel"]) == 2
     err = capsys.readouterr().err
     assert "|beta| must be < 1" in err  # the tuple reached the builder
     assert "Traceback" not in err
     assert all(line.startswith("error: ") for line in err.splitlines())
     # parameter names the example does not accept, among them the former r0_sweep
-    monkeypatch.delenv("RANDERS_FOLIATE_JOBS")
     assert main(["--example", "flat-graph", "--param", "amplitdue=0.5", "--formulas", "reeb-riemannian"]) == 2
     assert main(["--example", "flat-parallel", "--param", "r0=0.2"]) == 2
     assert main(["--example", "sphere-latitudes", "--param", "r0_sweep=0.2,0.1"]) == 2
@@ -101,16 +98,12 @@ def test_exit_two_on_config_errors(capsys, tmp_path, monkeypatch):
     assert len(err) == 5 and all(line.startswith("error: ") for line in err)
     assert err[0] == "error: flat-graph: parameter amplitude takes one value, got (0.1, 0.2)"
     assert all(line.endswith("is not finite") for line in err[1:])
-    # a worker count below 1, as a flag or from the environment
+    # a worker count other than 1: the sweep points run one at a time
     assert main(["--example", "flat-parallel", "--jobs", "0"]) == 2
     assert main(["--example", "flat-parallel", "--jobs", "-3"]) == 2
-    monkeypatch.setenv("RANDERS_FOLIATE_JOBS", "0")
-    assert main(["--example", "flat-parallel"]) == 2
-    monkeypatch.delenv("RANDERS_FOLIATE_JOBS")
     assert capsys.readouterr().err.splitlines() == [
-        "error: jobs must be an integer >= 1, got 0",
-        "error: jobs must be an integer >= 1, got -3",
-        "error: jobs must be an integer >= 1, got 0",
+        "error: argument --jobs: invalid choice: 0 (choose from 1)",
+        "error: argument --jobs: invalid choice: -3 (choose from 1)",
     ]
     # the grid size, wrong arity, a row the selected beta_mode does not read,
     # a choice outside its values, an excision radius the grid cannot
@@ -404,20 +397,37 @@ def test_csv_format(tmp_path):
     assert lines[1].startswith("reeb-riemannian,flat-parallel,12x12x12")
 
 
-def test_jobs_flag_and_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("RANDERS_FOLIATE_JOBS", "2")
-    config = build_config(["--example", "flat-graph", "--formulas", "reeb-riemannian"])
-    assert config.jobs == 2
-    config = build_config(
-        ["--example", "flat-graph", "--formulas", "reeb-riemannian", "--jobs", "3"]
-    )
-    assert config.jobs == 3
-    # the environment < a config file < a flag; a bad environment value that
-    # nothing reads is no error, and --list reads none of them
+def test_jobs_flag_and_env(tmp_path, capsys, monkeypatch):
+    # the sweep points run one at a time: --jobs (config jobs) accepts 1 alone,
+    # and RANDERS_FOLIATE_JOBS is no longer read
+    base = ["--example", "flat-parallel", "--res", "12", "--formulas", "reeb-riemannian"]
     cfg = tmp_path / "jobs.cfg"
-    cfg.write_text("example = flat-graph\njobs = 4\n")
-    assert build_config(["--config", str(cfg)]).jobs == 4
-    assert build_config(["--config", str(cfg), "--jobs", "3"]).jobs == 3
+    cfg.write_text("example = flat-parallel\nres = 12\nformulas = reeb-riemannian\njobs = 1\n")
+    assert main(base + ["--jobs", "1"]) == 0
+    assert main(["--config", str(cfg)]) == 0
+    capsys.readouterr()
+    cfg.write_text("example = flat-parallel\njobs = 2\n")
+    for argv in (base + ["--jobs", "2"], base + ["--jobs", "0"], ["--config", str(cfg)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: argument --jobs: invalid choice: "), argv
     monkeypatch.setenv("RANDERS_FOLIATE_JOBS", "two")
-    assert build_config(["--config", str(cfg)]).jobs == 4
-    assert build_config(["--list"]) is None
+    assert main(base) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_an_excised_run_takes_one_grid_size(capsys, monkeypatch):
+    # the excised sphere sweeps its radii at one size: a second size is an error
+    # before any build, not a silent pick of the finest
+    from randers_foliations import verify
+
+    def no_build(spec):
+        raise AssertionError("built before the sizes were checked")
+
+    monkeypatch.setattr(verify, "build_example", no_build)
+    assert main(["--example", "sphere-latitudes", "--res", "252,256"]) == 2
+    assert main(["--example", "sphere-latitudes", "--res", "256,128,256", "--param", "r0=0.2"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: sphere-latitudes: an excised run sweeps r0 at one grid size; got sizes 252, 256",
+        "error: sphere-latitudes: an excised run sweeps r0 at one grid size; got sizes 128, 256",
+    ]

