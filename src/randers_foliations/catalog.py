@@ -5,7 +5,7 @@ construction (level sets of explicit functions), so integrability never has
 to be checked numerically.
 
 Each example's builder, default resolutions, description (``--list``) and
-parameter rows are listed once, in ``_EXAMPLES`` and ``PARAMS`` below.
+parameter rows are listed once, in one row of ``EXAMPLES`` below.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,14 +21,13 @@ from .grid import PeriodicGrid
 from .manifold import FoliatedRandersManifold
 
 __all__ = [
+    "EXAMPLES",
+    "Example",
     "ExampleError",
     "ExampleSpec",
     "Param",
-    "PARAMS",
     "build_example",
     "example_names",
-    "example_info",
-    "default_resolutions",
     "param_help",
     "parse_params",
     "resolve_params",
@@ -46,55 +45,54 @@ class ExampleSpec:
     params: dict = field(default_factory=dict)
 
 
-def _flat_parallel(p: dict) -> FoliatedRandersManifold:
-    n, L, bs = p["n"], p["period"], np.asarray(p["beta_sharp"])
-    if np.linalg.norm(bs) >= 1.0:
-        raise ValueError("|beta| must be < 1")
-    grid = PeriodicGrid((n, n, n), (L, L, L))
-    shape = grid.sizes
-    a = np.broadcast_to(np.eye(3), shape + (3, 3)).copy()
-    N = np.zeros(shape + (3,))
-    N[..., 2] = 1.0
-    beta = np.broadcast_to(bs, shape + (3,)).copy()
-    return FoliatedRandersManifold(grid, a, beta, N, name="flat-parallel")
-
-
 def _graph_slope(x: np.ndarray, L: float, amp: float) -> np.ndarray:
     """phi'(x) of the leaf profile phi = amp (sin(w x) + cos(2 w x) / 2), w = 2 pi / L."""
     w = 2.0 * np.pi / L
     return amp * w * (np.cos(w * x) - np.sin(2.0 * w * x))
 
 
-def _flat_graph(p: dict) -> FoliatedRandersManifold:
-    n, L, bs = p["n"], p["period"], np.asarray(p["beta_sharp"])
-    grid = PeriodicGrid((n, n), (L, L))
-    x, _y = grid.meshgrid()
-    dphi = _graph_slope(x, L, p["amplitude"])
-    W = np.sqrt(1.0 + dphi**2)
-    shape = grid.sizes
-    a = np.broadcast_to(np.eye(2), shape + (2, 2)).copy()
-    N = np.stack([-dphi / W, 1.0 / W], axis=-1)
-    norm = np.linalg.norm(bs)
-    if norm >= 1.0:
+def _flat_torus(name: str, p: dict, beta_sharp: tuple, amplitude: float | None = None) -> FoliatedRandersManifold:
+    """Flat T^d, d = len(beta_sharp), with a = I and the constant beta = beta_sharp;
+    the leaves are the planes x_d = const, or with ``amplitude`` the graphs
+    x_d = phi(x_1) + const."""
+    if np.linalg.norm(beta_sharp) >= 1.0:
         raise ValueError("|beta| must be < 1")
+    n, L, d = p["n"], p["period"], len(beta_sharp)
+    grid = PeriodicGrid((n,) * d, (L,) * d)
+    shape = grid.sizes
+    # the slope's temporaries are allocated before a, and beta_sharp stays a tuple
+    # until beta: with either changed, perfbench tangent3d's peak RSS read 208-209 MB
+    # in place of 202 MB (heap placement; 2-core Linux host, numpy 2.4)
+    if amplitude is not None:
+        x = grid.meshgrid()[0]
+        dphi = _graph_slope(x, L, amplitude)
+        W = np.sqrt(1.0 + dphi**2)
+    a = np.broadcast_to(np.eye(d), shape + (d, d)).copy()
+    if amplitude is None:
+        N = np.zeros(shape + (d,))
+        N[..., -1] = 1.0
+    else:
+        N = np.stack([-dphi / W, *[np.zeros_like(W)] * (d - 2), 1.0 / W], axis=-1)
+    beta = np.broadcast_to(beta_sharp, shape + (d,)).copy()
+    return FoliatedRandersManifold(grid, a, beta, N, name=name)
+
+
+def _flat_parallel(p: dict) -> FoliatedRandersManifold:
+    return _flat_torus("flat-parallel", p, p["beta_sharp"])
+
+
+def _flat_graph(p: dict) -> FoliatedRandersManifold:
+    M = _flat_torus("flat-graph", p, p["beta_sharp"], p["amplitude"])
+    bs = np.asarray(p["beta_sharp"])
+    norm = np.linalg.norm(bs)
     # beta_sharp must stay nowhere parallel to N (beta = 0 is parallel to nothing)
-    if norm > 0.0 and np.abs(N @ bs).max() >= (1.0 - 1e-6) * norm:
+    if norm > 0.0 and np.abs(M.N @ bs).max() >= (1.0 - 1e-6) * norm:
         raise ValueError("beta_sharp is parallel to N somewhere; leaves would be orthogonal")
-    beta = np.broadcast_to(bs, shape + (2,)).copy()
-    return FoliatedRandersManifold(grid, a, beta, N, name="flat-graph")
+    return M
 
 
 def _flat_graph_tangent(p: dict) -> FoliatedRandersManifold:
-    n, L = p["n"], p["period"]
-    grid = PeriodicGrid((n, n, n), (L, L, L))
-    x = grid.meshgrid()[0]
-    dphi = _graph_slope(x, L, p["amplitude"])
-    W = np.sqrt(1.0 + dphi**2)
-    shape = grid.sizes
-    a = np.broadcast_to(np.eye(3), shape + (3, 3)).copy()
-    N = np.stack([-dphi / W, np.zeros_like(W), 1.0 / W], axis=-1)
-    beta = np.broadcast_to(np.array([0.0, p["b"], 0.0]), shape + (3,)).copy()
-    return FoliatedRandersManifold(grid, a, beta, N, name="flat-graph-tangent")
+    return _flat_torus("flat-graph-tangent", p, (0.0, p["b"], 0.0), p["amplitude"])
 
 
 def _conformal_torus(p: dict) -> FoliatedRandersManifold:
@@ -189,43 +187,6 @@ def _sphere_latitudes(p: dict) -> FoliatedRandersManifold:
     )
 
 
-# name: (builder, default resolutions, description); the excised sphere sweeps
-# the excision radius at the finest grid, so one resolution is its default
-_EXAMPLES = {
-    "flat-parallel": (
-        _flat_parallel, (12, 16),
-        "flat T^3, parallel leaves, constant tilted beta; Berwald, flat, "
-        "Abar = Zbar = 0; exercises every formula trivially and the "
-        "totally-geodesic and equality cases of the bounds",
-    ),
-    "flat-graph": (
-        _flat_graph, (48, 64),
-        "flat T^2, graph leaves, constant beta, beta(N) varying; Berwald, "
-        "flat curvature: exercises the shape-operator comparison, the "
-        "parallel-field second-order formula, the Berwald sigma_k series "
-        "and the flat total-curvature values",
-    ),
-    "flat-graph-tangent": (
-        _flat_graph_tangent, (24, 32),
-        "flat T^3, graph leaves along x, constant beta tangent to leaves; "
-        "Berwald, beta(N) = 0 constant: adds the constant-angle variants "
-        "and the parallel-tangent vanishing conclusions",
-    ),
-    "conformal-torus": (
-        _conformal_torus, (48, 64),
-        "conformally flat T^2, coordinate leaves, smooth non-parallel beta; "
-        "exercises the general first-order balance, the weighted mean "
-        "curvature formula and (beta_mode=riemannian) the curvature-route "
-        "second-order identity",
-    ),
-    "sphere-latitudes": (
-        _sphere_latitudes, (256,),
-        "round S^2, latitude leaves, poles excised at radius r0: the "
-        "singular-foliation regime; beta_mode=eigen runs the principal "
-        "direction construction with constant c and beta(N)",
-    ),
-}
-
 _FINITE, _POSITIVE, _UNIT = ((-math.inf, math.inf),), ((0.0, math.inf),), ((-1.0, 1.0),)
 _RADIUS = ((0.0, math.pi / 2),)  # _excision_mask also rejects a radius no node lies beyond (odd n)
 
@@ -243,50 +204,82 @@ class Param(NamedTuple):
     bounds: tuple = _FINITE
 
 
-# every parameter each example accepts; the resolution sweep sets the grid size n
-PARAMS = {
-    "flat-parallel": {
-        "period": Param(1.0, bounds=_POSITIVE),
-        "beta_sharp": Param((0.3, 0.0, 0.4), "tuple", 3, _UNIT),
-    },
-    "flat-graph": {
-        "period": Param(1.0, bounds=_POSITIVE),
-        "amplitude": Param(0.05),
-        "beta_sharp": Param((0.3, 0.15), "tuple", 2, _UNIT),
-    },
-    "flat-graph-tangent": {
-        "period": Param(1.0, bounds=_POSITIVE),
-        "amplitude": Param(0.04),
-        # the only beta component, tangent to the leaves; 0 would make beta vanish
-        "b": Param(0.4, bounds=((-1.0, 0.0), (0.0, 1.0))),
-    },
-    "conformal-torus": {
-        "period": Param(1.0, bounds=_POSITIVE),
-        "phi_amplitude": Param(0.15),
-        "beta_mode": Param("generic", "choice", bounds=("generic", "constant-angle", "riemannian")),
-        "eps1": Param({"generic": 0.35, "constant-angle": 0.4}, bounds=_UNIT),
-        "eps2": Param({"generic": 0.25, "constant-angle": 0.25}, bounds=_UNIT),
-    },
-    "sphere-latitudes": {
-        "r0": Param((0.2, 0.1, 0.05), "tuple", None, _RADIUS),  # the radii sweep_points sweeps
-        "beta_mode": Param("rotational", "choice", bounds=("rotational", "eigen")),
-        "eps": Param(0.25, bounds=_UNIT),
-        "asym": Param({"rotational": 0.6}),
-        "eps_prime": Param({"eigen": 0.3}, bounds=_UNIT),
-    },
+class Example(NamedTuple):
+    """One catalog row: the builder, the default resolutions, the ``--list``
+    description and every parameter the example accepts (the resolution
+    sweep sets the grid size n)."""
+
+    build: Callable[[dict], FoliatedRandersManifold]
+    resolutions: tuple[int, ...]
+    description: str
+    params: dict[str, Param]
+
+
+# the excised sphere sweeps the excision radius at one grid size, so one
+# resolution is its default
+EXAMPLES = {
+    "flat-parallel": Example(
+        _flat_parallel, (12, 16),
+        "flat T^3, parallel leaves, constant tilted beta; Berwald, flat, "
+        "Abar = Zbar = 0; exercises every formula trivially and the "
+        "totally-geodesic and equality cases of the bounds",
+        {"period": Param(1.0, bounds=_POSITIVE),
+         "beta_sharp": Param((0.3, 0.0, 0.4), "tuple", 3, _UNIT)},
+    ),
+    "flat-graph": Example(
+        _flat_graph, (48, 64),
+        "flat T^2, graph leaves, constant beta, beta(N) varying; Berwald, "
+        "flat curvature: exercises the shape-operator comparison, the "
+        "parallel-field second-order formula, the Berwald sigma_k series "
+        "and the flat total-curvature values",
+        {"period": Param(1.0, bounds=_POSITIVE),
+         "amplitude": Param(0.05),
+         "beta_sharp": Param((0.3, 0.15), "tuple", 2, _UNIT)},
+    ),
+    "flat-graph-tangent": Example(
+        _flat_graph_tangent, (24, 32),
+        "flat T^3, graph leaves along x, constant beta tangent to leaves; "
+        "Berwald, beta(N) = 0 constant: adds the constant-angle variants "
+        "and the parallel-tangent vanishing conclusions",
+        {"period": Param(1.0, bounds=_POSITIVE),
+         "amplitude": Param(0.04),
+         # the only beta component, tangent to the leaves; 0 would make beta vanish
+         "b": Param(0.4, bounds=((-1.0, 0.0), (0.0, 1.0)))},
+    ),
+    "conformal-torus": Example(
+        _conformal_torus, (48, 64),
+        "conformally flat T^2, coordinate leaves, smooth non-parallel beta; "
+        "exercises the general first-order balance, the weighted mean "
+        "curvature formula and (beta_mode=riemannian) the curvature-route "
+        "second-order identity",
+        {"period": Param(1.0, bounds=_POSITIVE),
+         "phi_amplitude": Param(0.15),
+         "beta_mode": Param("generic", "choice", bounds=("generic", "constant-angle", "riemannian")),
+         "eps1": Param({"generic": 0.35, "constant-angle": 0.4}, bounds=_UNIT),
+         "eps2": Param({"generic": 0.25, "constant-angle": 0.25}, bounds=_UNIT)},
+    ),
+    "sphere-latitudes": Example(
+        _sphere_latitudes, (256,),
+        "round S^2, latitude leaves, poles excised at radius r0: the "
+        "singular-foliation regime; beta_mode=eigen runs the principal "
+        "direction construction with constant c and beta(N)",
+        {"r0": Param((0.2, 0.1, 0.05), "tuple", None, _RADIUS),  # the radii sweep_points sweeps
+         "beta_mode": Param("rotational", "choice", bounds=("rotational", "eigen")),
+         "eps": Param(0.25, bounds=_UNIT),
+         "asym": Param({"rotational": 0.6}),
+         "eps_prime": Param({"eigen": 0.3}, bounds=_UNIT)},
+    ),
 }
 
 
 def example_names() -> list[str]:
-    return sorted(_EXAMPLES)
+    return sorted(EXAMPLES)
 
 
-def example_info(name: str) -> str:
-    return _EXAMPLES[name][2]
-
-
-def default_resolutions(name: str) -> tuple[int, ...]:
-    return _EXAMPLES[name][1]
+def _example(name: str) -> Example:
+    if name not in EXAMPLES:
+        raise ExampleError(f"unknown example {name!r}; available: {', '.join(example_names())}")
+    return EXAMPLES[name]
 
 
 def _intervals(bounds: tuple) -> str:
@@ -296,7 +289,7 @@ def _intervals(bounds: tuple) -> str:
 def param_help(name: str) -> list[str]:
     """One line per row: kind, arity, bounds and the default of each beta_mode."""
     lines = []
-    for key, row in PARAMS[name].items():
+    for key, row in EXAMPLES[name].params.items():
         kind = f"tuple[{row.arity or '1+'}]" if row.kind == "tuple" else row.kind
         bounds = "|".join(row.bounds) if row.kind == "choice" else _intervals(row.bounds)
         lines.append(f"{key:<14s} {kind} in {bounds}; default {row.default}")
@@ -306,7 +299,7 @@ def param_help(name: str) -> list[str]:
 def parse_params(name: str, texts: dict[str, str]) -> dict:
     """``--param`` text parsed by each row's kind and validated: a choice keeps
     its text, anything else becomes a float or, with commas, a tuple of them."""
-    rows, params = PARAMS.get(name, {}), {}
+    rows, params = _example(name).params, {}
     for key, text in texts.items():
         items = tuple(map(_number, text.split(",")))
         choice = key in rows and rows[key].kind == "choice"
@@ -347,15 +340,14 @@ def resolve_params(name: str, params: dict) -> dict:
     """The values an example builds from: ``params`` checked against its rows,
     with the defaults of the selected ``beta_mode`` filled in, and the grid
     size ``n`` (default: the finest default resolution)."""
-    if name not in PARAMS:
-        raise ExampleError(f"unknown example {name!r}; available: {', '.join(example_names())}")
-    rows = PARAMS[name]
+    example = _example(name)
+    rows = example.params
     unknown = sorted(set(params) - set(rows) - {"n"})
     if unknown:
         raise ExampleError(
             f"unknown parameter(s) {', '.join(unknown)} for {name}; accepted: {', '.join(rows)}"
         )
-    n = params["n"] if "n" in params else max(default_resolutions(name))
+    n = params["n"] if "n" in params else max(example.resolutions)
     if isinstance(n, bool) or not isinstance(n, Integral):
         raise ExampleError(f"{name}: grid size n must be an integer, got {n!r}")
     resolved, mode = {"n": int(n)}, None
@@ -406,6 +398,6 @@ def build_example(spec: ExampleSpec) -> FoliatedRandersManifold:
     fail their rows (see ``resolve_params``) or the builder's own checks."""
     p = resolve_params(spec.name, spec.params)
     try:
-        return _EXAMPLES[spec.name][0](p)
+        return EXAMPLES[spec.name].build(p)
     except ValueError as exc:
         raise ExampleError(f"{spec.name}: {exc}") from exc

@@ -17,10 +17,11 @@ out of bounds are configuration errors.  ``--res`` alone sets the grid size
 
 A ``--config`` file holds flat ``key = value`` lines (``#`` starts a comment).
 Each line becomes the flag it names, placed before argv, so one parser checks
-both and flags override the file.  Keys: example, param (repeatable), res,
-formulas, scheme, seed, jobs (only 1), out, format, matrix_identities (true,
-false, 1 or 0).  An unknown key and every bad flag or value end in one
-``error:`` line and exit status 2.
+both and flags override the file.  A key is a flag's long name with ``_`` for
+``-``, every flag but ``--help``, ``--config`` and ``--list``: example, param
+(repeatable), res, formulas, scheme, seed, jobs (only 1), out, format,
+matrix_identities (a switch: true, false, 1 or 0).  An unknown key and every
+bad flag or value end in one ``error:`` line and exit status 2.
 
 Exit status: 0 when every applicable check passes, 1 when any check fails,
 2 on configuration errors (a grid too large to allocate, an empty ``--out``
@@ -40,15 +41,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .catalog import (
-    ExampleError,
-    ExampleSpec,
-    default_resolutions,
-    example_info,
-    example_names,
-    param_help,
-    parse_params,
-)
+from .catalog import EXAMPLES, ExampleError, ExampleSpec, example_names, param_help, parse_params
 from .matinv import verify_appendix_identities
 from .report import ResidualReport, reports_to_csv, reports_to_json
 from .verify import FORMULAS, GATES, formula_ids, run_formulas
@@ -99,11 +92,9 @@ def _split_param(item: str) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
-_FILE_KEYS = "example param res formulas scheme seed jobs out format matrix_identities".split()
-
-
-def _read_config_file(path: str) -> list[str]:
-    """The flag tokens of a ``--config`` file, one a line (see the module docstring)."""
+def _read_config_file(path: str, keys: dict[str, argparse.Action]) -> list[str]:
+    """The flag tokens of a ``--config`` file, one a line (see the module docstring);
+    ``keys`` maps each config key to the parser action of its flag."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -117,12 +108,13 @@ def _read_config_file(path: str) -> list[str]:
         if "=" not in line:
             raise ConfigError(f"{where}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FILE_KEYS:
-            raise ConfigError(f"{where}: unknown key {key!r}; accepted: {', '.join(_FILE_KEYS)}")
-        if key != "matrix_identities":
-            tokens.append(f"--{key}={value}")  # one token: a value may start with '-'
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown key {key!r}; accepted: {', '.join(keys)}")
+        flag = keys[key].option_strings[-1]
+        if keys[key].nargs != 0:
+            tokens.append(f"{flag}={value}")  # one token: a value may start with '-'
         elif value.lower() in ("true", "1"):
-            tokens.append("--matrix-identities")
+            tokens.append(flag)
         elif value.lower() not in ("false", "0"):
             raise ConfigError(f"{where}: {key} must be true, false, 1 or 0, got {value!r}")
     return tokens
@@ -182,7 +174,10 @@ def build_config(argv: list[str]) -> RunConfig | None:
     if args.list:
         _print(*_catalog_lines())
         return None
-    args = parser.parse_args((_read_config_file(args.config) if args.config else []) + argv)
+    # a config key is a flag's long name, in declaration order; --config and --list are no settings
+    keys = {opt[2:].replace("-", "_"): action for action in parser._actions for opt in action.option_strings
+            if opt.startswith("--") and opt not in ("--help", "--config", "--list")}
+    args = parser.parse_args((_read_config_file(args.config, keys) if args.config else []) + argv)
 
     if not args.example:
         raise ConfigError("no example selected; use --example or a config file (or --list)")
@@ -199,7 +194,7 @@ def build_config(argv: list[str]) -> RunConfig | None:
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise ConfigError(f"cannot write report {args.out}: No such file or directory")
     if args.res is None:
-        resolutions = list(default_resolutions(args.example))
+        resolutions = list(EXAMPLES[args.example].resolutions)
     else:
         try:
             resolutions = [int(tok) for tok in args.res.split(",") if tok.strip()]
@@ -218,10 +213,11 @@ def build_config(argv: list[str]) -> RunConfig | None:
 def _catalog_lines() -> list[str]:
     lines = ["examples:"]
     for name in example_names():
-        lines.append(f"  {name:<22s} {example_info(name)}")
+        example = EXAMPLES[name]
+        lines.append(f"  {name:<22s} {example.description}")
         lines.append(f"  {'':<22s} parameters (the grid size n is set by --res):")
         lines += [f"  {'':<22s}   {line}" for line in param_help(name)]
-        lines.append(f"  {'':<22s} default resolutions: {', '.join(str(n) for n in default_resolutions(name))}")
+        lines.append(f"  {'':<22s} default resolutions: {', '.join(map(str, example.resolutions))}")
     lines.append("\ngates:")
     lines += [f"  {name:<22s} {key} {op} {threshold:g}" for name, (key, op, threshold) in GATES.items()]
     lines.append("\nformulas:")
@@ -268,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         if config is None:
             return 0
         code, reports = run(config)
-    except (ConfigError, ExampleError) as exc:
+    except (ConfigError, ExampleError, FloatingPointError) as exc:  # the last: fields not finite or not SPD
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # a grid too large to allocate is a configuration error

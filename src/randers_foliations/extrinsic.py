@@ -13,10 +13,11 @@ nu-curves and to the torsion operator C^sharp_nu (the g-dual of
 C_nu(., ., Z)).  Everything needed by the integral verifier (delta, the
 rank-one pieces U1, U2, a3 of the parallel-beta decomposition, the full shape
 operator A = A^g + C^sharp_nu, eigenvalues, volume densities) is cached on
-one bundle object, the only memo of the pipeline: each field is computed at
-most once per bundle, and a fresh bundle is built for every sweep point.  The
-bundle holds only derived fields; the pointwise scalars and normals (c, chat,
-beta(N), n, nu and bst = beta_sharp_top) are read from the manifold.  Each of
+one bundle object, the memo of the derived fields: each is computed at most
+once per bundle, and a fresh bundle is built for every sweep point.  The
+pointwise scalars and normals (c, chat, beta(N), n, nu and bst =
+beta_sharp_top) are read from the manifold, which caches them itself, with
+a_inv and the tangent projector; the grid caches its spacings.  Each of
 the two Levi-Civita connections (of a and of g) is formed once, inside one
 pass that takes every field its readers need from it, and is freed when the
 pass returns: no held field has more than dim + 2 axes.  Each pass output is

@@ -13,6 +13,7 @@ is spectrally accurate for smooth integrands; excised nodes carry weight zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,6 +51,10 @@ class PeriodicGrid:
             raise ValueError("periods must be positive")
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "periods", periods)
+        # quadrature scales by the cell volume: 0 (underflow) would pass any integral, inf none
+        if not np.finfo(float).tiny <= self.cell_volume < np.inf:
+            raise ValueError(f"periods {periods} at sizes {sizes} give a cell volume of "
+                             f"{self.cell_volume:g}, which is not a finite normal float")
 
     @property
     def dim(self) -> int:
@@ -61,7 +66,7 @@ class PeriodicGrid:
 
     @cached_property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacings))
+        return math.prod(self.spacings)  # inf or 0 past the float range, without a warning
 
     def axis_coords(self, axis: int) -> np.ndarray:
         n, L = self.sizes[axis], self.periods[axis]

@@ -220,11 +220,25 @@ def test_criterion_7_integral_formulas():
     strict=True,
     reason="published first-order tilt balance: the residual converges to a "
     "nonzero value on the generic conformal torus (transcription error in the "
-    "comparison formula's tilted terms; see /root/notes/decisions.md)",
+    "comparison formula's tilted terms; see the README section \"Findings on "
+    "the published closed forms\")",
 )
 def test_criterion_7_tilt_balance_as_published():
     rep = _report("conformal-torus", ["tilt-balance-printed"], [48, 64])
     assert _one(rep, "tilt-balance-printed").residual < 1e-6
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a zero row's residual is an absolute integral that scales with the "
+    "chart: the refuted tilt balance reads 7.965e-4 at period 1 and 7.965e-7 at "
+    "period 0.001, which passes its 1e-6 tolerance (ROADMAP item 1: judge "
+    "integrals on a period-free scale)",
+    raises=AssertionError,
+)
+def test_criterion_7_tilt_balance_fails_at_any_period():
+    rep = _report("conformal-torus", ["tilt-balance-printed"], [48, 64], params={"period": 0.001})
+    assert _one(rep, "tilt-balance-printed").verdict == "fail"
 
 
 def test_criterion_7_tilt_balance_plateau_documented():
@@ -240,7 +254,7 @@ def test_criterion_7_tilt_balance_plateau_documented():
     strict=True,
     reason="published parallel-field second-order display: converged nonzero "
     "residual on flat Berwald examples (dropped delta- and torsion-square "
-    "terms; see /root/notes/decisions.md)",
+    "terms; see the README section \"Findings on the published closed forms\")",
 )
 def test_criterion_7_parallel_second_order_as_published():
     rep = _report("flat-graph", ["parallel-second-order-printed"], [48, 64])

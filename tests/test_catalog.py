@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from randers_foliations import catalog
 from randers_foliations.catalog import (
-    PARAMS,
+    EXAMPLES,
     ExampleError,
     ExampleSpec,
     build_example,
-    default_resolutions,
     example_names,
     parse_params,
     sweep_points,
@@ -23,7 +22,7 @@ from randers_foliations.grid import MIN_SIZE
 
 
 def _modes(name):
-    rows = PARAMS[name]
+    rows = EXAMPLES[name].params
     return rows["beta_mode"].bounds if "beta_mode" in rows else (None,)
 
 
@@ -32,7 +31,7 @@ def smallest():
     """The smallest grid size at which each example builds at its defaults."""
     sizes = {}
     for name in example_names():
-        for n in range(MIN_SIZE, max(default_resolutions(name)) + 1):
+        for n in range(MIN_SIZE, max(EXAMPLES[name].resolutions) + 1):
             try:
                 build_example(ExampleSpec(name, {"n": n}))
             except ExampleError:
@@ -71,7 +70,7 @@ def test_builders_read_exactly_their_rows(name, smallest, monkeypatch):
         build_example(spec)
         sweep_points(spec, [smallest[name]])
         read = set().union(*(values.read for values in resolved))
-        rows = {k for k, row in PARAMS[name].items()
+        rows = {k for k, row in EXAMPLES[name].params.items()
                 if not isinstance(row.default, dict) or mode in row.default}
         assert read == rows | {"n"}, mode
 
@@ -143,7 +142,7 @@ def _values(row):
 
 def _params(name):
     # the rows of every beta_mode, so names from another mode are drawn too
-    return st.fixed_dictionaries({}, optional={key: _values(row) for key, row in PARAMS[name].items()})
+    return st.fixed_dictionaries({}, optional={key: _values(row) for key, row in EXAMPLES[name].params.items()})
 
 
 def _build_or_example_error(name, params, n):
@@ -155,8 +154,10 @@ def _build_or_example_error(name, params, n):
         assert M.grid.sizes[0] == n
 
 
-# a subnormal period overflows the fields to inf/nan (numpy warns), which the
-# manifold then rejects with an ExampleError
+# the grid rejects a period whose cell volume leaves the normal float range (a
+# subnormal period among them) before any field is formed; a period just inside
+# it can still overflow a graph leaf's slope squared to inf and its normal to
+# nan (numpy warns), which the manifold then rejects with an ExampleError
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -169,7 +170,7 @@ def test_any_params_build_or_raise_one_line_example_error(data, smallest):
 @given(data=st.data())
 def test_any_param_text_parses_or_raises_one_line_example_error(data, smallest):
     name = data.draw(st.sampled_from(example_names()))
-    keys = st.sampled_from(sorted(PARAMS[name]) + ["bogus"])
+    keys = st.sampled_from(sorted(EXAMPLES[name].params) + ["bogus"])
     texts = data.draw(st.dictionaries(keys, st.text("0123456789.,-+einfa", max_size=12), max_size=3))
     try:
         params = parse_params(name, texts)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from randers_foliations.catalog import EXAMPLES
 from randers_foliations.cli import ConfigError, build_config, main
 
 
@@ -230,13 +231,17 @@ def test_config_file_and_its_flag_twin_write_the_same_report(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "example = conformal-torus\nres = 32,48\nformulas = reeb-riemannian,reeb-finsler\n"
-        "scheme = central4  # stencils\nseed = 3\nmatrix_identities = true\n"
+        "scheme = central4  # stencils\nseed = 3\njobs = 1\nformat = json\nmatrix_identities = true\n"
         f"param = beta_mode=riemannian\nparam = phi_amplitude=0.2\nout = {file_out}\n"
     )
     flags = ["--example", "conformal-torus", "--res", "32,48", "--formulas",
-             "reeb-riemannian,reeb-finsler", "--scheme", "central4", "--seed", "3",
-             "--matrix-identities", "--param", "beta_mode=riemannian", "--param",
+             "reeb-riemannian,reeb-finsler", "--scheme", "central4", "--seed", "3", "--jobs", "1",
+             "--format", "json", "--matrix-identities", "--param", "beta_mode=riemannian", "--param",
              "phi_amplitude=0.2", "--out", str(flag_out)]
+    # the file names every accepted key once (param twice)
+    keys = [line.split("=", 1)[0].strip() for line in cfg.read_text().splitlines()]
+    assert sorted(set(keys)) == sorted("example param res formulas scheme seed jobs out format "
+                                       "matrix_identities".split())
     assert main(["--config", str(cfg)]) == main(flags) == 0
     assert file_out.read_bytes() == flag_out.read_bytes()
     config = json.loads(file_out.read_text())["config"]
@@ -258,6 +263,11 @@ def test_list_catalog(capsys):
         line.endswith("gates: smooth-beta any-of[berwald,beta-zero,singular]")
         for line in lines if "reeb-finsler" in line
     )
+    # each example's description and default resolutions, from its catalog row
+    for name, example in EXAMPLES.items():
+        at = lines.index(f"  {name:<22s} {example.description}")
+        below = next(line for line in lines[at:] if "default resolutions:" in line)
+        assert below == f"  {'':<22s} default resolutions: {', '.join(map(str, example.resolutions))}"
     # stable ordering across runs
     assert main(["--list"]) == 0
     assert capsys.readouterr().out == text
@@ -431,3 +441,38 @@ def test_an_excised_run_takes_one_grid_size(capsys, monkeypatch):
         "error: sphere-latitudes: an excised run sweeps r0 at one grid size; got sizes 252, 256",
         "error: sphere-latitudes: an excised run sweeps r0 at one grid size; got sizes 128, 256",
     ]
+
+
+@pytest.mark.parametrize("argv, volume", [
+    # the cell volume overflows to inf: the integrals read nan and the report held bare NaN tokens
+    (["--example", "flat-graph-tangent", "--param", "period=1e300", "--res", "8",
+      "--formulas", "reeb-riemannian,shape-comparison"],
+     "(1e+300, 1e+300, 1e+300) at sizes (8, 8, 8) give a cell volume of inf"),
+    # it underflows to 0: a traceback from the quadrature ...
+    (["--example", "conformal-torus", "--param", "beta_mode=riemannian", "--param", "period=1e-170",
+      "--res", "16", "--formulas", "second-order-riemannian"],
+     "(1e-170, 1e-170) at sizes (16, 16) give a cell volume of 0"),
+    # ... or a refuted display passing at residual 0
+    (["--example", "conformal-torus", "--param", "period=1e-170", "--res", "16,24",
+      "--formulas", "tilt-balance-printed"],
+     "(1e-170, 1e-170) at sizes (16, 16) give a cell volume of 0"),
+], ids=["overflow", "underflow-traceback", "underflow-pass"])
+def test_a_period_past_the_float_range_is_a_configuration_error(argv, volume, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {argv[1]}: periods {volume}, which is not a finite normal float"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_fields_are_a_configuration_error(tmp_path, capsys):
+    # e^{2 phi} at phi_amplitude = 100 is finite, but the curvature of a overflows:
+    # the quadrature's FloatingPointError is one error line, not a traceback
+    out = tmp_path / "r.json"
+    argv = ["--example", "conformal-torus", "--param", "beta_mode=riemannian", "--param", "phi_amplitude=100",
+            "--res", "16", "--formulas", "second-order-riemannian", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: non-finite integrand at active nodes"]
+    assert not out.exists()
