@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .grid import PeriodicGrid
+from .invariants import matvec
 from .manifold import FoliatedRandersManifold
 
 __all__ = [
@@ -114,7 +115,7 @@ def _conformal_torus(p: dict) -> FoliatedRandersManifold:
         bsharp = np.stack([p["eps1"] * u * emp, p["eps2"] * v * emp], axis=-1)
     else:  # constant-angle
         bsharp = np.stack([p["eps1"] * emp, p["eps2"] * emp], axis=-1)
-    beta = np.einsum("...ij,...j->...i", a, bsharp)
+    beta = matvec(a, bsharp)
     return FoliatedRandersManifold(
         grid, a, beta, N, name=f"conformal-torus[{mode}]", beta_sharp_given=bsharp
     )

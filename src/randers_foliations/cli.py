@@ -41,9 +41,12 @@ import os
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .catalog import EXAMPLES, ExampleError, ExampleSpec, example_names, param_help, parse_params
+from .grid import SCHEMES
 from .matinv import verify_appendix_identities
-from .report import ResidualReport, reports_to_csv, reports_to_json
+from .report import VERDICTS, ResidualReport, reports_to_csv, reports_to_json
 from .verify import FORMULAS, GATES, formula_ids, run_formulas
 
 
@@ -155,7 +158,7 @@ def build_config(argv: list[str]) -> RunConfig | None:
         help="'all' (checks expected to hold), 'full' (including refuted "
         "published displays), or comma-separated formula ids",
     )
-    parser.add_argument("--scheme", choices=("spectral", "central4"), help="derivative scheme")
+    parser.add_argument("--scheme", choices=SCHEMES, help="derivative scheme")
     parser.add_argument(
         "--seed", type=lambda v: _parse_int(v, "seed", 0), help="seed for randomized identity checks"
     )
@@ -263,14 +266,15 @@ def main(argv: list[str] | None = None) -> int:
         config = build_config(argv)
         if config is None:
             return 0
-        code, reports = run(config)
-    except (ConfigError, ExampleError, FloatingPointError) as exc:  # the last: fields not finite or not SPD
+        with np.errstate(divide="raise", over="raise", invalid="raise"):  # underflow stays silent
+            code, reports = run(config)
+    except (ConfigError, ExampleError, FloatingPointError) as exc:  # the last: a float error or fields not SPD
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # a grid too large to allocate is a configuration error
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
-    counts = {v: sum(r.verdict == v for r in reports) for v in ("pass", "fail", "not-applicable")}
+    counts = {v: sum(r.verdict == v for r in reports) for v in VERDICTS}
     _print(*(r.summary_line() for r in reports), f"\n{counts['pass']} passed, {counts['fail']} failed, "
            f"{counts['not-applicable']} not applicable")
     if config.out is not None:

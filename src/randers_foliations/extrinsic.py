@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .invariants import det, dot, outer
+from .invariants import det, dot, matvec, outer
 from .manifold import (
     FoliatedRandersManifold,
     _masked_to_identity,
@@ -73,20 +73,16 @@ def g_metric_field(M: FoliatedRandersManifold) -> np.ndarray:
     """
     n = M.n_field
     beta = M.beta
-    n_flat = np.einsum("...ij,...j->...i", M.a, n)
-    beta_n = np.einsum("...i,...i->...", beta, n)
+    n_flat = matvec(M.a, n)
+    beta_n = dot(beta, n)
     g = (
         (1.0 + beta_n)[..., None, None] * M.a
-        + np.einsum("...i,...j->...ij", beta, beta)
-        - beta_n[..., None, None] * np.einsum("...i,...j->...ij", n_flat, n_flat)
-        + np.einsum("...i,...j->...ij", beta, n_flat)
-        + np.einsum("...i,...j->...ij", n_flat, beta)
+        + outer(beta, beta)
+        - beta_n[..., None, None] * outer(n_flat, n_flat)
+        + outer(beta, n_flat)
+        + outer(n_flat, beta)
     )
     return g
-
-
-def _matvec(L: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("...ab,...b->...a", L, v)
 
 
 def _pass_field(run_pass, name: str) -> cached_property:
@@ -181,9 +177,7 @@ class ExtrinsicBundle:
             "Zbar": Zbar,
             "nabla_beta_sharp": covariant_vector_derivative(M, M.beta_sharp, gamma, scheme),
             "nabla_Zbar": covariant_vector_derivative(M, Zbar, gamma, scheme),
-            "nabla_n_bst": _matvec(
-                covariant_vector_derivative(M, M.beta_sharp_top, gamma, scheme), M.n_field
-            ),
+            "nabla_n_bst": matvec(covariant_vector_derivative(M, M.beta_sharp_top, gamma, scheme), M.n_field),
             "gamma_N": connection_along(gamma, M.N),
         }
         curvature = curvature_bar(M, gamma, scheme) if M.mask is None else (None,) * 3
@@ -196,12 +190,12 @@ class ExtrinsicBundle:
         M, scheme = self.M, self.scheme
         gamma = levi_civita(M, scheme, metric=self.g)
         nabla_nu = covariant_vector_derivative(M, M.nu_field, gamma, scheme)
-        Z = M.project_tangent(_matvec(nabla_nu, M.nu_field))
+        Z = M.project_tangent(matvec(nabla_nu, M.nu_field))
         out = {
             "nabla_nu": nabla_nu,
             "Z_direct": Z,
             "nabla_Z_direct": covariant_vector_derivative(M, Z, gamma, scheme),
-            "nabla_n_n": _matvec(covariant_vector_derivative(M, M.n_field, gamma, scheme), M.n_field),
+            "nabla_n_n": matvec(covariant_vector_derivative(M, M.n_field, gamma, scheme), M.n_field),
         }
         vars(self).update(out)
         return out
@@ -240,8 +234,7 @@ class ExtrinsicBundle:
         """
         M = self.M
         d, m = M.dim, M.m
-        Nf = M.N_flat
-        drop = np.argmax(np.abs(Nf), axis=-1)
+        drop = np.argmax(np.abs(M.N_flat), axis=-1)
         E = np.zeros(M.grid.sizes + (d, m))
         for k in range(d):
             sel = drop == k
@@ -250,10 +243,8 @@ class ExtrinsicBundle:
             cols = [i for i in range(d) if i != k]
             for a_idx, i in enumerate(cols):
                 E[sel, :, a_idx] = np.eye(d)[i]
-        N = M.N
         for a_idx in range(m):
-            v = E[..., a_idx]
-            v = v - np.einsum("...i,...i->...", Nf, v)[..., None] * N
+            v = M.project_tangent(E[..., a_idx])
             for b_idx in range(a_idx):
                 u = E[..., b_idx]
                 v = v - M.inner(u, v)[..., None] * u
@@ -289,7 +280,7 @@ class ExtrinsicBundle:
     @cached_property
     def Abst_frame(self):
         """Abar(bst) in the frame."""
-        return _matvec(self.Abar_frame, self.b_frame)
+        return matvec(self.Abar_frame, self.b_frame)
 
     @cached_property
     def Q_frame(self):
@@ -323,14 +314,14 @@ class ExtrinsicBundle:
         before the frame map.
         """
         nu, Dnu = self.M.nu_field, self.nabla_nu
-        g_nu = np.einsum("...ij,...j->...i", self.g, nu)
+        g_nu = matvec(self.g, nu)
         return -self.op_to_frame(Dnu - outer(nu, (g_nu[..., None, :] @ Dnu)[..., 0, :]))
 
     @cached_property
     def delta(self):
         """delta = -(1/2) c^-1 chat^-2 n(c chat)."""
         dcc = gradient(self.M, self.cc, self.scheme)
-        n_cc = np.einsum("...i,...i->...", self.M.n_field, dcc)
+        n_cc = dot(self.M.n_field, dcc)
         return -0.5 * n_cc / (self.M.c * self.M.chat**2)
 
     @cached_property
@@ -371,7 +362,7 @@ class ExtrinsicBundle:
         )
         S = (
             self.Abst_frame / c2[..., None]
-            + _matvec(self.Def_frame, b) / (c2 * chat)[..., None]
+            + matvec(self.Def_frame, b) / (c2 * chat)[..., None]
             + W / (2.0 * c2 * chat)[..., None]
             - Q / (2.0 * c * chat)[..., None]
         )
@@ -402,7 +393,7 @@ class ExtrinsicBundle:
         V = (
             Abst
             - dot(Abst, b)[..., None] * b
-            + 2.0 / chat[..., None] * _matvec(self.Def_frame, b)
+            + 2.0 / chat[..., None] * matvec(self.Def_frame, b)
             + U
             + dot(b, U)[..., None] * b
         )
@@ -425,7 +416,7 @@ class ExtrinsicBundle:
     @cached_property
     def dchat_frame(self):
         """Tangential a-gradient of chat, grad^T chat, in the frame."""
-        return self.vec_to_frame(np.einsum("...ij,...j->...i", self.M.a_inv, self.d_chat))
+        return self.vec_to_frame(matvec(self.M.a_inv, self.d_chat))
 
     @cached_property
     def Z_formula(self):
@@ -492,8 +483,8 @@ class ExtrinsicBundle:
         b, Zb = self.b_frame, self.Zbar_frame
         c, chat, cc = self.M.c, self.M.chat, self.cc
         dc = gradient(self.M, c, self.scheme)
-        grad_c_f = self.vec_to_frame(np.einsum("...ij,...j->...i", self.M.a_inv, dc))
-        n_chat = np.einsum("...i,...i->...", self.M.n_field, self.d_chat)
+        grad_c_f = self.vec_to_frame(matvec(self.M.a_inv, dc))
+        n_chat = dot(self.M.n_field, self.d_chat)
         bst_chat = dot(b, self.dchat_frame)
         beta_Zbar = dot(b, Zb)
         bb = outer(b, b)
@@ -525,7 +516,7 @@ class ExtrinsicBundle:
         b, d, cc = self.b_frame, M.dim, self.cc
         n_w = M.inner(M.n_field, w)
         # I_n(e_a) = (d+1)/2 beta(e_a); I_n(w) = (d+1)/(2 cc)(beta(w) - beta(n) <n, w>)
-        beta_w = np.einsum("...i,...i->...", M.beta, w)
+        beta_w = dot(M.beta, w)
         I_w = (d + 1) / (2.0 * cc) * (beta_w - (cc - 1.0) * n_w)
         I_a = (d + 1) / 2.0 * b
         # h_n(e_a, w) = cc (<e_a, w> - <e_a, n><w, n>), with <e_a, n> = -beta(e_a)
@@ -581,7 +572,7 @@ class ExtrinsicBundle:
 
     @cached_property
     def Abar_bst(self):
-        return np.einsum("...ij,...j->...i", self.Abar, self.M.beta_sharp_top)
+        return matvec(self.Abar, self.M.beta_sharp_top)
 
     @cached_property
     def beta_Zbar(self):

@@ -1,11 +1,12 @@
 """Batched matrix invariants for operator fields.
 
 Frame representations of leaf operators are arrays of shape (..., m, m) and
-those of leaf vectors arrays of shape (..., m); these helpers evaluate dot
-and outer products, sigma_k, multi-matrix sigma_lambda and Newton
-transformations nodewise.  :mod:`randers_foliations.matinv` owns the
-determinant oracle and the single-tuple API; its single-matrix sigma_k and
-Newton transformation call the kernels here.
+those of leaf vectors arrays of shape (..., m).  ``dot``, ``matvec``, ``quad``,
+``outer`` and ``trace`` are the package's only nodewise contractions, of frame
+and coordinate fields alike; the others evaluate sigma_k, multi-matrix
+sigma_lambda and Newton transformations nodewise.  :mod:`randers_foliations.matinv`
+owns the determinant oracle and the single-tuple API; its single-matrix sigma_k
+and Newton transformation call the kernels here.
 
 Grids are 2- or 3-dimensional, so every metric field is a stack of d x d
 matrices with d <= 3.  ``det``, ``inv`` and ``is_spd`` evaluate such stacks
@@ -22,6 +23,8 @@ __all__ = [
     "inv",
     "is_spd",
     "dot",
+    "matvec",
+    "quad",
     "outer",
     "trace",
     "sigma_k",
@@ -89,12 +92,22 @@ def is_spd(A: np.ndarray, D: np.ndarray | None = None) -> np.ndarray:
 
 
 def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Nodewise dot product of frame vectors: the a-inner product of tangent vectors."""
+    """Nodewise dot product u^T v: the a-inner product of frame vectors, or a 1-form applied to a vector."""
     return np.einsum("...a,...a->...", u, v)
 
 
+def matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Nodewise matrix-vector product A v."""
+    return np.einsum("...ab,...b->...a", A, v)
+
+
+def quad(u: np.ndarray, A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Nodewise bilinear form u^T A v: the inner product of u and v in the metric A."""
+    return np.einsum("...a,...ab,...b->...", u, A, v)
+
+
 def outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Nodewise outer product u v^T of frame vectors."""
+    """Nodewise outer product u v^T."""
     return u[..., :, None] * v[..., None, :]
 
 
@@ -192,7 +205,7 @@ def newton_chain(core: np.ndarray, k: int, updates) -> np.ndarray:
     C = core
     for i, (p, q, w) in enumerate(updates):
         T = newton_transform_batched(C, k - 1)
-        out = out + w * np.einsum("...a,...ab,...b->...", q, T, p)
+        out = out + w * quad(q, T, p)
         if i + 1 < len(updates):
             C = C + outer(p, q) * np.asarray(w)[..., None, None]
     return out

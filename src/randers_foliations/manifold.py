@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import PeriodicGrid, derivative_values, trapezoid_integral
-from .invariants import det, inv, is_spd
+from .invariants import det, dot, inv, is_spd, matvec, outer, quad
 
 __all__ = [
     "FoliatedRandersManifold",
@@ -93,7 +93,7 @@ class FoliatedRandersManifold:
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "mask", mask)
         # validate |N|_a = 1 and |beta|_a < 1 on active nodes
-        nrm = np.einsum("...i,...ij,...j->...", N, a, N)[act]
+        nrm = quad(N, a, N)[act]
         if np.max(np.abs(nrm - 1.0)) > 1e-9:
             raise ValueError("normal field is not a-unit on active nodes")
         if np.max(self.beta_norm[act]) >= 1.0 - 1e-9:
@@ -127,15 +127,15 @@ class FoliatedRandersManifold:
     def beta_sharp(self) -> np.ndarray:
         if self.beta_sharp_given is not None:
             return np.asarray(self.beta_sharp_given, float)
-        return np.einsum("...ij,...j->...i", self.a_inv, self.beta)
+        return matvec(self.a_inv, self.beta)
 
     @cached_property
     def beta_norm(self) -> np.ndarray:
-        return np.sqrt(np.einsum("...i,...i->...", self.beta, self.beta_sharp))
+        return np.sqrt(dot(self.beta, self.beta_sharp))
 
     @cached_property
     def beta_N(self) -> np.ndarray:
-        return np.einsum("...i,...i->...", self.beta, self.N)
+        return dot(self.beta, self.N)
 
     @cached_property
     def beta_sharp_top(self) -> np.ndarray:
@@ -143,9 +143,7 @@ class FoliatedRandersManifold:
 
     @cached_property
     def c(self) -> np.ndarray:
-        top2 = np.einsum(
-            "...i,...ij,...j->...", self.beta_sharp_top, self.a, self.beta_sharp_top
-        )
+        top2 = quad(self.beta_sharp_top, self.a, self.beta_sharp_top)
         return np.sqrt(np.clip(1.0 - top2, 0.0, None))
 
     @cached_property
@@ -170,21 +168,19 @@ class FoliatedRandersManifold:
 
     @cached_property
     def N_flat(self) -> np.ndarray:
-        return np.einsum("...ij,...j->...i", self.a, self.N)
+        return matvec(self.a, self.N)
 
     @cached_property
     def tangent_projector(self) -> np.ndarray:
         """a-orthogonal projector onto the leaf tangent spaces."""
         d = self.dim
-        return np.broadcast_to(np.eye(d), self.grid.sizes + (d, d)) - np.einsum(
-            "...i,...j->...ij", self.N, self.N_flat
-        )
+        return np.broadcast_to(np.eye(d), self.grid.sizes + (d, d)) - outer(self.N, self.N_flat)
 
     def project_tangent(self, v: np.ndarray) -> np.ndarray:
-        return v - np.einsum("...i,...i->...", self.N_flat, v)[..., None] * self.N
+        return v - dot(self.N_flat, v)[..., None] * self.N
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.einsum("...i,...ij,...j->...", u, self.a, v)
+        return quad(u, self.a, v)
 
     def volume_density(self, volume: str) -> np.ndarray:
         """Pointwise quadrature weight of dV_a, dV_g or dV_F."""

@@ -31,7 +31,9 @@ import numpy as np
 
 from .catalog import ExampleSpec, build_example, sweep_points
 from .extrinsic import ExtrinsicBundle, build_extrinsic
-from .invariants import dot, newton_chain, newton_transform_batched, outer, sigma_k, sigma_multi_batched, trace
+from .invariants import (
+    dot, matvec, newton_chain, newton_transform_batched, outer, quad, sigma_k, sigma_multi_batched, trace,
+)
 from .manifold import deformation_tensor, gradient, integrate
 from .report import ResidualReport
 
@@ -164,10 +166,6 @@ class Formula:
 # --------------------------------------------------------------------------
 
 
-def _directional(E, f, v):
-    return np.einsum("...i,...i->...", v, gradient(E.M, f, E.scheme))
-
-
 def _curvature_spread(E):
     """sum_{i<j} (k_i - k_j)^2 over the principal curvatures."""
     ks = E.principal_curvatures
@@ -192,7 +190,7 @@ def _ev_reeb_weighted(E):
         f = np.exp(np.cos(2.0 * np.pi * x0 / M.grid.periods[0]))
     else:
         f = np.exp(0.3 * np.sin(2.0 * x0))  # periodic in the excised chart
-    return f * trace(E.Abar_frame) - _directional(E, f, M.N)
+    return f * trace(E.Abar_frame) - dot(M.N, gradient(M, f, E.scheme))
 
 
 # -- Berwald sigma_k expansions ------------------------------------------------
@@ -235,7 +233,7 @@ def _ev_sigma_tg(k):
         dI = E.delta[..., None, None] * np.eye(E.M.m)
         w1 = (c - 2 * ch) / (2 * cc)
         t1 = c**k * sigma_k(Csh, k)
-        t2 = w1 * np.einsum("...ab,...b,...a->...", newton_transform_batched(Csh + dI, k - 1), b, Zp)
+        t2 = w1 * quad(Zp, newton_transform_batched(Csh + dI, k - 1), b)
         # R1 = (Zbar^perp)^flat (x) bst: eats <Zbar^perp, .>, outputs bst
         core = c[..., None, None] * Csh + dI + outer(b, Zp) * w1[..., None, None]
         ups = [(Zp, b, c * (c - 2 * ch) / (2 * ch)), (b, b, (c - 2 * ch) / (cc * E.b2) * E.beta_Zbar)]
@@ -247,23 +245,18 @@ def _ev_sigma_tg(k):
 # -- second-order parallel-field family (printed displays) --------------------
 
 
-def _csharp_bst(E, Csh):
-    """C^sharp_nu(beta_sharp_top) in the frame."""
-    return np.einsum("...ab,...b->...a", Csh, E.b_frame)
-
-
 def _ev_parallel_second_order_printed(E):
     M = E.M
     c, ch, cc = M.c, M.chat, E.cc
     Csh = E.Csharp_formula
     X = E.Abar_frame + c[..., None, None] * Csh
     bf = E.b_frame
-    Xb_b = np.einsum("...a,...ab,...b->...", bf, X, bf)
+    Xb_b = quad(bf, X, bf)
     Ab_b = E.Abst_beta
     bZ = E.beta_Zbar
     perpZ = E.perp_beta(E.Zbar_frame)
     perpA = E.perp_beta(E.Abst_frame)
-    perpC = E.perp_beta(_csharp_bst(E, Csh))
+    perpC = E.perp_beta(matvec(Csh, bf))
     return (1.0 / c**2) * (
         sigma_k(X, 2)
         + ((c - 2 * ch) / cc * Ab_b - (ch - c) / (c**2 * ch) * bZ) * trace(X)
@@ -284,7 +277,7 @@ def _ev_parallel_const_printed(E):
     Csh = E.Csharp_formula
     Abf = E.Abar_frame
     Ab, Zb = E.Abst_frame, E.Zbar_frame
-    Cb = _csharp_bst(E, Csh)
+    Cb = matvec(Csh, E.b_frame)
     return (
         c * trace(Csh) * trace(Abf)
         - c * trace(Abf @ Csh)
@@ -302,7 +295,7 @@ def _ev_parallel_tangent_printed(E):
     Csh = E.Csharp_formula
     Abf = E.Abar_frame
     Ab, Zb = E.Abst_frame, E.Zbar_frame
-    Cb = _csharp_bst(E, Csh)
+    Cb = matvec(Csh, E.b_frame)
     return (
         c * trace(Csh) * trace(Abf)
         - c * trace(Abf @ Csh)
@@ -319,7 +312,7 @@ def _ev_parallel_tangent_printed(E):
 
 def _ev_tilt_balance_printed(E):
     M = E.M
-    Nc = _directional(E, M.c, M.N)
+    Nc = dot(M.N, gradient(M, M.c, E.scheme))
     return (
         E.cc ** (M.m / 2.0)
         / M.c**2
@@ -365,8 +358,8 @@ def _ev_csharp_scale(E):
 
 def _ev_trace_comparison(E):
     M = E.M
-    div_bs = np.einsum("...ii->...", E.nabla_beta_sharp)
-    Nchat = np.einsum("...i,...i->...", M.N, E.d_chat)
+    div_bs = trace(E.nabla_beta_sharp)
+    Nchat = dot(M.N, E.d_chat)
     rhs = (
         trace(E.Abar_frame)
         + M.m * E.delta
@@ -408,7 +401,7 @@ def _ev_volume_distortion(E):
 
 def _ev_tangency(E):
     M = E.M
-    gz = np.einsum("...i,...ij,...j->...", E.Z_direct, E.g, M.nu_field)
+    gz = quad(E.Z_direct, E.g, M.nu_field)
     return np.maximum(np.abs(gz), np.abs(M.inner(E.Zbar, M.N)))
 
 
@@ -425,7 +418,7 @@ def _ev_energy_bound(E):
     m = M.m
     ones = np.ones(M.grid.sizes)
     Asym = E.A_frame_gsym
-    trA2 = np.einsum("...ab,...ba->...", Asym, Asym)
+    trA2 = trace(Asym @ Asym)
     ric_nu = None if M.mask is not None else E.ricci_N / M.c**2
 
     def judged(mask):
@@ -457,7 +450,7 @@ def _ev_umbilicity_bound(E):
 def _ev_umbilicity_spread_identity(E):
     """Cross-check sum_{i<j}(k_i-k_j)^2 = m tr(A^2) - (tr A)^2 pointwise."""
     Asym = E.A_frame_gsym
-    alt = E.M.m * np.einsum("...ab,...ba->...", Asym, Asym) - trace(Asym) ** 2
+    alt = E.M.m * trace(Asym @ Asym) - trace(Asym) ** 2
     return _curvature_spread(E) - alt
 
 
@@ -602,9 +595,8 @@ def _judge(
         r_coarse, r_fine = conv[-2][1], conv[-1][1]
         ratio = r_coarse / max(r_fine, 1e-300)
         detail["convergence_ratio"] = ratio
-        # extrapolated residual at the limit, assuming the observed decay
-        extrap = r_fine / max(ratio - 1.0, 1e-300) if ratio > 1.0 else float("inf")
-        detail["extrapolated_residual"] = extrap
+        if ratio > 1.0:  # the residual extrapolated to the limit by the observed decay; a plateau has none
+            detail["extrapolated_residual"] = r_fine / (ratio - 1.0)
         if ratio >= min_ratio and resid <= cap:
             return "pass", tol, detail
     return "fail", tol, detail

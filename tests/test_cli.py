@@ -466,13 +466,38 @@ def test_a_period_past_the_float_range_is_a_configuration_error(argv, volume, tm
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_fields_are_a_configuration_error(tmp_path, capsys):
+def test_non_finite_fields_are_a_configuration_error(tmp_path, capsys, recwarn):
     # e^{2 phi} at phi_amplitude = 100 is finite, but the curvature of a overflows:
-    # the quadrature's FloatingPointError is one error line, not a traceback
+    # the sweep's FloatingPointError is one error line, not a traceback or a warning
     out = tmp_path / "r.json"
     argv = ["--example", "conformal-torus", "--param", "beta_mode=riemannian", "--param", "phi_amplitude=100",
             "--res", "16", "--formulas", "second-order-riemannian", "--out", str(out)]
     assert main(argv) == 2
-    assert capsys.readouterr().err.splitlines() == ["error: non-finite integrand at active nodes"]
+    assert capsys.readouterr().err.splitlines() == ["error: overflow encountered in matmul"]
     assert not out.exists()
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("formulas", ["shape-comparison,codazzi-symmetry", "all"])
+def test_an_overflow_is_one_error_line_and_no_report(formulas, tmp_path, capsys, recwarn):
+    # the sup-norm checks read bare NaN residuals into the report and exited 1,
+    # after a block of RuntimeWarnings; 'all' exited 2 after the same block
+    out = tmp_path / "r.json"
+    argv = ["--example", "conformal-torus", "--param", "phi_amplitude=100", "--res", "16",
+            "--formulas", formulas, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: overflow encountered in matmul"]
+    assert not out.exists()
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("example", sorted(EXAMPLES))
+def test_catalog_default_reports_are_strict_json(example, tmp_path):
+    # a plateau's extrapolated residual was written as a bare Infinity token
+    def reject(token):
+        raise ValueError(f"{token} is no JSON value")
+
+    out = tmp_path / "r.json"
+    assert main(["--example", example, "--formulas", "full", "--out", str(out)]) in (0, 1)
+    payload = json.loads(out.read_text(), parse_constant=reject)
+    assert payload["config"]["example"] == example and payload["reports"]

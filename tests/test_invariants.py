@@ -5,9 +5,11 @@ from randers_foliations.invariants import (
     det,
     inv,
     is_spd,
+    matvec,
     newton_chain,
     newton_transform_batched,
     outer,
+    quad,
     sigma_k,
     sigma_multi_batched,
 )
@@ -54,6 +56,19 @@ def test_sylvester_test_rejects_indefinite_matrices_with_positive_diagonal():
     B = np.array([[1.0, 2.0, 2.0], [2.0, 1.0, 2.0], [2.0, 2.0, 1.0]])
     assert det(B) > 0 and not is_spd(B)
     assert is_spd(np.stack([np.eye(3), A, B, 2.0 * np.eye(3)])).tolist() == [True, False, False, True]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("grid", [(4, 5), (3, 4, 5)], ids=["2d", "3d"])
+def test_matvec_and_quad_are_the_nodewise_products(d, grid):
+    rng = np.random.default_rng(40 + d + len(grid))
+    A = rng.uniform(-1, 1, grid + (d, d))
+    u, v = rng.uniform(-1, 1, (2,) + grid + (d,))
+    Av, uAv = matvec(A, v), quad(u, A, v)
+    assert Av.shape == grid + (d,) and uAv.shape == grid
+    for i in np.ndindex(*grid):
+        np.testing.assert_allclose(Av[i], A[i] @ v[i], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(uAv[i], u[i] @ A[i] @ v[i], rtol=0, atol=1e-14)
 
 
 def test_kernels_reject_unsupported_shapes():

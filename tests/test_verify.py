@@ -572,6 +572,9 @@ def test_judge_rules():
     # a plateau fails
     verdict, _, audit = _judge(zero, 1e-4, [(0.1, 1.01e-4), (0.05, 1e-4)], False)
     assert verdict == "fail" and audit["convergence_ratio"] == pytest.approx(1.01)
+    # a residual that does not fall has no extrapolation
+    verdict, _, audit = _judge(zero, 1e-4, [(0.1, 1e-4), (0.05, 1e-4)], False)
+    assert verdict == "fail" and audit == {"convergence_ratio": 1.0}
     # on an excised run an integral takes the singular policy, a sup-norm
     # residual the smooth one: the same residual and decay split on it
     conv = [(0.2, 2.5e-3), (0.1, 1e-3)]
