@@ -32,6 +32,11 @@ report is still written and the exit status is the verdict's.
 additionally includes the verbatim transcriptions of published displays
 that the convergence tables refute (those runs exit 1 by design; the
 failures are the finding, documented in the README).
+
+The parser declares every setting and every default once.  From Python,
+``run(build_config(argv))`` runs what ``randers-foliate ARGV`` runs, with the
+same defaults and checks, and returns the exit status and the reports;
+``report_config`` gives the settings block of the JSON report.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,30 +56,6 @@ from .verify import FORMULAS, GATES, formula_ids, run_formulas
 
 class ConfigError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    example: str
-    params: dict = field(default_factory=dict)
-    resolutions: list[int] = field(default_factory=list)
-    formulas: list[str] = field(default_factory=list)
-    scheme: str = "spectral"
-    seed: int = 0
-    out: str | None = None
-    fmt: str = "json"
-    matrix_identities: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "example": self.example,
-            "params": {k: self.params[k] for k in sorted(self.params)},
-            "resolutions": list(self.resolutions),
-            "formulas": list(self.formulas),
-            "scheme": self.scheme,
-            "seed": self.seed,
-            "matrix_identities": self.matrix_identities,
-        }
 
 
 def _parse_int(value, name: str, least: int) -> int:
@@ -145,7 +125,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_config(argv: list[str]) -> RunConfig | None:
+def build_config(argv: list[str]) -> argparse.Namespace | None:
+    """The run that ``argv`` describes: the parser's namespace, every default applied and checked.
+
+    ``params``, ``resolutions`` and ``formulas`` are resolved in place: the
+    example's parsed parameters, the grid sizes (the example's defaults
+    without ``--res``) and the selected formula ids.  Prints the catalog and
+    returns None after ``--list``; raises ``ConfigError`` on a bad setting.
+    """
     parser = _Parser(
         prog="randers-foliate",
         description="verify integral formulas of codimension-one foliated Randers spaces",
@@ -188,7 +175,7 @@ def build_config(argv: list[str]) -> RunConfig | None:
     if "n" in texts:
         raise ConfigError("the grid size n is not a --param; set it with --res")
     try:
-        params = parse_params(args.example, texts)
+        args.params = parse_params(args.example, texts)
     except ExampleError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -197,20 +184,29 @@ def build_config(argv: list[str]) -> RunConfig | None:
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise ConfigError(f"cannot write report {args.out}: No such file or directory")
     if args.res is None:
-        resolutions = list(EXAMPLES[args.example].resolutions)
+        args.resolutions = list(EXAMPLES[args.example].resolutions)
     else:
         try:
-            resolutions = [int(tok) for tok in args.res.split(",") if tok.strip()]
+            args.resolutions = [int(tok) for tok in args.res.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad --res value {args.res!r}") from exc
-        if not resolutions:
+        if not args.resolutions:
             raise ConfigError("--res must name at least one resolution")
+    args.formulas = _resolve_formulas(args.formulas)
+    return args
 
-    return RunConfig(
-        example=args.example, params=params, resolutions=resolutions,
-        formulas=_resolve_formulas(args.formulas), scheme=args.scheme, seed=args.seed,
-        out=args.out, fmt=args.fmt, matrix_identities=args.matrix_identities,
-    )
+
+def report_config(config: argparse.Namespace) -> dict:
+    """The ``config`` block of a report: the settings that decide its verdicts."""
+    return {
+        "example": config.example,
+        "params": {k: config.params[k] for k in sorted(config.params)},
+        "resolutions": list(config.resolutions),
+        "formulas": list(config.formulas),
+        "scheme": config.scheme,
+        "seed": config.seed,
+        "matrix_identities": config.matrix_identities,
+    }
 
 
 def _catalog_lines() -> list[str]:
@@ -251,7 +247,7 @@ def _matrix_identity_report(seed: int) -> ResidualReport:
     )
 
 
-def run(config: RunConfig) -> tuple[int, list[ResidualReport]]:
+def run(config: argparse.Namespace) -> tuple[int, list[ResidualReport]]:
     spec = ExampleSpec(config.example, dict(config.params))
     reports = run_formulas(spec, config.formulas, config.resolutions, config.scheme)
     if config.matrix_identities:
@@ -278,11 +274,8 @@ def main(argv: list[str] | None = None) -> int:
     _print(*(r.summary_line() for r in reports), f"\n{counts['pass']} passed, {counts['fail']} failed, "
            f"{counts['not-applicable']} not applicable")
     if config.out is not None:
-        payload = (
-            reports_to_json(reports, config.to_dict())
-            if config.fmt == "json"
-            else reports_to_csv(reports)
-        )
+        payload = (reports_to_json(reports, report_config(config)) if config.fmt == "json"
+                   else reports_to_csv(reports))
         try:
             with open(config.out, "w") as fh:
                 fh.write(payload)

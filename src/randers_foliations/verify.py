@@ -419,7 +419,7 @@ def _ev_energy_bound(E):
     ones = np.ones(M.grid.sizes)
     Asym = E.A_frame_gsym
     trA2 = trace(Asym @ Asym)
-    ric_nu = None if M.mask is not None else E.ricci_N / M.c**2
+    ric_nu = None if E.ricci_N is None else E.ricci_N / M.c**2
 
     def judged(mask):
         volF = integrate(M, ones, "F", mask)

@@ -14,7 +14,7 @@ import pytest
 
 from randers_foliations import fd
 from randers_foliations.catalog import ExampleSpec, build_example
-from randers_foliations.cli import RunConfig, run
+from randers_foliations.cli import build_config, report_config, run
 from randers_foliations.extrinsic import build_extrinsic
 from randers_foliations.matinv import sigma_multi, sigma_via_determinant, verify_appendix_identities
 from randers_foliations.point import RandersPoint, f_normal, fundamental_tensor, fundamental_tensor_printed, randers_norm
@@ -317,18 +317,14 @@ def test_criterion_10_vanishing_conclusions():
 
 
 def test_criterion_11_determinism():
-    config = RunConfig(
-        example="flat-graph",
-        params={},
-        resolutions=[32, 48],
-        formulas=["reeb-riemannian", "shape-comparison", "berwald-sigma-k1"],
-        scheme="spectral",
-        seed=5,
-        matrix_identities=True,
-    )
+    config = build_config([
+        "--example", "flat-graph", "--res", "32,48",
+        "--formulas", "reeb-riemannian,shape-comparison,berwald-sigma-k1",
+        "--scheme", "spectral", "--seed", "5", "--matrix-identities",
+    ])
     _, r1 = run(config)
     _, r2 = run(config)
-    t1 = reports_to_json(r1, config.to_dict())
-    t2 = reports_to_json(r2, config.to_dict())
+    t1 = reports_to_json(r1, report_config(config))
+    t2 = reports_to_json(r2, report_config(config))
     ok = t1 == t2 and json.loads(t1)["schema_version"] == 2
     _line(11, ok, "two identical runs produce byte-identical reports")

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from randers_foliations.catalog import EXAMPLES
-from randers_foliations.cli import ConfigError, build_config, main
+from randers_foliations.cli import ConfigError, build_config, main, report_config, run
+from randers_foliations.verify import FORMULAS
 
 
 def test_exit_zero_on_passing_run(tmp_path, capsys):
@@ -284,6 +285,17 @@ def test_repeated_formula_id_runs_once(tmp_path, capsys):
     assert [r["formula_id"] for r in json.loads(out.read_text())["reports"]] == ["reeb-riemannian"]
     passed_failed = capsys.readouterr().out.splitlines()[-2]
     assert sum(int(passed_failed.split()[i]) for i in (0, 2)) == 1
+
+
+def test_library_run_applies_the_cli_defaults():
+    # the parser's one default for --formulas: every row expected to hold (34 rows)
+    config = build_config(["--example", "flat-graph", "--res", "16"])
+    unrefuted = [fid for fid, f in FORMULAS.items() if not f.refuted]
+    _, reports = run(config)
+    assert [r.formula_id for r in reports] == unrefuted
+    assert list(report_config(config)) == [
+        "example", "params", "resolutions", "formulas", "scheme", "seed", "matrix_identities",
+    ]
 
 
 def test_param_parsing_and_config_file(tmp_path):

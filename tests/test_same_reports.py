@@ -1,0 +1,54 @@
+import importlib.util
+import os
+import sys
+
+import pytest
+
+from randers_foliations.catalog import EXAMPLES
+
+TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "same_reports.py")
+
+
+@pytest.fixture(scope="module")
+def tool():
+    """``tools/same_reports.py`` as a module; its path and bytecode settings are undone after the import."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "path", list(sys.path))
+        mp.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+        spec = importlib.util.spec_from_file_location("same_reports", TOOL)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_argv_list_covers_the_catalog_and_the_workloads(tool):
+    runs = tool.argv_list()
+    examples = [["--example", name, "--formulas", "full", "--out", f"{name}.json"] for name in sorted(EXAMPLES)]
+    workloads = [tool.wl.cli_argv(w, slot, f"{w.name}-{slot}.json")
+                 for w in tool.wl.WORKLOADS.values() for slot in (0, 5)]
+    twin = [["--config", "run.cfg"], ["--example", "flat-parallel", "--res", "12", "--out", "flag.json"]]
+    assert runs == [["--list"]] + examples + workloads + twin
+
+
+def _streams(code=0, out=b"a\nb\n", err=b""):
+    return {"exit code": code, "stdout": out, "stderr": err, "report r.json": b'{"x": 1}\n'}
+
+
+def test_first_difference_of_equal_runs_is_none(tool):
+    assert tool.first_difference(_streams(), _streams()) is None
+
+
+def test_first_difference_names_the_exit_code(tool):
+    assert tool.first_difference(_streams(code=0), _streams(code=1)) == "exit code: 0 at REV, 1 here"
+
+
+def test_first_difference_names_the_first_differing_line(tool):
+    difference = tool.first_difference(_streams(out=b"a\nb\nc\n"), _streams(out=b"a\nB\nC\n"))
+    assert difference == "stdout, line 2: 'b' at REV, 'B' here"
+    # one stream a prefix of the other: the shorter one ends where the longer goes on
+    difference = tool.first_difference(_streams(err=b"a"), _streams(err=b"a\nb"))
+    assert difference == "stderr, line 2: '<end>' at REV, 'b' here"
+    # a report written on one side only
+    old, new = _streams(), _streams()
+    del old["report r.json"]
+    assert tool.first_difference(old, new) == "report r.json, line 1: '<not written>' at REV, '{\"x\": 1}' here"

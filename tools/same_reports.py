@@ -10,9 +10,10 @@ repository changes and only local git is needed.  Each side runs from its own
 empty directory with the same relative ``--out``, so the ``report written to``
 lines compare too.
 
-The list: ``--list``; the five catalog defaults at ``--formulas full``; the
-argv of each perfbench workload at slots 0 and 5 (``perfbench/workloads.py``);
-and CI's config-file run with its flag twin.
+The list: ``--list``; each example of this tree's ``catalog.EXAMPLES``, by
+name, at its defaults and ``--formulas full``; the argv of each perfbench
+workload at slots 0 and 5 (``perfbench/workloads.py``); and CI's config-file
+run with its flag twin.
 
 Exit status: 0 when every run matches; 1 at the first argv that differs,
 after printing it and the stream (exit code, stdout, stderr or a report
@@ -32,18 +33,18 @@ import tempfile
 import zipfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-sys.dont_write_bytecode = True  # leave no cache beside the workloads
+sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
+sys.dont_write_bytecode = True  # leave no cache beside the workloads or the sources
 import workloads as wl  # noqa: E402
+from randers_foliations.catalog import EXAMPLES  # noqa: E402
 
-EXAMPLES = ("conformal-torus", "flat-graph", "flat-graph-tangent", "flat-parallel", "sphere-latitudes")
 CONFIG = "example = flat-parallel\nres = 12\nout = file.json\n"  # CI's config file, relative out
 SLOTS = (0, 5)
 
 
 def argv_list() -> list[list[str]]:
     runs = [["--list"]]
-    runs += [["--example", name, "--formulas", "full", "--out", f"{name}.json"] for name in EXAMPLES]
+    runs += [["--example", name, "--formulas", "full", "--out", f"{name}.json"] for name in sorted(EXAMPLES)]
     runs += [wl.cli_argv(w, slot, f"{w.name}-{slot}.json") for w in wl.WORKLOADS.values() for slot in SLOTS]
     runs += [["--config", "run.cfg"], ["--example", "flat-parallel", "--res", "12", "--out", "flag.json"]]
     return runs
