@@ -24,10 +24,10 @@ matrix_identities (a switch: true, false, 1 or 0).  An unknown key and every
 bad flag or value end in one ``error:`` line and exit status 2.
 
 Exit status: 0 when every applicable check passes, 1 when any check fails,
-2 on configuration errors (a grid too large to allocate, an empty ``--out``
-or one in a missing directory among them) and when the report cannot be
-written.  A reader that closes stdout ends the printed output only: the
-report is still written and the exit status is the verdict's.
+2 on configuration errors (a grid too large to allocate, an empty ``--out``,
+one in a missing directory and one naming a directory among them) and when
+the report cannot be written.  A reader that closes stdout ends the printed
+output only: the report is still written and the exit status is the verdict's.
 ``--formulas all`` selects every check expected to hold; ``--formulas full``
 additionally includes the verbatim transcriptions of published displays
 that the convergence tables refute (those runs exit 1 by design; the
@@ -72,6 +72,8 @@ def _split_param(item: str) -> tuple[str, str]:
     if "=" not in item:
         raise ConfigError(f"parameter {item!r} is not of the form key=value")
     key, value = item.split("=", 1)
+    if not key.strip():
+        raise ConfigError(f"parameter {item!r} has an empty name")
     return key.strip(), value.strip()
 
 
@@ -183,6 +185,8 @@ def build_config(argv: list[str]) -> argparse.Namespace | None:
         raise ConfigError("cannot write report '': the path is empty")
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise ConfigError(f"cannot write report {args.out}: No such file or directory")
+    if args.out and os.path.isdir(args.out):
+        raise ConfigError(f"cannot write report {args.out}: Is a directory")
     if args.res is None:
         args.resolutions = list(EXAMPLES[args.example].resolutions)
     else:

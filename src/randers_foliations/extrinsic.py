@@ -11,11 +11,10 @@ to g along two independent routes:
 The same dual-route treatment is applied to the curvature vector Z of the
 nu-curves and to the torsion operator C^sharp_nu (the g-dual of
 C_nu(., ., Z)).  Everything needed by the integral verifier (delta, the
-rank-one pieces U1, U2, a3 of the parallel-beta decomposition, the full shape
-operator A = A^g + C^sharp_nu, eigenvalues, volume densities) is cached on
-one bundle object, the memo of the derived fields: each is computed at most
-once per bundle, and a fresh bundle is built for every sweep point.  The
-pointwise scalars and normals (c, chat, beta(N), n, nu and bst =
+full shape operator A = A^g + C^sharp_nu, eigenvalues, volume densities) is
+cached on one bundle object, the memo of the derived fields: each is computed
+at most once per bundle, and a fresh bundle is built for every sweep point.
+The pointwise scalars and normals (c, chat, beta(N), n, nu and bst =
 beta_sharp_top) are read from the manifold, which caches them itself, with
 a_inv and the tangent projector; the grid caches its spacings.  Each of
 the two Levi-Civita connections (of a and of g) is formed once, inside one
@@ -334,6 +333,14 @@ class ExtrinsicBundle:
         """(nabla_n beta_sharp_top)^T in the frame."""
         return self.vec_to_frame(self.nabla_n_bst)
 
+    def _Ag_assembled(self, x_beta, y_bst):
+        """A^g = c^-1 (Abar + delta Id + chat^-1 (Def_{beta_sharp})^T + x_beta + y_bst), a frame array; not kept.
+
+        The two comparison formulas share the head and differ in x_beta = X (x) beta^T and y_bst = Y^flat (x) bst.
+        """
+        return (self.Abar_frame + self.delta[..., None, None] * np.eye(self.M.m)
+                + self.Def_frame / self.M.chat[..., None, None] + x_beta + y_bst) / self.M.c[..., None, None]
+
     @cached_property
     def Ag_formula(self):
         """Comparison formula for A^g in terms of base-metric quantities (frame array).
@@ -366,14 +373,7 @@ class ExtrinsicBundle:
             + W / (2.0 * c2 * chat)[..., None]
             - Q / (2.0 * c * chat)[..., None]
         )
-        cAg = (
-            self.Abar_frame
-            + self.delta[..., None, None] * np.eye(self.M.m)
-            + self.Def_frame / chat[..., None, None]
-            + outer(T, b)
-            + outer(b, S)
-        )
-        return cAg / c[..., None, None]
+        return self._Ag_assembled(outer(T, b), outer(b, S))
 
     @cached_property
     def Ag_printed(self):
@@ -397,14 +397,7 @@ class ExtrinsicBundle:
             + U
             + dot(b, U)[..., None] * b
         )
-        cAg = (
-            self.Abar_frame
-            + self.delta[..., None, None] * np.eye(self.M.m)
-            + self.Def_frame / chat[..., None, None]
-            + 0.5 * outer(U - Abst, b)
-            + 0.5 / self.c2[..., None, None] * outer(b, V)
-        )
-        return cAg / c[..., None, None]
+        return self._Ag_assembled(0.5 * outer(U - Abst, b), 0.5 / self.c2[..., None, None] * outer(b, V))
 
     # -- curvature vector of the nu-curves: two routes ---------------------------
 
@@ -433,25 +426,20 @@ class ExtrinsicBundle:
 
     # -- torsion operator C^sharp: three routes ----------------------------------
 
-    def _csharp_from_Z_frame(self, Zf):
-        """g-dual of C_nu(., ., Z) in the frame, from the C-reducible torsion.
+    @cached_property
+    def Csharp_direct(self):
+        """Definitional route: g-dual of C_nu(., ., Z_direct) in the frame, from the C-reducible torsion.
 
         C_nu(u, v, Z) = (c chat) C_n(u, v, Z) and, for tangent arguments,
         2 C_n(u, v, Z) = beta(u) h(v, Z) + beta(v) h(u, Z) + beta(Z) h(u, v)
         with h the angular form, which equals the leaf metric on tangent
         vectors.
         """
-        b = self.b_frame
-        cc = self.cc[..., None, None]
+        Zf, b, cc = self.Z_direct_frame, self.b_frame, self.cc[..., None, None]
         bZ = dot(b, Zf)
         h_aZ = Zf - bZ[..., None] * b                          # h(e_a, Z) / (c chat)
         twoC = (outer(b, h_aZ) + outer(h_aZ, b) + bZ[..., None, None] * self.h_frame) * cc
         return self.G_frame_inv @ (0.5 * cc * twoC)           # raised C_nu(e_a, e_b, Z)
-
-    @cached_property
-    def Csharp_direct(self):
-        """Definitional route: torsion of F at n, paired with Z_direct, g-raised."""
-        return self._csharp_from_Z_frame(self.Z_direct_frame)
 
     @cached_property
     def Csharp_formula(self):
@@ -583,49 +571,32 @@ class ExtrinsicBundle:
         """<Abar(bst), beta_sharp> = <Abar(bst), bst> (the output is tangent)."""
         return self.M.inner(self.Abar_bst, self.M.beta_sharp_top)
 
-    @cached_property
-    def U1(self):
-        """(1/(2 c^2)) (Abar(bst) - c Zbar)^{perp beta}, frame vector.
+    def rank_one(self, printed: bool = False):
+        """Rank-one data (U1, U2, a3) of the parallel-beta decomposition: two frame vectors and a weight.
 
-        Rank-one data of the parallel-beta decomposition of the corrected
-        comparison formula: under nabla beta = 0,
-        c A^g = Abar + delta Id + U1^flat (x) bst + U2 (x) beta^T
-                + a3 beta^T (x) bst.
+        Under nabla beta = 0 the corrected comparison formula reads
+        c A^g = Abar + delta Id + U1^flat (x) bst + U2 (x) beta^T + a3 beta^T (x) bst,
+        U1 = (1/(2 c^2)) (Abar(bst) - c Zbar)^{perp beta},   U2 = -(1/2) (Abar(bst) + c Zbar)^{perp beta},
+        a3 = -beta(Zbar) / (c (1 - c^2)).
+        ``printed`` gives the published pieces, transcribed verbatim:
+        U1 = (1/(2 c chat)) (Abar(bst) + (c - 2 chat) Zbar)^{perp beta},
+        U2 = ((c - 2 chat)/(2 chat)) (Abar(bst) + c Zbar)^{perp beta},
+        a3 = ((c - 2 chat) beta(Zbar) - (chat - c) <Abar(bst), bst> / c) / (c chat (1 - c^2)).
+        a3 is 0 where bst degenerates.  Not memoised: only the Berwald rows read the pieces.
         """
-        v = self.Abst_frame - self.M.c[..., None] * self.Zbar_frame
-        return self.perp_beta(v) / (2.0 * self.c2)[..., None]
-
-    @cached_property
-    def U2(self):
-        """-(1/2) (Abar(bst) + c Zbar)^{perp beta}, frame vector."""
-        return -0.5 * self.perp_beta(self.Q_frame)
-
-    @cached_property
-    def a3(self):
-        """-beta(Zbar) / (c (1 - c^2)); weight of the beta^T (x) bst piece."""
-        val = -self.beta_Zbar / (self.M.c * self.b2)
-        return np.where(self.bst_live, val, 0.0)
-
-    @cached_property
-    def U1_printed(self):
-        """(1/(2 c chat)) (Abar(bst) + (c - 2 chat) Zbar)^{perp beta} (as published), frame vector."""
-        v = self.Abst_frame + (self.M.c - 2.0 * self.M.chat)[..., None] * self.Zbar_frame
-        return self.perp_beta(v) / (2.0 * self.cc)[..., None]
-
-    @cached_property
-    def U2_printed(self):
-        """((c - 2 chat)/(2 chat)) (Abar(bst) + c Zbar)^{perp beta} (as published), frame vector."""
-        return ((self.M.c - 2.0 * self.M.chat) / (2.0 * self.M.chat))[..., None] * self.perp_beta(
-            self.Q_frame
-        )
-
-    @cached_property
-    def a3_printed(self):
-        """Published weight of the beta^T (x) bst piece."""
-        val = (self.M.c - 2.0 * self.M.chat) / (self.cc * self.b2) * self.beta_Zbar - (
-            self.M.chat - self.M.c
-        ) / (self.M.c**2 * self.M.chat * self.b2) * self.Abst_beta
-        return np.where(self.bst_live, val, 0.0)
+        c, chat = self.M.c, self.M.chat
+        if printed:
+            v = self.Abst_frame + (c - 2.0 * chat)[..., None] * self.Zbar_frame
+            U1 = self.perp_beta(v) / (2.0 * self.cc)[..., None]
+            U2 = ((c - 2.0 * chat) / (2.0 * chat))[..., None] * self.perp_beta(self.Q_frame)
+            a3 = ((c - 2.0 * chat) / (self.cc * self.b2) * self.beta_Zbar
+                  - (chat - c) / (c**2 * chat * self.b2) * self.Abst_beta)
+        else:
+            v = self.Abst_frame - c[..., None] * self.Zbar_frame
+            U1 = self.perp_beta(v) / (2.0 * self.c2)[..., None]
+            U2 = -0.5 * self.perp_beta(self.Q_frame)
+            a3 = -self.beta_Zbar / (c * self.b2)
+        return U1, U2, np.where(self.bst_live, a3, 0.0)
 
 
 # the memo entries: every field a bundle computes at most once and may drop

@@ -203,11 +203,12 @@ def _ev_berwald_sigma(k, printed=False):
         Csh = E.Csharp_formula
         cC = E.M.c[..., None, None] * Csh
         b = E.b_frame
-        U1, U2, a3 = (E.U1_printed, E.U2_printed, E.a3_printed) if printed else (E.U1, E.U2, E.a3)
         X = Ab + E.delta[..., None, None] * np.eye(m)
         # sigma_k(X + cC + b U1^T + U2 b^T + a3 b b^T) - sigma_k(X)
         tail = sum(sigma_multi_batched([X, cC], (k - j, j)) for j in range(1, k + 1))
-        tail = tail + newton_chain(X + cC, k, [(b, U1, 1.0), (U2, b, 1.0), (b, b, a3)])
+        core = X + cC
+        U1, U2, a3 = E.rank_one(printed)
+        tail = tail + newton_chain(core, k, [(b, U1, 1.0), (U2, b, 1.0), (b, b, a3)])
         if printed:
             # published display: sigma_k(Abar + delta I) truncated at first order
             return E.delta * (m - k + 1) * sigma_k(Ab, k - 1) + tail
@@ -271,16 +272,19 @@ def _ev_parallel_second_order_printed(E):
     )
 
 
+def _parallel_printed_head(E):
+    """The head c tr(C#) tr(Abar) - c tr(Abar C#) of both constant-angle displays,
+    and the frame vectors Abar(bst), Zbar and C# bst that their tails pair."""
+    c, Csh, Abf = E.M.c, E.Csharp_formula, E.Abar_frame
+    head = c * trace(Csh) * trace(Abf) - c * trace(Abf @ Csh)
+    return head, E.Abst_frame, E.Zbar_frame, matvec(Csh, E.b_frame)
+
+
 def _ev_parallel_const_printed(E):
-    M = E.M
-    c, ch, cc = M.c, M.chat, E.cc
-    Csh = E.Csharp_formula
-    Abf = E.Abar_frame
-    Ab, Zb = E.Abst_frame, E.Zbar_frame
-    Cb = matvec(Csh, E.b_frame)
+    c, ch, cc = E.M.c, E.M.chat, E.cc
+    head, Ab, Zb, Cb = _parallel_printed_head(E)
     return (
-        c * trace(Csh) * trace(Abf)
-        - c * trace(Abf @ Csh)
+        head
         - (1 - (c - 2 * ch) ** 2) / (4 * ch**2) * dot(Ab, Ab)
         - (c - 2 * ch) * (1 - c**2 + 2 * cc) / (2 * ch**2) * dot(Ab, Zb)
         - (1 + c**2 - 2 * cc) / (2 * ch) * dot(Ab, Cb)
@@ -290,15 +294,10 @@ def _ev_parallel_const_printed(E):
 
 
 def _ev_parallel_tangent_printed(E):
-    M = E.M
-    c = M.c
-    Csh = E.Csharp_formula
-    Abf = E.Abar_frame
-    Ab, Zb = E.Abst_frame, E.Zbar_frame
-    Cb = matvec(Csh, E.b_frame)
+    c = E.M.c
+    head, Ab, Zb, Cb = _parallel_printed_head(E)
     return (
-        c * trace(Csh) * trace(Abf)
-        - c * trace(Abf @ Csh)
+        head
         - (1 - c**2) / (4 * c**2) * dot(Ab, Ab)
         + (1 + c**2) / (2 * c) * dot(Ab, Zb)
         - (1 - c**2) / 4.0 * dot(Zb, Zb)

@@ -1,10 +1,12 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from randers_foliations.catalog import EXAMPLES
 from randers_foliations.cli import ConfigError, build_config, main, report_config, run
 from randers_foliations.verify import FORMULAS
+from test_verify import _gates_explain_verdict
 
 
 def test_exit_zero_on_passing_run(tmp_path, capsys):
@@ -88,11 +90,13 @@ def test_exit_two_on_config_errors(capsys, tmp_path):
     assert main(["--example", "flat-graph", "--param", "amplitdue=0.5", "--formulas", "reeb-riemannian"]) == 2
     assert main(["--example", "flat-parallel", "--param", "r0=0.2"]) == 2
     assert main(["--example", "sphere-latitudes", "--param", "r0_sweep=0.2,0.1"]) == 2
+    assert main(["--example", "flat-graph", "--param", "=3"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 3 and all(line.startswith("error: ") for line in err)
+    assert len(err) == 4 and all(line.startswith("error: ") for line in err)
     assert err[0].endswith("amplitdue for flat-graph; accepted: period, amplitude, beta_sharp")
     assert err[2] == ("error: unknown parameter(s) r0_sweep for sphere-latitudes; "
                       "accepted: r0, beta_mode, eps, asym, eps_prime")
+    assert err[3] == "error: parameter '=3' has an empty name"
     # a tuple for a scalar parameter, and non-finite numbers
     for value in ("0.1,0.2", "nan", "inf", "-inf", "0.1,nan"):
         assert main(["--example", "flat-graph", "--param", f"amplitude={value}"]) == 2, value
@@ -175,10 +179,12 @@ def test_report_path_is_checked_before_the_sweep(tmp_path, capsys, monkeypatch):
     assert main(argv + ["--out", ""]) == 2
     assert main(["--config", str(cfg)]) == 2
     assert main(argv + ["--out", str(missing)]) == 2
+    assert main(argv + ["--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: cannot write report '': the path is empty",
         "error: cannot write report '': the path is empty",
         f"error: cannot write report {missing}: No such file or directory",
+        f"error: cannot write report {tmp_path}: Is a directory",
     ]
 
 
@@ -505,7 +511,8 @@ def test_an_overflow_is_one_error_line_and_no_report(formulas, tmp_path, capsys,
 
 @pytest.mark.parametrize("example", sorted(EXAMPLES))
 def test_catalog_default_reports_are_strict_json(example, tmp_path):
-    # a plateau's extrapolated residual was written as a bare Infinity token
+    # a plateau's extrapolated residual was written as a bare Infinity token;
+    # each entry's gates, as written, must explain its verdict
     def reject(token):
         raise ValueError(f"{token} is no JSON value")
 
@@ -513,3 +520,4 @@ def test_catalog_default_reports_are_strict_json(example, tmp_path):
     assert main(["--example", example, "--formulas", "full", "--out", str(out)]) in (0, 1)
     payload = json.loads(out.read_text(), parse_constant=reject)
     assert payload["config"]["example"] == example and payload["reports"]
+    assert all(_gates_explain_verdict(SimpleNamespace(**entry)) for entry in payload["reports"])

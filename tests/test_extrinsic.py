@@ -299,9 +299,10 @@ def test_berwald_rank_one_decomposition():
         E = bundle(name)
         M = E.M
         b = E.b_frame
-        A1 = np.einsum("...a,...b->...ab", b, E.U1)
-        A2 = np.einsum("...a,...b->...ab", E.U2, b)
-        A3 = E.a3[..., None, None] * np.einsum("...a,...b->...ab", b, b)
+        U1, U2, a3 = E.rank_one()
+        A1 = np.einsum("...a,...b->...ab", b, U1)
+        A2 = np.einsum("...a,...b->...ab", U2, b)
+        A3 = a3[..., None, None] * np.einsum("...a,...b->...ab", b, b)
         lhs = E.Abar_frame + A1 + A2 + A3 + E.delta[..., None, None] * np.eye(M.m)
         formula = M.c[..., None, None] * E.Ag_formula
         direct = M.c[..., None, None] * E.Ag_direct
