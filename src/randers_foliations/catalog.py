@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .grid import PeriodicGrid
-from .invariants import matvec
+from .invariants import dot, matvec
 from .manifold import FoliatedRandersManifold
 
 __all__ = [
@@ -87,7 +87,7 @@ def _flat_graph(p: dict) -> FoliatedRandersManifold:
     bs = np.asarray(p["beta_sharp"])
     norm = np.linalg.norm(bs)
     # beta_sharp must stay nowhere parallel to N (beta = 0 is parallel to nothing)
-    if norm > 0.0 and np.abs(M.N @ bs).max() >= (1.0 - 1e-6) * norm:
+    if norm > 0.0 and np.abs(dot(M.N, bs)).max() >= (1.0 - 1e-6) * norm:
         raise ValueError("beta_sharp is parallel to N somewhere; leaves would be orthogonal")
     return M
 

@@ -46,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .invariants import det, dot, matvec, outer
+from .invariants import det, dot, inv, matvec, outer
 from .manifold import (
     FoliatedRandersManifold,
     _masked_to_identity,
@@ -258,7 +258,7 @@ class ExtrinsicBundle:
 
     def vec_to_frame(self, v):
         """Frame components aF^T v of a vector field; its N-part drops out."""
-        return (v[..., None, :] @ self.aF)[..., 0, :]
+        return matvec(np.swapaxes(self.aF, -1, -2), v)
 
     def op_to_frame(self, L):
         """m x m frame matrix aF^T L F of an operator field (P L P has the same one)."""
@@ -314,7 +314,7 @@ class ExtrinsicBundle:
         """
         nu, Dnu = self.M.nu_field, self.nabla_nu
         g_nu = matvec(self.g, nu)
-        return -self.op_to_frame(Dnu - outer(nu, (g_nu[..., None, :] @ Dnu)[..., 0, :]))
+        return -self.op_to_frame(Dnu - outer(nu, matvec(np.swapaxes(Dnu, -1, -2), g_nu)))
 
     @cached_property
     def delta(self):
@@ -530,7 +530,7 @@ class ExtrinsicBundle:
         """Eigenvalues of A per node, real by g-symmetrisation, ascending."""
         L = np.linalg.cholesky(_masked_to_identity(self.G_frame, self.M))
         # for G = L L^T and g-self-adjoint A, L^T A L^-T is symmetric
-        sym = np.swapaxes(L, -1, -2) @ self.A_frame_gsym @ np.swapaxes(np.linalg.inv(L), -1, -2)
+        sym = np.swapaxes(L, -1, -2) @ self.A_frame_gsym @ np.swapaxes(inv(L), -1, -2)
         sym = 0.5 * (sym + np.swapaxes(sym, -1, -2))
         return np.linalg.eigvalsh(sym)
 

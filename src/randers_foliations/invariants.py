@@ -1,12 +1,12 @@
 """Batched matrix invariants for operator fields.
 
 Frame representations of leaf operators are arrays of shape (..., m, m) and
-those of leaf vectors arrays of shape (..., m).  ``dot``, ``matvec``, ``quad``,
-``outer`` and ``trace`` are the package's only nodewise contractions, of frame
-and coordinate fields alike; the others evaluate sigma_k, multi-matrix
-sigma_lambda and Newton transformations nodewise.  :mod:`randers_foliations.matinv`
-owns the determinant oracle and the single-tuple API; its single-matrix sigma_k
-and Newton transformation call the kernels here.
+those of leaf vectors arrays of shape (..., m).  Every nodewise product, trace
+and inverse, of frame and coordinate fields alike, is one of ``dot``, ``matvec``
+(v A is matvec(A^T, v)), ``quad``, ``outer``, ``trace`` and ``inv``; only
+matrix-matrix products stay ``@``.  The others evaluate sigma_k, sigma_lambda
+and Newton transformations nodewise; the single-matrix sigma_k and Newton
+transformation of :mod:`randers_foliations.matinv` call them.
 
 Grids are 2- or 3-dimensional, so every metric field is a stack of d x d
 matrices with d <= 3.  ``det``, ``inv`` and ``is_spd`` evaluate such stacks
@@ -32,6 +32,9 @@ __all__ = [
     "newton_transform_batched",
     "newton_chain",
 ]
+
+# sigma_multi_batched's largest |lambda|: its interpolation error grows 10-200x per order
+SIGMA_MULTI_MAX_ORDER = 5
 
 
 def _order(A: np.ndarray) -> int:
@@ -151,6 +154,7 @@ def sigma_multi_batched(mats: list[np.ndarray], lam: tuple[int, ...]) -> np.ndar
     polynomial of degree <= n in each t_i.  The coefficient is interpolated
     from the power-sum sigma_n on the nodes {0..n}^(k-1): each axis weighs its
     node values with row lambda_i of the inverse Vandermonde matrix.
+    Accurate (relative error <= ~3e-11) up to |lambda| = ``SIGMA_MULTI_MAX_ORDER`` = 5, refused above.
     """
     if len(mats) != len(lam):
         raise ValueError("multi-index length must match the number of matrices")
@@ -164,6 +168,8 @@ def sigma_multi_batched(mats: list[np.ndarray], lam: tuple[int, ...]) -> np.ndar
         raise ValueError("|lambda| exceeds the matrix dimension")
     (A1, _), rest = active[0], active[1:]
     n = sum(l for _, l in active)
+    if n > SIGMA_MULTI_MAX_ORDER:
+        raise ValueError(f"|lambda| = {n} exceeds {SIGMA_MULTI_MAX_ORDER}, the interpolation's accurate range")
     V = np.vander(np.arange(n + 1, dtype=float), increasing=True)
     rows = np.linalg.inv(V)[[l for _, l in rest]]
     out = np.zeros(A1.shape[:-2])

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import PeriodicGrid, derivative_values, trapezoid_integral
-from .invariants import det, dot, inv, is_spd, matvec, outer, quad
+from .invariants import det, dot, inv, is_spd, matvec, outer, quad, trace
 
 __all__ = [
     "FoliatedRandersManifold",
@@ -253,11 +253,11 @@ def _masked_to_identity(g: np.ndarray, M: FoliatedRandersManifold) -> np.ndarray
 def connection_along(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Connection matrix along v: out[..., i, k] = Gamma^i_{km} v^m = Gamma^i_{mk} v^m.
 
-    One (d^2, d) @ (d,) product per node; the two index orders agree because
-    Levi-Civita symbols are symmetric in their lower indices.
+    One ``matvec`` of the (d^2, d) matrix Gamma^{ik}_m with v per node; the two
+    index orders agree because Levi-Civita symbols are symmetric in their lower indices.
     """
     d = v.shape[-1]
-    return (gamma.reshape(gamma.shape[:-3] + (d * d, d)) @ v[..., None]).reshape(gamma.shape[:-1])
+    return matvec(gamma.reshape(gamma.shape[:-3] + (d * d, d)), v).reshape(gamma.shape[:-1])
 
 
 def covariant_vector_derivative(
@@ -305,7 +305,7 @@ def deformation_tensor(M: FoliatedRandersManifold, nab: np.ndarray) -> np.ndarra
 def extrinsic_bar(M: FoliatedRandersManifold, gamma: np.ndarray, scheme: str) -> tuple:
     """``(Abar, Zbar)``: the shape operator Abar(u) = -(nabla_u N)^T and the curvature vector."""
     nabN = covariant_vector_derivative(M, M.N, gamma, scheme)
-    Zbar = M.project_tangent((nabN @ M.N[..., None])[..., 0])
+    Zbar = M.project_tangent(matvec(nabN, M.N))
     P = M.tangent_projector
     Abar = -(P @ nabN @ P)
     return Abar, Zbar
@@ -335,12 +335,12 @@ def curvature_bar(M: FoliatedRandersManifold, gamma: np.ndarray, scheme: str) ->
             R -= T
             del T
             sup = max(sup, R.max(), -R.min())
-            RNv = (R @ N[..., None])[..., 0]  # R^i_{jkl} N^j
+            RNv = matvec(R, N)  # R^i_{jkl} N^j
             RN[..., :, k] += RNv * N[..., l, None]
             RN[..., :, l] -= RNv * N[..., k, None]
     P = M.tangent_projector
     RN_tan = P @ RN @ P
-    ric = np.trace(RN_tan, axis1=-2, axis2=-1)
+    ric = trace(RN_tan)
     return RN_tan, ric, float(sup)
 
 

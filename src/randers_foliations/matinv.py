@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .invariants import newton_chain, newton_transform_batched, sigma_k, sigma_multi_batched
+from .invariants import newton_chain, newton_transform_batched, sigma_k, sigma_multi_batched, trace
 
 __all__ = [
     "sigma_single",
@@ -123,7 +123,7 @@ def sigma_pair(A, B, lam: Sequence[int]) -> float:
     L = np.zeros((n, n))
     terms = {(1, 0): A.copy(), (0, 1): B.copy()}
     for p, M in terms.items():
-        L[p] += np.trace(M)
+        L[p] += trace(M)
     power = terms
     for deg in range(2, m + 1):
         nxt: dict[tuple[int, int], np.ndarray] = {}
@@ -138,7 +138,7 @@ def sigma_pair(A, B, lam: Sequence[int]) -> float:
         power = nxt
         sign = (-1) ** (deg + 1)
         for p, M in power.items():
-            L[p] += sign * np.trace(M) / deg
+            L[p] += sign * trace(M) / deg
     # D = exp(L), truncated
     D = np.zeros((n, n))
     D[0, 0] = 1.0
@@ -336,6 +336,6 @@ def verify_appendix_identities(seed: int, trials: int, m_max: int) -> dict[str, 
         # + tr(T_{k-1}(C) A) for rank-one A
         A1 = ranks[0]
         lhs = sigma_single(C2 + A1, korder)
-        rhs = sigma_single(C2, korder) + np.trace(newton_transform(C2, korder - 1) @ A1)
+        rhs = sigma_single(C2, korder) + trace(newton_transform(C2, korder - 1) @ A1)
         res["rank_one_update"] = max(res["rank_one_update"], _rel(lhs, rhs))
     return res

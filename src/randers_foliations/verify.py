@@ -385,7 +385,7 @@ def _ev_riccati(E):
     resid = P @ inner @ P
     del inner
     resid -= E.Abar @ E.Abar
-    resid -= outer(E.Zbar, (M.a @ E.Zbar[..., None])[..., 0])
+    resid -= outer(E.Zbar, matvec(M.a, E.Zbar))
     resid -= E.R_N
     return resid
 

@@ -17,9 +17,10 @@ from randers_foliations.catalog import ExampleSpec, build_example
 from randers_foliations.cli import build_config, report_config, run
 from randers_foliations.extrinsic import build_extrinsic
 from randers_foliations.matinv import sigma_multi, sigma_via_determinant, verify_appendix_identities
-from randers_foliations.point import RandersPoint, f_normal, fundamental_tensor, fundamental_tensor_printed, randers_norm
+from randers_foliations.point import f_normal, fundamental_tensor, fundamental_tensor_printed, randers_norm
 from randers_foliations.report import reports_to_json
 from randers_foliations.verify import run_formulas
+from test_point import random_point
 
 
 def _line(num, ok, text):
@@ -59,20 +60,12 @@ def test_criterion_1_sigma_oracle_and_identities():
 # -- 2 ---------------------------------------------------------------------------
 
 
-def _random_point(rng, dim, beta_scale=0.6):
-    M = rng.uniform(-1, 1, (dim, dim))
-    a = M @ M.T + dim * np.eye(dim)
-    beta = rng.uniform(-1, 1, dim)
-    beta *= beta_scale * rng.uniform(0.3, 1.0) / np.sqrt(beta @ np.linalg.inv(a) @ beta)
-    return RandersPoint(a=a, beta=beta)
-
-
 def test_criterion_2_fundamental_tensor():
     rng = np.random.default_rng(7)
     worst_fd, worst_det, worst_printed = 0.0, 0.0, 0.0
     for _ in range(100):
         dim = int(rng.integers(2, 5))
-        p = _random_point(rng, dim)
+        p = random_point(rng, dim)
         y = rng.standard_normal(dim) * rng.uniform(0.5, 2.0)
         g = fundamental_tensor(p, y)
         H = fd.hessian(lambda z: 0.5 * randers_norm(p, z) ** 2, y, 1e-4 * p.alpha(y))
@@ -96,7 +89,7 @@ def test_criterion_3_normal_construction():
     worst_norm, worst_orth, worst_fn = 0.0, 0.0, 0.0
     for _ in range(100):
         dim = int(rng.integers(2, 5))
-        p = _random_point(rng, dim, beta_scale=0.85)
+        p = random_point(rng, dim, beta_scale=0.85)
         v = rng.standard_normal(dim)
         N = v / p.alpha(v)
         nd = f_normal(p, N)

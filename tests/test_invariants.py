@@ -64,10 +64,16 @@ def test_matvec_and_quad_are_the_nodewise_products(d, grid):
     rng = np.random.default_rng(40 + d + len(grid))
     A = rng.uniform(-1, 1, grid + (d, d))
     u, v = rng.uniform(-1, 1, (2,) + grid + (d,))
-    Av, uAv = matvec(A, v), quad(u, A, v)
-    assert Av.shape == grid + (d,) and uAv.shape == grid
+    uAv = quad(u, A, v)
+    assert uAv.shape == grid
+    # a transposed, non-contiguous view gives the vector-matrix product v A; a
+    # (d*d, d) stack is the connection matrix along v
+    for B in (A, np.swapaxes(A, -1, -2), rng.uniform(-1, 1, grid + (d * d, d))):
+        Bv = matvec(B, v)
+        assert Bv.shape == B.shape[:-1]
+        for i in np.ndindex(*grid):
+            np.testing.assert_allclose(Bv[i], B[i] @ v[i], rtol=0, atol=1e-14)
     for i in np.ndindex(*grid):
-        np.testing.assert_allclose(Av[i], A[i] @ v[i], rtol=0, atol=1e-14)
         np.testing.assert_allclose(uAv[i], u[i] @ A[i] @ v[i], rtol=0, atol=1e-14)
 
 
@@ -84,6 +90,10 @@ def test_batched_sigma_multi_error_checks():
         sigma_multi_batched([A, A], (1,))
     with pytest.raises(ValueError):
         sigma_multi_batched([A, A], (2, 1))
+    # |lambda| = 6 lies past the interpolation's accurate range
+    B = np.zeros((4, 6, 6))
+    with pytest.raises(ValueError, match="accurate range"):
+        sigma_multi_batched([B, B], (3, 3))
     np.testing.assert_array_equal(sigma_multi_batched([A, A], (0, 0)), np.ones(4))
 
 
