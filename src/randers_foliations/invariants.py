@@ -4,9 +4,13 @@ Frame representations of leaf operators are arrays of shape (..., m, m) and
 those of leaf vectors arrays of shape (..., m).  Every nodewise product, trace
 and inverse, of frame and coordinate fields alike, is one of ``dot``, ``matvec``
 (v A is matvec(A^T, v)), ``quad``, ``outer``, ``trace`` and ``inv``; only
-matrix-matrix products stay ``@``.  The others evaluate sigma_k, sigma_lambda
-and Newton transformations nodewise; the single-matrix sigma_k and Newton
-transformation of :mod:`randers_foliations.matinv` call them.
+matrix-matrix products stay ``@``.  ``sigma_k``, ``newton_transform_batched``
+and ``newton_chain`` evaluate sigma_k, Newton transformations and rank-one
+updates of sigma_k nodewise; the single-matrix sigma_k and Newton
+transformation of :mod:`randers_foliations.matinv` call them.  No nodewise
+sigma_lambda is needed: a sum sum_{j>=1} sigma_(k-j,j)(X, Y) is
+sigma_k(X + Y) - sigma_k(X), and sigma_lambda of a matrix tuple is
+:mod:`randers_foliations.matinv`'s.
 
 Grids are 2- or 3-dimensional, so every metric field is a stack of d x d
 matrices with d <= 3.  ``det``, ``inv`` and ``is_spd`` evaluate such stacks
@@ -28,13 +32,9 @@ __all__ = [
     "outer",
     "trace",
     "sigma_k",
-    "sigma_multi_batched",
     "newton_transform_batched",
     "newton_chain",
 ]
-
-# sigma_multi_batched's largest |lambda|: its interpolation error grows 10-200x per order
-SIGMA_MULTI_MAX_ORDER = 5
 
 
 def _order(A: np.ndarray) -> int:
@@ -144,42 +144,6 @@ def sigma_k(A: np.ndarray, k: int) -> np.ndarray:
             s += (-1) ** (i - 1) * e[r - i] * p[i]
         e.append(s / r)
     return e[k]
-
-
-def sigma_multi_batched(mats: list[np.ndarray], lam: tuple[int, ...]) -> np.ndarray:
-    """Nodewise sigma_lambda(A_1, ..., A_k), without determinants.
-
-    With zero entries dropped and n = |lambda|, sigma_lambda is the coefficient
-    of prod_{i>=2} t_i^lambda_i in sigma_n(A_1 + sum_{i>=2} t_i A_i), a
-    polynomial of degree <= n in each t_i.  The coefficient is interpolated
-    from the power-sum sigma_n on the nodes {0..n}^(k-1): each axis weighs its
-    node values with row lambda_i of the inverse Vandermonde matrix.
-    Accurate (relative error <= ~3e-11) up to |lambda| = ``SIGMA_MULTI_MAX_ORDER`` = 5, refused above.
-    """
-    if len(mats) != len(lam):
-        raise ValueError("multi-index length must match the number of matrices")
-    active = [(A, l) for A, l in zip(mats, lam) if l > 0]
-    if not active:
-        return np.ones(mats[0].shape[:-2])
-    if len(active) == 1:
-        return sigma_k(active[0][0], active[0][1])
-    m = mats[0].shape[-1]
-    if sum(lam) > m:
-        raise ValueError("|lambda| exceeds the matrix dimension")
-    (A1, _), rest = active[0], active[1:]
-    n = sum(l for _, l in active)
-    if n > SIGMA_MULTI_MAX_ORDER:
-        raise ValueError(f"|lambda| = {n} exceeds {SIGMA_MULTI_MAX_ORDER}, the interpolation's accurate range")
-    V = np.vander(np.arange(n + 1, dtype=float), increasing=True)
-    rows = np.linalg.inv(V)[[l for _, l in rest]]
-    out = np.zeros(A1.shape[:-2])
-    for idx in np.ndindex(*((n + 1,) * len(rest))):
-        M = A1
-        for t, (A, _) in zip(idx, rest):
-            if t:
-                M = M + t * A
-        out += np.prod(rows[np.arange(len(rest)), idx]) * sigma_k(M, n)
-    return out
 
 
 def newton_transform_batched(A: np.ndarray, r: int) -> np.ndarray:

@@ -31,9 +31,7 @@ import numpy as np
 
 from .catalog import ExampleSpec, build_example, sweep_points
 from .extrinsic import ExtrinsicBundle, build_extrinsic
-from .invariants import (
-    dot, matvec, newton_chain, newton_transform_batched, outer, quad, sigma_k, sigma_multi_batched, trace,
-)
+from .invariants import dot, matvec, newton_chain, outer, quad, sigma_k, trace
 from .manifold import deformation_tensor, gradient, integrate
 from .report import ResidualReport
 
@@ -204,15 +202,15 @@ def _ev_berwald_sigma(k, printed=False):
         cC = E.M.c[..., None, None] * Csh
         b = E.b_frame
         X = Ab + E.delta[..., None, None] * np.eye(m)
-        # sigma_k(X + cC + b U1^T + U2 b^T + a3 b b^T) - sigma_k(X)
-        tail = sum(sigma_multi_batched([X, cC], (k - j, j)) for j in range(1, k + 1))
         core = X + cC
         U1, U2, a3 = E.rank_one(printed)
-        tail = tail + newton_chain(core, k, [(b, U1, 1.0), (U2, b, 1.0), (b, b, a3)])
+        # sigma_k(X + cC + b U1^T + U2 b^T + a3 b b^T); the display's
+        # sum_{j>=1} sigma_(k-j,j)(X, cC) is sigma_k(X + cC) - sigma_k(X)
+        full = sigma_k(core, k) + newton_chain(core, k, [(b, U1, 1.0), (U2, b, 1.0), (b, b, a3)])
         if printed:
             # published display: sigma_k(Abar + delta I) truncated at first order
-            return E.delta * (m - k + 1) * sigma_k(Ab, k - 1) + tail
-        return (sigma_k(X, k) + tail) / E.M.c**k - sigma_k(Ab, k)
+            return E.delta * (m - k + 1) * sigma_k(Ab, k - 1) + full - sigma_k(X, k)
+        return full / E.M.c**k - sigma_k(Ab, k)
 
     return ev
 
@@ -234,7 +232,7 @@ def _ev_sigma_tg(k):
         dI = E.delta[..., None, None] * np.eye(E.M.m)
         w1 = (c - 2 * ch) / (2 * cc)
         t1 = c**k * sigma_k(Csh, k)
-        t2 = w1 * quad(Zp, newton_transform_batched(Csh + dI, k - 1), b)
+        t2 = newton_chain(Csh + dI, k, [(b, Zp, w1)])
         # R1 = (Zbar^perp)^flat (x) bst: eats <Zbar^perp, .>, outputs bst
         core = c[..., None, None] * Csh + dI + outer(b, Zp) * w1[..., None, None]
         ups = [(Zp, b, c * (c - 2 * ch) / (2 * ch)), (b, b, (c - 2 * ch) / (cc * E.b2) * E.beta_Zbar)]

@@ -11,7 +11,6 @@ from randers_foliations.invariants import (
     outer,
     quad,
     sigma_k,
-    sigma_multi_batched,
 )
 
 
@@ -82,19 +81,6 @@ def test_kernels_reject_unsupported_shapes():
         for kernel in (det, inv, is_spd):
             with pytest.raises(ValueError):
                 kernel(bad)
-
-
-def test_batched_sigma_multi_error_checks():
-    A = np.zeros((4, 2, 2))
-    with pytest.raises(ValueError):
-        sigma_multi_batched([A, A], (1,))
-    with pytest.raises(ValueError):
-        sigma_multi_batched([A, A], (2, 1))
-    # |lambda| = 6 lies past the interpolation's accurate range
-    B = np.zeros((4, 6, 6))
-    with pytest.raises(ValueError, match="accurate range"):
-        sigma_multi_batched([B, B], (3, 3))
-    np.testing.assert_array_equal(sigma_multi_batched([A, A], (0, 0)), np.ones(4))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import sys
 
@@ -52,3 +53,33 @@ def test_first_difference_names_the_first_differing_line(tool):
     old, new = _streams(), _streams()
     del old["report r.json"]
     assert tool.first_difference(old, new) == "report r.json, line 1: '<not written>' at REV, '{\"x\": 1}' here"
+
+
+def test_every_differing_argv_is_reported(tool, monkeypatch, capsys):
+    def report(f_residual, g_verdict):
+        rows = [("f", "pass", f_residual), ("g", g_verdict, 2.0)]
+        return json.dumps({"reports": [{"formula_id": f, "verdict": v, "residual": r} for f, v, r in rows]}).encode()
+
+    tree = os.path.join(tool.ROOT, "src")
+    # argv a moves a residual, b matches, c also flips a verdict and the exit code
+    here = {("a",): _streams(out=b"y\n") | {"report r.json": report(4e-17, "fail")},
+            ("b",): _streams(out=b"x\n") | {"report r.json": report(1e-17, "fail")},
+            ("c",): _streams(code=1, out=b"x\n") | {"report r.json": report(1e-17, "pass")}}
+
+    def run(src, cwd, argv):
+        return here[tuple(argv)] if src == tree else _streams(out=b"x\n") | {"report r.json": report(1e-17, "fail")}
+
+    monkeypatch.setattr(tool, "checkout", lambda rev, dest: True)
+    monkeypatch.setattr(tool, "run", run)
+    monkeypatch.setattr(tool, "argv_list", lambda: [["a"], ["b"], ["c"]])
+    assert tool.main(["REV"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differ: a",
+        "  stdout, line 1: 'x' at REV, 'y' here",
+        "  report r.json: verdicts and exit code the same; largest |residual| change 3.000e-17 (f)",
+        "same: b",
+        "differ: c",
+        "  exit code: 0 at REV, 1 here",
+        "  report r.json: verdicts and exit code DIFFER; no residual moved",
+        "2 of 3 runs differ from REV",
+    ]

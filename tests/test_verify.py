@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 
 from randers_foliations.catalog import EXAMPLES, ExampleError, ExampleSpec, build_example
 from randers_foliations.extrinsic import build_extrinsic
-from randers_foliations.invariants import (
-    newton_transform_batched,
-    sigma_k,
-    sigma_multi_batched,
-)
+from randers_foliations.invariants import newton_transform_batched, sigma_k
 from randers_foliations.matinv import (
     newton_transform,
     sigma_multi,
@@ -60,14 +56,15 @@ def test_batched_sigma_above_order_is_zero():
 
 
 def test_batched_sigma_multi_matches_scalar():
+    # the Berwald rows' identity: sum_{j>=1} sigma_(n-j,j)(X, Y) = sigma_n(X + Y) - sigma_n(X)
     rng = np.random.default_rng(1)
-    cases = [(2, (1, 1)), (3, (1, 1)), (3, (2, 1)), (3, (1, 2)), (3, (1, 1, 1)), (3, (1, 0, 2)), (3, (0, 1, 1))]
-    for m, lam in cases:
-        mats = [rng.uniform(-1, 1, (3, m, m)) for _ in lam]
-        vals = sigma_multi_batched(mats, lam)
-        for i in range(3):
-            ref = sigma_multi([A[i] for A in mats], lam)
-            assert vals[i] == pytest.approx(ref, rel=1e-10, abs=1e-12), (m, lam)
+    for m in (2, 3):
+        X, Y = rng.uniform(-1, 1, (2, 3, m, m))
+        for n in range(1, m + 1):
+            vals = sigma_k(X + Y, n) - sigma_k(X, n)
+            for i in range(3):
+                ref = sum(sigma_multi([X[i], Y[i]], (n - j, j)) for j in range(1, n + 1))
+                assert vals[i] == pytest.approx(ref, rel=1e-12, abs=1e-14), (m, n)
 
 
 def test_batched_newton_matches_scalar():

@@ -15,15 +15,22 @@ name, at its defaults and ``--formulas full``; the argv of each perfbench
 workload at slots 0 and 5 (``perfbench/workloads.py``); and CI's config-file
 run with its flag twin.
 
-Exit status: 0 when every run matches; 1 at the first argv that differs,
-after printing it and the stream (exit code, stdout, stderr or a report
-file) that differs; 2 when REV names no commit.
+Every argv runs, whatever the earlier ones gave.  For each argv that differs
+the tool prints one ``differ:`` line and the first difference (the stream:
+exit code, stdout, stderr or a report file, and its first differing line).
+For each JSON report that differs it adds one line: whether every verdict
+and the exit code match, and the largest change of a ``residual`` with its
+formula id.
+
+Exit status: 0 when every run matches; 1 when any argv differs; 2 when REV
+names no commit.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import json
 import os
 import shlex
 import shutil
@@ -95,6 +102,25 @@ def first_difference(old: dict, new: dict) -> str | None:
     return None
 
 
+def report_changes(old: dict, new: dict) -> list[str]:
+    """One line per JSON report written on both sides that differs: verdicts, exit code, largest residual change."""
+    lines = []
+    for stream in old:
+        if not stream.startswith("report ") or stream not in new or old[stream] == new[stream]:
+            continue
+        try:
+            a, b = ({r["formula_id"]: r for r in json.loads(side[stream])["reports"]} for side in (old, new))
+        except (ValueError, KeyError):
+            continue  # not a JSON report on both sides
+        same = (old["exit code"] == new["exit code"] and a.keys() == b.keys()
+                and all(a[f]["verdict"] == b[f]["verdict"] for f in a))
+        changes = {f: abs(b[f]["residual"] - a[f]["residual"]) for f in a if f in b}
+        fid = max(changes, key=changes.get, default=None)
+        moved = f"largest |residual| change {changes[fid]:.3e} ({fid})" if changes.get(fid) else "no residual moved"
+        lines.append(f"{stream}: verdicts and exit code {'the same' if same else 'DIFFER'}; {moved}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="compare the reports of REV and this tree")
     parser.add_argument("rev", help="the git revision to compare against, e.g. HEAD~1")
@@ -110,13 +136,18 @@ def main(argv: list[str] | None = None) -> int:
             with open(os.path.join(tmp, f"run-{side}", "run.cfg"), "w") as fh:
                 fh.write(CONFIG)
         runs = argv_list()
+        differing = 0
         for argv in runs:
             old, new = (run(src, os.path.join(tmp, f"run-{side}"), argv) for side, src in sides.items())
             difference = first_difference(old, new)
             if difference:
-                print(f"differ: {shlex.join(argv)}\n  {difference}")
-                return 1
-            print(f"same: {shlex.join(argv)}", flush=True)
+                differing += 1
+                print("\n  ".join([f"differ: {shlex.join(argv)}", difference, *report_changes(old, new)]), flush=True)
+            else:
+                print(f"same: {shlex.join(argv)}", flush=True)
+        if differing:
+            print(f"{differing} of {len(runs)} runs differ from {rev}")
+            return 1
         print(f"{len(runs)} runs: the same report bytes, stdout, stderr and exit codes as {rev}")
         return 0
     finally:
