@@ -31,6 +31,7 @@ __all__ = [
     "example_names",
     "param_help",
     "parse_params",
+    "probe_point",
     "resolve_params",
     "sweep_points",
 ]
@@ -392,6 +393,23 @@ def sweep_points(spec: ExampleSpec, resolutions: list[int]) -> list[tuple[Exampl
     except ValueError as exc:
         raise ExampleError(f"{spec.name}: {exc}") from exc
     return [(ExampleSpec(spec.name, {**spec.params, "n": p["n"], "r0": radii[0]}), masks[::-1])]
+
+
+def probe_point(point: ExampleSpec) -> ExampleSpec:
+    """The cheap probe on which a one-point sweep learns its release plan:
+    ``point`` (a spec that ``sweep_points`` made) on a grid never finer than
+    its own.
+
+    A torus probe is the point at n = 8; the excised sphere's is the point at
+    n = 32 and r0 = 0.4.  A coarser point keeps its own n, and a larger
+    radius its own r0, so the probe's radius fits its grid whenever the
+    point's fits.
+    """
+    p = point.params
+    if "r0" not in p:
+        return ExampleSpec(point.name, {**p, "n": min(p["n"], 8)})
+    # 0.4: the smallest radius that n = 32 admits, 4 pi / 32, rounded up
+    return ExampleSpec(point.name, {**p, "n": min(p["n"], 32), "r0": max(p["r0"], 0.4)})
 
 
 def build_example(spec: ExampleSpec) -> FoliatedRandersManifold:

@@ -24,7 +24,9 @@ its own memo entry.
 
 A field lives only until its last reader.  The bundle notes which stage of a
 sweep point (the hypotheses, then each check) last read each memo entry; a
-later bundle given that plan drops each entry as soon as that stage ends.
+later bundle given that plan drops each entry as soon as that stage ends.  The
+record follows the code path, not the grid, so it comes from the sweep's
+first point, or, for a sweep of one point, from a coarse probe of it.
 Fields are computed on the manifold's own active set ``M.active``; the bundle
 holds no judging mask, since ``verify`` passes each mask to the reductions.
 

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .catalog import ExampleSpec, build_example, sweep_points
+from .catalog import ExampleError, ExampleSpec, build_example, probe_point, sweep_points
 from .extrinsic import ExtrinsicBundle, build_extrinsic
 from .invariants import dot, matvec, newton_chain, outer, quad, sigma_k, trace
 from .manifold import deformation_tensor, gradient, integrate
@@ -624,7 +624,8 @@ def _sweep_point(
     Returns the example's name and grid (not the manifold, so no point's
     fields stay alive while the next point is built), the hypotheses of each
     mask, a ``(label, values)`` pair per mask, and this point's record of last
-    readers: the plan for the next point.
+    readers: the plan for the next point, or, from a probe, for the one point
+    of its sweep.
     """
     M = build_example(subspec)
     E = build_extrinsic(M, scheme, plan)
@@ -646,6 +647,14 @@ def _sweep_point(
     return M.name, M.grid, hyps, [(label, v) for (label, _), v in zip(masks, values)], E.last_reader
 
 
+def _probe_plan(point: ExampleSpec, fids: list[str], scheme: str) -> dict | None:
+    """The release record of ``point``'s probe, or None where the probe raises."""
+    try:
+        return _sweep_point(probe_point(point), None, fids, scheme)[-1]
+    except (ExampleError, FloatingPointError):
+        return None
+
+
 def run_formulas(
     spec: ExampleSpec, fids: list[str], resolutions: list[int], scheme: str = "spectral"
 ) -> list[ResidualReport]:
@@ -665,8 +674,14 @@ def run_formulas(
 
     The points run one at a time, and each builds its manifold once.  Each
     point records which check last reads each bundle field, and the next
-    point drops each field after that reader; the first point keeps every
-    field to its end.  Every entry carries its row's gates at the finest
+    point drops each field after that reader.  A stage's reads follow the
+    code path, not the grid, so the first point learns the plan the others
+    follow.  A sweep of one point (the excised sphere's, or a torus at one
+    size) has no earlier point: it first runs a cheap probe of the same
+    example, parameters, scheme and checks (``catalog.probe_point``) and
+    follows the probe's record.  A probe that raises an ExampleError or a
+    FloatingPointError leaves the point unplanned, so the point raises its
+    own error, or none.  Every entry carries its row's gates at the finest
     point, whose ``singular`` gate says whether the run is judged as
     excised; a check not applicable there reports value 0 and the verdict
     ``not-applicable``.
@@ -677,8 +692,10 @@ def run_formulas(
         raise ValueError(f"unknown formula ids: {', '.join(unknown)}")
     if not resolutions:
         raise ValueError("need at least one resolution")
-    results, plan = [], None
-    for point in sweep_points(spec, resolutions):
+    points = sweep_points(spec, resolutions)
+    plan = _probe_plan(points[0][0], fids, scheme) if len(points) == 1 else None
+    results = []
+    for point in points:
         results.append(_sweep_point(*point, fids, scheme, plan))
         plan = results[-1][-1]
     per_res = [pair for *_, pairs, _ in results for pair in pairs]

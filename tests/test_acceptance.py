@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from randers_foliations import fd
+import fd
 from randers_foliations.catalog import ExampleSpec, build_example
 from randers_foliations.cli import build_config, report_config, run
 from randers_foliations.extrinsic import build_extrinsic

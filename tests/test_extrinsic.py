@@ -422,18 +422,27 @@ def test_formula_routes_agree_across_parameter_variations():
 def tangent_point():
     """One flat-graph-tangent sweep point under ``--formulas all``.
 
-    Returns the point's bundle and every covariant_vector_derivative call
-    made while it was evaluated, as (field, connection) pairs.  The calls keep
-    their arguments alive, so equal ids mean the same arrays.
+    The sweep has one point, so it runs its probe (n = 8) first.  Returns the
+    real point's bundle, the arrays that bundle held as each of its stages
+    closed (name -> ndim, before the plan dropped any), and every
+    covariant_vector_derivative call made while the point was evaluated, as
+    (field, connection) pairs.  The calls keep their arguments alive, so
+    equal ids mean the same arrays.
     """
     from randers_foliations import extrinsic, manifold, verify
 
-    derivative = manifold.covariant_vector_derivative
-    bundles, calls = [], []
+    derivative, end_stage = manifold.covariant_vector_derivative, extrinsic.ExtrinsicBundle.end_stage
+    bundles, held, calls = [], {}, []
 
     def keep_bundle(*args, **kwargs):
         bundles.append(build_extrinsic(*args, **kwargs))
+        calls.clear()  # the probe's calls end before the point's bundle is built
         return bundles[-1]
+
+    def note_held(E):
+        if E is bundles[-1]:
+            held.update((key, v.ndim) for key, v in vars(E).items() if isinstance(v, np.ndarray))
+        end_stage(E)
 
     def record(M, v, gamma, scheme):
         calls.append((v, gamma))
@@ -442,25 +451,28 @@ def tangent_point():
     fids = [f for f in verify.formula_ids() if not verify.FORMULAS[f].refuted]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "build_extrinsic", keep_bundle)
+        mp.setattr(extrinsic.ExtrinsicBundle, "end_stage", note_held)
         for module in (manifold, extrinsic):
             mp.setattr(module, "covariant_vector_derivative", record)
         verify.run_formulas(ExampleSpec("flat-graph-tangent"), fids, [12], "spectral")
-    assert len(bundles) == 1
-    return bundles[0], calls
+    assert [E.M.grid.sizes for E in bundles] == [(8, 8, 8), (12, 12, 12)]  # the probe, then the point
+    assert bundles[1].plan == bundles[0].last_reader
+    return bundles[1], held, calls
 
 
 def test_bundle_holds_no_array_wider_than_the_connection(tangent_point):
     # operators carry dim + 2 axes; the Christoffel fields (dim + 3) live only
-    # inside the pass that reads them, and no d^4 array is ever held
-    E, _ = tangent_point
-    held = {key: value.ndim for key, value in vars(E).items() if isinstance(value, np.ndarray)}
+    # inside the pass that reads them, and no d^4 array is ever held at any stage
+    E, held, _ = tangent_point
     assert {"R_N", "Abar", "gamma_N", "nabla_Z_direct"} <= set(held)
     dim = E.M.dim
     assert {name: ndim for name, ndim in held.items() if ndim > dim + 2} == {}
+    # the plan drops every field after its last reader
+    assert [key for key, value in vars(E).items() if isinstance(value, np.ndarray)] == []
 
 
 def test_bundle_takes_each_covariant_derivative_once(tangent_point):
-    _, calls = tangent_point
+    *_, calls = tangent_point
     pairs = [(id(v), id(gamma)) for v, gamma in calls]
     assert len(pairs) >= 6
     assert len(set(pairs)) == len(pairs)

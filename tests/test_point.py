@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randers_foliations import fd
+import fd
 from randers_foliations.point import (
     RandersPoint,
     angular_form,

@@ -157,12 +157,14 @@ def test_hypotheses_measure_only_the_selected_gates_keys(monkeypatch):
     profile = verify.hypothesis_profile
 
     def spy(E, mask, keys):
-        measured.append(profile(E, mask, keys))
-        return measured[-1]
+        measured.append((mask.shape, profile(E, mask, keys)))
+        return measured[-1][1]
 
     monkeypatch.setattr(verify, "hypothesis_profile", spy)
     reports = run_formulas(ExampleSpec("flat-graph"), ["shape-comparison"], [16])
-    assert [set(hyp) for hyp in measured] == [{"beta_singular", "masked"}]
+    # a one-point sweep measures its probe (n = 8) first, then the point, on the same keys
+    keys = {"beta_singular", "masked"}
+    assert [(shape, set(hyp)) for shape, hyp in measured] == [((8, 8), keys), ((16, 16), keys)]
     assert reports[0].gates == {"smooth-beta": [0.0, 0.0, True]}
 
 
@@ -256,14 +258,20 @@ def test_each_sweep_point_is_built_once(monkeypatch):
 
     build_example = verify.build_example
     monkeypatch.setattr(verify, "build_example", counting_build)
+    # two or more points: no probe, each point built once
     run_formulas(ExampleSpec("flat-graph"), ["reeb-riemannian"], [16, 24], "spectral")
     assert [s.params["n"] for s in built] == [16, 24]
     built.clear()
-    # the excised sweep is one point: built once, at its smallest radius
+    # a torus at one size: its probe at n = 8, then the point
+    run_formulas(ExampleSpec("flat-graph"), ["reeb-riemannian"], [16], "spectral")
+    assert [s.params["n"] for s in built] == [8, 16]
+    built.clear()
+    # the excised sweep is one point: its probe at n = 32 and r0 = 0.4, then the
+    # point, built once, at its smallest radius
     reports = run_formulas(
         ExampleSpec("sphere-latitudes", {"r0": (0.3, 0.2)}), ["reeb-riemannian"], [64]
     )
-    assert [(s.params["r0"], s.params["n"]) for s in built] == [(0.2, 64)]
+    assert [(s.params["r0"], s.params["n"]) for s in built] == [(0.4, 32), (0.2, 64)]
     assert [r0 for r0, _ in reports[0].convergence] == [0.3, 0.2]
 
 
@@ -305,7 +313,7 @@ def test_repeated_radius_is_swept_once():
 
 def test_each_check_is_formed_once_per_sweep_point(monkeypatch):
     # the three radii share one build, and each check forms its field once
-    # and reduces it on every radius's mask
+    # and reduces it on every radius's mask; the probe forms each of its own once
     import dataclasses
     from collections import Counter
 
@@ -315,7 +323,7 @@ def test_each_check_is_formed_once_per_sweep_point(monkeypatch):
 
     def counted(formula):
         def evaluate(E):
-            calls[formula.fid] += 1
+            calls[E.M.grid.sizes, formula.fid] += 1
             return formula.evaluate(E)
 
         return dataclasses.replace(formula, evaluate=evaluate)
@@ -324,7 +332,9 @@ def test_each_check_is_formed_once_per_sweep_point(monkeypatch):
     reports = run_formulas(ExampleSpec("sphere-latitudes", {"r0": SWEEP_RADII}), formula_ids(), [128])
     judged = [r.formula_id for r in reports if len(r.convergence) == len(SWEEP_RADII)]
     assert len(judged) >= 10
-    assert set(judged) <= set(calls)
+    per_bundle = {sizes: {fid for s, fid in calls if s == sizes} for sizes, _ in calls}
+    assert set(per_bundle) == {(32, 32), (128, 128)}, calls      # the probe and the point
+    assert set(judged) <= per_bundle[128, 128] == per_bundle[32, 32]
     assert set(calls.values()) == {1}, calls
 
 
@@ -378,13 +388,9 @@ def test_sweep_points_do_not_outlive_their_evaluation(monkeypatch):
     assert len(built) == 3
 
 
-@pytest.fixture(scope="module")
-def released_sweep():
-    """A three-point flat-graph-tangent sweep of every non-refuted check.
-
-    Returns its reports, each point's bundle, and the number of Levi-Civita
-    connections each point formed.
-    """
+def _traced_run(spec, fids, resolutions, scheme="spectral"):
+    """``run_formulas``'s reports, each bundle it built (a one-point sweep's
+    probe first), and the number of Levi-Civita connections each formed."""
     from randers_foliations import extrinsic, verify
 
     build, levi_civita = verify.build_extrinsic, extrinsic.levi_civita
@@ -402,23 +408,36 @@ def released_sweep():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "build_extrinsic", keep_bundle)
         mp.setattr(extrinsic, "levi_civita", counting_levi_civita)
-        reports = run_formulas(ExampleSpec("flat-graph-tangent"), UNREFUTED, RELEASE_RES, "spectral")
+        reports = run_formulas(spec, fids, resolutions, scheme)
     return reports, bundles, connections
 
 
-def test_release_is_exact(released_sweep):
-    from randers_foliations.extrinsic import build_extrinsic
-
-    reports, bundles, connections = released_sweep
-    # a field dropped after its last reader is never formed again
-    assert connections == [2, 2, 2]
-    fresh = build_extrinsic(bundles[-1].M, "spectral")
+def _assert_release_is_exact(reports, bundle):
+    """Every applicable value is bit-identical to one from a fresh unplanned bundle of ``bundle``'s manifold."""
+    fresh = build_extrinsic(bundle.M, bundle.scheme)
     applicable = [r for r in reports if r.verdict != "not-applicable"]
-    assert len(applicable) >= 25
     for r in applicable:
         (value, detail), = FORMULAS[r.formula_id].values(fresh, [fresh.M.active])
         assert r.value.hex() == float(value).hex(), r.formula_id
         assert {k: r.detail[k] for k in detail} == detail, r.formula_id
+    return len(applicable)
+
+
+@pytest.fixture(scope="module")
+def released_sweep():
+    """A three-point flat-graph-tangent sweep of every non-refuted check.
+
+    Returns its reports, each point's bundle, and the number of Levi-Civita
+    connections each point formed.
+    """
+    return _traced_run(ExampleSpec("flat-graph-tangent"), UNREFUTED, RELEASE_RES)
+
+
+def test_release_is_exact(released_sweep):
+    reports, bundles, connections = released_sweep
+    # a field dropped after its last reader is never formed again
+    assert connections == [2, 2, 2]
+    assert _assert_release_is_exact(reports, bundles[-1]) >= 25
 
 
 def test_release_lowers_the_peak(released_sweep):
@@ -467,6 +486,100 @@ def test_coordinate_checks_run_first_and_lower_the_peak(monkeypatch):
     table_order = peak()
     # measured 0.78 at 16^3, 24^3 and 32^3: the coordinate (d, d) fields die before the frame checks
     assert ordered < 0.85 * table_order, (ordered, table_order)
+
+
+# every catalog configuration: (example, params, cheap resolutions)
+CONFIGURATIONS = [
+    ("flat-graph-tangent", {}, [12, 16]),
+    ("flat-graph", {}, [16, 24]),
+    ("flat-parallel", {}, [12, 16]),
+    ("sphere-latitudes", {"beta_mode": "rotational", "r0": (0.2, 0.1)}, [128]),
+    ("sphere-latitudes", {"beta_mode": "eigen", "r0": (0.2, 0.1)}, [128]),
+    ("conformal-torus", {"beta_mode": "generic"}, [16, 24]),
+    ("conformal-torus", {"beta_mode": "constant-angle"}, [16, 24]),
+    ("conformal-torus", {"beta_mode": "riemannian"}, [16, 24]),
+]
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "central4"])
+@pytest.mark.parametrize("name, params, resolutions", CONFIGURATIONS,
+                         ids=[f"{n}-{p.get('beta_mode', 'default')}" for n, p, _ in CONFIGURATIONS])
+def test_the_release_plan_does_not_depend_on_the_grid(name, params, resolutions, scheme):
+    # a stage's reads follow the code path, not the grid: the probe's record is
+    # every point's own, so the plan it gives a one-point sweep is exact
+    from randers_foliations.catalog import probe_point, sweep_points
+    from randers_foliations.verify import _sweep_point
+
+    spec = ExampleSpec(name, params)
+    (point, _), *_ = sweep_points(spec, resolutions)
+    probe = probe_point(point)
+    assert probe.params["n"] < point.params["n"]
+    record = _sweep_point(probe, None, formula_ids(), scheme)[-1]
+    _, bundles, _ = _traced_run(spec, formula_ids(), resolutions, scheme)
+    assert len(bundles) == 2   # two torus points, or the sphere's probe and its one point
+    assert [bundle.last_reader for bundle in bundles] == [record, record]
+
+
+def _fail_the_next_build(monkeypatch, error):
+    """Make the next ``build_example`` of ``verify`` (a one-point sweep's probe) raise ``error``."""
+    from randers_foliations import verify
+
+    build, failed = verify.build_example, []
+
+    def build_example(spec):
+        if not failed:
+            failed.append(spec)
+            raise error("the probe cannot be built")
+        return build(spec)
+
+    monkeypatch.setattr(verify, "build_example", build_example)
+    return failed
+
+
+@pytest.mark.parametrize("name, params, resolutions", [
+    ("sphere-latitudes", {"r0": (0.2, 0.1)}, [128]),
+    ("flat-graph-tangent", {}, [16]),
+])
+def test_a_one_point_sweep_releases_as_a_later_point_does(name, params, resolutions, monkeypatch):
+    import tracemalloc
+
+    spec = ExampleSpec(name, params)
+    reports, bundles, connections = _traced_run(spec, UNREFUTED, resolutions)
+    probe, point = bundles
+    assert probe.M.grid.sizes < point.M.grid.sizes and probe.plan == {}
+    assert point.plan == probe.last_reader == point.last_reader
+    # after its last check the point holds no field, and it formed each connection once
+    assert [k for k, v in vars(point).items() if isinstance(v, np.ndarray)] == []
+    assert connections[1] == 2
+    assert _assert_release_is_exact(reports, point) >= 10
+
+    def peak():
+        tracemalloc.start()
+        try:
+            run_formulas(spec, UNREFUTED, resolutions)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the run above has imported every module the sweep uses, so neither peak counts imports
+    planned = peak()
+    _fail_the_next_build(monkeypatch, ExampleError)
+    unplanned = peak()
+    # measured 0.73 at sphere n = 128, 0.74 at n = 384 and 0.75 at 16^3
+    assert planned < 0.8 * unplanned, (planned, unplanned)
+
+
+@pytest.mark.parametrize("error", [ExampleError, FloatingPointError])
+def test_a_probe_that_raises_leaves_the_point_unplanned(error, monkeypatch):
+    # the point runs as if it had no probe, and raises its own error if any
+    # (test_cli's underflow-traceback case names the point's sizes, not the probe's)
+    spec = ExampleSpec("flat-graph-tangent")
+    planned = reports_to_json(run_formulas(spec, formula_ids(), [12]))
+    failed = _fail_the_next_build(monkeypatch, error)
+    reports, bundles, _ = _traced_run(spec, formula_ids(), [12])
+    assert [s.params["n"] for s in failed] == [8]
+    assert [(bundle.M.grid.sizes, bundle.plan) for bundle in bundles] == [((12, 12, 12), {})]
+    assert reports_to_json(reports) == planned
 
 
 def test_eigen_sphere_balance_checks():
