@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grid import PeriodicGrid
+from .grid import MIN_SIZE, PeriodicGrid
 from .invariants import dot, matvec
 from .manifold import FoliatedRandersManifold
 
@@ -31,7 +31,6 @@ __all__ = [
     "example_names",
     "param_help",
     "parse_params",
-    "probe_point",
     "resolve_params",
     "sweep_points",
 ]
@@ -365,8 +364,10 @@ def resolve_params(name: str, params: dict) -> dict:
     return resolved
 
 
-def sweep_points(spec: ExampleSpec, resolutions: list[int]) -> list[tuple[ExampleSpec, list | None]]:
-    """The points of a sweep: the spec each builds and its labelled judging masks.
+def sweep_points(
+    spec: ExampleSpec, resolutions: list[int]
+) -> tuple[ExampleSpec, list[tuple[ExampleSpec, list | None]]]:
+    """The probe of a sweep, and its points: the spec each builds and its labelled judging masks.
 
     A torus gives one point per distinct grid size, ascending, each judged on
     its build's own active set (None).  An example with an ``r0`` row excises
@@ -378,11 +379,18 @@ def sweep_points(spec: ExampleSpec, resolutions: list[int]) -> list[tuple[Exampl
     by the radius, largest first.  The radii are checked against the grid
     smallest first, so the ExampleError of a grid too coarse for the sweep
     names the radius that binds.
+
+    The probe is the coarse build on which the sweep learns its release plan:
+    a torus at the smallest size a grid accepts (``grid.MIN_SIZE``), the
+    excised sphere at n = 32 (its own n, if coarser) and r0 = 0.4 (its
+    smallest radius, if larger), so the probe's radius fits its grid whenever
+    the point's fits.
     """
     sizes = sorted({int(n) for n in resolutions})
     p = resolve_params(spec.name, {**spec.params, "n": sizes[-1]})
     if "r0" not in p:
-        return [(ExampleSpec(spec.name, {**spec.params, "n": n}), None) for n in sizes]
+        probe = ExampleSpec(spec.name, {**spec.params, "n": MIN_SIZE})
+        return probe, [(ExampleSpec(spec.name, {**spec.params, "n": n}), None) for n in sizes]
     if len(sizes) > 1:
         raise ExampleError(f"{spec.name}: an excised run sweeps r0 at one grid size; "
                            f"got sizes {', '.join(map(str, sizes))}")
@@ -392,24 +400,9 @@ def sweep_points(spec: ExampleSpec, resolutions: list[int]) -> list[tuple[Exampl
         masks = [(r0, _excision_mask(grid, r0)) for r0 in radii]
     except ValueError as exc:
         raise ExampleError(f"{spec.name}: {exc}") from exc
-    return [(ExampleSpec(spec.name, {**spec.params, "n": p["n"], "r0": radii[0]}), masks[::-1])]
-
-
-def probe_point(point: ExampleSpec) -> ExampleSpec:
-    """The cheap probe on which a one-point sweep learns its release plan:
-    ``point`` (a spec that ``sweep_points`` made) on a grid never finer than
-    its own.
-
-    A torus probe is the point at n = 8; the excised sphere's is the point at
-    n = 32 and r0 = 0.4.  A coarser point keeps its own n, and a larger
-    radius its own r0, so the probe's radius fits its grid whenever the
-    point's fits.
-    """
-    p = point.params
-    if "r0" not in p:
-        return ExampleSpec(point.name, {**p, "n": min(p["n"], 8)})
     # 0.4: the smallest radius that n = 32 admits, 4 pi / 32, rounded up
-    return ExampleSpec(point.name, {**p, "n": min(p["n"], 32), "r0": max(p["r0"], 0.4)})
+    probe = ExampleSpec(spec.name, {**spec.params, "n": min(p["n"], 32), "r0": max(radii[0], 0.4)})
+    return probe, [(ExampleSpec(spec.name, {**spec.params, "n": p["n"], "r0": radii[0]}), masks[::-1])]
 
 
 def build_example(spec: ExampleSpec) -> FoliatedRandersManifold:

@@ -25,8 +25,8 @@ its own memo entry.
 A field lives only until its last reader.  The bundle notes which stage of a
 sweep point (the hypotheses, then each check) last read each memo entry; a
 later bundle given that plan drops each entry as soon as that stage ends.  The
-record follows the code path, not the grid, so it comes from the sweep's
-first point, or, for a sweep of one point, from a coarse probe of it.
+record follows the code path, not the grid, so a coarse probe of the sweep
+gives the plan of every point.
 Fields are computed on the manifold's own active set ``M.active``; the bundle
 holds no judging mask, since ``verify`` passes each mask to the reductions.
 
@@ -102,7 +102,7 @@ class ExtrinsicBundle:
     The caller names the current stage (``stage``: "hyp" or a check id) and
     closes it with ``end_stage``.  Every read of a memo entry is noted in
     ``last_reader`` (field -> the last stage that read it or made it).  Given
-    the ``plan`` of an earlier bundle (its ``last_reader``), ``end_stage``
+    the ``plan`` of the sweep's probe (its ``last_reader``), ``end_stage``
     drops each entry the plan says the closing stage read last; an entry read
     again after that is computed again.
     """

@@ -130,10 +130,7 @@ def trapezoid_integral(
         raise ValueError(f"scalar field shape {values.shape} does not match grid {grid.sizes}")
     integrand = values if weight is None else values * weight
     if mask is not None:
-        if not np.all(np.isfinite(integrand[mask])):
-            raise FloatingPointError("non-finite integrand at active nodes")
         integrand = np.where(mask, integrand, 0.0)
-    else:
-        if not np.all(np.isfinite(integrand)):
-            raise FloatingPointError("non-finite integrand")
+    if not np.all(np.isfinite(integrand)):
+        raise FloatingPointError("non-finite integrand at active nodes")
     return float(integrand.sum() * grid.cell_volume)

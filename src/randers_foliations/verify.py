@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .catalog import ExampleError, ExampleSpec, build_example, probe_point, sweep_points
+from .catalog import ExampleError, ExampleSpec, build_example, sweep_points
 from .extrinsic import ExtrinsicBundle, build_extrinsic
 from .invariants import dot, matvec, newton_chain, outer, quad, sigma_k, trace
 from .manifold import deformation_tensor, gradient, integrate
@@ -610,7 +610,7 @@ _COORDINATE_FIRST = (
 def _sweep_point(
     subspec: ExampleSpec, masks: list | None, fids: list[str], scheme: str, plan: dict | None = None
 ):
-    """Hypotheses, formula values and release plan of one sweep point.
+    """Hypotheses, formula values and release record of one sweep point.
 
     The point builds its manifold and bundle once and judges them on each
     labelled mask of ``masks`` (default: the build's own active set,
@@ -622,10 +622,9 @@ def _sweep_point(
     of the fields of another mask's later ones.  Given ``plan``, the bundle
     drops each field when the stage the plan names as its last reader ends.
     Returns the example's name and grid (not the manifold, so no point's
-    fields stay alive while the next point is built), the hypotheses of each
-    mask, a ``(label, values)`` pair per mask, and this point's record of last
-    readers: the plan for the next point, or, from a probe, for the one point
-    of its sweep.
+    fields stay alive while the next point is built), the hypotheses of the
+    last mask, a ``(label, values)`` pair per mask, and the point's record of
+    last readers: from the sweep's probe, the plan of every point.
     """
     M = build_example(subspec)
     E = build_extrinsic(M, scheme, plan)
@@ -644,13 +643,13 @@ def _sweep_point(
             for i, value in zip(judged, formula.values(E, [masks[i][1] for i in judged])):
                 values[i][fid] = value
         E.end_stage()
-    return M.name, M.grid, hyps, [(label, v) for (label, _), v in zip(masks, values)], E.last_reader
+    return M.name, M.grid, hyps[-1], [(label, v) for (label, _), v in zip(masks, values)], E.last_reader
 
 
-def _probe_plan(point: ExampleSpec, fids: list[str], scheme: str) -> dict | None:
-    """The release record of ``point``'s probe, or None where the probe raises."""
+def _probe_plan(probe: ExampleSpec, fids: list[str], scheme: str) -> dict | None:
+    """The release record of the sweep's ``probe``, or None where the probe raises."""
     try:
-        return _sweep_point(probe_point(point), None, fids, scheme)[-1]
+        return _sweep_point(probe, None, fids, scheme)[-1]
     except (ExampleError, FloatingPointError):
         return None
 
@@ -672,19 +671,16 @@ def run_formulas(
     exactly 0 from either build.  Each convergence entry is a point's label
     (the grid spacing, or the radius) and its residual.
 
-    The points run one at a time, and each builds its manifold once.  Each
-    point records which check last reads each bundle field, and the next
-    point drops each field after that reader.  A stage's reads follow the
-    code path, not the grid, so the first point learns the plan the others
-    follow.  A sweep of one point (the excised sphere's, or a torus at one
-    size) has no earlier point: it first runs a cheap probe of the same
-    example, parameters, scheme and checks (``catalog.probe_point``) and
-    follows the probe's record.  A probe that raises an ExampleError or a
-    FloatingPointError leaves the point unplanned, so the point raises its
-    own error, or none.  Every entry carries its row's gates at the finest
-    point, whose ``singular`` gate says whether the run is judged as
-    excised; a check not applicable there reports value 0 and the verdict
-    ``not-applicable``.
+    The points run one at a time, and each builds its manifold once.  First
+    the sweep's probe (the same example, parameters, scheme and checks on the
+    coarse grid ``sweep_points`` names) records which check last reads each
+    bundle field; a stage's reads follow the code path, not the grid, so
+    every point drops each field after that reader.  A probe that raises an
+    ExampleError or a FloatingPointError leaves the points unplanned, so
+    the first point raises its own error, or none.  Every entry carries its
+    row's gates at the finest point, whose ``singular`` gate says whether the
+    run is judged as excised; a check not applicable there reports value 0
+    and the verdict ``not-applicable``.
     Reports follow the order of ``fids``.
     """
     unknown = [f for f in fids if f not in FORMULAS]
@@ -692,15 +688,13 @@ def run_formulas(
         raise ValueError(f"unknown formula ids: {', '.join(unknown)}")
     if not resolutions:
         raise ValueError("need at least one resolution")
-    points = sweep_points(spec, resolutions)
-    plan = _probe_plan(points[0][0], fids, scheme) if len(points) == 1 else None
-    results = []
+    probe, points = sweep_points(spec, resolutions)
+    plan = _probe_plan(probe, fids, scheme)
+    per_res = []
     for point in points:
-        results.append(_sweep_point(*point, fids, scheme, plan))
-        plan = results[-1][-1]
-    per_res = [pair for *_, pairs, _ in results for pair in pairs]
-    example_name, grid, hyps = results[-1][:3]
-    hyp, values_fine = hyps[-1], per_res[-1][1]
+        name, grid, hyp, pairs, _ = _sweep_point(*point, fids, scheme, plan)
+        per_res += pairs
+    values_fine = per_res[-1][1]
     reports = []
     for fid in fids:
         value, detail, conv, verdict, tol = 0.0, {}, [], "not-applicable", 0.0
@@ -710,7 +704,7 @@ def run_formulas(
             verdict, tol, audit = _judge(FORMULAS[fid], float(value), conv, gate("singular", hyp)[2])
             detail = {**detail, **audit}
         reports.append(ResidualReport(
-            formula_id=fid, example=example_name, resolution=grid.sizes, scheme=scheme, value=float(value),
+            formula_id=fid, example=name, resolution=grid.sizes, scheme=scheme, value=float(value),
             tolerance=float(tol), verdict=verdict, gates=FORMULAS[fid].gates(hyp), convergence=conv, detail=detail,
         ))
     return reports

@@ -76,17 +76,21 @@ def test_builders_read_exactly_their_rows(name, smallest, monkeypatch):
 
 
 def test_a_torus_sweeps_each_distinct_size_ascending():
-    points = sweep_points(ExampleSpec("flat-graph", {"amplitude": 0.04}), [64, 48, 64, 32])
+    probe, points = sweep_points(ExampleSpec("flat-graph", {"amplitude": 0.04}), [64, 48, 64, 32])
     assert [(spec.name, spec.params) for spec, _ in points] == [
         ("flat-graph", {"amplitude": 0.04, "n": n}) for n in (32, 48, 64)
     ]
     assert [masks for _, masks in points] == [None] * 3
+    # the probe of every torus sweep is the coarsest grid there is
+    assert probe == ExampleSpec("flat-graph", {"amplitude": 0.04, "n": 8})
 
 
 def test_the_sphere_sweeps_its_radii_at_the_finest_size():
-    [(spec, masks)] = sweep_points(ExampleSpec("sphere-latitudes", {"r0": (0.25, 0.5, 0.25)}), [64])
+    probe, [(spec, masks)] = sweep_points(ExampleSpec("sphere-latitudes", {"r0": (0.25, 0.5, 0.25)}), [64])
     # built once, at the smallest radius; a radius given twice is swept once
     assert spec == ExampleSpec("sphere-latitudes", {"r0": 0.25, "n": 64})
+    # the probe: n = 32, at 0.4, the smallest radius n = 32 admits, rounded up
+    assert probe == ExampleSpec("sphere-latitudes", {"r0": 0.4, "n": 32})
     assert [r0 for r0, _ in masks] == [0.5, 0.25]
     for r0, mask in masks:
         assert np.array_equal(mask, build_example(ExampleSpec("sphere-latitudes", {"n": 64, "r0": r0})).mask)
@@ -94,8 +98,12 @@ def test_the_sphere_sweeps_its_radii_at_the_finest_size():
     (_, wide), (_, narrow) = masks
     assert wide.sum() < narrow.sum() and not np.any(wide & ~narrow)
     # the default radii, largest first, and the build's mask is the smallest radius's
-    [(spec, masks)] = sweep_points(ExampleSpec("sphere-latitudes"), [256])
+    probe, [(spec, masks)] = sweep_points(ExampleSpec("sphere-latitudes"), [256])
     assert [r0 for r0, _ in masks] == [0.2, 0.1, 0.05]
+    # a probe is never finer than its point, nor its radius smaller
+    assert probe == ExampleSpec("sphere-latitudes", {"r0": 0.4, "n": 32})
+    assert sweep_points(ExampleSpec("sphere-latitudes", {"r0": 0.6}), [24])[0] == ExampleSpec(
+        "sphere-latitudes", {"r0": 0.6, "n": 24})
     assert np.array_equal(masks[-1][1], build_example(spec).mask)
 
 
@@ -108,7 +116,7 @@ def test_a_radius_that_leaves_no_node_is_rejected():
     with pytest.raises(ExampleError, match=message):
         build_example(ExampleSpec("sphere-latitudes", {"n": 255, "r0": 1.565}))
     # just inside, the two rows nearest the equator stay
-    [(_, [(_, mask)])] = sweep_points(ExampleSpec("sphere-latitudes", {"r0": 127 * math.pi / 255 - 1e-9}), [255])
+    _, [(_, [(_, mask)])] = sweep_points(ExampleSpec("sphere-latitudes", {"r0": 127 * math.pi / 255 - 1e-9}), [255])
     assert mask.sum() == 2 * 255
 
 

@@ -162,7 +162,7 @@ def test_hypotheses_measure_only_the_selected_gates_keys(monkeypatch):
 
     monkeypatch.setattr(verify, "hypothesis_profile", spy)
     reports = run_formulas(ExampleSpec("flat-graph"), ["shape-comparison"], [16])
-    # a one-point sweep measures its probe (n = 8) first, then the point, on the same keys
+    # a sweep measures its probe (n = 8) first, then its point, on the same keys
     keys = {"beta_singular", "masked"}
     assert [(shape, set(hyp)) for shape, hyp in measured] == [((8, 8), keys), ((16, 16), keys)]
     assert reports[0].gates == {"smooth-beta": [0.0, 0.0, True]}
@@ -223,12 +223,12 @@ RELEASE_RES = [8, 12, 16]
 
 
 def test_sweep_points_repeat_one_release_record(released_sweep):
-    # each point drops its fields by the record of the point before it; the
-    # first point has none and keeps every field to its end
+    # every point drops its fields by the record of the sweep's probe; the
+    # probe has none and keeps every field to its end
     reports, bundles, _ = released_sweep
     records = [bundle.last_reader for bundle in bundles]
-    assert len(records) == 3 and records[0] and records[0] == records[1] == records[2]
-    assert [bundle.plan for bundle in bundles] == [{}, records[0], records[1]]
+    assert len(records) == 4 and records[0] and records[0] == records[1] == records[2] == records[3]
+    assert [bundle.plan for bundle in bundles] == [{}, records[0], records[0], records[0]]
     again = run_formulas(ExampleSpec("flat-graph-tangent"), UNREFUTED, RELEASE_RES, "spectral")
     assert reports_to_json(again) == reports_to_json(reports)
 
@@ -258,9 +258,9 @@ def test_each_sweep_point_is_built_once(monkeypatch):
 
     build_example = verify.build_example
     monkeypatch.setattr(verify, "build_example", counting_build)
-    # two or more points: no probe, each point built once
+    # two or more points: the probe at n = 8, then each point once
     run_formulas(ExampleSpec("flat-graph"), ["reeb-riemannian"], [16, 24], "spectral")
-    assert [s.params["n"] for s in built] == [16, 24]
+    assert [s.params["n"] for s in built] == [8, 16, 24]
     built.clear()
     # a torus at one size: its probe at n = 8, then the point
     run_formulas(ExampleSpec("flat-graph"), ["reeb-riemannian"], [16], "spectral")
@@ -385,12 +385,12 @@ def test_sweep_points_do_not_outlive_their_evaluation(monkeypatch):
     build_example = verify.build_example
     monkeypatch.setattr(verify, "build_example", tracking_build)
     run_formulas(ExampleSpec("flat-graph"), ["reeb-riemannian"], [16, 24, 32], "spectral")
-    assert len(built) == 3
+    assert len(built) == 4   # the probe and three points
 
 
 def _traced_run(spec, fids, resolutions, scheme="spectral"):
-    """``run_formulas``'s reports, each bundle it built (a one-point sweep's
-    probe first), and the number of Levi-Civita connections each formed."""
+    """``run_formulas``'s reports, each bundle it built (the sweep's probe
+    first), and the number of Levi-Civita connections each formed."""
     from randers_foliations import extrinsic, verify
 
     build, levi_civita = verify.build_extrinsic, extrinsic.levi_civita
@@ -427,8 +427,8 @@ def _assert_release_is_exact(reports, bundle):
 def released_sweep():
     """A three-point flat-graph-tangent sweep of every non-refuted check.
 
-    Returns its reports, each point's bundle, and the number of Levi-Civita
-    connections each point formed.
+    Returns its reports, the bundle of its probe and of each point, and the
+    number of Levi-Civita connections each formed.
     """
     return _traced_run(ExampleSpec("flat-graph-tangent"), UNREFUTED, RELEASE_RES)
 
@@ -436,8 +436,19 @@ def released_sweep():
 def test_release_is_exact(released_sweep):
     reports, bundles, connections = released_sweep
     # a field dropped after its last reader is never formed again
-    assert connections == [2, 2, 2]
+    assert connections == [2, 2, 2, 2]
     assert _assert_release_is_exact(reports, bundles[-1]) >= 25
+
+
+def test_every_point_of_a_sweep_follows_its_probe(released_sweep):
+    # the first point too: it drops each field after the probe's last reader,
+    # holds no field at its end, and forms each Levi-Civita connection once
+    _, (probe, *points), connections = released_sweep
+    assert len(points) == len(RELEASE_RES) and probe.M.grid.sizes == (8, 8, 8)
+    for point, formed in zip(points, connections[1:]):
+        assert point.plan == probe.last_reader
+        assert [k for k, v in vars(point).items() if isinstance(v, np.ndarray)] == []
+        assert formed == 2
 
 
 def test_release_lowers_the_peak(released_sweep):
@@ -506,22 +517,21 @@ CONFIGURATIONS = [
                          ids=[f"{n}-{p.get('beta_mode', 'default')}" for n, p, _ in CONFIGURATIONS])
 def test_the_release_plan_does_not_depend_on_the_grid(name, params, resolutions, scheme):
     # a stage's reads follow the code path, not the grid: the probe's record is
-    # every point's own, so the plan it gives a one-point sweep is exact
-    from randers_foliations.catalog import probe_point, sweep_points
+    # every point's own, so the plan it gives the sweep is exact
+    from randers_foliations.catalog import sweep_points
     from randers_foliations.verify import _sweep_point
 
     spec = ExampleSpec(name, params)
-    (point, _), *_ = sweep_points(spec, resolutions)
-    probe = probe_point(point)
-    assert probe.params["n"] < point.params["n"]
+    probe, points = sweep_points(spec, resolutions)
+    assert all(probe.params["n"] < point.params["n"] for point, _ in points)
     record = _sweep_point(probe, None, formula_ids(), scheme)[-1]
     _, bundles, _ = _traced_run(spec, formula_ids(), resolutions, scheme)
-    assert len(bundles) == 2   # two torus points, or the sphere's probe and its one point
-    assert [bundle.last_reader for bundle in bundles] == [record, record]
+    assert len(bundles) == 1 + len(points)   # the probe, then two torus points or the sphere's one
+    assert [bundle.last_reader for bundle in bundles] == [record] * len(bundles)
 
 
 def _fail_the_next_build(monkeypatch, error):
-    """Make the next ``build_example`` of ``verify`` (a one-point sweep's probe) raise ``error``."""
+    """Make the next ``build_example`` of ``verify`` (the sweep's probe) raise ``error``."""
     from randers_foliations import verify
 
     build, failed = verify.build_example, []
