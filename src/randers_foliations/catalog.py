@@ -61,19 +61,15 @@ def _flat_torus(name: str, p: dict, beta_sharp: tuple, amplitude: float | None =
     n, L, d = p["n"], p["period"], len(beta_sharp)
     grid = PeriodicGrid((n,) * d, (L,) * d)
     shape = grid.sizes
-    # the slope's temporaries are allocated before a, and beta_sharp stays a tuple
-    # until beta: with either changed, perfbench tangent3d's peak RSS read 208-209 MB
-    # in place of 202 MB (heap placement; 2-core Linux host, numpy 2.4)
-    if amplitude is not None:
-        x = grid.meshgrid()[0]
-        dphi = _graph_slope(x, L, amplitude)
-        W = np.sqrt(1.0 + dphi**2)
-    a = np.broadcast_to(np.eye(d), shape + (d, d)).copy()
     if amplitude is None:
         N = np.zeros(shape + (d,))
         N[..., -1] = 1.0
     else:
+        x = grid.meshgrid()[0]
+        dphi = _graph_slope(x, L, amplitude)
+        W = np.sqrt(1.0 + dphi**2)
         N = np.stack([-dphi / W, *[np.zeros_like(W)] * (d - 2), 1.0 / W], axis=-1)
+    a = np.broadcast_to(np.eye(d), shape + (d, d)).copy()
     beta = np.broadcast_to(beta_sharp, shape + (d,)).copy()
     return FoliatedRandersManifold(grid, a, beta, N, name=name)
 

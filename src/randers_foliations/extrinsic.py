@@ -236,14 +236,8 @@ class ExtrinsicBundle:
         M = self.M
         d, m = M.dim, M.m
         drop = np.argmax(np.abs(M.N_flat), axis=-1)
-        E = np.zeros(M.grid.sizes + (d, m))
-        for k in range(d):
-            sel = drop == k
-            if not np.any(sel):
-                continue
-            cols = [i for i in range(d) if i != k]
-            for a_idx, i in enumerate(cols):
-                E[sel, :, a_idx] = np.eye(d)[i]
+        cols = np.arange(m) + (np.arange(m) >= drop[..., None])
+        E = (np.arange(d)[:, None] == cols[..., None, :]).astype(float)
         for a_idx in range(m):
             v = M.project_tangent(E[..., a_idx])
             for b_idx in range(a_idx):

@@ -4,10 +4,10 @@ Frame representations of leaf operators are arrays of shape (..., m, m) and
 those of leaf vectors arrays of shape (..., m).  Every nodewise product, trace
 and inverse, of frame and coordinate fields alike, is one of ``dot``, ``matvec``
 (v A is matvec(A^T, v)), ``quad``, ``outer``, ``trace`` and ``inv``; only
-matrix-matrix products stay ``@``.  ``sigma_k``, ``newton_transform_batched``
-and ``newton_chain`` evaluate sigma_k, Newton transformations and rank-one
-updates of sigma_k nodewise; the single-matrix sigma_k and Newton
-transformation of :mod:`randers_foliations.matinv` call them.  No nodewise
+matrix-matrix products stay ``@``.  ``sigma_k`` and ``newton_transform_batched``
+read one Faddeev-LeVerrier loop for sigma_r and T_r, ``newton_chain`` rank-one
+updates of sigma_k; the single-matrix sigma_k and Newton transformation of
+:mod:`randers_foliations.matinv` call them.  No nodewise
 sigma_lambda is needed: a sum sum_{j>=1} sigma_(k-j,j)(X, Y) is
 sigma_k(X + Y) - sigma_k(X), and sigma_lambda of a matrix tuple is
 :mod:`randers_foliations.matinv`'s.
@@ -118,6 +118,19 @@ def trace(A: np.ndarray) -> np.ndarray:
     return np.einsum("...aa->...", A)
 
 
+def _leverrier(A: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_r(A), T_r(A)), r >= 1, by Faddeev-LeVerrier: sigma_s = tr(A T_{s-1}) / s,
+    T_s = sigma_s I - A T_{s-1}, T_0 = I; the product A T_0 is A, and none follows T_r."""
+    eye = np.eye(A.shape[-1])
+    AT = A
+    for s in range(1, r + 1):
+        sig = trace(AT) / s
+        T = sig[..., None, None] * eye - AT
+        if s < r:
+            AT = A @ T
+    return sig, T
+
+
 def sigma_k(A: np.ndarray, k: int) -> np.ndarray:
     """Elementary symmetric function of each m x m matrix in the field.
 
@@ -131,36 +144,17 @@ def sigma_k(A: np.ndarray, k: int) -> np.ndarray:
         return np.zeros(A.shape[:-2])
     if k == 0:
         return np.ones(A.shape[:-2])
-    # Newton's identities from batched power sums p_i = tr(A^i)
-    p = [None, trace(A)]
-    P = A
-    for _ in range(k - 1):
-        P = P @ A
-        p.append(trace(P))
-    e = [np.ones(A.shape[:-2])]
-    for r in range(1, k + 1):
-        s = np.zeros(A.shape[:-2])
-        for i in range(1, r + 1):
-            s += (-1) ** (i - 1) * e[r - i] * p[i]
-        e.append(s / r)
-    return e[k]
+    return _leverrier(A, k)[0]
 
 
 def newton_transform_batched(A: np.ndarray, r: int) -> np.ndarray:
-    """Nodewise Newton transformation T_r(A) = sigma_r(A) I - A T_{r-1}(A).
-
-    The recursion starts at T_1 = sigma_1(A) I - A, which skips the product
-    A T_0 = A I.
-    """
+    """Nodewise Newton transformation T_r(A) = sigma_r(A) I - A T_{r-1}(A), T_0 = I."""
     m = A.shape[-1]
     if not 0 <= r <= m:
         raise ValueError(f"order {r} out of range for {m} x {m} matrices")
     if r == 0:
         return np.broadcast_to(np.eye(m), A.shape).copy()
-    T = sigma_k(A, 1)[..., None, None] * np.eye(m) - A
-    for s in range(2, r + 1):
-        T = sigma_k(A, s)[..., None, None] * np.eye(m) - A @ T
-    return T
+    return _leverrier(A, r)[1]
 
 
 def newton_chain(core: np.ndarray, k: int, updates) -> np.ndarray:

@@ -13,18 +13,19 @@ Two independent routes are provided:
   interpolation (Vandermonde solve per variable).  This is the oracle; it is
   used directly for k >= 3.  The Vandermonde solves lose accuracy fast with
   m, so it accepts m <= ORACLE_MAX_DIM only.
-* ``sigma_single`` / ``sigma_pair`` compute the same coefficients from traces
-  of matrix words (Newton's identities for k = 1, a truncated
-  exp-trace-log expansion for k = 2).
+* ``sigma_single`` / ``sigma_pair`` compute the same coefficients by the
+  Faddeev-LeVerrier recursion sigma_s = tr(A T_{s-1}) / s, T_s = sigma_s I -
+  A T_{s-1}, T_0 = I, on A for k = 1 and on the matrix polynomial A + tB for
+  k = 2: sigma_(i,j)(A, B) is the t^j coefficient of sigma_{i+j}(A + tB).
 
-``sigma_single`` and ``newton_transform`` (T_0 = I, T_r = sigma_r(A) I -
-A T_{r-1}) check their input and hand the one matrix to the batched kernels of
-:mod:`randers_foliations.invariants`, the one implementation of Newton's
-identities.  This module is the package's one evaluator of sigma_lambda on
-two or more matrices.  ``verify_appendix_identities`` samples random tuples
-and measures the residual of every algebraic identity the rest of the package
-relies on, through ``sigma_k``, ``newton_transform_batched`` and
-``newton_chain``, the batched kernels the verifier calls.
+``sigma_single`` and ``newton_transform`` check their input and hand the one
+matrix to the batched kernels of :mod:`randers_foliations.invariants`, whose
+one loop gives sigma_r and T_r together.  This module is the package's one
+evaluator of sigma_lambda on two or more matrices.
+``verify_appendix_identities`` samples random tuples and measures the
+residual of every algebraic identity the rest of the package relies on,
+through ``sigma_k``, ``newton_transform_batched`` and ``newton_chain``, the
+batched kernels the verifier calls.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def _check_index(mats: Sequence, lam: Sequence[int]) -> tuple[list[np.ndarray], 
 
 
 def sigma_single(A, k: int) -> float:
-    """Elementary symmetric function sigma_k(A) via Newton's identities (``invariants.sigma_k``)."""
+    """Elementary symmetric function sigma_k(A) by the Faddeev-LeVerrier recursion (``invariants.sigma_k``)."""
     A = _as_square(A)
     m = A.shape[0]
     if not 0 <= k <= m:
@@ -99,57 +100,23 @@ def sigma_single(A, k: int) -> float:
     return float(sigma_k(A, k))
 
 
-def _poly2_mul(P: np.ndarray, Q: np.ndarray, max_total: int) -> np.ndarray:
-    """Product of bivariate coefficient arrays, truncated at total degree max_total."""
-    n = max_total + 1
-    out = np.zeros((n, n))
-    for (i, j), c in np.ndenumerate(P):
-        if c == 0.0 or i + j >= n:
-            continue
-        for a in range(min(n - i, Q.shape[0])):
-            jj = min(n - i - a - j, Q.shape[1])
-            if jj > 0:
-                out[i + a, j : j + jj] += c * Q[a, :jj]
-    return out
-
-
 def sigma_pair(A, B, lam: Sequence[int]) -> float:
-    """sigma_(i,j)(A, B) from traces of words in A, B (exp of tr log expansion)."""
-    (A, B), (i0, j0) = _check_index([A, B], lam)
-    m = A.shape[0]
-    if i0 + j0 == 0:
+    """sigma_(i,j)(A, B): the t^j coefficient of sigma_{i+j}(A + tB).
+
+    The Faddeev-LeVerrier recursion of ``invariants`` runs on matrix
+    polynomials in t, held as coefficient stacks truncated at t^j.
+    """
+    (A, B), (i, j) = _check_index([A, B], lam)
+    if i + j == 0:
         return 1.0
-    # L = tr log(I + sA + tB) truncated at total degree m.  The matrix
-    # coefficients of (sA + tB)^n are accumulated degree by degree.
-    n = m + 1
-    L = np.zeros((n, n))
-    terms = {(1, 0): A.copy(), (0, 1): B.copy()}
-    for p, M in terms.items():
-        L[p] += trace(M)
-    power = terms
-    for deg in range(2, m + 1):
-        nxt: dict[tuple[int, int], np.ndarray] = {}
-        for (i, j), M in power.items():
-            for (di, dj), base in (((1, 0), A), ((0, 1), B)):
-                key = (i + di, j + dj)
-                prod = M @ base
-                if key in nxt:
-                    nxt[key] += prod
-                else:
-                    nxt[key] = prod
-        power = nxt
-        sign = (-1) ** (deg + 1)
-        for p, M in power.items():
-            L[p] += sign * trace(M) / deg
-    # D = exp(L), truncated
-    D = np.zeros((n, n))
-    D[0, 0] = 1.0
-    term = np.zeros((n, n))
-    term[0, 0] = 1.0
-    for q in range(1, m + 1):
-        term = _poly2_mul(term, L, m) / q
-        D += term
-    return float(D[i0, j0])
+    eye = np.eye(A.shape[0])
+    T = np.stack([eye, *np.zeros((j,) + A.shape)])  # T_0 = I
+    for s in range(1, i + j + 1):
+        AT = A @ T
+        AT[1:] += B @ T[:-1]  # (A + tB) T_{s-1}
+        sig = trace(AT) / s
+        T = sig[:, None, None] * eye - AT
+    return float(sig[j])
 
 
 def sigma_via_determinant(mats: Sequence, lam: Sequence[int]) -> float:

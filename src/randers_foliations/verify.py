@@ -253,19 +253,13 @@ def _ev_parallel_second_order_printed(E):
     Xb_b = quad(bf, X, bf)
     Ab_b = E.Abst_beta
     bZ = E.beta_Zbar
-    perpZ = E.perp_beta(E.Zbar_frame)
-    perpA = E.perp_beta(E.Abst_frame)
-    perpC = E.perp_beta(matvec(Csh, bf))
+    perp = E.perp_beta
     return (1.0 / c**2) * (
         sigma_k(X, 2)
         + ((c - 2 * ch) / cc * Ab_b - (ch - c) / (c**2 * ch) * bZ) * trace(X)
         + (ch - c) / (cc * E.b2) * Xb_b * Ab_b
-        - (c - 2 * ch) ** 2 * (1 - c**2) / (4 * ch**2) * dot(perpZ, perpZ)
         + (c - 2 * ch) / (cc * E.b2) * bZ * Xb_b
-        - (1 - (c - 2 * ch) ** 2) / (4 * ch**2) * dot(perpA, perpA)
-        - (c - 2 * ch) * (1 - c**2 + 2 * cc) / (2 * ch**2) * dot(perpA, perpZ)
-        - (1 + c**2 - 2 * cc) / (2 * ch) * dot(perpA, perpC)
-        - (c - 2 * ch) * (1 + c**2) / (2 * ch) * dot(perpC, perpZ)
+        - _printed_tail(E, perp(E.Abst_frame), perp(E.Zbar_frame), perp(matvec(Csh, bf)))
         - 0.5 * E.ricci_N
     )
 
@@ -278,17 +272,24 @@ def _parallel_printed_head(E):
     return head, E.Abst_frame, E.Zbar_frame, matvec(Csh, E.b_frame)
 
 
-def _ev_parallel_const_printed(E):
+def _printed_tail(E, A, Z, C):
+    """The published second-order tail, a quadratic form in the frame vectors A, Z, C: the
+    parallel display pairs their beta-perpendicular parts, the constant-angle one the vectors.
+    The tangent display is transcribed apart: it is this form at chat = c, and its gate holds
+    |beta(N)| < 1e-9 only."""
     c, ch, cc = E.M.c, E.M.chat, E.cc
-    head, Ab, Zb, Cb = _parallel_printed_head(E)
     return (
-        head
-        - (1 - (c - 2 * ch) ** 2) / (4 * ch**2) * dot(Ab, Ab)
-        - (c - 2 * ch) * (1 - c**2 + 2 * cc) / (2 * ch**2) * dot(Ab, Zb)
-        - (1 + c**2 - 2 * cc) / (2 * ch) * dot(Ab, Cb)
-        - (c - 2 * ch) ** 2 * (1 - c**2) / (4 * ch**2) * dot(Zb, Zb)
-        - (c - 2 * ch) * (1 + c**2) / (2 * ch) * dot(Cb, Zb)
+        (1 - (c - 2 * ch) ** 2) / (4 * ch**2) * dot(A, A)
+        + (c - 2 * ch) * (1 - c**2 + 2 * cc) / (2 * ch**2) * dot(A, Z)
+        + (1 + c**2 - 2 * cc) / (2 * ch) * dot(A, C)
+        + (c - 2 * ch) ** 2 * (1 - c**2) / (4 * ch**2) * dot(Z, Z)
+        + (c - 2 * ch) * (1 + c**2) / (2 * ch) * dot(C, Z)
     )
+
+
+def _ev_parallel_const_printed(E):
+    head, Ab, Zb, Cb = _parallel_printed_head(E)
+    return head - _printed_tail(E, Ab, Zb, Cb)
 
 
 def _ev_parallel_tangent_printed(E):

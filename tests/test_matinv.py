@@ -107,6 +107,23 @@ def test_oracle_rejects_sizes_above_its_range():
         verify_appendix_identities(seed=0, trials=1, m_max=ORACLE_MAX_DIM + 1)
 
 
+@pytest.mark.parametrize("m", [6, 8, 12, 16])
+def test_trace_routes_hold_above_the_oracle_range(m):
+    # against np.poly, an eigenvalue route: det(tI + A) = sum_k sigma_k(A) t^(m-k)
+    rng = np.random.default_rng(30 + m)
+    for _ in range(3):
+        A, B = rng.uniform(-1, 1, (2, m, m))
+        ref, ref_sum = np.poly(-A), np.poly(-(A + B))
+        scale, scale_sum = max(1.0, np.abs(ref).max()), max(1.0, np.abs(ref_sum).max())
+        for n in range(m + 1):
+            assert abs(sigma_single(A, n) - ref[n]) / scale < 1e-10, n
+            # sum_j sigma_(n-j,j)(A, B) = sigma_n(A + B)
+            pair_sum = sum(sigma_pair(A, B, (n - j, j)) for j in range(n + 1))
+            assert abs(pair_sum - ref_sum[n]) / scale_sum < 1e-10, n
+            # tr T_r(A) = (m - r) sigma_r(A)
+            assert abs(np.trace(newton_transform(A, n)) - (m - n) * ref[n]) / scale < 1e-10, n
+
+
 def test_sigma_multi_shape_error():
     with pytest.raises(ValueError):
         sigma_multi([np.eye(2), np.eye(3)], (1, 1))

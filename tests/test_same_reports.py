@@ -83,3 +83,21 @@ def test_every_differing_argv_is_reported(tool, monkeypatch, capsys):
         "  report r.json: verdicts and exit code DIFFER; no residual moved",
         "2 of 3 runs differ from REV",
     ]
+
+
+def test_report_changes_name_the_largest_detail_change(tool):
+    def side(residual, detail):
+        entry = {"formula_id": "m", "verdict": "pass", "residual": residual, "detail": detail}
+        return _streams() | {"report r.json": json.dumps({"reports": [entry]}).encode()}
+
+    # only detail entries move: the residual line alone would say nothing moved
+    old = side(1e-15, {"a": 1e-16, "b": 2e-16, "note": "x", "ok": True})
+    new = side(1e-15, {"a": 3e-16, "b": 1e-16, "note": "y", "ok": False})
+    assert tool.report_changes(old, new) == [
+        "report r.json: verdicts and exit code the same; no residual moved;"
+        " largest |detail| change 2.000e-16 (m: a)"
+    ]
+    # a non-numeric or one-sided detail entry is not a change of a number
+    assert tool.report_changes(side(1e-15, {"a": 1.0, "note": "x"}), side(2e-15, {"note": "y", "c": 5.0})) == [
+        "report r.json: verdicts and exit code the same; largest |residual| change 1.000e-15 (m)"
+    ]

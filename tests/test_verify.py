@@ -38,7 +38,7 @@ def by_id(reports, fid):
 
 
 def test_batched_sigma_matches_scalar():
-    # against the determinant oracle, which shares no code with Newton's identities
+    # against the determinant oracle, which shares no code with the Faddeev-LeVerrier recursion
     rng = np.random.default_rng(0)
     A = rng.uniform(-1, 1, (4, 5, 3, 3))
     for k in range(4):
@@ -794,6 +794,30 @@ def test_first_order_expansion_matches_closed_display_pointwise():
     # and both reproduce the registry evaluator's value
     (val, _), = FORMULAS["berwald-sigma-k1-printed"].values(E, [E.M.active])
     assert val == pytest.approx(integrate(E.M, closed, "a"), abs=1e-12)
+
+
+def test_printed_sigma_2_display_plateaus_where_beta_tilts_off_the_leaves():
+    # no catalog example is 3D with beta(N) != 0; on this tilted graph the printed
+    # sigma_2 display reads -1.077e-2 and -1.075e-2 at n = 16 and 24 (-1.075e-2 at 32),
+    # while the corrected row and the printed sigma_1 display converge
+    from randers_foliations.catalog import _flat_torus
+
+    fids = ("berwald-sigma-k1-printed", "berwald-sigma-k2", "berwald-sigma-k2-printed")
+    keys = {GATES[g][0] for fid in fids for g in FORMULAS[fid].gate_names} | {"masked"}
+    r = {fid: [] for fid in fids}
+    for n in (16, 24):
+        E = build_extrinsic(_flat_torus("tilted", {"n": n, "period": 1.0}, (0.2, 0.1, 0.3), 0.04), "spectral")
+        hyp = hypothesis_profile(E, E.M.active, keys)
+        assert np.abs(E.M.beta_N).min() > 0.1  # beta tilts off the leaves at every node
+        for fid in fids:
+            assert FORMULAS[fid].applicable(hyp), (fid, n)
+            (value, _), = FORMULAS[fid].values(E, [E.M.active])
+            r[fid].append(abs(value))
+    # measured: printed sigma_2 1.077e-2, 1.075e-2; corrected 1.1e-5, 4.6e-8; printed sigma_1 4.7e-7, 6.3e-10
+    assert 1.0e-2 < r["berwald-sigma-k2-printed"][1] < r["berwald-sigma-k2-printed"][0] < 1.1e-2
+    assert r["berwald-sigma-k2-printed"][0] < 1.01 * r["berwald-sigma-k2-printed"][1]
+    assert r["berwald-sigma-k2"][0] < 2e-5 and r["berwald-sigma-k2"][1] < 1e-7
+    assert r["berwald-sigma-k1-printed"][0] < 1e-6 and r["berwald-sigma-k1-printed"][1] < 1e-9
 
 
 # -- residuals on drawn parameters ------------------------------------------------

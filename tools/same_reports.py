@@ -19,8 +19,9 @@ Every argv runs, whatever the earlier ones gave.  For each argv that differs
 the tool prints one ``differ:`` line and the first difference (the stream:
 exit code, stdout, stderr or a report file, and its first differing line).
 For each JSON report that differs it adds one line: whether every verdict
-and the exit code match, and the largest change of a ``residual`` with its
-formula id.
+and the exit code match, the largest change of a ``residual`` with its
+formula id, and the largest change of a numeric ``detail`` value, if one
+moved, with its formula id and key.
 
 Exit status: 0 when every run matches; 1 when any argv differs; 2 when REV
 names no commit.
@@ -102,8 +103,13 @@ def first_difference(old: dict, new: dict) -> str | None:
     return None
 
 
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def report_changes(old: dict, new: dict) -> list[str]:
-    """One line per JSON report written on both sides that differs: verdicts, exit code, largest residual change."""
+    """One line per JSON report written on both sides that differs: verdicts, exit code,
+    largest residual change and largest change of a numeric ``detail`` value."""
     lines = []
     for stream in old:
         if not stream.startswith("report ") or stream not in new or old[stream] == new[stream]:
@@ -117,6 +123,12 @@ def report_changes(old: dict, new: dict) -> list[str]:
         changes = {f: abs(b[f]["residual"] - a[f]["residual"]) for f in a if f in b}
         fid = max(changes, key=changes.get, default=None)
         moved = f"largest |residual| change {changes[fid]:.3e} ({fid})" if changes.get(fid) else "no residual moved"
+        details = {(f, key): abs(b[f]["detail"][key] - x) for f in a if f in b
+                   for key, x in a[f].get("detail", {}).items()
+                   if _number(x) and _number(b[f].get("detail", {}).get(key))}
+        where = max(details, key=details.get, default=None)
+        if details.get(where):
+            moved += f"; largest |detail| change {details[where]:.3e} ({where[0]}: {where[1]})"
         lines.append(f"{stream}: verdicts and exit code {'the same' if same else 'DIFFER'}; {moved}")
     return lines
 
