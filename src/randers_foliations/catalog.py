@@ -55,11 +55,15 @@ def _graph_slope(x: np.ndarray, L: float, amp: float) -> np.ndarray:
 def _flat_torus(name: str, p: dict, beta_sharp: tuple, amplitude: float | None = None) -> FoliatedRandersManifold:
     """Flat T^d, d = len(beta_sharp), with a = I and the constant beta = beta_sharp;
     the leaves are the planes x_d = const, or with ``amplitude`` the graphs
-    x_d = phi(x_1) + const."""
+    x_d = phi(x_1) + const.  A graph torus varies along x_1 alone, so only that
+    axis has n nodes and every other axis holds ``grid.MIN_SIZE``: there a
+    derivative of a constant is 0, and every nodewise field is that of the
+    n^d build."""
     if np.linalg.norm(beta_sharp) >= 1.0:
         raise ValueError("|beta| must be < 1")
     n, L, d = p["n"], p["period"], len(beta_sharp)
-    grid = PeriodicGrid((n,) * d, (L,) * d)
+    sizes = (n,) * d if amplitude is None else (n,) + (MIN_SIZE,) * (d - 1)
+    grid = PeriodicGrid(sizes, (L,) * d)
     shape = grid.sizes
     if amplitude is None:
         N = np.zeros(shape + (d,))
@@ -228,16 +232,17 @@ EXAMPLES = {
         "flat T^2, graph leaves, constant beta, beta(N) varying; Berwald, "
         "flat curvature: exercises the shape-operator comparison, the "
         "parallel-field second-order formula, the Berwald sigma_k series "
-        "and the flat total-curvature values",
+        "and the flat total-curvature values; refines x alone (grid n x 8)",
         {"period": Param(1.0, bounds=_POSITIVE),
          "amplitude": Param(0.05),
          "beta_sharp": Param((0.3, 0.15), "tuple", 2, _UNIT)},
     ),
     "flat-graph-tangent": Example(
-        _flat_graph_tangent, (24, 32),
+        _flat_graph_tangent, (32, 48, 64),
         "flat T^3, graph leaves along x, constant beta tangent to leaves; "
         "Berwald, beta(N) = 0 constant: adds the constant-angle variants "
-        "and the parallel-tangent vanishing conclusions",
+        "and the parallel-tangent vanishing conclusions; refines x alone "
+        "(grid n x 8 x 8)",
         {"period": Param(1.0, bounds=_POSITIVE),
          "amplitude": Param(0.04),
          # the only beta component, tangent to the leaves; 0 would make beta vanish

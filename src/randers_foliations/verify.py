@@ -576,7 +576,9 @@ def _judge(
     A residual passes if it is below the absolute tolerance, or if the sweep
     shows it decreasing at the policy's rate toward zero (the
     discretization-error regime).  A residual that plateaus above tolerance
-    fails.  Bound-type checks compare the margin against a fixed slack.
+    fails.  Above tolerance the audit carries the last convergence ratio, and
+    the extrapolated residual only where that ratio meets the policy's rate.
+    Bound-type checks compare the margin against a fixed slack.
     Excised runs judge integral residuals by the singular policy; sup-norm
     residuals converge in h even there.
     """
@@ -593,10 +595,12 @@ def _judge(
         r_coarse, r_fine = conv[-2][1], conv[-1][1]
         ratio = r_coarse / max(r_fine, 1e-300)
         detail["convergence_ratio"] = ratio
-        if ratio > 1.0:  # the residual extrapolated to the limit by the observed decay; a plateau has none
+        if ratio >= min_ratio:
+            # the residual extrapolated to the limit by the observed decay; a sweep
+            # that decays slower than the policy's rate (a plateau) has none
             detail["extrapolated_residual"] = r_fine / (ratio - 1.0)
-        if ratio >= min_ratio and resid <= cap:
-            return "pass", tol, detail
+            if resid <= cap:
+                return "pass", tol, detail
     return "fail", tol, detail
 
 
@@ -615,8 +619,9 @@ def _sweep_point(
 
     The point builds its manifold and bundle once and judges them on each
     labelled mask of ``masks`` (default: the build's own active set,
-    labelled by the largest grid spacing).  The hypotheses (the keys that
-    the gates of ``fids`` read, and ``masked``) are the stage "hyp"; each
+    labelled by the smallest grid spacing: a graph torus refines one axis
+    and holds the others at ``grid.MIN_SIZE``).  The hypotheses (the keys
+    that the gates of ``fids`` read, and ``masked``) are the stage "hyp"; each
     check is a stage of its own, the ``_COORDINATE_FIRST`` checks before
     the rest.  A check's stage forms its field once and reduces it on
     every mask where the check applies, so no mask's early checks run on top
@@ -629,7 +634,7 @@ def _sweep_point(
     """
     M = build_example(subspec)
     E = build_extrinsic(M, scheme, plan)
-    masks = masks or [(max(M.grid.spacings), M.active)]
+    masks = masks or [(min(M.grid.spacings), M.active)]
     E.stage = "hyp"
     keys = {GATES[g][0] for fid in fids for g in FORMULAS[fid].gate_names} | {"masked"}
     hyps = [hypothesis_profile(E, mask, keys) for _, mask in masks]
@@ -670,7 +675,7 @@ def run_formulas(
     ``codazzi-symmetry-g``, projects onto the leaves, and on the sphere's 1D
     latitude leaves the projector is exactly diag(0, 1), so that check reads
     exactly 0 from either build.  Each convergence entry is a point's label
-    (the grid spacing, or the radius) and its residual.
+    (the smallest grid spacing, or the radius) and its residual.
 
     The points run one at a time, and each builds its manifold once.  First
     the sweep's probe (the same example, parameters, scheme and checks on the

@@ -67,8 +67,9 @@ def test_exit_two_on_config_errors(capsys, tmp_path):
     assert main(["--example", "flat-graph", "--param", "beta_sharp=0.9,0.6"]) == 2
     assert main(["--example", "flat-parallel", "--param", "beta_sharp=0.6,0,0.9"]) == 2
     assert main(["--example", "sphere-latitudes", "--res", "128", "--param", "r0=0.2,0.01"]) == 2
-    # a grid too large to allocate: numpy refuses the request at once
-    assert main(["--example", "flat-graph-tangent", "--res", "100000"]) == 2
+    # a grid too large to allocate: numpy refuses the request at once (the graph
+    # torus refines x alone, so n x 8 x 8 nodes must exceed the address space)
+    assert main(["--example", "flat-graph-tangent", "--res", "1000000000000"]) == 2
     # an excision radius so small that no grid size admits it
     assert main(["--example", "sphere-latitudes", "--param", "r0=5e-324"]) == 2
     # a negative seed and an empty formula selection, as flags

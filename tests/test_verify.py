@@ -164,7 +164,7 @@ def test_hypotheses_measure_only_the_selected_gates_keys(monkeypatch):
     reports = run_formulas(ExampleSpec("flat-graph"), ["shape-comparison"], [16])
     # a sweep measures its probe (n = 8) first, then its point, on the same keys
     keys = {"beta_singular", "masked"}
-    assert [(shape, set(hyp)) for shape, hyp in measured] == [((8, 8), keys), ((16, 16), keys)]
+    assert [(shape, set(hyp)) for shape, hyp in measured] == [((8, 8), keys), ((16, 8), keys)]
     assert reports[0].gates == {"smooth-beta": [0.0, 0.0, True]}
 
 
@@ -588,7 +588,7 @@ def test_a_probe_that_raises_leaves_the_point_unplanned(error, monkeypatch):
     failed = _fail_the_next_build(monkeypatch, error)
     reports, bundles, _ = _traced_run(spec, formula_ids(), [12])
     assert [s.params["n"] for s in failed] == [8]
-    assert [(bundle.M.grid.sizes, bundle.plan) for bundle in bundles] == [((12, 12, 12), {})]
+    assert [(bundle.M.grid.sizes, bundle.plan) for bundle in bundles] == [((12, 8, 8), {})]
     assert reports_to_json(reports) == planned
 
 
@@ -692,6 +692,56 @@ def test_identities_converge_on_a_field_varying_along_every_axis():
         assert residuals[fid][-1] < 1e-14, (fid, residuals[fid])
 
 
+# -- a graph torus refines x alone ------------------------------------------------
+
+
+def _isotropic_twin(M):
+    """The n^d build of the graph torus M: the x line of its a, beta and N broadcast along every other axis."""
+    from randers_foliations.grid import PeriodicGrid
+    from randers_foliations.manifold import FoliatedRandersManifold
+
+    n, d = M.grid.sizes[0], M.dim
+    grid = PeriodicGrid((n,) * d, M.grid.periods)
+    line = (slice(None),) + (slice(0, 1),) * (d - 1)  # the x line, each held axis kept at length 1
+
+    def wide(f):
+        return np.broadcast_to(f[line], grid.sizes + f.shape[d:])
+
+    return FoliatedRandersManifold(grid, wide(M.a), wide(M.beta), wide(M.N), name=M.name)
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "central4"])
+@pytest.mark.parametrize("name, n", [("flat-graph-tangent", 16), ("flat-graph-tangent", 24), ("flat-graph", 32)])
+def test_a_graph_torus_reads_as_its_isotropic_twin(name, n, scheme):
+    # every field is constant along the held axes, where a derivative of a
+    # constant is 0, so every nodewise field is the twin's: a sup row reads the
+    # same bits, and an integral row differs only by its order of summation
+    from randers_foliations.grid import MIN_SIZE
+    from randers_foliations.verify import MEASURES
+
+    thin = build_example(ExampleSpec(name, {"n": n}))
+    assert thin.grid.sizes == (n,) + (MIN_SIZE,) * (thin.dim - 1)
+    bundles = [build_extrinsic(M, scheme) for M in (thin, _isotropic_twin(thin))]
+    hyps = [hypothesis_profile(E, E.M.active, set(MEASURES)) for E in bundles]
+    applicable = [fid for fid in formula_ids() if FORMULAS[fid].applicable(hyps[0])]
+    assert applicable == [fid for fid in formula_ids() if FORMULAS[fid].applicable(hyps[1])]
+    for fid in applicable:
+        (got, _), (want, _) = (FORMULAS[fid].values(E, [E.M.active])[0] for E in bundles)
+        if FORMULAS[fid].kind == "sup":
+            assert float(got).hex() == float(want).hex(), fid
+        else:
+            assert abs(got - want) <= 1e-15, (fid, got, want)
+    assert len(applicable) >= 20
+
+
+@pytest.mark.parametrize("name, sizes", [("flat-graph-tangent", [16, 24]), ("flat-graph", [24, 32])])
+def test_a_graph_torus_sweep_is_labelled_by_its_refined_spacing(name, sizes):
+    period = 2.0
+    reports = run_formulas(ExampleSpec(name, {"period": period}), ["shape-comparison"], sizes)
+    assert [h for h, _ in reports[0].convergence] == [period / n for n in sizes]
+    assert reports[0].resolution == (sizes[-1],) + (8,) * (len(reports[0].resolution) - 1)
+
+
 # -- report serialization ----------------------------------------------------------
 
 
@@ -721,9 +771,9 @@ def test_judge_rules():
     verdict, _, audit = _judge(zero, 1e-4, [(0.1, 4e-4), (0.05, 1e-4)], False)
     assert verdict == "pass" and audit["convergence_ratio"] == 4.0
     assert audit["extrapolated_residual"] == pytest.approx(1e-4 / 3.0)
-    # a plateau fails
+    # a plateau fails, and a decay slower than the policy's rate has no extrapolation
     verdict, _, audit = _judge(zero, 1e-4, [(0.1, 1.01e-4), (0.05, 1e-4)], False)
-    assert verdict == "fail" and audit["convergence_ratio"] == pytest.approx(1.01)
+    assert verdict == "fail" and audit == {"convergence_ratio": pytest.approx(1.01)}
     # a residual that does not fall has no extrapolation
     verdict, _, audit = _judge(zero, 1e-4, [(0.1, 1e-4), (0.05, 1e-4)], False)
     assert verdict == "fail" and audit == {"convergence_ratio": 1.0}
@@ -733,6 +783,36 @@ def test_judge_rules():
     assert _judge(zero, 1e-3, conv, True)[:2] == ("pass", SINGULAR_POLICY[0])
     assert _judge(sup, 1e-3, conv, True)[:2] == ("fail", SMOOTH_POLICY[0])
     assert _judge(zero, 1e-3, conv, False)[:2] == ("fail", SMOOTH_POLICY[0])
+
+
+def test_a_plateau_carries_its_ratio_and_no_extrapolation():
+    # at 24,32 the refuted parallel second-order displays plateau (ratio
+    # 1.0000011, where r_fine / (ratio - 1) read 1525.8 and 6728.8), while the
+    # comparisons pass on a ratio of 17 to 25
+    reports = run_formulas(ExampleSpec("flat-graph-tangent"), formula_ids(), [24, 32])
+    for fid in ("parallel-second-order-printed", "parallel-second-order-const-printed",
+                "parallel-second-order-b-printed"):
+        r = by_id(reports, fid)
+        assert r.verdict == "fail" and r.detail == {"convergence_ratio": pytest.approx(1.0, abs=1e-5)}, fid
+    for fid in ("riccati-identity", "codazzi-symmetry-g", "shape-comparison", "z-comparison"):
+        r = by_id(reports, fid)
+        ratio = r.detail["convergence_ratio"]
+        assert r.verdict == "pass" and r.residual > r.tolerance and ratio >= SMOOTH_POLICY[1], fid
+        assert r.detail["extrapolated_residual"] == r.residual / (ratio - 1.0), fid
+
+
+def test_the_tangent_graph_default_passes_every_check_on_absolute_tolerance():
+    # no pass of the default sweep hinges on the two-point convergence ratio
+    resolutions = list(EXAMPLES["flat-graph-tangent"].resolutions)
+    reports = run_formulas(ExampleSpec("flat-graph-tangent"), UNREFUTED, resolutions)
+    applicable = [r for r in reports if r.verdict != "not-applicable"]
+    assert len(applicable) == 28
+    for r in applicable:
+        if FORMULAS[r.formula_id].kind == "bound":
+            assert r.value >= -BOUND_TOL, r.formula_id
+        else:
+            assert r.residual <= r.tolerance, (r.formula_id, r.residual)
+        assert r.verdict == "pass" and "convergence_ratio" not in r.detail, r.formula_id
 
 
 def test_report_rejects_bad_verdict():
