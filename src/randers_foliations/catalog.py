@@ -122,20 +122,24 @@ def _conformal_torus(p: dict) -> FoliatedRandersManifold:
 
 
 def _sphere_grid(n: int) -> PeriodicGrid:
-    """The (theta, phi) chart of the sphere: colatitude theta in [0, pi), longitude phi."""
-    return PeriodicGrid((n, n), (np.pi, 2.0 * np.pi))
+    """The (theta, phi) chart of the sphere: colatitude theta in [0, pi), longitude phi.
+    Every sphere field depends on theta alone, so only theta has n nodes and phi
+    holds ``grid.MIN_SIZE``: there a derivative of a constant is 0, and every
+    nodewise field is that of the n x n build."""
+    return PeriodicGrid((n, MIN_SIZE), (np.pi, 2.0 * np.pi))
 
 
 def _excision_mask(grid: PeriodicGrid, r0: float) -> np.ndarray:
     """Nodes farther than r0 from both poles; raises ValueError if the grid
     cannot resolve r0 or no node lies beyond it."""
-    # derivative stencils must not touch the poles: r0 >= 2 h, where the
-    # 2 pi period of phi sets the largest spacing h = 2 pi / n
-    if r0 < 2.0 * max(grid.spacings):
+    # derivative stencils must not touch the poles: r0 >= 4 theta spacings, 4 pi / n;
+    # the message writes it 2 * (2 pi / n), bit for bit the same bound
+    bound = 4.0 * grid.spacings[0]
+    if r0 < bound:
         need = 4.0 * math.pi / r0  # inf for a subnormal r0
         fix = f"the smallest n that admits it is {math.ceil(need)}" if math.isfinite(need) else "no n admits it"
         raise ValueError(
-            f"excision radius {r0} is below 2 * (2 pi / n) = {2.0 * max(grid.spacings):.4f} "
+            f"excision radius {r0} is below 2 * (2 pi / n) = {bound:.4f} "
             f"at n = {grid.sizes[0]}; {fix}"
         )
     theta = grid.meshgrid()[0]
@@ -264,7 +268,8 @@ EXAMPLES = {
         _sphere_latitudes, (256,),
         "round S^2, latitude leaves, poles excised at radius r0: the "
         "singular-foliation regime; beta_mode=eigen runs the principal "
-        "direction construction with constant c and beta(N)",
+        "direction construction with constant c and beta(N); refines theta "
+        "alone (grid n x 8)",
         {"r0": Param((0.2, 0.1, 0.05), "tuple", None, _RADIUS),  # the radii sweep_points sweeps
          "beta_mode": Param("rotational", "choice", bounds=("rotational", "eigen")),
          "eps": Param(0.25, bounds=_UNIT),
@@ -383,7 +388,7 @@ def sweep_points(
 
     The probe is the coarse build on which the sweep learns its release plan:
     a torus at the smallest size a grid accepts (``grid.MIN_SIZE``), the
-    excised sphere at n = 32 (its own n, if coarser) and r0 = 0.4 (its
+    excised sphere at 32 x 8 (its own n, if coarser) and r0 = 0.4 (its
     smallest radius, if larger), so the probe's radius fits its grid whenever
     the point's fits.
     """

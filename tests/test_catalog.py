@@ -115,9 +115,9 @@ def test_a_radius_that_leaves_no_node_is_rejected():
             sweep_points(ExampleSpec("sphere-latitudes", {"r0": r0}), [255])
     with pytest.raises(ExampleError, match=message):
         build_example(ExampleSpec("sphere-latitudes", {"n": 255, "r0": 1.565}))
-    # just inside, the two rows nearest the equator stay
+    # just inside, the two rows nearest the equator stay (phi holds MIN_SIZE nodes)
     _, [(_, [(_, mask)])] = sweep_points(ExampleSpec("sphere-latitudes", {"r0": 127 * math.pi / 255 - 1e-9}), [255])
-    assert mask.sum() == 2 * 255
+    assert mask.shape == (255, MIN_SIZE) and mask.sum() == 2 * MIN_SIZE
 
 
 def test_api_rejects_lists_for_scalars_and_unknown_names():
