@@ -12,21 +12,22 @@ The same dual-route treatment is applied to the curvature vector Z of the
 nu-curves and to the torsion operator C^sharp_nu (the g-dual of
 C_nu(., ., Z)).  Everything needed by the integral verifier (delta, the
 full shape operator A = A^g + C^sharp_nu, eigenvalues, volume densities) is
-cached on one bundle object, the memo of the derived fields: each is computed
-at most once per bundle, and a fresh bundle is built for every sweep point.
+a memo entry of one bundle: the descriptor ``_field`` computes it on its
+first read into the bundle's dict ``memo``, and a fresh bundle is built for
+every sweep point.
 The pointwise scalars and normals (c, chat, beta(N), n, nu and bst =
 beta_sharp_top) are read from the manifold, which caches them itself, with
 a_inv and the tangent projector; the grid caches its spacings.  Each of
 the two Levi-Civita connections (of a and of g) is formed once, inside one
 pass that takes every field its readers need from it, and is freed when the
-pass returns: no held field has more than dim + 2 axes.  Each pass output is
-its own memo entry.
+pass returns: no held field has more than dim + 2 axes.  A pass returns its
+outputs as a dict, and each output is its own memo entry.
 
 A field lives only until its last reader.  The bundle notes which stage of a
 sweep point (the hypotheses, then each check) last read each memo entry; a
-later bundle given that plan drops each entry as soon as that stage ends.  The
-record follows the code path, not the grid, so a coarse probe of the sweep
-gives the plan of every point.
+later bundle given that plan pops each entry from ``memo`` as soon as that
+stage ends.  The record follows the code path, not the grid, so a coarse probe
+of the sweep gives the plan of every point.
 Fields are computed on the manifold's own active set ``M.active``; the bundle
 holds no judging mask, since ``verify`` passes each mask to the reductions.
 
@@ -44,8 +45,6 @@ projecting first.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .invariants import det, dot, inv, matvec, outer
@@ -62,7 +61,7 @@ from .manifold import (
     levi_civita,
 )
 
-__all__ = ["ExtrinsicBundle", "build_extrinsic", "g_metric_field"]
+__all__ = ["ExtrinsicBundle", "g_metric_field"]
 
 
 def g_metric_field(M: FoliatedRandersManifold) -> np.ndarray:
@@ -86,25 +85,38 @@ def g_metric_field(M: FoliatedRandersManifold) -> np.ndarray:
     return g
 
 
-def _pass_field(run_pass, name: str) -> cached_property:
-    """The memo entry ``name``, which ``run_pass`` stores together with its other outputs."""
+class _field:
+    """A memo entry, ``make(E)``, kept in ``E.memo`` from its first read until dropped.
 
-    def field(self):
-        return run_pass(self)[name]
+    Given ``name``, ``make`` is a pass whose whole dict of entries is stored;
+    the entry is its ``name``.  Every read is noted in ``E.last_reader``.
+    """
 
-    field.__name__ = name
-    return cached_property(field)
+    def __init__(self, make, name: str | None = None):
+        self.make, self.name, self.of_pass = make, name or make.__name__, name is not None
+        self.__doc__ = make.__doc__
+
+    def __get__(self, E, owner=None):
+        if E is None:
+            return self
+        E.last_reader[self.name] = E.stage
+        if self.name not in E.memo:
+            if self.of_pass:
+                E.memo.update(self.make(E))
+            else:
+                E.memo[self.name] = self.make(E)
+        return E.memo[self.name]
 
 
 class ExtrinsicBundle:
     """All extrinsic fields of one manifold at one derivative scheme.
 
     The caller names the current stage (``stage``: "hyp" or a check id) and
-    closes it with ``end_stage``.  Every read of a memo entry is noted in
-    ``last_reader`` (field -> the last stage that read it or made it).  Given
-    the ``plan`` of the sweep's probe (its ``last_reader``), ``end_stage``
-    drops each entry the plan says the closing stage read last; an entry read
-    again after that is computed again.
+    closes it with ``end_stage``.  Every read of a memo entry (a ``_field``,
+    held in ``memo``) is noted in ``last_reader`` (field -> the last stage
+    that read it or made it).  Given the ``plan`` of the sweep's probe (its
+    ``last_reader``), ``end_stage`` pops each entry the plan says the closing
+    stage read last; an entry read again after that is computed again.
     """
 
     def __init__(self, M: FoliatedRandersManifold, scheme: str = "spectral", plan: dict | None = None):
@@ -112,50 +124,44 @@ class ExtrinsicBundle:
         self.scheme = scheme
         self.plan = plan or {}
         self.stage: str | None = None
+        self.memo: dict[str, object] = {}
         self.last_reader: dict[str, str | None] = {}
-
-    def __getattribute__(self, name):
-        value = object.__getattribute__(self, name)
-        if name in _FIELDS:
-            self.last_reader[name] = self.stage
-        return value
 
     def end_stage(self) -> None:
         """Close the current stage: note the entries it made, drop those it read last."""
-        memo = vars(self)
-        for name in _FIELDS.intersection(memo):
+        for name in self.memo:
             self.last_reader.setdefault(name, self.stage)
         for name, stage in self.plan.items():
             if stage == self.stage:
-                memo.pop(name, None)
+                self.memo.pop(name, None)
 
     # -- metric level ----------------------------------------------------------
 
-    @cached_property
+    @_field
     def cc(self):
         """F(n) = c chat."""
         return self.M.c * self.M.chat
 
-    @cached_property
+    @_field
     def c2(self):
         """c^2, guarded to 1 where c vanishes; a safe divisor."""
         return np.where(self.M.c > 1e-12, self.M.c**2, 1.0)
 
-    @cached_property
+    @_field
     def bst_live(self):
         """Nodes where bst does not degenerate: |bst|^2 = 1 - c^2 > 1e-12."""
         return 1.0 - self.M.c**2 > 1e-12
 
-    @cached_property
+    @_field
     def b2(self):
         """|bst|^2 = 1 - c^2, guarded to 1 where bst degenerates."""
         return np.where(self.bst_live, 1.0 - self.M.c**2, 1.0)
 
-    @cached_property
+    @_field
     def g(self):
         return g_metric_field(self.M)
 
-    @cached_property
+    @_field
     def d_chat(self):
         """Coordinate differential of chat."""
         return gradient(self.M, self.M.chat, self.scheme)
@@ -165,9 +171,9 @@ class ExtrinsicBundle:
     def _base_pass(self):
         """Every field read from the base connection Gamma_a, taken in one pass.
 
-        Each output is stored as its own memo entry, so each is dropped after
-        its own last reader.  Gamma_a (d^3 numbers per node) is a local here
-        and is freed on return.  The curvature fields are formed only where a
+        Returns the outputs by memo entry, so each is dropped after its own
+        last reader.  Gamma_a (d^3 numbers per node) is a local here and is
+        freed on return.  The curvature fields are formed only where a
         check can read them (unmasked) and are None elsewhere.
         """
         M, scheme = self.M, self.scheme
@@ -183,38 +189,35 @@ class ExtrinsicBundle:
         }
         curvature = curvature_bar(M, gamma, scheme) if M.mask is None else (None,) * 3
         out.update(zip(("R_N", "ricci_N", "sup_riemann"), curvature))
-        vars(self).update(out)
         return out
 
     def _normal_pass(self):
-        """Every field read from the connection Gamma_g of g, taken in one pass; Gamma_g is a local."""
+        """Every field read from the connection Gamma_g of g, taken in one pass, by memo entry; Gamma_g is a local."""
         M, scheme = self.M, self.scheme
         gamma = levi_civita(M, scheme, metric=self.g)
         nabla_nu = covariant_vector_derivative(M, M.nu_field, gamma, scheme)
         Z = M.project_tangent(matvec(nabla_nu, M.nu_field))
-        out = {
+        return {
             "nabla_nu": nabla_nu,
             "Z_direct": Z,
             "nabla_Z_direct": covariant_vector_derivative(M, Z, gamma, scheme),
             "nabla_n_n": matvec(covariant_vector_derivative(M, M.n_field, gamma, scheme), M.n_field),
         }
-        vars(self).update(out)
-        return out
 
     # the passes' outputs, one memo entry each
-    Abar = _pass_field(_base_pass, "Abar")                          # kills N, maps into T(leaves)
-    Zbar = _pass_field(_base_pass, "Zbar")                          # tangent vector field
-    nabla_beta_sharp = _pass_field(_base_pass, "nabla_beta_sharp")
-    nabla_Zbar = _pass_field(_base_pass, "nabla_Zbar")
-    nabla_n_bst = _pass_field(_base_pass, "nabla_n_bst")            # nabla_n beta_sharp_top, a vector
-    gamma_N = _pass_field(_base_pass, "gamma_N")                    # Gamma_a(N), a (d, d) field
-    R_N = _pass_field(_base_pass, "R_N")                            # R(., N) N; None when masked
-    ricci_N = _pass_field(_base_pass, "ricci_N")                    # leaf trace of R_N; None when masked
-    sup_riemann = _pass_field(_base_pass, "sup_riemann")            # max |R^i_jkl|; None when masked
-    nabla_nu = _pass_field(_normal_pass, "nabla_nu")
-    Z_direct = _pass_field(_normal_pass, "Z_direct")                # nabla_nu nu, tangent part
-    nabla_Z_direct = _pass_field(_normal_pass, "nabla_Z_direct")    # g-derivative of Z_direct
-    nabla_n_n = _pass_field(_normal_pass, "nabla_n_n")              # nabla_n n, a vector (not tangent)
+    Abar = _field(_base_pass, "Abar")                      # kills N, maps into T(leaves)
+    Zbar = _field(_base_pass, "Zbar")                      # tangent vector field
+    nabla_beta_sharp = _field(_base_pass, "nabla_beta_sharp")
+    nabla_Zbar = _field(_base_pass, "nabla_Zbar")
+    nabla_n_bst = _field(_base_pass, "nabla_n_bst")        # nabla_n beta_sharp_top, a vector
+    gamma_N = _field(_base_pass, "gamma_N")                # Gamma_a(N), a (d, d) field
+    R_N = _field(_base_pass, "R_N")                        # R(., N) N; None when masked
+    ricci_N = _field(_base_pass, "ricci_N")                # leaf trace of R_N; None when masked
+    sup_riemann = _field(_base_pass, "sup_riemann")        # max |R^i_jkl|; None when masked
+    nabla_nu = _field(_normal_pass, "nabla_nu")
+    Z_direct = _field(_normal_pass, "Z_direct")            # nabla_nu nu, tangent part
+    nabla_Z_direct = _field(_normal_pass, "nabla_Z_direct")# g-derivative of Z_direct
+    nabla_n_n = _field(_normal_pass, "nabla_n_n")          # nabla_n n, a vector (not tangent)
 
     def nabla_N_Abar(self):
         """nabla_N Abar for the base metric, from the kept Gamma_a(N); not kept, it has one reader."""
@@ -223,7 +226,7 @@ class ExtrinsicBundle:
 
     # -- tangent frames ----------------------------------------------------------
 
-    @cached_property
+    @_field
     def frame(self):
         """a-orthonormal tangent frame E[..., :, a], a = 0..m-1.
 
@@ -247,7 +250,7 @@ class ExtrinsicBundle:
             E[..., a_idx] = v / np.where(nrm > 1e-14, nrm, 1.0)[..., None]
         return E
 
-    @cached_property
+    @_field
     def aF(self):
         """The a-lowered frame a F: aF^T v are the frame components of v."""
         return self.M.a @ self.frame
@@ -260,39 +263,39 @@ class ExtrinsicBundle:
         """m x m frame matrix aF^T L F of an operator field (P L P has the same one)."""
         return np.swapaxes(self.aF, -1, -2) @ (L @ self.frame)
 
-    @cached_property
+    @_field
     def Abar_frame(self):
         return self.op_to_frame(self.Abar)
 
-    @cached_property
+    @_field
     def b_frame(self):
         return self.vec_to_frame(self.M.beta_sharp_top)
 
-    @cached_property
+    @_field
     def Zbar_frame(self):
         return self.vec_to_frame(self.Zbar)
 
-    @cached_property
+    @_field
     def Abst_frame(self):
         """Abar(bst) in the frame."""
         return matvec(self.Abar_frame, self.b_frame)
 
-    @cached_property
+    @_field
     def Q_frame(self):
         """Q = Abar(bst) + c Zbar, the tangential part of -nabla_n N, in the frame."""
         return self.Abst_frame + self.M.c[..., None] * self.Zbar_frame
 
-    @cached_property
+    @_field
     def h_frame(self):
         """Angular form on the leaf over c chat: I - b b^T."""
         return np.eye(self.M.m) - outer(self.b_frame, self.b_frame)
 
-    @cached_property
+    @_field
     def G_frame(self):
         """Leaf metric in the frame: c chat (I - b b^T)."""
         return self.cc[..., None, None] * self.h_frame
 
-    @cached_property
+    @_field
     def G_frame_inv(self):
         """(c chat)^-1 (I + b b^T / c^2); Sherman-Morrison closed inverse."""
         bb = outer(self.b_frame, self.b_frame)
@@ -301,7 +304,7 @@ class ExtrinsicBundle:
 
     # -- shape operator of g: two routes ---------------------------------------
 
-    @cached_property
+    @_field
     def Ag_direct(self):
         """A^g(u) = -nabla_u nu from the numeric Levi-Civita connection of g (frame array).
 
@@ -312,19 +315,19 @@ class ExtrinsicBundle:
         g_nu = matvec(self.g, nu)
         return -self.op_to_frame(Dnu - outer(nu, matvec(np.swapaxes(Dnu, -1, -2), g_nu)))
 
-    @cached_property
+    @_field
     def delta(self):
         """delta = -(1/2) c^-1 chat^-2 n(c chat)."""
         dcc = gradient(self.M, self.cc, self.scheme)
         n_cc = dot(self.M.n_field, dcc)
         return -0.5 * n_cc / (self.M.c * self.M.chat**2)
 
-    @cached_property
+    @_field
     def Def_frame(self):
         """Tangential part of Def_{beta_sharp} in the frame."""
         return self.op_to_frame(deformation_tensor(self.M, self.nabla_beta_sharp))
 
-    @cached_property
+    @_field
     def W_frame(self):
         """(nabla_n beta_sharp_top)^T in the frame."""
         return self.vec_to_frame(self.nabla_n_bst)
@@ -337,7 +340,7 @@ class ExtrinsicBundle:
         return (self.Abar_frame + self.delta[..., None, None] * np.eye(self.M.m)
                 + self.Def_frame / self.M.chat[..., None, None] + x_beta + y_bst) / self.M.c[..., None, None]
 
-    @cached_property
+    @_field
     def Ag_formula(self):
         """Comparison formula for A^g in terms of base-metric quantities (frame array).
 
@@ -371,7 +374,7 @@ class ExtrinsicBundle:
         )
         return self._Ag_assembled(outer(T, b), outer(b, S))
 
-    @cached_property
+    @_field
     def Ag_printed(self):
         """The published comparison formula, transcribed verbatim (frame array).
 
@@ -397,17 +400,17 @@ class ExtrinsicBundle:
 
     # -- curvature vector of the nu-curves: two routes ---------------------------
 
-    @cached_property
+    @_field
     def Z_direct_frame(self):
         """Z_direct in the frame, shared by Csharp_direct and the z-comparison."""
         return self.vec_to_frame(self.Z_direct)
 
-    @cached_property
+    @_field
     def dchat_frame(self):
         """Tangential a-gradient of chat, grad^T chat, in the frame."""
         return self.vec_to_frame(matvec(self.M.a_inv, self.d_chat))
 
-    @cached_property
+    @_field
     def Z_formula(self):
         """Z = (c chat)^-1 Zbar - c^-1 chat^-2 grad^T chat
                + c^-3 chat^-1 beta(Zbar - chat^-1 grad^T chat) bst  (frame array)."""
@@ -422,7 +425,7 @@ class ExtrinsicBundle:
 
     # -- torsion operator C^sharp: three routes ----------------------------------
 
-    @cached_property
+    @_field
     def Csharp_direct(self):
         """Definitional route: g-dual of C_nu(., ., Z_direct) in the frame, from the C-reducible torsion.
 
@@ -437,7 +440,7 @@ class ExtrinsicBundle:
         twoC = (outer(b, h_aZ) + outer(h_aZ, b) + bZ[..., None, None] * self.h_frame) * cc
         return self.G_frame_inv @ (0.5 * cc * twoC)           # raised C_nu(e_a, e_b, Z)
 
-    @cached_property
+    @_field
     def Csharp_formula(self):
         """Comparison formula: Z eliminated through the Zbar/grad-chat expression.
 
@@ -456,7 +459,7 @@ class ExtrinsicBundle:
         )
         return self.G_frame_inv @ (0.5 * self.cc[..., None, None] * twoC)
 
-    @cached_property
+    @_field
     def Csharp_printed(self):
         """The published closed form, transcribed verbatim (frame matrices).
 
@@ -486,7 +489,7 @@ class ExtrinsicBundle:
         csharp_n = (Cbar + bb @ Cbar / self.c2[..., None, None]) / cc[..., None, None]
         return csharp_n / chat[..., None, None] ** 3
 
-    @cached_property
+    @_field
     def Csharp_n_direct_numeric(self):
         """g-dual of C_n(., ., nabla_n n) with nabla_n n taken numerically.
 
@@ -510,18 +513,18 @@ class ExtrinsicBundle:
 
     # -- full shape operator and friends -----------------------------------------
 
-    @cached_property
+    @_field
     def A_frame(self):
         """Full shape operator A = A^g + C^sharp_nu, frame representation."""
         return self.Ag_direct + self.Csharp_direct
 
-    @cached_property
+    @_field
     def A_frame_gsym(self):
         """A symmetrised with respect to g (A is g-self-adjoint analytically)."""
         At = self.G_frame_inv @ np.swapaxes(self.A_frame, -1, -2) @ self.G_frame
         return 0.5 * (self.A_frame + At)
 
-    @cached_property
+    @_field
     def principal_curvatures(self):
         """Eigenvalues of A per node, real by g-symmetrisation, ascending."""
         L = np.linalg.cholesky(_masked_to_identity(self.G_frame, self.M))
@@ -530,13 +533,13 @@ class ExtrinsicBundle:
         sym = 0.5 * (sym + np.swapaxes(sym, -1, -2))
         return np.linalg.eigvalsh(sym)
 
-    @cached_property
+    @_field
     def distortion_nu(self):
         """tau(nu) = ((d+1)/2) log[(c chat)/(1 - |beta_sharp|^2)]."""
         d = self.M.dim
         return (d + 1) / 2.0 * np.log(self.cc / (1.0 - self.M.beta_norm**2))
 
-    @cached_property
+    @_field
     def distortion_det_route(self):
         """tau via determinants: log sqrt(det g) - log sigma_F."""
         d = self.M.dim
@@ -554,15 +557,15 @@ class ExtrinsicBundle:
         out = X - (dot(X, b) / self.b2)[..., None] * b
         return np.where(self.bst_live[..., None], out, X)
 
-    @cached_property
+    @_field
     def Abar_bst(self):
         return matvec(self.Abar, self.M.beta_sharp_top)
 
-    @cached_property
+    @_field
     def beta_Zbar(self):
         return self.M.inner(self.M.beta_sharp_top, self.Zbar)
 
-    @cached_property
+    @_field
     def Abst_beta(self):
         """<Abar(bst), beta_sharp> = <Abar(bst), bst> (the output is tangent)."""
         return self.M.inner(self.Abar_bst, self.M.beta_sharp_top)
@@ -594,15 +597,3 @@ class ExtrinsicBundle:
             a3 = -self.beta_Zbar / (c * self.b2)
         return U1, U2, np.where(self.bst_live, a3, 0.0)
 
-
-# the memo entries: every field a bundle computes at most once and may drop
-_FIELDS = frozenset(
-    name for name, attr in vars(ExtrinsicBundle).items() if isinstance(attr, cached_property)
-)
-
-
-def build_extrinsic(
-    M: FoliatedRandersManifold, scheme: str = "spectral", plan: dict | None = None
-) -> ExtrinsicBundle:
-    """A fresh bundle; its fields are computed on first access and kept until ``plan`` drops them."""
-    return ExtrinsicBundle(M, scheme, plan)

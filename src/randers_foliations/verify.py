@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .catalog import ExampleError, ExampleSpec, build_example, sweep_points
-from .extrinsic import ExtrinsicBundle, build_extrinsic
+from .extrinsic import ExtrinsicBundle
 from .invariants import dot, matvec, newton_chain, outer, quad, sigma_k, trace
 from .manifold import deformation_tensor, gradient, integrate
 from .report import ResidualReport
@@ -259,7 +259,7 @@ def _ev_parallel_second_order_printed(E):
         + ((c - 2 * ch) / cc * Ab_b - (ch - c) / (c**2 * ch) * bZ) * trace(X)
         + (ch - c) / (cc * E.b2) * Xb_b * Ab_b
         + (c - 2 * ch) / (cc * E.b2) * bZ * Xb_b
-        - _printed_tail(E, perp(E.Abst_frame), perp(E.Zbar_frame), perp(matvec(Csh, bf)))
+        - _printed_tail(c, ch, perp(E.Abst_frame), perp(E.Zbar_frame), perp(matvec(Csh, bf)))
         - 0.5 * E.ricci_N
     )
 
@@ -272,12 +272,11 @@ def _parallel_printed_head(E):
     return head, E.Abst_frame, E.Zbar_frame, matvec(Csh, E.b_frame)
 
 
-def _printed_tail(E, A, Z, C):
-    """The published second-order tail, a quadratic form in the frame vectors A, Z, C: the
-    parallel display pairs their beta-perpendicular parts, the constant-angle one the vectors.
-    The tangent display is transcribed apart: it is this form at chat = c, and its gate holds
-    |beta(N)| < 1e-9 only."""
-    c, ch, cc = E.M.c, E.M.chat, E.cc
+def _printed_tail(c, ch, A, Z, C):
+    """The published second-order tail at chat = ``ch``, a quadratic form in the frame vectors
+    A, Z, C: the parallel display pairs their beta-perpendicular parts, the constant-angle one
+    the vectors, and the tangent one (its gate holds |beta(N)| < 1e-9 only) the vectors at chat = c."""
+    cc = c * ch
     return (
         (1 - (c - 2 * ch) ** 2) / (4 * ch**2) * dot(A, A)
         + (c - 2 * ch) * (1 - c**2 + 2 * cc) / (2 * ch**2) * dot(A, Z)
@@ -287,22 +286,11 @@ def _printed_tail(E, A, Z, C):
     )
 
 
-def _ev_parallel_const_printed(E):
-    head, Ab, Zb, Cb = _parallel_printed_head(E)
-    return head - _printed_tail(E, Ab, Zb, Cb)
-
-
-def _ev_parallel_tangent_printed(E):
+def _ev_parallel_const_printed(E, tangent=False):
+    """The constant-angle display, or at ``tangent`` the tangent-parallel one: its tail at chat = c."""
     c = E.M.c
     head, Ab, Zb, Cb = _parallel_printed_head(E)
-    return (
-        head
-        - (1 - c**2) / (4 * c**2) * dot(Ab, Ab)
-        + (1 + c**2) / (2 * c) * dot(Ab, Zb)
-        - (1 - c**2) / 4.0 * dot(Zb, Zb)
-        - (1 - c**2) / (2 * c) * dot(Ab, Cb)
-        + (1 + c**2) / 2.0 * dot(Cb, Zb)
-    )
+    return head - _printed_tail(c, c if tangent else E.M.chat, Ab, Zb, Cb)
 
 
 # -- first-order tilt family ----------------------------------------------------
@@ -508,7 +496,8 @@ FORMULAS: dict[str, Formula] = {f.fid: f for f in (
             "published constant-angle second-order display (verbatim)", _ev_parallel_const_printed,
             requires=_PARALLEL + ("constant-beta-N",), refuted=True),
     Formula("parallel-second-order-b-printed",
-            "published tangent-parallel second-order display (verbatim)", _ev_parallel_tangent_printed,
+            "published tangent-parallel second-order display (verbatim)",
+            lambda E: _ev_parallel_const_printed(E, tangent=True),
             requires=_PARALLEL + ("tangent-beta",), refuted=True),
     Formula("tilt-balance-printed", "published first-order tilt balance (verbatim)",
             _ev_tilt_balance_printed, requires=("beta-nonzero",), refuted=True),
@@ -633,7 +622,7 @@ def _sweep_point(
     last readers: from the sweep's probe, the plan of every point.
     """
     M = build_example(subspec)
-    E = build_extrinsic(M, scheme, plan)
+    E = ExtrinsicBundle(M, scheme, plan)
     masks = masks or [(min(M.grid.spacings), M.active)]
     E.stage = "hyp"
     keys = {GATES[g][0] for fid in fids for g in FORMULAS[fid].gate_names} | {"masked"}

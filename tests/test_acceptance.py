@@ -15,7 +15,7 @@ import pytest
 import fd
 from randers_foliations.catalog import ExampleSpec, build_example
 from randers_foliations.cli import build_config, report_config, run
-from randers_foliations.extrinsic import build_extrinsic
+from randers_foliations.extrinsic import ExtrinsicBundle
 from randers_foliations.matinv import sigma_multi, sigma_via_determinant, verify_appendix_identities
 from randers_foliations.point import f_normal, fundamental_tensor, fundamental_tensor_printed, randers_norm
 from randers_foliations.report import reports_to_json
@@ -116,7 +116,7 @@ def _to_frame(E, field):
 def _sup_errors(name, attr_pair, ns, params=None, scheme="spectral"):
     errs = []
     for n in ns:
-        E = build_extrinsic(build_example(ExampleSpec(name, {**(params or {}), "n": n})), scheme)
+        E = ExtrinsicBundle(build_example(ExampleSpec(name, {**(params or {}), "n": n})), scheme)
         x, y = (_to_frame(E, getattr(E, attr)) for attr in attr_pair)
         errs.append(float(np.max(np.abs(x - y))))
     return errs
@@ -225,7 +225,7 @@ def test_criterion_7_tilt_balance_as_published():
     strict=True,
     reason="a zero row's residual is an absolute integral that scales with the "
     "chart: the refuted tilt balance reads 7.965e-4 at period 1 and 7.965e-7 at "
-    "period 0.001, which passes its 1e-6 tolerance (ROADMAP item 1: judge "
+    "period 0.001, which passes its 1e-6 tolerance (ROADMAP item 3: judge "
     "integrals on a period-free scale)",
     raises=AssertionError,
 )

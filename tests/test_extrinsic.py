@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from randers_foliations.catalog import ExampleSpec, build_example
-from randers_foliations.extrinsic import build_extrinsic, g_metric_field
+from randers_foliations.extrinsic import ExtrinsicBundle, g_metric_field
 from randers_foliations.point import (
     RandersPoint,
     cartan_torsion,
@@ -16,7 +16,7 @@ from randers_foliations.manifold import integrate
 
 
 def bundle(name, scheme="spectral", **params):
-    return build_extrinsic(build_example(ExampleSpec(name, params)), scheme)
+    return ExtrinsicBundle(build_example(ExampleSpec(name, params)), scheme)
 
 
 def sup_active(E, field):
@@ -217,7 +217,7 @@ def test_z_formula_normal_beta_specialisation():
     bsharp = f[..., None] * N
     beta = np.einsum("...ij,...j->...i", a, bsharp)
     M = FoliatedRandersManifold(grid, a, beta, N, name="normal-beta", beta_sharp_given=bsharp)
-    E = build_extrinsic(M, "spectral")
+    E = ExtrinsicBundle(M, "spectral")
     df = np.stack([derivative_values(f, grid, ax, "spectral") for ax in range(2)], -1)
     grad_f_tan = M.project_tangent(np.einsum("...ij,...j->...i", M.a_inv, df))
     expected = E.Zbar / E.M.chat[..., None] - grad_f_tan / E.M.chat[..., None] ** 2
@@ -435,13 +435,13 @@ def tangent_point():
     bundles, held, calls = [], {}, []
 
     def keep_bundle(*args, **kwargs):
-        bundles.append(build_extrinsic(*args, **kwargs))
+        bundles.append(ExtrinsicBundle(*args, **kwargs))
         calls.clear()  # the probe's calls end before the point's bundle is built
         return bundles[-1]
 
     def note_held(E):
         if E is bundles[-1]:
-            held.update((key, v.ndim) for key, v in vars(E).items() if isinstance(v, np.ndarray))
+            held.update((key, v.ndim) for key, v in E.memo.items() if isinstance(v, np.ndarray))
         end_stage(E)
 
     def record(M, v, gamma, scheme):
@@ -450,7 +450,7 @@ def tangent_point():
 
     fids = [f for f in verify.formula_ids() if not verify.FORMULAS[f].refuted]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "build_extrinsic", keep_bundle)
+        mp.setattr(verify, "ExtrinsicBundle", keep_bundle)
         mp.setattr(extrinsic.ExtrinsicBundle, "end_stage", note_held)
         for module in (manifold, extrinsic):
             mp.setattr(module, "covariant_vector_derivative", record)
@@ -468,7 +468,7 @@ def test_bundle_holds_no_array_wider_than_the_connection(tangent_point):
     dim = E.M.dim
     assert {name: ndim for name, ndim in held.items() if ndim > dim + 2} == {}
     # the plan drops every field after its last reader
-    assert [key for key, value in vars(E).items() if isinstance(value, np.ndarray)] == []
+    assert E.memo == {}
 
 
 def test_bundle_takes_each_covariant_derivative_once(tangent_point):

@@ -7,7 +7,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from randers_foliations.catalog import EXAMPLES, ExampleError, ExampleSpec, build_example
-from randers_foliations.extrinsic import build_extrinsic
+from randers_foliations.extrinsic import ExtrinsicBundle
 from randers_foliations.invariants import newton_transform_batched, sigma_k
 from randers_foliations.matinv import (
     newton_transform,
@@ -393,7 +393,7 @@ def _traced_run(spec, fids, resolutions, scheme="spectral"):
     first), and the number of Levi-Civita connections each formed."""
     from randers_foliations import extrinsic, verify
 
-    build, levi_civita = verify.build_extrinsic, extrinsic.levi_civita
+    build, levi_civita = verify.ExtrinsicBundle, extrinsic.levi_civita
     bundles, connections = [], []
 
     def keep_bundle(*args, **kwargs):
@@ -406,7 +406,7 @@ def _traced_run(spec, fids, resolutions, scheme="spectral"):
         return levi_civita(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "build_extrinsic", keep_bundle)
+        mp.setattr(verify, "ExtrinsicBundle", keep_bundle)
         mp.setattr(extrinsic, "levi_civita", counting_levi_civita)
         reports = run_formulas(spec, fids, resolutions, scheme)
     return reports, bundles, connections
@@ -414,7 +414,7 @@ def _traced_run(spec, fids, resolutions, scheme="spectral"):
 
 def _assert_release_is_exact(reports, bundle):
     """Every applicable value is bit-identical to one from a fresh unplanned bundle of ``bundle``'s manifold."""
-    fresh = build_extrinsic(bundle.M, bundle.scheme)
+    fresh = ExtrinsicBundle(bundle.M, bundle.scheme)
     applicable = [r for r in reports if r.verdict != "not-applicable"]
     for r in applicable:
         (value, detail), = FORMULAS[r.formula_id].values(fresh, [fresh.M.active])
@@ -447,7 +447,7 @@ def test_every_point_of_a_sweep_follows_its_probe(released_sweep):
     assert len(points) == len(RELEASE_RES) and probe.M.grid.sizes == (8, 8, 8)
     for point, formed in zip(points, connections[1:]):
         assert point.plan == probe.last_reader
-        assert [k for k, v in vars(point).items() if isinstance(v, np.ndarray)] == []
+        assert point.memo == {}
         assert formed == 2
 
 
@@ -458,7 +458,7 @@ def test_release_lowers_the_peak(released_sweep):
 
     _, bundles, _ = released_sweep
     # after its last check, a point that follows the plan holds no field
-    assert [k for k, v in vars(bundles[-1]).items() if isinstance(v, np.ndarray)] == []
+    assert bundles[-1].memo == {}
     specs = [ExampleSpec("flat-graph-tangent", {"n": n}) for n in RELEASE_RES]
     plan = _sweep_point(specs[0], None, UNREFUTED, "spectral")[-1]
     tracemalloc.start()
@@ -528,6 +528,8 @@ def test_the_release_plan_does_not_depend_on_the_grid(name, params, resolutions,
     _, bundles, _ = _traced_run(spec, formula_ids(), resolutions, scheme)
     assert len(bundles) == 1 + len(points)   # the probe, then two torus points or the sphere's one
     assert [bundle.last_reader for bundle in bundles] == [record] * len(bundles)
+    # every planned point drops each field after its last reader and ends empty
+    assert [bundle.memo for bundle in bundles[1:]] == [{}] * len(points)
 
 
 def _fail_the_next_build(monkeypatch, error):
@@ -559,7 +561,7 @@ def test_a_one_point_sweep_releases_as_a_later_point_does(name, params, resoluti
     assert probe.M.grid.sizes < point.M.grid.sizes and probe.plan == {}
     assert point.plan == probe.last_reader == point.last_reader
     # after its last check the point holds no field, and it formed each connection once
-    assert [k for k, v in vars(point).items() if isinstance(v, np.ndarray)] == []
+    assert point.memo == {}
     assert connections[1] == 2
     assert _assert_release_is_exact(reports, point) >= 10
 
@@ -669,14 +671,13 @@ def test_identities_converge_on_a_field_varying_along_every_axis():
     # the only catalog 3D example varies along x alone; here every y and z
     # derivative, the mixed Riemann slices and the cross terms of both
     # connections and of the frames are exercised
-    from randers_foliations.extrinsic import build_extrinsic
     from randers_foliations.verify import GATES, hypothesis_profile
 
     fids = list(_DECAY_3D) + list(_ROUNDOFF_3D)
     keys = {GATES[g][0] for fid in fids for g in FORMULAS[fid].gate_names} | {"masked"}
     residuals = {fid: [] for fid in fids}
     for n in (16, 24, 32):
-        E = build_extrinsic(_conformal_three_torus(n), "spectral")
+        E = ExtrinsicBundle(_conformal_three_torus(n), "spectral")
         hyp = hypothesis_profile(E, E.M.active, keys)
         for fid in fids:
             assert FORMULAS[fid].applicable(hyp), (fid, n)
@@ -719,7 +720,7 @@ def _assert_reads_as_isotropic_twin(thin, scheme, zero_bound):
     summation, by at most ``zero_bound``.  Returns the applicable rows."""
     from randers_foliations.verify import MEASURES
 
-    bundles = [build_extrinsic(M, scheme) for M in (thin, _isotropic_twin(thin))]
+    bundles = [ExtrinsicBundle(M, scheme) for M in (thin, _isotropic_twin(thin))]
     hyps = [hypothesis_profile(E, E.M.active, set(MEASURES)) for E in bundles]
     applicable = [fid for fid in formula_ids() if FORMULAS[fid].applicable(hyps[0])]
     assert applicable == [fid for fid in formula_ids() if FORMULAS[fid].applicable(hyps[1])]
@@ -825,6 +826,9 @@ def test_a_plateau_carries_its_ratio_and_no_extrapolation():
                 "parallel-second-order-b-printed"):
         r = by_id(reports, fid)
         assert r.verdict == "fail" and r.detail == {"convergence_ratio": pytest.approx(1.0, abs=1e-5)}, fid
+    # the tangent display is the constant-angle one at chat = c, which holds on this example
+    tangent, const = (by_id(reports, f"parallel-second-order-{k}-printed") for k in ("b", "const"))
+    assert tangent.value == const.value
     for fid in ("riccati-identity", "codazzi-symmetry-g", "shape-comparison", "z-comparison"):
         r = by_id(reports, fid)
         ratio = r.detail["convergence_ratio"]
@@ -880,11 +884,10 @@ def test_first_order_expansion_matches_closed_display_pointwise():
     # c tr C# + m delta + a3 (1 - c^2) because the perp-beta pieces are
     # traceless; checked pointwise before integration
     from randers_foliations.catalog import build_example
-    from randers_foliations.extrinsic import build_extrinsic
     from randers_foliations.invariants import trace
     from randers_foliations.manifold import integrate
 
-    E = build_extrinsic(build_example(ExampleSpec("flat-graph", {"n": 48})), "spectral")
+    E = ExtrinsicBundle(build_example(ExampleSpec("flat-graph", {"n": 48})), "spectral")
     m = E.M.m
     U1, U2, a3 = E.rank_one(printed=True)
     closed = (
@@ -917,7 +920,7 @@ def test_printed_sigma_2_display_plateaus_where_beta_tilts_off_the_leaves():
     keys = {GATES[g][0] for fid in fids for g in FORMULAS[fid].gate_names} | {"masked"}
     r = {fid: [] for fid in fids}
     for n in (16, 24):
-        E = build_extrinsic(_flat_torus("tilted", {"n": n, "period": 1.0}, (0.2, 0.1, 0.3), 0.04), "spectral")
+        E = ExtrinsicBundle(_flat_torus("tilted", {"n": n, "period": 1.0}, (0.2, 0.1, 0.3), 0.04), "spectral")
         hyp = hypothesis_profile(E, E.M.active, keys)
         assert np.abs(E.M.beta_N).min() > 0.1  # beta tilts off the leaves at every node
         for fid in fids:
@@ -1000,7 +1003,7 @@ def test_residuals_on_drawn_parameters(example, mode):
     @given(params=_draws(example, mode))
     def check(params):
         try:
-            E = build_extrinsic(build_example(ExampleSpec(example, {**params, "n": sizes[-1]})))
+            E = ExtrinsicBundle(build_example(ExampleSpec(example, {**params, "n": sizes[-1]})))
             if E.M.beta_norm.max() >= BETA_NORM_CAP:
                 reject()
             reports = run_formulas(ExampleSpec(example, params), list(_COMPARISONS), sizes)
@@ -1036,7 +1039,7 @@ def test_rows_no_catalog_run_can_fail():
     keys = {key for key, _, _ in GATES.values()}
     for name, params in _CONFIGURATIONS:
         M = build_example(ExampleSpec(name, {**params, "n": min(EXAMPLES[name].resolutions)}))
-        E = build_extrinsic(M)
+        E = ExtrinsicBundle(M)
         hyp = hypothesis_profile(E, M.active, keys)
         for fid in sorted(vacuous):
             if FORMULAS[fid].applicable(hyp):
