@@ -4,13 +4,12 @@ Frame representations of leaf operators are arrays of shape (..., m, m) and
 those of leaf vectors arrays of shape (..., m).  Every nodewise product, trace
 and inverse, of frame and coordinate fields alike, is one of ``dot``, ``matvec``
 (v A is matvec(A^T, v)), ``quad``, ``outer``, ``trace`` and ``inv``; only
-matrix-matrix products stay ``@``.  ``sigma_k`` and ``newton_transform_batched``
-read one Faddeev-LeVerrier loop for sigma_r and T_r, ``newton_chain`` rank-one
-updates of sigma_k; the single-matrix sigma_k and Newton transformation of
-:mod:`randers_foliations.matinv` call them.  No nodewise
-sigma_lambda is needed: a sum sum_{j>=1} sigma_(k-j,j)(X, Y) is
-sigma_k(X + Y) - sigma_k(X), and sigma_lambda of a matrix tuple is
-:mod:`randers_foliations.matinv`'s.
+matrix-matrix products stay ``@``.  One Faddeev-LeVerrier loop gives sigma and
+the Newton transformation T together; it takes a tuple of matrices and a
+multi-index.  The batched ``sigma_k`` and ``newton_transform_batched`` pass it
+one matrix, and ``matinv.sigma_multi`` a tuple; ``newton_chain`` gives rank-one
+updates of sigma_k.  No nodewise sigma_lambda is needed: a sum
+sum_{j>=1} sigma_(k-j,j)(X, Y) is sigma_k(X + Y) - sigma_k(X).
 
 Grids are 2- or 3-dimensional, so every metric field is a stack of d x d
 matrices with d <= 3.  ``det``, ``inv`` and ``is_spd`` evaluate such stacks
@@ -19,6 +18,8 @@ LAPACK routine would pay its per-matrix overhead at every node.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -118,17 +119,28 @@ def trace(A: np.ndarray) -> np.ndarray:
     return np.einsum("...aa->...", A)
 
 
-def _leverrier(A: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma_r(A), T_r(A)), r >= 1, by Faddeev-LeVerrier: sigma_s = tr(A T_{s-1}) / s,
-    T_s = sigma_s I - A T_{s-1}, T_0 = I; the product A T_0 is A, and none follows T_r."""
-    eye = np.eye(A.shape[-1])
-    AT = A
-    for s in range(1, r + 1):
-        sig = trace(AT) / s
-        T = sig[..., None, None] * eye - AT
-        if s < r:
-            AT = A @ T
-    return sig, T
+def _leverrier(mats: Sequence[np.ndarray], lam: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_lam, T_lam) of the matrix tuple ``mats``, |lam| >= 1, by Faddeev-LeVerrier on
+    A(t) = sum_i t_i A_i: sigma_s = tr(A(t) T_{s-1}) / s, T_s = sigma_s I - A(t) T_{s-1}, T_0 = I.
+
+    T_s is homogeneous of degree s, held as its coefficient blocks of t^a, a <= lam; a
+    matrix whose entry of lam is 0 is never multiplied.  The products A_i T_0 are A_i, and
+    none follows the last step.
+    """
+    n = sum(lam)
+    eye = np.eye(mats[0].shape[-1])
+    AT = {tuple(int(i == j) for j in range(len(mats))): A for i, A in enumerate(mats) if lam[i]}
+    for s in range(1, n + 1):
+        sig = {a: trace(P) / s for a, P in AT.items()}
+        T = {a: sig[a][..., None, None] * eye - P for a, P in AT.items()}
+        if s < n:
+            AT = {}
+            for a, Ta in T.items():
+                for i, A in enumerate(mats):
+                    if a[i] < lam[i]:
+                        b = a[:i] + (a[i] + 1,) + a[i + 1 :]
+                        AT[b] = AT[b] + A @ Ta if b in AT else A @ Ta
+    return sig[lam], T[lam]
 
 
 def sigma_k(A: np.ndarray, k: int) -> np.ndarray:
@@ -144,7 +156,7 @@ def sigma_k(A: np.ndarray, k: int) -> np.ndarray:
         return np.zeros(A.shape[:-2])
     if k == 0:
         return np.ones(A.shape[:-2])
-    return _leverrier(A, k)[0]
+    return _leverrier((A,), (k,))[0]
 
 
 def newton_transform_batched(A: np.ndarray, r: int) -> np.ndarray:
@@ -154,7 +166,7 @@ def newton_transform_batched(A: np.ndarray, r: int) -> np.ndarray:
         raise ValueError(f"order {r} out of range for {m} x {m} matrices")
     if r == 0:
         return np.broadcast_to(np.eye(m), A.shape).copy()
-    return _leverrier(A, r)[1]
+    return _leverrier((A,), (r,))[1]
 
 
 def newton_chain(core: np.ndarray, k: int, updates) -> np.ndarray:

@@ -6,26 +6,25 @@ coefficient of t_1^lam_1 * ... * t_k^lam_k in det(I + t_1 A_1 + ... + t_k A_k).
 For a single matrix these are the elementary symmetric functions of its
 eigenvalues; sigma_1 is the trace, sigma_m the determinant.
 
-Two independent routes are provided:
+Every value comes from one recursion: ``sigma_single``, ``sigma_multi`` and
+``newton_transform`` check their input and call the Faddeev-LeVerrier loop of
+:mod:`randers_foliations.invariants`, which runs sigma_s = tr(A T_{s-1}) / s,
+T_s = sigma_s I - A T_{s-1}, T_0 = I on A = sum_i t_i A_i for a tuple of any
+length, up to MAX_DIM.  This module is the package's one evaluator of
+sigma_lambda on two or more matrices.
 
-* ``sigma_via_determinant`` evaluates the determinant on the integer grid
-  {0, ..., m}^k and recovers the coefficient by multivariate polynomial
-  interpolation (Vandermonde solve per variable).  This is the oracle; it is
-  used directly for k >= 3.  The Vandermonde solves lose accuracy fast with
-  m, so it accepts m <= ORACLE_MAX_DIM only.
-* ``sigma_single`` / ``sigma_pair`` compute the same coefficients by the
-  Faddeev-LeVerrier recursion sigma_s = tr(A T_{s-1}) / s, T_s = sigma_s I -
-  A T_{s-1}, T_0 = I, on A for k = 1 and on the matrix polynomial A + tB for
-  k = 2: sigma_(i,j)(A, B) is the t^j coefficient of sigma_{i+j}(A + tB).
+``sigma_via_determinant`` is a reference only: it evaluates the determinant on
+the integer grid {0, ..., m}^k and recovers the coefficient by multivariate
+polynomial interpolation (a Vandermonde solve per variable), sharing no code
+with the recursion.  The solves lose accuracy fast with m, so it accepts
+m <= ORACLE_MAX_DIM only.
 
-``sigma_single`` and ``newton_transform`` check their input and hand the one
-matrix to the batched kernels of :mod:`randers_foliations.invariants`, whose
-one loop gives sigma_r and T_r together.  This module is the package's one
-evaluator of sigma_lambda on two or more matrices.
 ``verify_appendix_identities`` samples random tuples and measures the
 residual of every algebraic identity the rest of the package relies on,
 through ``sigma_k``, ``newton_transform_batched`` and ``newton_chain``, the
-batched kernels the verifier calls.
+batched kernels the verifier calls.  Its laws read tuples with three or more
+nonzero entries through the oracle (``_law_sigma``), so that each law still
+compares the oracle with the recursion.
 """
 
 from __future__ import annotations
@@ -35,11 +34,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .invariants import newton_chain, newton_transform_batched, sigma_k, trace
+from .invariants import _leverrier, newton_chain, newton_transform_batched, sigma_k, trace
 
 __all__ = [
     "sigma_single",
-    "sigma_pair",
     "sigma_multi",
     "sigma_via_determinant",
     "newton_transform",
@@ -48,8 +46,11 @@ __all__ = [
 
 MAX_DIM = 16
 # the oracle's worst relative error against a 60-80 digit evaluation is about
-# 3e-10 at m = 5, 7e-7 at m = 7 and 1e-2 at m = 10: m = 5 holds the suite's 1e-9
-ORACLE_MAX_DIM = 5
+# 3e-10 at m = 5, 7e-7 at m = 7 and 1e-2 at m = 10.  Against the recursion at m = 5
+# it reaches about 8e-12 on one matrix, 1.2e-10 on two and 1.8e-9 on three, and the
+# suite's laws, which add a slot, exceed its 1e-9 at m_max = 5 (1.27e-8 on seed 7).
+# At m = 4 the suite's worst over seeds 0-2299 is 8.37e-10 (seed 199)
+ORACLE_MAX_DIM = 4
 
 
 def _as_square(A) -> np.ndarray:
@@ -65,19 +66,13 @@ def _as_square(A) -> np.ndarray:
     return A
 
 
-def _check_tuple(mats: Sequence) -> list[np.ndarray]:
+def _check_index(mats: Sequence, lam: Sequence[int]) -> tuple[list[np.ndarray], tuple[int, ...]]:
     if len(mats) == 0:
         raise ValueError("need at least one matrix")
-    out = [_as_square(A) for A in mats]
-    m = out[0].shape[0]
-    for A in out[1:]:
-        if A.shape[0] != m:
-            raise ValueError("all matrices in a tuple must share the same dimension")
-    return out
-
-
-def _check_index(mats: Sequence, lam: Sequence[int]) -> tuple[list[np.ndarray], tuple[int, ...]]:
-    mats = _check_tuple(mats)
+    mats = [_as_square(A) for A in mats]
+    m = mats[0].shape[0]
+    if any(A.shape[0] != m for A in mats):
+        raise ValueError("all matrices in a tuple must share the same dimension")
     if not all(float(x).is_integer() for x in lam):
         raise ValueError(f"multi-index entries must be integers, got {tuple(lam)}")
     lam = tuple(int(x) for x in lam)
@@ -85,7 +80,6 @@ def _check_index(mats: Sequence, lam: Sequence[int]) -> tuple[list[np.ndarray], 
         raise ValueError("multi-index length must match the number of matrices")
     if any(x < 0 for x in lam):
         raise ValueError("multi-index entries must be nonnegative")
-    m = mats[0].shape[0]
     if sum(lam) > m:
         raise ValueError(f"|lambda| = {sum(lam)} exceeds matrix dimension {m}")
     return mats, lam
@@ -100,30 +94,11 @@ def sigma_single(A, k: int) -> float:
     return float(sigma_k(A, k))
 
 
-def sigma_pair(A, B, lam: Sequence[int]) -> float:
-    """sigma_(i,j)(A, B): the t^j coefficient of sigma_{i+j}(A + tB).
-
-    The Faddeev-LeVerrier recursion of ``invariants`` runs on matrix
-    polynomials in t, held as coefficient stacks truncated at t^j.
-    """
-    (A, B), (i, j) = _check_index([A, B], lam)
-    if i + j == 0:
-        return 1.0
-    eye = np.eye(A.shape[0])
-    T = np.stack([eye, *np.zeros((j,) + A.shape)])  # T_0 = I
-    for s in range(1, i + j + 1):
-        AT = A @ T
-        AT[1:] += B @ T[:-1]  # (A + tB) T_{s-1}
-        sig = trace(AT) / s
-        T = sig[:, None, None] * eye - AT
-    return float(sig[j])
-
-
 def sigma_via_determinant(mats: Sequence, lam: Sequence[int]) -> float:
     """Oracle: multivariate interpolation of det(I + sum t_i A_i) on {0..m}^k.
 
-    Independent of the trace-based fast paths.  Its roundoff grows with the
-    Vandermonde solves, so it raises ``ValueError`` for m > ORACLE_MAX_DIM.
+    A reference only, sharing no code with the recursion.  Its roundoff grows
+    with the Vandermonde solves, so it raises ``ValueError`` for m > ORACLE_MAX_DIM.
     """
     mats, lam = _check_index(mats, lam)
     m = mats[0].shape[0]
@@ -151,21 +126,15 @@ def sigma_via_determinant(mats: Sequence, lam: Sequence[int]) -> float:
 
 
 def sigma_multi(mats: Sequence, lam: Sequence[int]) -> float:
-    """sigma_lambda(A_1, ..., A_k); reduces to sigma_single when k == 1.
+    """sigma_lambda(A_1, ..., A_k) for any k and m <= MAX_DIM, by the Faddeev-LeVerrier
+    recursion of ``invariants`` on A(t) = sum_i t_i A_i; it equals ``sigma_single`` when k == 1.
 
-    Zero entries of the multi-index are dropped first (the corresponding
-    matrices cannot contribute).  Trace fast paths are used for k <= 2, the
-    interpolation oracle for k >= 3 (so m <= ORACLE_MAX_DIM there).
+    A matrix whose entry of the multi-index is 0 cannot contribute and is never multiplied.
     """
     mats, lam = _check_index(mats, lam)
-    active = [(A, l) for A, l in zip(mats, lam) if l > 0]
-    if not active:
+    if sum(lam) == 0:
         return 1.0
-    if len(active) == 1:
-        return sigma_single(active[0][0], active[0][1])
-    if len(active) == 2:
-        return sigma_pair(active[0][0], active[1][0], (active[0][1], active[1][1]))
-    return sigma_via_determinant([A for A, _ in active], [l for _, l in active])
+    return float(_leverrier(mats, lam)[0])
 
 
 def newton_transform(A, r: int) -> np.ndarray:
@@ -196,6 +165,14 @@ def _rel(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
+def _law_sigma(mats: Sequence, lam: Sequence[int]) -> float:
+    """sigma_lambda as the identity laws read it: the oracle on three or more
+    nonzero entries, so that each law compares the oracle with the recursion."""
+    if sum(l > 0 for l in lam) < 3:
+        return sigma_multi(mats, lam)
+    return sigma_via_determinant([A for A, l in zip(mats, lam) if l], [l for l in lam if l])
+
+
 def verify_appendix_identities(seed: int, trials: int, m_max: int) -> dict[str, float]:
     """Sample random tuples and return the max residual of each identity.
 
@@ -203,11 +180,11 @@ def verify_appendix_identities(seed: int, trials: int, m_max: int) -> dict[str, 
     symmetry, the identity-matrix binomial law, merging of repeated matrices,
     additivity/scaling in one slot, the sigma_{k,l} product expansion, and the
     rank-one update expansion (``invariants.newton_chain``).  ``oracle_agreement``
-    compares ``sigma_multi`` with the oracle.  For three or more nonzero
-    entries ``sigma_multi`` *is* the oracle, so ``oracle_agreement`` is 0
-    there by construction; the identity, merge and sigma_{k,l} laws
-    cross-check those values against the pair and single routes.  All
-    residuals are normalised by max(1, |lhs|, |rhs|).
+    compares ``sigma_multi`` with the oracle on every sampled tuple.  The laws
+    read tuples with three or more nonzero entries through the oracle
+    (``_law_sigma``), so the identity, merge and sigma_{k,l} laws compare it
+    with the recursion's pair and single values.  All residuals are normalised
+    by max(1, |lhs|, |rhs|).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -237,42 +214,42 @@ def verify_appendix_identities(seed: int, trials: int, m_max: int) -> dict[str, 
 
         # (zero) first slot zero matrix, and zero index reduction
         if lam[0] > 0:
-            val = sigma_multi([np.zeros((m, m))] + mats[1:], lam)
+            val = _law_sigma([np.zeros((m, m))] + mats[1:], lam)
             res["zero_law"] = max(res["zero_law"], abs(val))
-        val0 = sigma_multi([_rand_matrix(rng, m)] + mats, (0,) + lam)
-        res["zero_law"] = max(res["zero_law"], _rel(val0, sigma_multi(mats, lam)))
+        val0 = _law_sigma([_rand_matrix(rng, m)] + mats, (0,) + lam)
+        res["zero_law"] = max(res["zero_law"], _rel(val0, _law_sigma(mats, lam)))
 
         # (permutation)
         perm = rng.permutation(k)
-        lhs = sigma_multi([mats[p] for p in perm], [lam[p] for p in perm])
-        res["permutation"] = max(res["permutation"], _rel(lhs, sigma_multi(mats, lam)))
+        lhs = _law_sigma([mats[p] for p in perm], [lam[p] for p in perm])
+        res["permutation"] = max(res["permutation"], _rel(lhs, _law_sigma(mats, lam)))
 
         # (identity law) sigma_{(r,) + lam}(I, A_2...) = C(m - |lam|, r) sigma_lam
         if sum(lam) < m:
             r = int(rng.integers(0, m - sum(lam) + 1))
-            lhs = sigma_multi([np.eye(m)] + mats, (r,) + lam)
-            rhs = math.comb(m - sum(lam), r) * sigma_multi(mats, lam)
+            lhs = _law_sigma([np.eye(m)] + mats, (r,) + lam)
+            rhs = math.comb(m - sum(lam), r) * _law_sigma(mats, lam)
             res["identity_law"] = max(res["identity_law"], _rel(lhs, rhs))
 
         # (merge law) repeated matrix slots merge with a binomial factor
         l1 = int(rng.integers(0, m + 1 - sum(lam)))
         l2 = int(rng.integers(0, m + 1 - sum(lam) - l1))
         A = mats[0]
-        lhs = sigma_multi([A, A] + mats[1:], (l1, l2) + lam[1:]) if l1 + l2 + sum(lam[1:]) <= m else None
+        lhs = _law_sigma([A, A] + mats[1:], (l1, l2) + lam[1:]) if l1 + l2 + sum(lam[1:]) <= m else None
         if lhs is not None:
-            rhs = math.comb(l1 + l2, l1) * sigma_multi([A] + mats[1:], (l1 + l2,) + lam[1:])
+            rhs = math.comb(l1 + l2, l1) * _law_sigma([A] + mats[1:], (l1 + l2,) + lam[1:])
             res["merge_law"] = max(res["merge_law"], _rel(lhs, rhs))
 
         # (additivity in a degree-one slot) and (scaling)
         B = _rand_matrix(rng, m)
         hat = lam[1:]
         if 1 + sum(hat) <= m:
-            lhs = sigma_multi([mats[0] + B] + mats[1:], (1,) + hat)
-            rhs = sigma_multi(mats, (1,) + hat) + sigma_multi([B] + mats[1:], (1,) + hat)
+            lhs = _law_sigma([mats[0] + B] + mats[1:], (1,) + hat)
+            rhs = _law_sigma(mats, (1,) + hat) + _law_sigma([B] + mats[1:], (1,) + hat)
             res["additivity"] = max(res["additivity"], _rel(lhs, rhs))
         a = float(rng.uniform(0.5, 2.0))
-        lhs = sigma_multi([a * mats[0]] + mats[1:], lam)
-        rhs = a ** lam[0] * sigma_multi(mats, lam)
+        lhs = _law_sigma([a * mats[0]] + mats[1:], lam)
+        rhs = a ** lam[0] * _law_sigma(mats, lam)
         res["scaling"] = max(res["scaling"], _rel(lhs, rhs))
 
         # sigma_{k,l}(B, C) = sigma_k(B) sigma_l(C) - sum_i sigma_{k-i,l-i,i}(B, C, BC)
@@ -280,10 +257,10 @@ def verify_appendix_identities(seed: int, trials: int, m_max: int) -> dict[str, 
         kk = int(rng.integers(1, m))
         ll = int(rng.integers(1, m - kk + 1)) if m - kk >= 1 else 0
         if kk >= 1 and ll >= 1:
-            lhs = sigma_multi([B1, C1], (kk, ll))
+            lhs = _law_sigma([B1, C1], (kk, ll))
             rhs = sigma_single(B1, kk) * sigma_single(C1, ll)
             for i in range(1, min(kk, ll) + 1):
-                rhs -= sigma_multi([B1, C1, B1 @ C1], (kk - i, ll - i, i))
+                rhs -= _law_sigma([B1, C1, B1 @ C1], (kk - i, ll - i, i))
             res["sigma_kl"] = max(res["sigma_kl"], _rel(lhs, rhs))
 
         # rank-one update: sigma_k(C + D + A_1 + ... + A_s)
@@ -296,7 +273,7 @@ def verify_appendix_identities(seed: int, trials: int, m_max: int) -> dict[str, 
         lhs = sigma_single(C2 + D2 + sum(ranks), korder)
         rhs = sigma_single(C2, korder)
         for j in range(1, korder + 1):
-            rhs += sigma_multi([C2, D2], (korder - j, j))
+            rhs += _law_sigma([C2, D2], (korder - j, j))
         rhs += newton_chain(C2 + D2, korder, [(p, q, 1.0) for p, q in pq])
         res["rank_one_update"] = max(res["rank_one_update"], _rel(lhs, rhs))
 

@@ -16,7 +16,7 @@ import fd
 from randers_foliations.catalog import ExampleSpec, build_example
 from randers_foliations.cli import build_config, report_config, run
 from randers_foliations.extrinsic import ExtrinsicBundle
-from randers_foliations.matinv import sigma_multi, sigma_via_determinant, verify_appendix_identities
+from randers_foliations.matinv import ORACLE_MAX_DIM, sigma_multi, sigma_via_determinant, verify_appendix_identities
 from randers_foliations.point import f_normal, fundamental_tensor, fundamental_tensor_printed, randers_norm
 from randers_foliations.report import reports_to_json
 from randers_foliations.verify import run_formulas
@@ -43,7 +43,7 @@ def test_criterion_1_sigma_oracle_and_identities():
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(200):
-        m = int(rng.integers(2, 6))
+        m = int(rng.integers(2, ORACLE_MAX_DIM + 1))
         k = int(rng.integers(1, 4))
         mats = [rng.uniform(-1, 1, (m, m)) for _ in range(k)]
         total = int(rng.integers(1, m + 1))

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randers_foliations import matinv
 from randers_foliations.matinv import (
     ORACLE_MAX_DIM,
     newton_transform,
     sigma_multi,
-    sigma_pair,
     sigma_single,
     sigma_via_determinant,
     verify_appendix_identities,
@@ -74,37 +74,54 @@ def test_sigma_multi_reduces_to_single():
 def test_sigma_pair_against_oracle():
     rng = np.random.default_rng(4)
     for _ in range(20):
-        m = int(rng.integers(2, 6))
+        m = int(rng.integers(2, ORACLE_MAX_DIM + 1))
         A, B = rng.uniform(-1, 1, (2, m, m))
         lam = (int(rng.integers(0, m)), int(rng.integers(1, m)))
         if sum(lam) > m:
             continue
-        assert sigma_pair(A, B, lam) == pytest.approx(
+        assert sigma_multi([A, B], lam) == pytest.approx(
             sigma_via_determinant([A, B], lam), rel=1e-9, abs=1e-9
         )
 
 
 def test_oracle_holds_its_tolerance_at_its_largest_size():
+    # two to four matrices: each added variable is one more Vandermonde solve
     rng = np.random.default_rng(12)
     m = ORACLE_MAX_DIM
-    for _ in range(20):
-        A, B = rng.uniform(-1, 1, (2, m, m))
-        i = int(rng.integers(0, m + 1))
-        lam = (i, int(rng.integers(0, m - i + 1)))
-        assert sigma_via_determinant([A, B], lam) == pytest.approx(sigma_pair(A, B, lam), rel=1e-9, abs=1e-9)
+    for k in (2, 3, 4):
+        for _ in range(20):
+            mats = list(rng.uniform(-1, 1, (k, m, m)))
+            cuts = np.sort(rng.integers(0, m + 1, size=k))
+            lam = tuple(int(x) for x in np.diff(np.concatenate(([0], cuts))))
+            assert sigma_via_determinant(mats, lam) == pytest.approx(sigma_multi(mats, lam), rel=1e-9, abs=1e-9)
 
 
 def test_oracle_rejects_sizes_above_its_range():
     rng = np.random.default_rng(13)
-    mats = list(rng.uniform(-1, 1, (3, ORACLE_MAX_DIM + 1, ORACLE_MAX_DIM + 1)))
-    with pytest.raises(ValueError, match="oracle's maximum 5"):
-        sigma_via_determinant(mats[:2], (1, 1))
-    with pytest.raises(ValueError, match="oracle's maximum 5"):
-        sigma_multi(mats, (1, 1, 1))
-    # the trace routes keep their own range
-    assert np.isfinite(sigma_multi(mats[:2], (2, 2)))
+    n = ORACLE_MAX_DIM + 1
+    with pytest.raises(ValueError, match=f"oracle's maximum {ORACLE_MAX_DIM}"):
+        sigma_via_determinant(list(rng.uniform(-1, 1, (2, n, n))), (1, 1))
+    # the suite's laws exceed its 1e-9 through oracle roundoff at m_max = 5
     with pytest.raises(ValueError, match="m_max"):
-        verify_appendix_identities(seed=0, trials=1, m_max=ORACLE_MAX_DIM + 1)
+        verify_appendix_identities(seed=7, trials=1, m_max=5)
+    # the recursion keeps its own range: sigma_(r, lam)(I, A, B) = C(m - |lam|, r) sigma_lam(A, B)
+    A, B = rng.uniform(-1, 1, (2, 6, 6))
+    lhs = sigma_multi([np.eye(6), A, B], (1, 2, 2))
+    assert lhs == pytest.approx(math.comb(2, 1) * sigma_multi([A, B], (2, 2)), rel=1e-12)
+
+
+def test_sigma_multi_never_reads_the_oracle(monkeypatch):
+    rng = np.random.default_rng(14)
+    m = ORACLE_MAX_DIM
+    tuples = [list(rng.uniform(-1, 1, (k, m, m))) for k in (1, 2, 3, 4)]
+    refs = [sigma_via_determinant(mats, (1,) * len(mats)) for mats in tuples]
+
+    def refuse(mats, lam):
+        raise AssertionError("sigma_multi called the oracle")
+
+    monkeypatch.setattr(matinv, "sigma_via_determinant", refuse)
+    for mats, ref in zip(tuples, refs):
+        assert sigma_multi(mats, (1,) * len(mats)) == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize("m", [6, 8, 12, 16])
@@ -118,8 +135,15 @@ def test_trace_routes_hold_above_the_oracle_range(m):
         for n in range(m + 1):
             assert abs(sigma_single(A, n) - ref[n]) / scale < 1e-10, n
             # sum_j sigma_(n-j,j)(A, B) = sigma_n(A + B)
-            pair_sum = sum(sigma_pair(A, B, (n - j, j)) for j in range(n + 1))
-            assert abs(pair_sum - ref_sum[n]) / scale_sum < 1e-10, n
+            pair = [sigma_multi([A, B], (n - j, j)) for j in range(n + 1)]
+            assert abs(sum(pair) - ref_sum[n]) / scale_sum < 1e-10, n
+            # sigma_(r,n-j,j)(I, A, B) = C(m - n, r) sigma_(n-j,j)(A, B), r = ceil((m - n) / 2)
+            r = (m - n + 1) // 2
+            rhs = [math.comb(m - n, r) * x for x in pair]
+            scale_rhs = max(1.0, *map(abs, rhs))
+            for j in range(n + 1):
+                lhs = sigma_multi([np.eye(m), A, B], (r, n - j, j))
+                assert abs(lhs - rhs[j]) / scale_rhs < 1e-10, (n, j)
             # tr T_r(A) = (m - r) sigma_r(A)
             assert abs(np.trace(newton_transform(A, n)) - (m - n) * ref[n]) / scale < 1e-10, n
 
@@ -136,13 +160,13 @@ def test_multi_index_is_validated():
     I3 = np.eye(3)
     for lam in [(1, 1, 7), (1,), (1.5, 1), (float("inf"), 0), (float("nan"), 0), (-1, 1), (2, 2)]:
         with pytest.raises(ValueError):
-            sigma_pair(I3, I3, lam)
+            sigma_multi([I3, I3], lam)
     with pytest.raises(ValueError, match="integers"):
         sigma_multi([I3], (1.5,))
     with pytest.raises(ValueError, match="integers"):
         sigma_via_determinant([I3, I3], (1, 0.5))
     # integral floats and numpy integers still name an index: (1 + s + t)^3 has st-coefficient 6
-    assert sigma_pair(I3, I3, (1.0, np.int64(1))) == pytest.approx(6.0)
+    assert sigma_multi([I3, I3], (1.0, np.int64(1))) == pytest.approx(6.0)
 
 
 def test_conjugation_invariance():
@@ -193,11 +217,11 @@ def test_appendix_identities_suite():
 
 
 def test_oracle_equivalence_bulk():
-    # 200 random tuples, m <= 5, k <= 3, |lam| <= m
+    # 200 random tuples, m <= ORACLE_MAX_DIM, k <= 3, |lam| <= m
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(200):
-        m = int(rng.integers(2, 6))
+        m = int(rng.integers(2, ORACLE_MAX_DIM + 1))
         k = int(rng.integers(1, 4))
         mats = [rng.uniform(-1, 1, (m, m)) for _ in range(k)]
         total = int(rng.integers(1, m + 1))
