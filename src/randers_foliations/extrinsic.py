@@ -10,11 +10,13 @@ to g along two independent routes:
 
 The same dual-route treatment is applied to the curvature vector Z of the
 nu-curves and to the torsion operator C^sharp_nu (the g-dual of
-C_nu(., ., Z)).  Everything needed by the integral verifier (delta, the
-full shape operator A = A^g + C^sharp_nu, eigenvalues, volume densities) is
-a memo entry of one bundle: the descriptor ``_field`` computes it on its
-first read into the bundle's dict ``memo``, and a fresh bundle is built for
-every sweep point.
+C_nu(., ., Z)).  Randers norms are C-reducible, so the torsion is one form,
+``_torsion_n``, read at a third slot: the numeric Z, Z_formula, or nabla_n n
+for the n-level scale check.  Everything needed by the integral verifier
+(delta, the full shape operator A = A^g + C^sharp_nu, eigenvalues, volume
+densities) is a memo entry of one bundle: the descriptor ``_field`` computes
+it on its first read into the bundle's dict ``memo``, and a fresh bundle is
+built for every sweep point.
 The pointwise scalars and normals (c, chat, beta(N), n, nu and bst =
 beta_sharp_top) are read from the manifold, which caches them itself, with
 a_inv and the tangent projector; the grid caches its spacings.  Each of
@@ -37,10 +39,11 @@ Gram-Schmidt from the coordinate directions, dropping the one most parallel
 to N, so it is deterministic; frames are never differentiated.  Coordinate
 arrays remain only where a field is differentiated or comes out of a
 derivative (Abar, Zbar, Z_direct, the nabla fields) and where a
-coordinate sup-norm residual reads it.  ``op_to_frame`` and ``vec_to_frame``
-are the only maps between the two.  Since F is tangent and a-orthonormal,
-F^T a P = F^T a and P F = F for the tangent projector P, so no argument needs
-projecting first.
+coordinate sup-norm residual reads it; the beta-scalars beta(Zbar) and
+<Abar(bst), bst> are frame contractions.  ``op_to_frame`` and
+``vec_to_frame`` are the only maps between the two.  Since F is tangent and
+a-orthonormal, F^T a P = F^T a and P F = F for the tangent projector P, so no
+argument needs projecting first.
 """
 
 from __future__ import annotations
@@ -286,14 +289,9 @@ class ExtrinsicBundle:
         return self.Abst_frame + self.M.c[..., None] * self.Zbar_frame
 
     @_field
-    def h_frame(self):
-        """Angular form on the leaf over c chat: I - b b^T."""
-        return np.eye(self.M.m) - outer(self.b_frame, self.b_frame)
-
-    @_field
     def G_frame(self):
-        """Leaf metric in the frame: c chat (I - b b^T)."""
-        return self.cc[..., None, None] * self.h_frame
+        """Leaf metric in the frame: c chat (I - b b^T), the angular form h_n on the leaf."""
+        return self.cc[..., None, None] * (np.eye(self.M.m) - outer(self.b_frame, self.b_frame))
 
     @_field
     def G_frame_inv(self):
@@ -391,7 +389,7 @@ class ExtrinsicBundle:
         U = self.W_frame / chat[..., None] - c[..., None] * self.Zbar_frame
         V = (
             Abst
-            - dot(Abst, b)[..., None] * b
+            - self.Abst_beta[..., None] * b
             + 2.0 / chat[..., None] * matvec(self.Def_frame, b)
             + U
             + dot(b, U)[..., None] * b
@@ -423,41 +421,46 @@ class ExtrinsicBundle:
             + (beta_w / (c**3 * chat))[..., None] * b
         )
 
-    # -- torsion operator C^sharp: three routes ----------------------------------
+    # -- torsion operator C^sharp: three routes, one C-reducible form -----------
+
+    def _torsion_n(self, w, beta_w, n_w):
+        """g-dual of C_n(., ., w) in the frame for a third slot w of any direction; not kept.
+
+        w is given by its frame components, beta(w) and <n, w>.  Randers norms
+        are C-reducible: for tangent u, v,
+        C_n(u, v, w) = (I(u) h(v, w) + I(v) h(u, w) + I(w) h(u, v)) / (d + 1),
+        with I_n(e_a) = (d+1)/2 beta(e_a), I_n(w) = (d+1)/(2 c chat) (beta(w) - beta(n) <n, w>),
+        beta(n) = c chat - 1, h_n(e_a, w) = c chat (<e_a, w> - <e_a, n><n, w>) and
+        <e_a, n> = -beta(e_a).
+        """
+        b, cc = self.b_frame, self.cc
+        h_aw = cc[..., None] * (w + b * n_w[..., None])
+        I_w = (beta_w - (cc - 1.0) * n_w) / (2.0 * cc)        # I_n(w) / (d + 1)
+        C_form = 0.5 * (outer(b, h_aw) + outer(h_aw, b)) + I_w[..., None, None] * self.G_frame
+        return self.G_frame_inv @ C_form
+
+    def _torsion_nu(self, Z):
+        """g-dual of C_nu(., ., Z) = (c chat) C_n(., ., Z) for a leaf-tangent frame vector Z; not kept.
+
+        For tangent Z, beta(Z) = <b, Z> and <n, Z> = -<b, Z>.
+        """
+        bZ = dot(self.b_frame, Z)
+        return self.cc[..., None, None] * self._torsion_n(Z, bZ, -bZ)
 
     @_field
     def Csharp_direct(self):
-        """Definitional route: g-dual of C_nu(., ., Z_direct) in the frame, from the C-reducible torsion.
-
-        C_nu(u, v, Z) = (c chat) C_n(u, v, Z) and, for tangent arguments,
-        2 C_n(u, v, Z) = beta(u) h(v, Z) + beta(v) h(u, Z) + beta(Z) h(u, v)
-        with h the angular form, which equals the leaf metric on tangent
-        vectors.
-        """
-        Zf, b, cc = self.Z_direct_frame, self.b_frame, self.cc[..., None, None]
-        bZ = dot(b, Zf)
-        h_aZ = Zf - bZ[..., None] * b                          # h(e_a, Z) / (c chat)
-        twoC = (outer(b, h_aZ) + outer(h_aZ, b) + bZ[..., None, None] * self.h_frame) * cc
-        return self.G_frame_inv @ (0.5 * cc * twoC)           # raised C_nu(e_a, e_b, Z)
+        """Definitional route: the torsion at the numeric Z_direct."""
+        return self._torsion_nu(self.Z_direct_frame)
 
     @_field
     def Csharp_formula(self):
-        """Comparison formula: Z eliminated through the Zbar/grad-chat expression.
+        """Comparison formula: the torsion at Z_formula, so it uses only base-metric quantities.
 
-        Uses only base-metric quantities.  This is the corrected closed form;
-        the transcription shipped in ``Csharp_printed`` disagrees with the
-        torsion definition (see the verifier's convergence report).
+        This is the corrected closed form; the transcription shipped in
+        ``Csharp_printed`` disagrees with the torsion definition (see the
+        verifier's convergence report).
         """
-        b, Zb, dch = self.b_frame, self.Zbar_frame, self.dchat_frame
-        chat, c2 = self.M.chat, self.c2
-        # 2 C_n(e_a, e_b, Z) with Z eliminated
-        twoC = (
-            outer(Zb, b)
-            + outer(b, Zb)
-            - (outer(dch, b) + outer(b, dch)) / chat[..., None, None]
-            + ((dot(b, Zb) - dot(b, dch) / chat) / c2)[..., None, None] * self.h_frame
-        )
-        return self.G_frame_inv @ (0.5 * self.cc[..., None, None] * twoC)
+        return self._torsion_nu(self.Z_formula)
 
     @_field
     def Csharp_printed(self):
@@ -473,7 +476,7 @@ class ExtrinsicBundle:
         grad_c_f = self.vec_to_frame(matvec(self.M.a_inv, dc))
         n_chat = dot(self.M.n_field, self.d_chat)
         bst_chat = dot(b, self.dchat_frame)
-        beta_Zbar = dot(b, Zb)
+        beta_Zbar = self.beta_Zbar
         bb = outer(b, b)
         coef_id = ((chat - 2.0 / c) * bst_chat + (c - 1.0 / chat) * n_chat
                    + beta_Zbar * (cc - chat**2 + 2.0 * chat / c - 1.0)) / cc
@@ -491,25 +494,13 @@ class ExtrinsicBundle:
 
     @_field
     def Csharp_n_direct_numeric(self):
-        """g-dual of C_n(., ., nabla_n n) with nabla_n n taken numerically.
+        """The n-level torsion at nabla_n n, taken numerically (not tangent).
 
         Independent of the chain-rule reduction to Z; used to measure the
         scale factor between the n-level and nu-level torsion operators.
-        C_n(u, v, w) = (I(u) h(v, w) + I(v) h(u, w) + I(w) h(u, v)) / (d + 1)
-        for tangent u, v and a general slot w.
         """
-        M = self.M
-        w = self.nabla_n_n  # nabla_n n, not tangent
-        b, d, cc = self.b_frame, M.dim, self.cc
-        n_w = M.inner(M.n_field, w)
-        # I_n(e_a) = (d+1)/2 beta(e_a); I_n(w) = (d+1)/(2 cc)(beta(w) - beta(n) <n, w>)
-        beta_w = dot(M.beta, w)
-        I_w = (d + 1) / (2.0 * cc) * (beta_w - (cc - 1.0) * n_w)
-        I_a = (d + 1) / 2.0 * b
-        # h_n(e_a, w) = cc (<e_a, w> - <e_a, n><w, n>), with <e_a, n> = -beta(e_a)
-        h_aw = cc[..., None] * (self.vec_to_frame(w) + b * n_w[..., None])
-        C_form = (outer(I_a, h_aw) + outer(h_aw, I_a) + I_w[..., None, None] * self.G_frame) / (d + 1)
-        return self.G_frame_inv @ C_form
+        M, w = self.M, self.nabla_n_n
+        return self._torsion_n(self.vec_to_frame(w), dot(M.beta, w), M.inner(M.n_field, w))
 
     # -- full shape operator and friends -----------------------------------------
 
@@ -558,17 +549,14 @@ class ExtrinsicBundle:
         return np.where(self.bst_live[..., None], out, X)
 
     @_field
-    def Abar_bst(self):
-        return matvec(self.Abar, self.M.beta_sharp_top)
-
-    @_field
     def beta_Zbar(self):
-        return self.M.inner(self.M.beta_sharp_top, self.Zbar)
+        """beta(Zbar) = <bst, Zbar>, from frame components."""
+        return dot(self.b_frame, self.Zbar_frame)
 
     @_field
     def Abst_beta(self):
-        """<Abar(bst), beta_sharp> = <Abar(bst), bst> (the output is tangent)."""
-        return self.M.inner(self.Abar_bst, self.M.beta_sharp_top)
+        """<Abar(bst), beta_sharp> = <Abar(bst), bst> (the output is tangent), from frame components."""
+        return dot(self.Abst_frame, self.b_frame)
 
     def rank_one(self, printed: bool = False):
         """Rank-one data (U1, U2, a3) of the parallel-beta decomposition: two frame vectors and a weight.

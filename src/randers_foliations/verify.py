@@ -308,13 +308,11 @@ def _ev_tilt_balance_printed(E):
 
 
 def _ev_eigen_balance(E):
-    # beta_sharp_top is an eigenfield of Abar; check it and integrate the eigenvalue
-    # (the division is guarded on M.active, which holds every judging mask)
+    # beta_sharp_top is an eigenfield of Abar; check it in the frame and integrate the
+    # eigenvalue (0 off M.active, which holds every judging mask; E.b2 guards the division)
     M = E.M
-    bst = M.beta_sharp_top
-    b2 = np.where(M.active, M.inner(bst, bst), 1.0)
-    lam = np.where(M.active, E.Abst_beta / b2, 0.0)
-    Ares = E.Abar_bst - lam[..., None] * bst
+    lam = np.where(M.active, E.Abst_beta / E.b2, 0.0)
+    Ares = E.Abst_frame - lam[..., None] * E.b_frame
     return lambda mask: (integrate(M, lam, "a", mask), {"eigenfield_residual": _sup(Ares, mask)})
 
 
@@ -539,7 +537,7 @@ FORMULAS: dict[str, Formula] = {f.fid: f for f in (
     Formula("umbilicity-spread", "principal curvature spread identity",
             _ev_umbilicity_spread_identity, kind="sup"),
     Formula("vanishing-parallel", "parallel constant-angle fields are base-shape null directions",
-            lambda E: E.Abar_bst,
+            lambda E: E.Abst_frame,
             requires=("berwald", "nowhere-orthogonal", "beta-nonzero", "constant-beta-N"), kind="sup",
             fixed_tol=1e-8),
     Formula("csharp-vanishing", "torsion operator vanishes for parallel beta with rigid normal geometry",

@@ -36,12 +36,16 @@ def test_g_field_riemannian_reduction():
 def test_g_field_matches_pointwise_fundamental_tensor():
     # the field-level formulas and the single-point routes of ``point`` agree
     # node by node: g, the normal data, the torsion operator that the verifier
-    # runs, the raising on the leaves and both distortion routes (every
-    # difference measured at or below 4.5e-16)
+    # runs at a tangent slot (Z) and at a non-tangent one (nabla_n n), the two
+    # beta-scalars, the raising on the leaves and both distortion routes
+    # (every difference measured at or below 1.8e-15, Csharp_direct on the
+    # eigen sphere; the n-level torsion and the beta-scalars at or below 8.9e-16)
     for name, params in (
         ("conformal-torus", {"n": 16}),
+        ("conformal-torus", {"n": 16, "beta_mode": "constant-angle"}),
         ("flat-graph-tangent", {"n": 12}),
         ("sphere-latitudes", {"n": 128, "r0": 0.2}),
+        ("sphere-latitudes", {"n": 128, "r0": 0.2, "beta_mode": "eigen"}),
     ):
         E = bundle(name, **params)
         M = E.M
@@ -61,6 +65,13 @@ def test_g_field_matches_pointwise_fundamental_tensor():
             C_nu = [[cc * cartan_torsion(p, nd.n, frame[:, a], frame[:, b], E.Z_direct[idx]) for b in cols]
                     for a in cols]
             np.testing.assert_allclose(E.Csharp_direct[idx], E.G_frame_inv[idx] @ C_nu, rtol=0, atol=1e-13)
+            C_n = [[cartan_torsion(p, nd.n, frame[:, a], frame[:, b], E.nabla_n_n[idx]) for b in cols]
+                   for a in cols]
+            np.testing.assert_allclose(E.Csharp_n_direct_numeric[idx], E.G_frame_inv[idx] @ C_n,
+                                       rtol=0, atol=1e-14)
+            bst = M.beta_sharp_top[idx]
+            assert abs(E.beta_Zbar[idx] - p.inner(bst, E.Zbar[idx])) < 1e-14
+            assert abs(E.Abst_beta[idx] - p.inner(E.Abar[idx] @ bst, bst)) < 1e-14
             U = frame @ rng.standard_normal(M.m)  # a tangent vector; frame components are aF^T
             aF = M.a[idx] @ frame
             np.testing.assert_allclose(E.G_frame_inv[idx] @ (aF.T @ U), aF.T @ g_raise(p, nd, U),

@@ -25,10 +25,17 @@ def tool():
 def test_argv_list_covers_the_catalog_and_the_workloads(tool):
     runs = tool.argv_list()
     examples = [["--example", name, "--formulas", "full", "--out", f"{name}.json"] for name in sorted(EXAMPLES)]
+    modes = [["--example", "sphere-latitudes", "--param", "beta_mode=eigen", "--formulas", "full",
+              "--out", "sphere-latitudes-eigen.json"],
+             ["--example", "conformal-torus", "--param", "beta_mode=constant-angle", "--formulas", "full",
+              "--out", "conformal-torus-constant-angle.json"],
+             ["--example", "conformal-torus", "--param", "beta_mode=riemannian", "--formulas", "full",
+              "--out", "conformal-torus-riemannian.json"]]
     workloads = [tool.wl.cli_argv(w, slot, f"{w.name}-{slot}.json")
                  for w in tool.wl.WORKLOADS.values() for slot in (0, 5)]
     twin = [["--config", "run.cfg"], ["--example", "flat-parallel", "--res", "12", "--out", "flag.json"]]
-    assert runs == [["--list"]] + examples + workloads + twin
+    assert runs == [["--list"]] + examples + modes + workloads + twin
+    assert len(runs) == 17
 
 
 def _streams(code=0, out=b"a\nb\n", err=b""):

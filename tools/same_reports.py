@@ -11,9 +11,10 @@ empty directory with the same relative ``--out``, so the ``report written to``
 lines compare too.
 
 The list: ``--list``; each example of this tree's ``catalog.EXAMPLES``, by
-name, at its defaults and ``--formulas full``; the argv of each perfbench
-workload at slots 0 and 5 (``perfbench/workloads.py``); and CI's config-file
-run with its flag twin.
+name, at its defaults and ``--formulas full``; the same for each non-default
+``beta_mode`` (``BETA_MODES``); the argv of each perfbench workload at slots 0
+and 5 (``perfbench/workloads.py``); and CI's config-file run with its flag
+twin.
 
 Every argv runs, whatever the earlier ones gave.  For each argv that differs
 the tool prints one ``differ:`` line and the first difference (the stream:
@@ -48,11 +49,16 @@ from randers_foliations.catalog import EXAMPLES  # noqa: E402
 
 CONFIG = "example = flat-parallel\nres = 12\nout = file.json\n"  # CI's config file, relative out
 SLOTS = (0, 5)
+# each example's non-default beta_mode, run at its other defaults
+BETA_MODES = (("sphere-latitudes", "eigen"), ("conformal-torus", "constant-angle"),
+              ("conformal-torus", "riemannian"))
 
 
 def argv_list() -> list[list[str]]:
     runs = [["--list"]]
     runs += [["--example", name, "--formulas", "full", "--out", f"{name}.json"] for name in sorted(EXAMPLES)]
+    runs += [["--example", name, "--param", f"beta_mode={mode}", "--formulas", "full",
+              "--out", f"{name}-{mode}.json"] for name, mode in BETA_MODES]
     runs += [wl.cli_argv(w, slot, f"{w.name}-{slot}.json") for w in wl.WORKLOADS.values() for slot in SLOTS]
     runs += [["--config", "run.cfg"], ["--example", "flat-parallel", "--res", "12", "--out", "flag.json"]]
     return runs
