@@ -90,7 +90,6 @@ GATES: dict[str, tuple[str, str, float]] = {
     "constant-beta-N": ("var_beta_N", "<", 1e-9),
     "beta-N-nonzero": ("min_abs_beta_N", ">", 1e-6),
     "tangent-beta": ("sup_beta_N", "<", 1e-9),
-    "beta-zero": ("sup_beta", "<", 1e-14),
     "beta-nonzero": ("sup_beta", ">", 1e-10),
     "zbar-zero": ("sup_zbar", "<", 1e-9),
     "totally-geodesic": ("sup_abar", "<", 1e-9),
@@ -445,11 +444,10 @@ def _ev_umbilicity_spread_identity(E):
 
 # gates shared by several rows
 _SMOOTH = ("smooth-beta",)
-_FLAT = ("unmasked", "flat")
-_FLAT_ANY = ("berwald", "beta-zero")
-_PARALLEL_FLAT = ("unmasked", "flat", "berwald", "nowhere-orthogonal", "beta-nonzero")
-_PARALLEL = ("unmasked", "berwald", "nowhere-orthogonal", "beta-nonzero")
-_TG = ("unmasked", "flat", "berwald", "nowhere-orthogonal", "totally-geodesic")
+_FLAT = ("unmasked", "flat", "berwald")  # beta = 0 is parallel, so berwald holds there too
+_PARALLEL_FLAT = _FLAT + ("nowhere-orthogonal",)  # nowhere-orthogonal implies beta != 0
+_PARALLEL = ("unmasked", "berwald", "nowhere-orthogonal")
+_TG = _PARALLEL_FLAT + ("totally-geodesic",)
 _2D = ("two-dim-leaves",)                 # sigma_2 needs m >= 2
 
 # the report's config lists the selected formulas in this order
@@ -460,18 +458,18 @@ FORMULAS: dict[str, Formula] = {f.fid: f for f in (
     Formula("reeb-normal-metric", "total mean curvature, normal metric g", lambda E: trace(E.Ag_direct),
             requires=_SMOOTH, volume="g"),
     Formula("reeb-finsler", "total Finslerian mean curvature", lambda E: trace(E.A_frame),
-            requires=_SMOOTH, any_of=("berwald", "beta-zero", "singular"), volume="F"),
+            requires=_SMOOTH, any_of=("berwald", "singular"), volume="F"),
     Formula("second-order-riemannian",
             "twice total second mean curvature vs total normal Ricci, base metric",
             lambda E: 2.0 * sigma_k(E.Abar_frame, 2) - E.ricci_N, requires=("unmasked",)),
     # Ric_nu of the Finsler structure is c^-2 Ric_N of the base metric
     Formula("second-order-finsler", "total second mean curvature vs normal Ricci, Finsler structure",
             lambda E: sigma_k(E.A_frame, 2) - 0.5 * (E.ricci_N / E.M.c**2),
-            requires=("unmasked",), any_of=_FLAT_ANY, volume="F"),
+            requires=("unmasked", "berwald"), volume="F"),
     Formula("sigma-flat-k1", "total sigma_1 of the full shape operator on flat Berwald examples",
-            lambda E: sigma_k(E.A_frame, 1), requires=_FLAT, any_of=_FLAT_ANY, volume="F"),
+            lambda E: sigma_k(E.A_frame, 1), requires=_FLAT, volume="F"),
     Formula("curvature-series-k1", "order-1 term of the curvature series (flat reduction)",
-            lambda E: sigma_k(E.A_frame, 1), requires=_FLAT, any_of=_FLAT_ANY, volume="F"),
+            lambda E: sigma_k(E.A_frame, 1), requires=_FLAT, volume="F"),
     Formula("berwald-sigma-k1", "parallel-beta sigma_1 expansion through Newton transformations",
             _ev_berwald_sigma(1), requires=_PARALLEL_FLAT),
     Formula("berwald-sigma-k1-printed", "published sigma_1 display (verbatim transcription)",
@@ -479,9 +477,9 @@ FORMULAS: dict[str, Formula] = {f.fid: f for f in (
     Formula("sigma-tg-k1", "published totally geodesic sigma_1 display", _ev_sigma_tg(1),
             requires=_TG),
     Formula("sigma-flat-k2", "total sigma_2 of the full shape operator on flat Berwald examples",
-            lambda E: sigma_k(E.A_frame, 2), requires=_FLAT + _2D, any_of=_FLAT_ANY, volume="F"),
+            lambda E: sigma_k(E.A_frame, 2), requires=_FLAT + _2D, volume="F"),
     Formula("curvature-series-k2", "order-2 term of the curvature series (flat reduction)",
-            lambda E: sigma_k(E.A_frame, 2), requires=_FLAT + _2D, any_of=_FLAT_ANY, volume="F"),
+            lambda E: sigma_k(E.A_frame, 2), requires=_FLAT + _2D, volume="F"),
     Formula("berwald-sigma-k2", "parallel-beta sigma_2 expansion through Newton transformations",
             _ev_berwald_sigma(2), requires=_PARALLEL_FLAT + _2D),
     Formula("berwald-sigma-k2-printed", "published sigma_2 display (verbatim transcription)",
@@ -538,7 +536,7 @@ FORMULAS: dict[str, Formula] = {f.fid: f for f in (
             _ev_umbilicity_spread_identity, kind="sup"),
     Formula("vanishing-parallel", "parallel constant-angle fields are base-shape null directions",
             lambda E: E.Abst_frame,
-            requires=("berwald", "nowhere-orthogonal", "beta-nonzero", "constant-beta-N"), kind="sup",
+            requires=("berwald", "nowhere-orthogonal", "constant-beta-N"), kind="sup",
             fixed_tol=1e-8),
     Formula("csharp-vanishing", "torsion operator vanishes for parallel beta with rigid normal geometry",
             lambda E: E.cc[..., None, None] * E.Csharp_direct,

@@ -141,7 +141,7 @@ def _values(row):
     wrong = st.one_of(_NUMBERS, st.lists(_NUMBERS, max_size=4), st.text(max_size=6))
     if row.kind == "choice":
         return st.one_of(st.sampled_from(row.bounds), wrong)
-    lo, hi = row.bounds[-1]
+    lo, hi = row.bounds
     inside = st.floats(max(lo, -0.7), min(hi, 0.7), exclude_min=True, exclude_max=True)
     if row.kind == "tuple":
         inside = st.lists(inside, min_size=row.arity or 1, max_size=row.arity or 3).map(tuple)

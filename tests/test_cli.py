@@ -51,6 +51,21 @@ def test_all_selection_passes_on_generic_torus():
     assert code == 0
 
 
+# the leaf-tangent part of beta_sharp vanishes at some nodes (flat-graph, beta_sharp
+# parallel to N there) or at every node (b = 0, beta = 0): the builders accept both,
+# and the nowhere-orthogonal gate alone decides that the parallel-beta rows do not apply
+@pytest.mark.parametrize("argv", [["--example", "flat-graph", "--param", "beta_sharp=0,0.3"],
+                                  ["--example", "flat-graph-tangent", "--param", "b=0", "--res", "24,32"]],
+                         ids=["flat-graph-beta-along-N", "flat-graph-tangent-b0"])
+def test_all_selection_passes_where_beta_top_vanishes(argv):
+    argv = argv + ["--formulas", "all"]
+    assert main(argv) == 0
+    _, reports = run(build_config(argv))
+    r = next(r for r in reports if r.formula_id == "berwald-sigma-k1")
+    assert r.verdict == "not-applicable"
+    assert [g for g, (_, _, held) in r.gates.items() if not held] == ["nowhere-orthogonal"]
+
+
 def test_full_selection_includes_refuted_displays():
     code = main(["--example", "conformal-torus", "--res", "32,48", "--formulas", "full"])
     assert code == 1
@@ -84,7 +99,7 @@ def test_exit_two_on_config_errors(capsys, tmp_path):
     cfg.write_bytes(b"example = flat-parallel\nres = \xff\n")  # not text
     assert main(["--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "|beta| must be < 1" in err  # the tuple reached the builder
+    assert "|beta|_a must stay strictly below 1" in err  # the tuple reached the manifold
     assert "Traceback" not in err
     assert all(line.startswith("error: ") for line in err.splitlines())
     # parameter names the example does not accept, among them the former r0_sweep
@@ -268,7 +283,7 @@ def test_list_catalog(capsys):
     assert "  berwald                sup_nabla_beta < 1e-08" in lines
     assert sum("sup_nabla_beta" in line for line in lines) == 1
     assert any(
-        line.endswith("gates: smooth-beta any-of[berwald,beta-zero,singular]")
+        line.endswith("gates: smooth-beta any-of[berwald,singular]")
         for line in lines if "reeb-finsler" in line
     )
     # each example's description and default resolutions, from its catalog row

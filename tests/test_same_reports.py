@@ -108,3 +108,19 @@ def test_report_changes_name_the_largest_detail_change(tool):
     assert tool.report_changes(side(1e-15, {"a": 1.0, "note": "x"}), side(2e-15, {"note": "y", "c": 5.0})) == [
         "report r.json: verdicts and exit code the same; largest |residual| change 1.000e-15 (m)"
     ]
+
+
+def test_report_changes_name_every_other_field_that_moved(tool):
+    def side(gates, convergence):
+        entries = [{"formula_id": f, "verdict": "pass", "residual": 0.0, "gates": g, "convergence": c}
+                   for f, g, c in zip("mnp", gates, convergence)]
+        return _streams() | {"report r.json": json.dumps({"reports": entries}).encode()}
+
+    # gates shrink on two entries and one convergence table moves; verdicts and residuals
+    # do not, so the line would otherwise say only that no residual moved
+    old = side([{"x": [1, 2, True]}, {"x": [1, 2, True], "y": [0, 1, False]}, {}], [[[1, 0]], [], []])
+    new = side([{}, {"y": [0, 1, False]}, {}], [[[1, 0]], [], [[2, 0]]])
+    assert tool.report_changes(old, new) == [
+        "report r.json: verdicts and exit code the same; no residual moved; gates on 2 entries;"
+        " convergence on 1 entry"
+    ]

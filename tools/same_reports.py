@@ -21,8 +21,10 @@ the tool prints one ``differ:`` line and the first difference (the stream:
 exit code, stdout, stderr or a report file, and its first differing line).
 For each JSON report that differs it adds one line: whether every verdict
 and the exit code match, the largest change of a ``residual`` with its
-formula id, and the largest change of a numeric ``detail`` value, if one
-moved, with its formula id and key.
+formula id, the largest change of a numeric ``detail`` value, if one
+moved, with its formula id and key, and each other entry field that differs
+(``gates``, ``convergence``, ``tolerance`` and so on) with the number of
+entries on which it does.
 
 Exit status: 0 when every run matches; 1 when any argv differs; 2 when REV
 names no commit.
@@ -40,6 +42,7 @@ import subprocess
 import sys
 import tempfile
 import zipfile
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
@@ -49,6 +52,8 @@ from randers_foliations.catalog import EXAMPLES  # noqa: E402
 
 CONFIG = "example = flat-parallel\nres = 12\nout = file.json\n"  # CI's config file, relative out
 SLOTS = (0, 5)
+# the entry fields whose change report_changes sums up in a clause of its own
+SUMMED_UP = ("formula_id", "verdict", "residual", "detail")
 # each example's non-default beta_mode, run at its other defaults
 BETA_MODES = (("sphere-latitudes", "eigen"), ("conformal-torus", "constant-angle"),
               ("conformal-torus", "riemannian"))
@@ -115,7 +120,8 @@ def _number(x) -> bool:
 
 def report_changes(old: dict, new: dict) -> list[str]:
     """One line per JSON report written on both sides that differs: verdicts, exit code,
-    largest residual change and largest change of a numeric ``detail`` value."""
+    largest residual change, largest change of a numeric ``detail`` value, and each
+    other entry field that differs with its count of entries."""
     lines = []
     for stream in old:
         if not stream.startswith("report ") or stream not in new or old[stream] == new[stream]:
@@ -135,6 +141,9 @@ def report_changes(old: dict, new: dict) -> list[str]:
         where = max(details, key=details.get, default=None)
         if details.get(where):
             moved += f"; largest |detail| change {details[where]:.3e} ({where[0]}: {where[1]})"
+        fields = Counter(key for f in a if f in b for key in dict.fromkeys([*a[f], *b[f]])
+                         if key not in SUMMED_UP and a[f].get(key) != b[f].get(key))
+        moved += "".join(f"; {key} on {n} entr{'y' if n == 1 else 'ies'}" for key, n in fields.items())
         lines.append(f"{stream}: verdicts and exit code {'the same' if same else 'DIFFER'}; {moved}")
     return lines
 
