@@ -222,7 +222,7 @@ def _catalog_lines() -> list[str]:
         lines += [f"  {'':<22s}   {line}" for line in param_help(name)]
         lines.append(f"  {'':<22s} default resolutions: {', '.join(map(str, example.resolutions))}")
     lines.append("\ngates:")
-    lines += [f"  {name:<22s} {key} {op} {threshold:g}" for name, (key, op, threshold) in GATES.items()]
+    lines += [f"  {name:<22s} {key} {op} {threshold:g}" for name, (key, _, op, threshold) in GATES.items()]
     lines.append("\nformulas:")
     for fid in formula_ids():
         f = FORMULAS[fid]

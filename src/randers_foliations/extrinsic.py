@@ -165,6 +165,11 @@ class ExtrinsicBundle:
         return g_metric_field(self.M)
 
     @_field
+    def d_c(self):
+        """Coordinate differential of c."""
+        return gradient(self.M, self.M.c, self.scheme)
+
+    @_field
     def d_chat(self):
         """Coordinate differential of chat."""
         return gradient(self.M, self.M.chat, self.scheme)
@@ -472,8 +477,7 @@ class ExtrinsicBundle:
         """
         b, Zb = self.b_frame, self.Zbar_frame
         c, chat, cc = self.M.c, self.M.chat, self.cc
-        dc = gradient(self.M, c, self.scheme)
-        grad_c_f = self.vec_to_frame(matvec(self.M.a_inv, dc))
+        grad_c_f = self.vec_to_frame(matvec(self.M.a_inv, self.d_c))
         n_chat = dot(self.M.n_field, self.d_chat)
         bst_chat = dot(b, self.dchat_frame)
         beta_Zbar = self.beta_Zbar

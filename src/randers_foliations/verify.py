@@ -8,8 +8,8 @@ two routes (``sup``: max |f|), or the margin of a bound.  The judging mask is
 an argument of the reduction, not of the field, so one field is reduced on
 every mask that judges it.  The runner sweeps the resolutions in turn, records
 the convergence table, and one judge gives the verdict at the finest grid.
-A gate is one row of ``GATES``: a key of ``MEASURES``, measured numerically on
-the example at hand, a comparison and a threshold.  Gates never pass
+A gate is one row of ``GATES``: a quantity measured numerically on the
+example at hand, a comparison and a threshold.  Gates never pass
 silently: each report entry carries its row's gates as ``[measured,
 threshold, held]``, and an example that fails a row's gates yields the
 first-class verdict ``not-applicable``.
@@ -60,56 +60,44 @@ def _sup(field: np.ndarray, mask: np.ndarray) -> float:
     return float(abs(max(np.max(field, where=a, initial=0), -np.min(field, where=a, initial=0))))
 
 
-# measured key -> its value on the judged nodes ``mask``; None where it is not measured (the
-# curvature keys of a masked run)
-MEASURES: dict[str, Callable[[ExtrinsicBundle, np.ndarray], float | None]] = {
-    "sup_nabla_beta": lambda E, mask: _sup(E.nabla_beta_sharp, mask),
-    "sup_beta": lambda E, mask: _sup(E.M.beta_norm, mask),
-    "min_beta_top": lambda E, mask: float(np.min(np.sqrt(np.clip(1.0 - E.M.c[mask] ** 2, 0.0, None)))),
-    "var_c": lambda E, mask: float(np.ptp(E.M.c[mask])),
-    "var_beta_N": lambda E, mask: float(np.ptp(E.M.beta_N[mask])),
-    "min_abs_beta_N": lambda E, mask: float(np.min(np.abs(E.M.beta_N[mask]))),
-    "sup_beta_N": lambda E, mask: _sup(E.M.beta_N, mask),
-    "sup_zbar": lambda E, mask: _sup(E.Zbar, mask),
-    "sup_abar": lambda E, mask: _sup(E.Abar, mask),
-    "masked": lambda E, mask: 0.0 if E.M.mask is None else 1.0,
-    "beta_singular": lambda E, mask: 1.0 if E.M.beta_singular else 0.0,
-    "sup_riemann": lambda E, mask: E.sup_riemann,
-    "max_ricci_N": lambda E, mask: None if E.ricci_N is None else float(np.max(E.ricci_N)),
-    "m": lambda E, mask: E.M.m,                                  # leaf dimension
-}
+def _masked(E: ExtrinsicBundle, mask: np.ndarray) -> float:
+    """1.0 where the build excises nodes, 0.0 on a full chart."""
+    return 0.0 if E.M.mask is None else 1.0
 
-# gate -> (measured key, comparison, threshold); a gate whose key was not measured does not hold
-GATES: dict[str, tuple[str, str, float]] = {
-    "berwald": ("sup_nabla_beta", "<", 1e-8),
-    "flat": ("sup_riemann", "<", 1e-7),
-    "unmasked": ("masked", "==", 0.0),
-    "singular": ("masked", "==", 1.0),
-    "nowhere-orthogonal": ("min_beta_top", ">", 1e-6),
-    "constant-c": ("var_c", "<", 1e-9),
-    "constant-beta-N": ("var_beta_N", "<", 1e-9),
-    "beta-N-nonzero": ("min_abs_beta_N", ">", 1e-6),
-    "tangent-beta": ("sup_beta_N", "<", 1e-9),
-    "beta-nonzero": ("sup_beta", ">", 1e-10),
-    "zbar-zero": ("sup_zbar", "<", 1e-9),
-    "totally-geodesic": ("sup_abar", "<", 1e-9),
-    "negative-ricci": ("max_ricci_N", "<", -1e-9),
-    "smooth-beta": ("beta_singular", "==", 0.0),
-    "two-dim-leaves": ("m", ">=", 2),
+
+# gate -> (label, measure, comparison, threshold): the measure reads the judged nodes ``mask`` and the
+# label names it for ``--list``; a measure of None (the curvature of a masked run) does not hold
+GATES: dict[str, tuple[str, Callable[[ExtrinsicBundle, np.ndarray], float | None], str, float]] = {
+    "berwald": ("sup_nabla_beta", lambda E, mask: _sup(E.nabla_beta_sharp, mask), "<", 1e-8),
+    "flat": ("sup_riemann", lambda E, mask: E.sup_riemann, "<", 1e-7),
+    "unmasked": ("masked", _masked, "==", 0.0),
+    "singular": ("masked", _masked, "==", 1.0),
+    "nowhere-orthogonal": ("min_beta_top",
+                           lambda E, mask: float(np.min(np.sqrt(np.clip(1.0 - E.M.c[mask] ** 2, 0.0, None)))),
+                           ">", 1e-6),
+    "constant-c": ("var_c", lambda E, mask: float(np.ptp(E.M.c[mask])), "<", 1e-9),
+    "constant-beta-N": ("var_beta_N", lambda E, mask: float(np.ptp(E.M.beta_N[mask])), "<", 1e-9),
+    "beta-N-nonzero": ("min_abs_beta_N", lambda E, mask: float(np.min(np.abs(E.M.beta_N[mask]))), ">", 1e-6),
+    "tangent-beta": ("sup_beta_N", lambda E, mask: _sup(E.M.beta_N, mask), "<", 1e-9),
+    "beta-nonzero": ("sup_beta", lambda E, mask: _sup(E.M.beta_norm, mask), ">", 1e-10),
+    "zbar-zero": ("sup_zbar", lambda E, mask: _sup(E.Zbar, mask), "<", 1e-9),
+    "totally-geodesic": ("sup_abar", lambda E, mask: _sup(E.Abar, mask), "<", 1e-9),
+    "negative-ricci": ("max_ricci_N",
+                       lambda E, mask: None if E.ricci_N is None else float(np.max(E.ricci_N)), "<", -1e-9),
+    "smooth-beta": ("beta_singular", lambda E, mask: 1.0 if E.M.beta_singular else 0.0, "==", 0.0),
+    "two-dim-leaves": ("m", lambda E, mask: E.M.m, ">=", 2),      # leaf dimension
 }
 _COMPARE = {"<": operator.lt, ">": operator.gt, "==": operator.eq, ">=": operator.ge}
 
 
-def gate(name: str, hyp: dict) -> list:
-    """``[measured, threshold, held]`` of one gate on the measured hypotheses ``hyp``."""
-    key, op, threshold = GATES[name]
-    measured = hyp.get(key)
-    return [measured, threshold, measured is not None and _COMPARE[op](measured, threshold)]
-
-
-def hypothesis_profile(E: ExtrinsicBundle, mask: np.ndarray, keys: set[str]) -> dict[str, float | None]:
-    """The measured hypothesis ``keys`` of one example, on the judged nodes ``mask``."""
-    return {key: measure(E, mask) for key, measure in MEASURES.items() if key in keys}
+def hypothesis_profile(E: ExtrinsicBundle, mask: np.ndarray, names: set[str]) -> dict[str, list]:
+    """``[measured, threshold, held]`` of each gate in ``names``, on the judged nodes ``mask``."""
+    profile = {}
+    for name, (_, measure, op, threshold) in GATES.items():
+        if name in names:
+            measured = measure(E, mask)
+            profile[name] = [measured, threshold, measured is not None and _COMPARE[op](measured, threshold)]
+    return profile
 
 
 @dataclass(frozen=True)
@@ -131,13 +119,9 @@ class Formula:
     def gate_names(self) -> tuple[str, ...]:
         return self.requires + self.any_of
 
-    def gates(self, hyp: dict) -> dict[str, list]:
-        """``[measured, threshold, held]`` of each of the row's gates."""
-        return {name: gate(name, hyp) for name in self.gate_names}
-
     def applicable(self, hyp: dict) -> bool:
-        held = {name: g[2] for name, g in self.gates(hyp).items()}
-        return all(held[g] for g in self.requires) and (not self.any_of or any(held[g] for g in self.any_of))
+        """Whether the row's gates hold, read from ``hyp``: a ``hypothesis_profile`` naming all of them."""
+        return all(hyp[g][2] for g in self.requires) and (not self.any_of or any(hyp[g][2] for g in self.any_of))
 
     @property
     def gate_label(self) -> str:
@@ -297,7 +281,7 @@ def _ev_parallel_const_printed(E, tangent=False):
 
 def _ev_tilt_balance_printed(E):
     M = E.M
-    Nc = dot(M.N, gradient(M, M.c, E.scheme))
+    Nc = dot(M.N, E.d_c)
     return (
         E.cc ** (M.m / 2.0)
         / M.c**2
@@ -402,13 +386,13 @@ def _ev_energy_bound(E):
     ones = np.ones(M.grid.sizes)
     Asym = E.A_frame_gsym
     trA2 = trace(Asym @ Asym)
-    ric_nu = None if E.ricci_N is None else E.ricci_N / M.c**2
+    ric_nu = E.ricci_N / M.c**2
 
     def judged(mask):
         volF = integrate(M, ones, "F", mask)
         volA = integrate(M, ones, "a", mask)
         energy = (m + 1) / 2.0 * volF + 0.5 * integrate(M, trA2, "F", mask)
-        ric_term = 0.0 if ric_nu is None else integrate(M, ric_nu, "a", mask)
+        ric_term = integrate(M, ric_nu, "a", mask)
         rhs = (1.0 - _max_beta2(M, mask)) ** ((m + 2) / 2.0) * ((m + 1) / 2.0 * volA + ric_term / (2.0 * m))
         return energy - rhs, {"energy": energy, "bound": rhs, "vol_F": volF}
 
@@ -529,7 +513,7 @@ FORMULAS: dict[str, Formula] = {f.fid: f for f in (
             lambda E: E.Abar_frame - np.swapaxes(E.Abar_frame, -1, -2), kind="sup"),
     Formula("tangency", "Z and Zbar stay tangent to the leaves", _ev_tangency, kind="sup"),
     Formula("energy-bound", "energy of the unit normal against the curvature bound", _ev_energy_bound,
-            requires=("berwald",), kind="bound"),
+            requires=("berwald", "unmasked"), kind="bound"),
     Formula("umbilicity-bound", "umbilicity defect against the negative-Ricci bound",
             _ev_umbilicity_bound, requires=("berwald", "unmasked", "negative-ricci"), kind="bound"),
     Formula("umbilicity-spread", "principal curvature spread identity",
@@ -605,8 +589,8 @@ def _sweep_point(
     The point builds its manifold and bundle once and judges them on each
     labelled mask of ``masks`` (default: the build's own active set,
     labelled by the smallest grid spacing: a graph torus refines one axis
-    and holds the others at ``grid.MIN_SIZE``).  The hypotheses (the keys
-    that the gates of ``fids`` read, and ``masked``) are the stage "hyp"; each
+    and holds the others at ``grid.MIN_SIZE``).  The hypotheses (the gates
+    of ``fids``, and ``singular``) are the stage "hyp"; each
     check is a stage of its own, the ``_COORDINATE_FIRST`` checks before
     the rest.  A check's stage forms its field once and reduces it on
     every mask where the check applies, so no mask's early checks run on top
@@ -621,8 +605,8 @@ def _sweep_point(
     E = ExtrinsicBundle(M, scheme, plan)
     masks = masks or [(min(M.grid.spacings), M.active)]
     E.stage = "hyp"
-    keys = {GATES[g][0] for fid in fids for g in FORMULAS[fid].gate_names} | {"masked"}
-    hyps = [hypothesis_profile(E, mask, keys) for _, mask in masks]
+    names = {g for fid in fids for g in FORMULAS[fid].gate_names} | {"singular"}
+    hyps = [hypothesis_profile(E, mask, names) for _, mask in masks]
     E.end_stage()
     values: list[dict[str, tuple[float, dict]]] = [{} for _ in masks]
     order = [f for f in _COORDINATE_FIRST if f in fids] + [f for f in fids if f not in _COORDINATE_FIRST]
@@ -692,10 +676,11 @@ def run_formulas(
         if fid in values_fine:
             value, detail = values_fine[fid]
             conv = [(h, abs(v[fid][0])) for h, v in per_res if fid in v]
-            verdict, tol, audit = _judge(FORMULAS[fid], float(value), conv, gate("singular", hyp)[2])
+            verdict, tol, audit = _judge(FORMULAS[fid], float(value), conv, hyp["singular"][2])
             detail = {**detail, **audit}
         reports.append(ResidualReport(
             formula_id=fid, example=name, resolution=grid.sizes, scheme=scheme, value=float(value),
-            tolerance=float(tol), verdict=verdict, gates=FORMULAS[fid].gates(hyp), convergence=conv, detail=detail,
+            tolerance=float(tol), verdict=verdict, gates={g: hyp[g] for g in FORMULAS[fid].gate_names},
+            convergence=conv, detail=detail,
         ))
     return reports

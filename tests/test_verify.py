@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -140,6 +141,35 @@ def test_masked_run_names_the_failed_gate():
     assert all(_gates_explain_verdict(r) for r in reports)
 
 
+def test_energy_bound_is_not_applicable_where_the_ricci_term_is_not_formed():
+    # beta = 0 is parallel, so berwald holds on the excised sphere; an excised run forms no
+    # curvature, so the bound's Ricci term is unknown there and the row does not apply
+    reports = run_formulas(
+        ExampleSpec("sphere-latitudes", {"eps": 0.0}), ["energy-bound"], EXAMPLES["sphere-latitudes"].resolutions
+    )
+    r = by_id(reports, "energy-bound")
+    assert r.verdict == "not-applicable"
+    assert r.gates["berwald"][2] and r.gates["unmasked"] == [1.0, 0.0, False]
+
+
+def test_no_array_is_differentiated_twice_along_one_axis(monkeypatch):
+    # every check of --formulas full, on the probe and the point: a derivative that two
+    # stages read is one memo entry
+    import randers_foliations.manifold as manifold
+
+    calls = []
+    derivative = manifold.derivative_values
+
+    def spy(values, grid, axis, scheme):
+        calls.append((np.ascontiguousarray(values).tobytes(), values.shape, axis))
+        return derivative(values, grid, axis, scheme)
+
+    monkeypatch.setattr(manifold, "derivative_values", spy)
+    run_formulas(ExampleSpec("conformal-torus"), formula_ids(), [32])
+    repeated = [(shape, axis) for (_, shape, axis), n in Counter(calls).items() if n > 1]
+    assert calls and repeated == []
+
+
 def test_leaf_dimension_is_a_gate(flat_graph_reports):
     # flat-graph has 1D leaves: sigma_2 rows fail the leaf-dimension gate alone
     r = by_id(flat_graph_reports, "sigma-flat-k2")
@@ -156,15 +186,15 @@ def test_hypotheses_measure_only_the_selected_gates_keys(monkeypatch):
     measured = []
     profile = verify.hypothesis_profile
 
-    def spy(E, mask, keys):
-        measured.append((mask.shape, profile(E, mask, keys)))
+    def spy(E, mask, names):
+        measured.append((mask.shape, profile(E, mask, names)))
         return measured[-1][1]
 
     monkeypatch.setattr(verify, "hypothesis_profile", spy)
     reports = run_formulas(ExampleSpec("flat-graph"), ["shape-comparison"], [16])
-    # a sweep measures its probe (n = 8) first, then its point, on the same keys
-    keys = {"beta_singular", "masked"}
-    assert [(shape, set(hyp)) for shape, hyp in measured] == [((8, 8), keys), ((16, 8), keys)]
+    # a sweep measures its probe (n = 8) first, then its point, on the same gates
+    names = {"smooth-beta", "singular"}
+    assert [(shape, set(hyp)) for shape, hyp in measured] == [((8, 8), names), ((16, 8), names)]
     assert reports[0].gates == {"smooth-beta": [0.0, 0.0, True]}
 
 
@@ -671,14 +701,12 @@ def test_identities_converge_on_a_field_varying_along_every_axis():
     # the only catalog 3D example varies along x alone; here every y and z
     # derivative, the mixed Riemann slices and the cross terms of both
     # connections and of the frames are exercised
-    from randers_foliations.verify import GATES, hypothesis_profile
-
     fids = list(_DECAY_3D) + list(_ROUNDOFF_3D)
-    keys = {GATES[g][0] for fid in fids for g in FORMULAS[fid].gate_names} | {"masked"}
+    names = {g for fid in fids for g in FORMULAS[fid].gate_names}
     residuals = {fid: [] for fid in fids}
     for n in (16, 24, 32):
         E = ExtrinsicBundle(_conformal_three_torus(n), "spectral")
-        hyp = hypothesis_profile(E, E.M.active, keys)
+        hyp = hypothesis_profile(E, E.M.active, names)
         for fid in fids:
             assert FORMULAS[fid].applicable(hyp), (fid, n)
             (value, _), = FORMULAS[fid].values(E, [E.M.active])
@@ -718,10 +746,8 @@ def _assert_reads_as_isotropic_twin(thin, scheme, zero_bound):
     a constant is 0, so every nodewise field is the twin's: the same rows apply, a sup
     row reads the same bits, and an integral row differs only by its order of
     summation, by at most ``zero_bound``.  Returns the applicable rows."""
-    from randers_foliations.verify import MEASURES
-
     bundles = [ExtrinsicBundle(M, scheme) for M in (thin, _isotropic_twin(thin))]
-    hyps = [hypothesis_profile(E, E.M.active, set(MEASURES)) for E in bundles]
+    hyps = [hypothesis_profile(E, E.M.active, set(GATES)) for E in bundles]
     applicable = [fid for fid in formula_ids() if FORMULAS[fid].applicable(hyps[0])]
     assert applicable == [fid for fid in formula_ids() if FORMULAS[fid].applicable(hyps[1])]
     for fid in applicable:
@@ -866,7 +892,6 @@ def test_report_rejects_bad_verdict():
 def test_formula_registry_descriptions():
     from randers_foliations.cli import _resolve_formulas
     from randers_foliations.manifold import VOLUMES
-    from randers_foliations.verify import GATES, MEASURES
 
     for fid in formula_ids():
         f = FORMULAS[fid]
@@ -874,9 +899,8 @@ def test_formula_registry_descriptions():
         assert f.kind in ("zero", "sup", "bound")
         assert f.volume in VOLUMES, fid
         assert set(f.requires) | set(f.any_of) <= set(GATES), fid
-    # no gate that no row reads, and no measure that no gate reads
+    # no gate that no row reads
     assert {g for f in FORMULAS.values() for g in f.gate_names} == set(GATES)
-    assert {key for key, _, _ in GATES.values()} == set(MEASURES)
     assert _resolve_formulas("all") == [f for f in formula_ids() if not FORMULAS[f].refuted]
     assert _resolve_formulas("full") == formula_ids()
 
@@ -919,11 +943,11 @@ def test_printed_sigma_2_display_plateaus_where_beta_tilts_off_the_leaves():
     from randers_foliations.catalog import _flat_torus
 
     fids = ("berwald-sigma-k1-printed", "berwald-sigma-k2", "berwald-sigma-k2-printed")
-    keys = {GATES[g][0] for fid in fids for g in FORMULAS[fid].gate_names} | {"masked"}
+    names = {g for fid in fids for g in FORMULAS[fid].gate_names}
     r = {fid: [] for fid in fids}
     for n in (16, 24):
         E = ExtrinsicBundle(_flat_torus("tilted", {"n": n, "period": 1.0}, (0.2, 0.1, 0.3), 0.04), "spectral")
-        hyp = hypothesis_profile(E, E.M.active, keys)
+        hyp = hypothesis_profile(E, E.M.active, names)
         assert np.abs(E.M.beta_N).min() > 0.1  # beta tilts off the leaves at every node
         for fid in fids:
             assert FORMULAS[fid].applicable(hyp), (fid, n)
@@ -1039,11 +1063,10 @@ def test_rows_no_catalog_run_can_fail():
     # composite row: its value) is exactly 0.0 on M.active, tests nothing; a new such
     # row breaks this test, and a row that gains a failing configuration leaves the set
     vacuous = {fid for fid, f in FORMULAS.items() if not f.refuted}
-    keys = {key for key, _, _ in GATES.values()}
     for name, params in _CONFIGURATIONS:
         M = build_example(ExampleSpec(name, {**params, "n": min(EXAMPLES[name].resolutions)}))
         E = ExtrinsicBundle(M)
-        hyp = hypothesis_profile(E, M.active, keys)
+        hyp = hypothesis_profile(E, M.active, set(GATES))
         for fid in sorted(vacuous):
             if FORMULAS[fid].applicable(hyp):
                 field = FORMULAS[fid].evaluate(E)
